@@ -1,0 +1,270 @@
+"""Command line front end.
+
+Every subcommand except `kg encode`/`kg decode` assembles a one-off
+in-memory scenario and runs it through the same handlers the scenario
+runner uses, so CLI output and scenario reports never drift apart.
+Reports go to --out when given, otherwise to a temporary directory, and
+are echoed to stdout either way.
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import sys
+import tempfile
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence
+
+from . import __version__
+from .bitstring import BitString
+from .errors import RandlabError, ScenarioError
+from .coding import kg_decode, kg_encode
+from .generators import random_pi01_tree
+from .scenario import Experiment, Scenario, load_scenario, run_scenario
+from .staged import Enumerator
+
+
+def _parse_adversary(spec: str) -> Dict[str, object]:
+    """'0,01@1;00@2' -> events; optional '#H' suffix overrides the horizon."""
+    horizon = None
+    if "#" in spec:
+        spec, tail = spec.rsplit("#", 1)
+        horizon = int(tail)
+    events = []
+    for part in spec.split(";"):
+        if not part:
+            continue
+        try:
+            strings, stage = part.rsplit("@", 1)
+        except ValueError:
+            raise ScenarioError(f"bad adversary event {part!r}, want STRINGS@STAGE")
+        events.append([int(stage), [s for s in strings.split(",") if s]])
+    raw: Dict[str, object] = {"events": events}
+    raw["horizon"] = horizon if horizon is not None else (
+        max((s for s, _ in events), default=0))
+    return raw
+
+
+def _csv_ints(text: str) -> List[int]:
+    return [int(x) for x in text.split(",") if x]
+
+
+def _csv_strs(text: str) -> List[str]:
+    return [x for x in text.split(",") if x]
+
+
+def _emit(result, out_given: bool) -> int:
+    for path in result.files:
+        sys.stdout.write(f"== {path.name} ==\n")
+        sys.stdout.write(path.read_text())
+    for fact in result.facts:
+        status = "ok" if fact.ok else "FAILED"
+        sys.stdout.write(f"experiment {fact.name}: {status}\n")
+    if out_given:
+        sys.stdout.write(f"wrote {len(result.files)} file(s)\n")
+    return 0 if result.ok else 1
+
+
+def _run_inline(name: str, objects: Dict[str, Dict[str, object]],
+                experiments: Sequence[Experiment], out: Optional[str]) -> int:
+    scen = Scenario(name, objects, tuple(experiments))
+    if out is None:
+        with tempfile.TemporaryDirectory() as tmp:
+            return _emit(run_scenario(scen, tmp), False)
+    return _emit(run_scenario(scen, out), True)
+
+
+def _fireworks_objects(args) -> Dict[str, Dict[str, object]]:
+    advs = {f"w{i}": _parse_adversary(spec) for i, spec in enumerate(args.adversary)}
+    return {"enumerators": advs}
+
+
+def _fireworks_params(args) -> Dict[str, object]:
+    params: Dict[str, object] = {
+        "adversaries": [f"w{i}" for i in range(len(args.adversary))],
+        "k": args.k,
+        "target_length": args.target_length,
+        "stage_budget": args.stage_budget,
+    }
+    if args.cap_bounds:
+        params["cap_bounds"] = _csv_ints(args.cap_bounds)
+    return params
+
+
+def _cmd_run(args) -> int:
+    scen = load_scenario(args.scenario)
+    out = args.out if args.out else None
+    if out is None:
+        with tempfile.TemporaryDirectory() as tmp:
+            return _emit(run_scenario(scen, tmp), False)
+    return _emit(run_scenario(scen, out), True)
+
+
+def _cmd_fireworks(args) -> int:
+    objects = _fireworks_objects(args)
+    params = _fireworks_params(args)
+    if args.mode == "run":
+        if args.caps:
+            params["caps"] = _csv_ints(args.caps)
+        elif args.seed is not None:
+            params["seed"] = args.seed
+        else:
+            raise ScenarioError("fireworks run needs --caps or --seed")
+        params["trace"] = bool(args.trace)
+        kind = "fireworks_run"
+    else:
+        kind = {"sweep": "fireworks_sweep",
+                "trichotomy": "fireworks_trichotomy",
+                "extract": "fireworks_extract"}[args.mode]
+    return _run_inline("cli", objects, [Experiment(args.mode, kind, params)], args.out)
+
+
+def _cmd_tests_convert(args) -> int:
+    params = {"direction": args.direction, "count": args.count, "seed": args.seed,
+              "levels": args.levels, "bound": args.bound, "horizon": args.horizon}
+    return _run_inline("cli", {}, [Experiment("convert", "convert_sweep", params)],
+                       args.out)
+
+
+def _cmd_kg(args) -> int:
+    rng = random.Random(args.seed)
+    tree = random_pi01_tree(rng, depth=args.depth, horizon=args.horizon)
+    stem = BitString(args.stem)
+    if args.mode == "encode":
+        payload = BitString(args.payload)
+        code = kg_encode(payload, stem, tree)
+        sys.stdout.write(f"codeword {code}\n")
+        sys.stdout.write(f"viable {'yes' if tree.viable(code, tree.horizon) else 'no'}\n")
+        return 0
+    code = BitString(args.codeword)
+    payload = kg_decode(code, stem, tree, tree.horizon)
+    if payload is None:
+        sys.stdout.write("decode failed\n")
+        return 1
+    sys.stdout.write(f"payload {payload}\n")
+    return 0
+
+
+def _cmd_w2r(args) -> int:
+    if args.mode == "hit":
+        # Steered payloads stack up; the class must be deep enough to hold them.
+        depth = args.depth if args.depth is not None else 220
+        params = {"seed": args.seed,
+                  "positions": _csv_ints(args.positions),
+                  "patterns": _csv_strs(args.patterns),
+                  "depth": depth, "horizon": args.horizon}
+        exp = Experiment("hit", "w2r_hitting", params)
+    else:
+        depth = args.depth if args.depth is not None else 24
+        params = {"seed": args.seed,
+                  "payloads": _csv_strs(args.payloads),
+                  "depth": depth, "horizon": args.horizon}
+        exp = Experiment(args.mode, "w2r", params)
+    return _run_inline("cli", {}, [exp], args.out)
+
+
+def _cmd_minpair(args) -> int:
+    params = {"count": args.count, "seed": args.seed, "nat_max": args.nat_max,
+              "horizon": args.horizon}
+    return _run_inline("cli", {}, [Experiment("analyze", "minpair_sweep", params)],
+                       args.out)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="randlab",
+                                     description="finite-stage randomness laboratory")
+    parser.add_argument("--version", action="version", version=f"randlab {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_run = sub.add_parser("run", help="run a scenario file")
+    p_run.add_argument("scenario")
+    p_run.add_argument("--out", help="directory for report files")
+    p_run.set_defaults(func=_cmd_run)
+
+    p_fw = sub.add_parser("fireworks", help="guess-with-cap construction")
+    p_fw.add_argument("mode", choices=["run", "sweep", "trichotomy", "extract"])
+    p_fw.add_argument("--adversary", action="append", required=True,
+                      metavar="SPEC", help="events as STRINGS@STAGE;... e.g. 0@1;00@2")
+    p_fw.add_argument("--k", type=int, required=True)
+    p_fw.add_argument("--target-length", type=int, required=True)
+    p_fw.add_argument("--stage-budget", type=int, required=True)
+    p_fw.add_argument("--cap-bounds", help="comma-separated powers of two")
+    p_fw.add_argument("--caps", help="explicit cap vector for mode=run")
+    p_fw.add_argument("--seed", type=int, help="draw caps from this seed for mode=run")
+    p_fw.add_argument("--trace", action="store_true")
+    p_fw.add_argument("--out")
+    p_fw.set_defaults(func=_cmd_fireworks)
+
+    p_tests = sub.add_parser("tests", help="test-object conversions")
+    t_sub = p_tests.add_subparsers(dest="tests_command", required=True)
+    p_conv = t_sub.add_parser("convert", help="seeded conversion sweep")
+    p_conv.add_argument("--direction", choices=["d2u", "u2d"], required=True)
+    p_conv.add_argument("--seed", type=int, required=True)
+    p_conv.add_argument("--count", type=int, default=10)
+    p_conv.add_argument("--levels", type=int, default=4)
+    p_conv.add_argument("--bound", type=int, default=4)
+    p_conv.add_argument("--horizon", type=int, default=8)
+    p_conv.add_argument("--out")
+    p_conv.set_defaults(func=_cmd_tests_convert)
+
+    p_kg = sub.add_parser("kg", help="codeword embedding into a seeded class")
+    p_kg.add_argument("mode", choices=["encode", "decode"])
+    p_kg.add_argument("--seed", type=int, required=True)
+    p_kg.add_argument("--payload", help="bits to encode (mode=encode)")
+    p_kg.add_argument("--codeword", help="bits to decode (mode=decode)")
+    p_kg.add_argument("--stem", default="^")
+    p_kg.add_argument("--depth", type=int, default=24)
+    p_kg.add_argument("--horizon", type=int, default=8)
+    p_kg.set_defaults(func=_cmd_kg)
+
+    p_w2r = sub.add_parser("w2r", help="layered coding into a seeded class")
+    p_w2r.add_argument("mode", choices=["encode", "hit"])
+    p_w2r.add_argument("--seed", type=int, required=True)
+    p_w2r.add_argument("--payloads", help="comma-separated payloads (encode)")
+    p_w2r.add_argument("--positions", help="dense-open offsets (hit)")
+    p_w2r.add_argument("--patterns", help="dense-open patterns (hit)")
+    p_w2r.add_argument("--depth", type=int, default=None,
+                       help="class depth (default 24, or 220 for hit)")
+    p_w2r.add_argument("--horizon", type=int, default=8)
+    p_w2r.add_argument("--out")
+    p_w2r.set_defaults(func=_cmd_w2r)
+
+    p_mp = sub.add_parser("minpair", help="selector analysis over functional pairs")
+    p_mp.add_argument("mode", choices=["analyze"])
+    p_mp.add_argument("--seed", type=int, required=True)
+    p_mp.add_argument("--count", type=int, default=5)
+    p_mp.add_argument("--nat-max", type=int, default=3)
+    p_mp.add_argument("--horizon", type=int, default=8)
+    p_mp.add_argument("--out")
+    p_mp.set_defaults(func=_cmd_minpair)
+
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "mode", None) == "hit":
+        if not (args.positions and args.patterns):
+            parser.error("w2r hit needs --positions and --patterns")
+    if getattr(args, "mode", None) == "encode" and args.command == "w2r":
+        if not args.payloads:
+            parser.error("w2r encode needs --payloads")
+    if args.command == "kg":
+        if args.mode == "encode" and not args.payload:
+            parser.error("kg encode needs --payload")
+        if args.mode == "decode" and not args.codeword:
+            parser.error("kg decode needs --codeword")
+    try:
+        return args.func(args)
+    except ScenarioError as e:
+        sys.stderr.write(f"error: {e}\n")
+        return 2
+    except RandlabError as e:
+        sys.stderr.write(f"error: {e}\n")
+        return 3
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,257 @@
+"""Versioned open-set tests and the two conversions between their shapes.
+
+A versioned level models an open set whose defining index is revised a
+bounded number of times: each version is a full staged open set, the live
+version at a stage is the latest one declared by then, and before the first
+declaration the level reads as empty.  A difference-union level instead
+lists pairs (U, V) and denotes the union of the differences U minus V.
+
+The two conversions preserve the denoted sets in the directions the theory
+promises: version lists can be re-read as difference pairs exactly, and
+difference pairs can be tracked by a version list whose revision count and
+final measure stay within explicit budgets.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from .bitstring import BitString
+from .cylinders import EMPTY_SET, CylinderSet
+from .dyadic import Dyadic
+from .errors import RandlabError
+from .staged import Enumerator, StagedOpenSet
+
+
+class VersionedOpenSet:
+    """An open set under bounded revision: (declaration_stage, set) entries.
+
+    Declaration stages are strictly increasing.  Every entry is a staged
+    open set in its own right and keeps enumerating after being superseded;
+    only its declaration is frozen.
+    """
+
+    __slots__ = ("versions",)
+
+    def __init__(self, versions: Sequence[Tuple[int, StagedOpenSet]]) -> None:
+        last = -1
+        for stage, _ in versions:
+            if stage <= last:
+                raise RandlabError(f"version stages must increase, got {stage} after {last}")
+            last = stage
+        self.versions = tuple(versions)
+
+    def version_count(self) -> int:
+        return len(self.versions)
+
+    def live_at(self, stage: int) -> Optional[StagedOpenSet]:
+        live = None
+        for s, v in self.versions:
+            if s > stage:
+                break
+            live = v
+        return live
+
+    def open_at(self, stage: int) -> CylinderSet:
+        live = self.live_at(stage)
+        return EMPTY_SET if live is None else live.open_at(stage)
+
+    def final_at(self, horizon: int) -> CylinderSet:
+        """Full content of the last version, read at `horizon`."""
+        live = self.live_at(horizon)
+        return EMPTY_SET if live is None else live.open_at(horizon)
+
+    def __repr__(self) -> str:
+        return f"VersionedOpenSet({self.version_count()} versions)"
+
+
+@dataclass(frozen=True)
+class DemuthTest:
+    """Levels of versioned open sets; level n owes final measure <= 2^-n and
+    at most version_bounds[n] versions."""
+
+    levels: Tuple[VersionedOpenSet, ...]
+    version_bounds: Tuple[int, ...]
+    horizon: int
+
+    def __post_init__(self) -> None:
+        if len(self.levels) != len(self.version_bounds):
+            raise RandlabError("one version bound per level required")
+
+
+@dataclass(frozen=True)
+class DiffPair:
+    u: StagedOpenSet
+    v: StagedOpenSet
+
+
+@dataclass(frozen=True)
+class DiffUnionTest:
+    """Levels of difference-pair lists; level n denotes union of (U_k - V_k)."""
+
+    levels: Tuple[Tuple[DiffPair, ...], ...]
+    pair_bounds: Tuple[int, ...]
+    horizon: int
+
+    def __post_init__(self) -> None:
+        if len(self.levels) != len(self.pair_bounds):
+            raise RandlabError("one pair bound per level required")
+
+    def level_set_at(self, n: int, stage: int) -> CylinderSet:
+        acc = EMPTY_SET
+        for pair in self.levels[n]:
+            acc = acc | (pair.u.open_at(stage) - pair.v.open_at(stage))
+        return acc
+
+    def level_final(self, n: int) -> CylinderSet:
+        return self.level_set_at(n, self.horizon)
+
+
+@dataclass(frozen=True)
+class LevelReport:
+    level: int
+    version_count: int
+    version_bound: int
+    measure: Dyadic
+    measure_bound: Dyadic
+    ok: bool
+
+
+@dataclass(frozen=True)
+class TestReport:
+    rows: Tuple[LevelReport, ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(r.ok for r in self.rows)
+
+
+def verify_demuth(test: DemuthTest) -> TestReport:
+    """Per-level audit: version count within bound, final measure <= 2^-n."""
+    rows = []
+    for n, level in enumerate(test.levels):
+        count = level.version_count()
+        bound = test.version_bounds[n]
+        measure = level.final_at(test.horizon).measure()
+        cap = Dyadic.half_pow(n)
+        rows.append(LevelReport(n, count, bound, measure, cap, count <= bound and measure <= cap))
+    return TestReport(tuple(rows))
+
+
+def verify_diffunion(test: DiffUnionTest) -> TestReport:
+    rows = []
+    for n in range(len(test.levels)):
+        count = len(test.levels[n])
+        bound = test.pair_bounds[n]
+        measure = test.level_final(n).measure()
+        cap = Dyadic.half_pow(n)
+        rows.append(LevelReport(n, count, bound, measure, cap, count <= bound and measure <= cap))
+    return TestReport(tuple(rows))
+
+
+def demuth_to_diffunion(test: DemuthTest) -> DiffUnionTest:
+    """Re-read each version list as difference pairs, exactly.
+
+    Pair k is (k-th version, k-th version) when a (k+1)-th version exists
+    and (k-th version, empty) when it does not, so every superseded pair
+    cancels and the union of differences is precisely the final version.
+    The pair list is padded to the declared version bound.
+    """
+    levels = []
+    for n, level in enumerate(test.levels):
+        pairs: List[DiffPair] = []
+        count = level.version_count()
+        width = max(test.version_bounds[n], count)
+        for k in range(width):
+            if k < count:
+                u = level.versions[k][1]
+                v = u if k + 1 < count else StagedOpenSet.empty(test.horizon)
+            else:
+                u = StagedOpenSet.empty(test.horizon)
+                v = StagedOpenSet.empty(test.horizon)
+            pairs.append(DiffPair(u, v))
+        levels.append(tuple(pairs))
+    return DiffUnionTest(tuple(levels), tuple(max(b, l.version_count()) for b, l in zip(test.version_bounds, test.levels)), test.horizon)
+
+
+def _multiples_exceeded(measure: Dyadic, quantum: Fraction) -> int:
+    """How many positive multiples of `quantum` the measure strictly exceeds."""
+    t = measure.as_fraction() / quantum
+    if t <= 0:
+        return 0
+    return (t.numerator - 1) // t.denominator
+
+
+def diffunion_to_demuth(test: DiffUnionTest) -> DemuthTest:
+    """Track each difference-union level one index up by a version list.
+
+    Output level n watches input level n+1.  The first version is the union
+    of the U_k alone; whenever some V_k's measure first strictly exceeds a
+    new multiple of 2^-(n+1) / c (c = pair count), a fresh version is
+    declared whose definition subtracts the V_k snapshots taken at that
+    stage.  Crossings in the same stage coalesce into one declaration, so
+    the version count stays at most c^2 * 2^(n+1), and the final measure
+    stays at most 2^-n as long as the input level obeys its own bound.
+    """
+    if not test.levels:
+        raise RandlabError("no input levels to convert")
+    out_levels: List[VersionedOpenSet] = []
+    out_bounds: List[int] = []
+    for n in range(len(test.levels) - 1):
+        pairs = test.levels[n + 1]
+        cap_in = Dyadic.half_pow(n + 1)
+        if test.level_final(n + 1).measure() > cap_in:
+            raise RandlabError(
+                f"input level {n + 1} breaks its measure bound; refusing to convert"
+            )
+        c = max(1, len(pairs))
+        quantum = Fraction(1, c * (1 << (n + 1)))
+
+        def version_from_snapshot(snapshot_stage: Optional[int], declare: int) -> Tuple[int, StagedOpenSet]:
+            events = []
+            seen: set = set()
+            for s in range(test.horizon + 1):
+                acc = EMPTY_SET
+                for pair in pairs:
+                    u_now = pair.u.open_at(s)
+                    v_snap = EMPTY_SET if snapshot_stage is None else pair.v.open_at(snapshot_stage)
+                    acc = acc | (u_now - v_snap)
+                fresh = [g for g in acc.strings if g not in seen]
+                seen.update(acc.strings)
+                if fresh:
+                    events.append((s, fresh))
+            return declare, StagedOpenSet.from_events(events, test.horizon)
+
+        versions = [version_from_snapshot(None, 0)]
+        exceeded = [0] * len(pairs)
+        for s in range(test.horizon + 1):
+            crossed = False
+            for k, pair in enumerate(pairs):
+                now = _multiples_exceeded(pair.v.open_at(s).measure(), quantum)
+                if now > exceeded[k]:
+                    exceeded[k] = now
+                    crossed = True
+            if crossed:
+                declare = s if s > versions[-1][0] else versions[-1][0] + 1
+                versions.append(version_from_snapshot(s, declare))
+        out_levels.append(VersionedOpenSet(versions))
+        out_bounds.append(c * c * (1 << (n + 1)))
+    return DemuthTest(tuple(out_levels), tuple(out_bounds), test.horizon)
+
+
+def solovay_membership_profile(x: BitString, test) -> frozenset:
+    """Indices of the levels whose final set swallows the cylinder at `x`."""
+    hits = set()
+    if isinstance(test, DemuthTest):
+        for n, level in enumerate(test.levels):
+            if level.final_at(test.horizon).contains_prefix_of(x):
+                hits.add(n)
+    elif isinstance(test, DiffUnionTest):
+        for n in range(len(test.levels)):
+            if test.level_final(n).contains_prefix_of(x):
+                hits.add(n)
+    else:
+        raise RandlabError(f"not a test: {test!r}")
+    return frozenset(hits)

@@ -1,0 +1,128 @@
+"""Exact dyadic rationals num / 2**exp.
+
+Canonical form keeps the numerator odd (or zero with exponent zero), so
+equality is structural.  Measures of clopen sets always land in this class;
+comparisons against non-dyadic rationals go through `fractions.Fraction`,
+which keeps every test threshold exact.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Union
+
+Rational = Union["Dyadic", int, Fraction]
+
+
+class Dyadic:
+    __slots__ = ("num", "exp")
+
+    def __init__(self, num: int, exp: int = 0) -> None:
+        if exp < 0:
+            num <<= -exp
+            exp = 0
+        while num and num % 2 == 0 and exp > 0:
+            num //= 2
+            exp -= 1
+        if num == 0:
+            exp = 0
+        self.num = num
+        self.exp = exp
+
+    @staticmethod
+    def zero() -> "Dyadic":
+        return Dyadic(0)
+
+    @staticmethod
+    def one() -> "Dyadic":
+        return Dyadic(1)
+
+    @staticmethod
+    def half_pow(k: int) -> "Dyadic":
+        """2**-k for k >= 0."""
+        if k < 0:
+            raise ValueError("half_pow wants a nonnegative power")
+        return Dyadic(1, k)
+
+    def as_fraction(self) -> Fraction:
+        return Fraction(self.num, 1 << self.exp)
+
+    def _coerce(self, other: Rational) -> "Dyadic":
+        if isinstance(other, Dyadic):
+            return other
+        if isinstance(other, int):
+            return Dyadic(other)
+        raise TypeError(f"cannot coerce {other!r} to Dyadic")
+
+    def __add__(self, other: Rational) -> "Dyadic":
+        o = self._coerce(other)
+        e = max(self.exp, o.exp)
+        return Dyadic((self.num << (e - self.exp)) + (o.num << (e - o.exp)), e)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: Rational) -> "Dyadic":
+        o = self._coerce(other)
+        e = max(self.exp, o.exp)
+        return Dyadic((self.num << (e - self.exp)) - (o.num << (e - o.exp)), e)
+
+    def __rsub__(self, other: Rational) -> "Dyadic":
+        return self._coerce(other).__sub__(self)
+
+    def __mul__(self, other: Rational) -> "Dyadic":
+        o = self._coerce(other)
+        return Dyadic(self.num * o.num, self.exp + o.exp)
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "Dyadic":
+        return Dyadic(-self.num, self.exp)
+
+    def _cmp_key(self, other) -> tuple:
+        """Cross-multiplied pair (self_scaled, other_scaled) for exact compare."""
+        if isinstance(other, Dyadic):
+            e = max(self.exp, other.exp)
+            return (self.num << (e - self.exp), other.num << (e - other.exp))
+        if isinstance(other, int):
+            return (self.num, other << self.exp)
+        if isinstance(other, Fraction):
+            return (self.num * other.denominator, other.numerator << self.exp)
+        return NotImplemented, None
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (Dyadic, int, Fraction)):
+            a, b = self._cmp_key(other)
+            return a == b
+        return NotImplemented
+
+    def __lt__(self, other: Rational) -> bool:
+        a, b = self._cmp_key(other)
+        return a < b
+
+    def __le__(self, other: Rational) -> bool:
+        a, b = self._cmp_key(other)
+        return a <= b
+
+    def __gt__(self, other: Rational) -> bool:
+        a, b = self._cmp_key(other)
+        return a > b
+
+    def __ge__(self, other: Rational) -> bool:
+        a, b = self._cmp_key(other)
+        return a >= b
+
+    def __hash__(self) -> int:
+        return hash(self.as_fraction())
+
+    def __str__(self) -> str:
+        return f"{self.num}/2^{self.exp}"
+
+    def __repr__(self) -> str:
+        return f"Dyadic({self.num}, {self.exp})"
+
+    @staticmethod
+    def parse(text: str) -> "Dyadic":
+        num_s, _, exp_s = text.partition("/2^")
+        if not exp_s:
+            raise ValueError(f"not a dyadic literal: {text!r}")
+        return Dyadic(int(num_s), int(exp_s))

@@ -1,0 +1,357 @@
+"""The guess-with-a-random-cap construction against scripted adversaries.
+
+One strategy per adversary enumeration.  A strategy repeatedly guesses that
+no extension of the current working prefix will ever be enumerated by its
+adversary; each guess is passive until a privately drawn cap is reached, at
+which point the strategy commits: it announces an extension will appear and
+freezes the whole construction until one does.  Passive guesses cost
+nothing, a satisfied commitment appends the found extension to the working
+prefix, and an unanswered one stalls the run to its stage budget.
+
+Because a cap only matters at the strategy's own decision points, two runs
+differing in one cap coincide up to the first diverging decision.  That
+yields the sharp sweep picture: fixing all other caps, at most one value of
+a strategy's cap ends in an unanswered commitment, every smaller value ends
+answered, every larger one ends passively.  Sweeping all cap vectors gives
+the exact failure probability as a dyadic rational.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass, field
+from enum import Enum
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+
+from .bitstring import EMPTY, BitString
+from .cylinders import CylinderSet
+from .dyadic import Dyadic
+from .errors import GuardExceeded, RandlabError
+from .staged import Enumerator, StagedOpenSet
+
+SWEEP_GUARD = 1 << 24
+
+
+class Outcome(Enum):
+    PASSIVE_SUCCESS = "PassiveSuccess"
+    ACTIVE_SUCCESS = "ActiveSuccess"
+    ACTIVE_FAILURE = "ActiveFailure"
+    UNRESOLVED = "Unresolved"
+
+
+class Requirement(Enum):
+    MET_INSIDE = "MetInside"
+    MET_AVOIDED = "MetAvoided"
+    UNMET = "Unmet"
+
+
+def default_cap_bounds(count: int, k: int) -> Tuple[int, ...]:
+    """Cap ranges 2^(e+k+1); their inverse sum is below 2^-k."""
+    return tuple(1 << (e + k + 1) for e in range(count))
+
+
+@dataclass(frozen=True)
+class FireworksConfig:
+    adversaries: Tuple[Enumerator, ...]
+    k: int
+    cap_bounds: Tuple[int, ...]
+    target_length: int
+    stage_budget: int
+    defaults_used: bool = True
+
+    @staticmethod
+    def build(
+        adversaries: Sequence[Enumerator],
+        k: int,
+        target_length: int,
+        stage_budget: int,
+        cap_bounds: Optional[Sequence[int]] = None,
+    ) -> "FireworksConfig":
+        adversaries = tuple(adversaries)
+        defaults = cap_bounds is None
+        bounds = default_cap_bounds(len(adversaries), k) if defaults else tuple(cap_bounds)
+        if len(bounds) != len(adversaries):
+            raise RandlabError("one cap bound per adversary required")
+        for n in bounds:
+            if n < 2 or n & (n - 1):
+                raise RandlabError(f"cap bound {n} must be a power of two, at least 2")
+        for w in adversaries:
+            if w.horizon > stage_budget:
+                raise RandlabError(
+                    f"adversary horizon {w.horizon} exceeds stage budget {stage_budget}; "
+                    "outcomes at the horizon would be unsound"
+                )
+        cfg = FireworksConfig(adversaries, k, bounds, target_length, stage_budget, defaults)
+        if defaults:
+            total = sum(Dyadic(1, 0).as_fraction() / n for n in bounds)
+            assert total <= Dyadic.half_pow(k).as_fraction()
+        return cfg
+
+    @property
+    def block_lengths(self) -> Tuple[int, ...]:
+        return tuple(n.bit_length() - 1 for n in self.cap_bounds)
+
+
+@dataclass(frozen=True)
+class StrategyRecord:
+    index: int
+    cap: int
+    outcome: Outcome
+    guesses_made: int
+    final_guess: Optional[BitString]
+    active_stage: Optional[int]
+    answer_stage: Optional[int]
+    failure_proven: bool
+
+
+@dataclass(frozen=True)
+class FireworksRun:
+    x_prefix: BitString
+    caps: Tuple[int, ...]
+    records: Tuple[StrategyRecord, ...]
+    stages_used: int
+    halted_by: Optional[int]
+    trace: Tuple[str, ...]
+
+    @property
+    def outcomes(self) -> Tuple[Outcome, ...]:
+        return tuple(r.outcome for r in self.records)
+
+    @property
+    def failed(self) -> bool:
+        return any(r.outcome is Outcome.ACTIVE_FAILURE for r in self.records)
+
+
+def oracle_block_caps(oracle: BitString, cap_bounds: Sequence[int]) -> Tuple[int, ...]:
+    """Read one cap per bound from consecutive oracle blocks.
+
+    A bound of 2^l consumes l bits; the block value v yields cap v + 1, so
+    caps are uniform on 1..2^l exactly when the oracle bits are fair.
+    """
+    caps = []
+    pos = 0
+    for n in cap_bounds:
+        l = n.bit_length() - 1
+        if pos + l > len(oracle):
+            raise RandlabError(f"oracle of length {len(oracle)} too short for blocks")
+        block = oracle[pos:pos + l]
+        caps.append((int(block.bits, 2) if len(block) else 0) + 1)
+        pos += l
+    return tuple(caps)
+
+
+def caps_from_seed(seed: int, cap_bounds: Sequence[int]) -> Tuple[int, ...]:
+    rng = random.Random(seed)
+    return tuple(rng.randrange(n) + 1 for n in cap_bounds)
+
+
+class _Strategy:
+    __slots__ = ("index", "cap", "enum", "guesses", "guess_prefix", "satisfied_at",
+                 "active_stage", "answer_stage", "wait_prefix")
+
+    def __init__(self, index: int, cap: int, enum: Enumerator) -> None:
+        self.index = index
+        self.cap = cap
+        self.enum = enum
+        self.guesses = 0
+        self.guess_prefix: Optional[BitString] = None
+        self.satisfied_at: Optional[int] = None
+        self.active_stage: Optional[int] = None
+        self.answer_stage: Optional[int] = None
+        self.wait_prefix: Optional[BitString] = None
+
+    def refuted(self, stage: int) -> bool:
+        assert self.guess_prefix is not None
+        return any(t.extends(self.guess_prefix) for t in self.enum.at(stage))
+
+    def answer(self, stage: int) -> Optional[BitString]:
+        assert self.wait_prefix is not None
+        hits = [t for t in self.enum.at(stage) if t.extends(self.wait_prefix)]
+        return min(hits, key=lambda t: (len(t), t.bits)) if hits else None
+
+
+def run_fireworks(cfg: FireworksConfig, caps: Sequence[int], *, keep_trace: bool = False) -> FireworksRun:
+    """Deterministic run of the construction under explicit caps."""
+    if len(caps) != len(cfg.adversaries):
+        raise RandlabError("one cap per adversary required")
+    for cap, bound in zip(caps, cfg.cap_bounds):
+        if not 1 <= cap <= bound:
+            raise RandlabError(f"cap {cap} outside 1..{bound}")
+
+    strategies = [_Strategy(e, caps[e], w) for e, w in enumerate(cfg.adversaries)]
+    x = EMPTY
+    trace: List[str] = []
+    waiting: Optional[_Strategy] = None
+    halted_by: Optional[int] = None
+    stage = 0
+    rr = 0
+
+    def note(msg: str) -> None:
+        if keep_trace:
+            trace.append(msg)
+
+    while stage < cfg.stage_budget:
+        if waiting is not None:
+            tau = waiting.answer(stage)
+            if tau is not None:
+                waiting.answer_stage = stage
+                waiting.satisfied_at = stage
+                x = tau
+                note(f"s={stage} e={waiting.index} commitment answered by {tau}")
+                waiting = None
+            stage += 1
+            continue
+
+        if len(x) >= cfg.target_length:
+            break
+
+        if not strategies:
+            x = x.append(0)
+            stage += 1
+            continue
+
+        st = strategies[rr % len(strategies)]
+        rr += 1
+        grew = False
+        if st.satisfied_at is None:
+            if st.guess_prefix is None:
+                st.guesses = 1
+                st.guess_prefix = x
+                note(f"s={stage} e={st.index} passive guess 1 on {x}")
+            elif st.refuted(stage):
+                if st.guesses < st.cap:
+                    st.guesses += 1
+                    st.guess_prefix = x
+                    note(f"s={stage} e={st.index} passive guess {st.guesses} on {x}")
+                else:
+                    st.active_stage = stage
+                    st.wait_prefix = x
+                    note(f"s={stage} e={st.index} commitment on {x}")
+                    tau = st.answer(stage)
+                    if tau is not None:
+                        st.answer_stage = stage
+                        st.satisfied_at = stage
+                        x = tau
+                        grew = True
+                        note(f"s={stage} e={st.index} commitment answered by {tau}")
+                    else:
+                        waiting = st
+        if waiting is None and not grew and len(x) < cfg.target_length:
+            x = x.append(0)
+        stage += 1
+
+    if waiting is not None:
+        halted_by = waiting.index
+
+    records = []
+    for st in strategies:
+        proven = False
+        if st.satisfied_at is not None:
+            outcome = Outcome.ACTIVE_SUCCESS
+        elif st.wait_prefix is not None:
+            outcome = Outcome.ACTIVE_FAILURE
+            proven = st.answer(st.enum.horizon) is None
+        elif st.guess_prefix is not None and not st.refuted(st.enum.horizon):
+            outcome = Outcome.PASSIVE_SUCCESS
+        else:
+            outcome = Outcome.UNRESOLVED
+        records.append(StrategyRecord(
+            st.index, st.cap, outcome, st.guesses,
+            st.wait_prefix if st.wait_prefix is not None else st.guess_prefix,
+            st.active_stage, st.answer_stage, proven,
+        ))
+    return FireworksRun(x, tuple(caps), tuple(records), stage, halted_by, tuple(trace))
+
+
+def check_requirement(w_final: Iterable[BitString], x: BitString, universe_depth: int) -> Requirement:
+    """How the finished prefix fares against one adversary's final set.
+
+    MetInside: some prefix of x was enumerated.  MetAvoided: some prefix of
+    x has no enumerated extension among strings up to `universe_depth`.
+    """
+    if universe_depth < len(x):
+        raise RandlabError("universe depth must cover the prefix")
+    w = [t for t in w_final]
+    for i in range(len(x) + 1):
+        if x.prefix(i) in w:
+            return Requirement.MET_INSIDE
+    for i in range(len(x) + 1):
+        sigma = x.prefix(i)
+        if not any(t.extends(sigma) and len(t) <= universe_depth for t in w):
+            return Requirement.MET_AVOIDED
+    return Requirement.UNMET
+
+
+def _cap_space(cfg: FireworksConfig) -> int:
+    total = 1
+    for n in cfg.cap_bounds:
+        total *= n
+        if total > SWEEP_GUARD:
+            raise GuardExceeded(f"cap sweep over {total} vectors refused (limit {SWEEP_GUARD})")
+    return total
+
+
+def sweep_runs(cfg: FireworksConfig):
+    """Yield a run per cap vector, in lexicographic cap order."""
+    _cap_space(cfg)
+
+    def rec(prefix: List[int], e: int):
+        if e == len(cfg.cap_bounds):
+            yield run_fireworks(cfg, tuple(prefix))
+            return
+        for cap in range(1, cfg.cap_bounds[e] + 1):
+            prefix.append(cap)
+            yield from rec(prefix, e + 1)
+            prefix.pop()
+
+    yield from rec([], 0)
+
+
+def exact_failure_probability(cfg: FireworksConfig) -> Dyadic:
+    """Fraction of cap vectors whose run contains an unanswered commitment."""
+    total = _cap_space(cfg)
+    failures = sum(1 for run in sweep_runs(cfg) if run.failed)
+    exp = total.bit_length() - 1
+    assert 1 << exp == total  # bounds are powers of two
+    return Dyadic(failures, exp)
+
+
+@dataclass(frozen=True)
+class FailureSets:
+    """Oracle-side view of one strategy: who commits, who gets answered."""
+
+    committed: StagedOpenSet   # oracles driving the strategy into a commitment
+    answered: StagedOpenSet    # the subset whose commitment is answered
+
+    def residue(self) -> CylinderSet:
+        return self.committed.final() - self.answered.final()
+
+
+def extract_failure_sets(cfg: FireworksConfig) -> Tuple[FailureSets, ...]:
+    """Run every oracle block vector and collect commitment/answer cylinders.
+
+    The cylinder for an oracle is dated by the stage at which the event it
+    records became visible, so each side is a legitimate staged open set.
+    The residue measure per strategy is at most 1 / cap_bound, and the union
+    of residues has exactly the sweep's failure probability.
+    """
+    _cap_space(cfg)
+    lengths = cfg.block_lengths
+    total_bits = sum(lengths)
+    committed: List[Dict[int, List[BitString]]] = [dict() for _ in cfg.adversaries]
+    answered: List[Dict[int, List[BitString]]] = [dict() for _ in cfg.adversaries]
+    for v in range(1 << total_bits):
+        oracle = BitString(format(v, f"0{total_bits}b") if total_bits else "")
+        caps = oracle_block_caps(oracle, cfg.cap_bounds)
+        run = run_fireworks(cfg, caps)
+        for rec in run.records:
+            if rec.active_stage is not None:
+                committed[rec.index].setdefault(rec.active_stage, []).append(oracle)
+                if rec.answer_stage is not None:
+                    answered[rec.index].setdefault(rec.answer_stage, []).append(oracle)
+    out = []
+    for e in range(len(cfg.adversaries)):
+        u = StagedOpenSet.from_events(sorted(committed[e].items()), cfg.stage_budget)
+        v = StagedOpenSet.from_events(sorted(answered[e].items()), cfg.stage_budget)
+        out.append(FailureSets(u, v))
+    return tuple(out)

@@ -1,0 +1,275 @@
+"""Seeded builders for exact test material.
+
+Random inputs here are random in shape only; every invariant the rest of
+the package relies on (functional consistency, stagewise nesting, measure
+confinement) holds by construction, not by filtering after the fact.
+Pass a `random.Random` so callers control reproducibility.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+from .bitstring import BitString, EMPTY
+from .cylinders import CylinderSet
+from .demuth import DemuthTest, DiffPair, DiffUnionTest, VersionedOpenSet
+from .dyadic import Dyadic
+from .errors import RandlabError
+from .staged import Enumerator, Pi01Tree, StagedOpenSet, TuringFunctional
+from .coding import OpenFamily, W2RScheme, w2r_encode
+
+
+def random_bits(rng: random.Random, length: int) -> BitString:
+    return BitString(rng.getrandbits(1) for _ in range(length))
+
+
+def random_cylinder_set(rng: random.Random, count: int, max_len: int) -> CylinderSet:
+    strings = [random_bits(rng, 1 + rng.randrange(max_len)) for _ in range(count)]
+    return CylinderSet.normalize(strings)
+
+
+def _bucket_events(pairs: Sequence[Tuple[int, BitString]]) -> List[Tuple[int, List[BitString]]]:
+    # Enumerator wants strictly increasing stages, so group first.
+    buckets: Dict[int, Set[BitString]] = {}
+    for stage, s in pairs:
+        buckets.setdefault(stage, set()).add(s)
+    return [(stage, sorted(strings)) for stage, strings in sorted(buckets.items())]
+
+
+def random_enumerator(rng: random.Random, horizon: int, count: int, max_len: int) -> Enumerator:
+    pairs = [(rng.randrange(horizon + 1), random_bits(rng, 1 + rng.randrange(max_len)))
+             for _ in range(count)]
+    return Enumerator(_bucket_events(pairs), horizon)
+
+
+def random_open_set(rng: random.Random, horizon: int, count: int, max_len: int) -> StagedOpenSet:
+    return StagedOpenSet(random_enumerator(rng, horizon, count, max_len))
+
+
+def random_functional(rng: random.Random, depth: int, axiom_count: int,
+                      horizon: int, growth_max: int = 2) -> TuringFunctional:
+    """Grow outputs down a labeled tree, then date a sample of nodes.
+
+    Along any branch the label only extends, so any two axioms with
+    comparable stems automatically have comparable outputs.  That is the
+    whole consistency requirement, met without rejection sampling.
+    """
+    labels: Dict[BitString, BitString] = {EMPTY: EMPTY}
+    nodes = [EMPTY]
+    frontier = [EMPTY]
+    for _ in range(depth):
+        nxt: List[BitString] = []
+        for node in frontier:
+            for bit in (0, 1):
+                child = node.append(bit)
+                grown = labels[node]
+                for _ in range(rng.randrange(growth_max + 1)):
+                    grown = grown.append(rng.getrandbits(1))
+                labels[child] = grown
+                nodes.append(child)
+                nxt.append(child)
+        frontier = nxt
+    candidates = [n for n in nodes if len(labels[n]) > 0]
+    if not candidates:
+        return TuringFunctional([], horizon)
+    pairs = []
+    for _ in range(axiom_count):
+        stem = candidates[rng.randrange(len(candidates))]
+        pairs.append((rng.randrange(horizon + 1), (stem, labels[stem])))
+    buckets: Dict[int, Set[Tuple[BitString, BitString]]] = {}
+    for stage, ax in pairs:
+        buckets.setdefault(stage, set()).add(ax)
+    events = [(stage, sorted(axs)) for stage, axs in sorted(buckets.items())]
+    return TuringFunctional(events, horizon)
+
+
+def random_pi01_tree(rng: random.Random, depth: int = 24, horizon: int = 8,
+                     removal_len_max: int = 8, removal_tries: int = 24,
+                     min_measure: Optional[Dyadic] = None) -> Pi01Tree:
+    """Depth-bounded class with short removals and a floor on its measure.
+
+    Removals stay shorter than `removal_len_max`, so viable stems of any
+    greater length sit in untouched cylinders; the rejection loop keeps
+    the class at least `min_measure` big (half the space by default).
+    """
+    if min_measure is None:
+        min_measure = Dyadic(1, 1)
+    if removal_len_max >= depth:
+        raise RandlabError("removals must be shorter than the tree depth")
+    removed = CylinderSet.normalize([])
+    kept: List[Tuple[int, BitString]] = []
+    for _ in range(removal_tries):
+        s = random_bits(rng, 1 + rng.randrange(removal_len_max))
+        grown = removed | CylinderSet.cylinder(s)
+        if Dyadic.one() - grown.measure() < min_measure:
+            continue
+        removed = grown
+        kept.append((rng.randrange(horizon + 1), s))
+    return Pi01Tree(depth, _bucket_events(kept), horizon)
+
+
+def _confined_open(rng: random.Random, base: BitString, horizon: int,
+                   count: int, suffix_max: int) -> StagedOpenSet:
+    pairs = [(rng.randrange(horizon + 1), base + random_bits(rng, 1 + rng.randrange(suffix_max)))
+             for _ in range(count)]
+    return StagedOpenSet(Enumerator(_bucket_events(pairs), horizon))
+
+
+def _increasing_stages(rng: random.Random, count: int, horizon: int) -> List[int]:
+    stages: List[int] = []
+    s = rng.randrange(2)
+    for _ in range(count):
+        if s > horizon:
+            break
+        stages.append(s)
+        s += 1 + rng.randrange(2)
+    return stages
+
+
+def random_demuth_test(rng: random.Random, levels: int, version_bound: int,
+                       horizon: int) -> DemuthTest:
+    """Test whose level n lives inside a fixed cylinder of length n.
+
+    Confinement makes the measure bound 2^-n hold for every version, not
+    just the final one, so verification exercises only the counting side.
+    """
+    built: List[VersionedOpenSet] = []
+    for n in range(levels):
+        base = random_bits(rng, n)
+        want = 1 + rng.randrange(min(version_bound, 3))
+        stages = _increasing_stages(rng, want, horizon)
+        versions = [(stage, _confined_open(rng, base, horizon, 2 + rng.randrange(3), 3))
+                    for stage in stages]
+        if not versions:
+            versions = [(0, StagedOpenSet.empty(horizon))]
+        built.append(VersionedOpenSet(versions))
+    return DemuthTest(tuple(built), tuple(version_bound for _ in range(levels)), horizon)
+
+
+def thinned_delayed(rng: random.Random, source: StagedOpenSet, horizon: int,
+                    keep_one_in: int = 2, delay_max: int = 2) -> StagedOpenSet:
+    """Subset of `source` at every stage: drop strings, push stages later."""
+    pairs: List[Tuple[int, BitString]] = []
+    for stage, strings in source.enumerator.events:
+        for s in strings:
+            if rng.randrange(keep_one_in) == 0:
+                pairs.append((min(horizon, stage + rng.randrange(delay_max + 1)), s))
+    return StagedOpenSet(Enumerator(_bucket_events(pairs), horizon))
+
+
+def random_diffunion_test(rng: random.Random, levels: int, pair_bound: int,
+                          horizon: int) -> DiffUnionTest:
+    built: List[Tuple[DiffPair, ...]] = []
+    for n in range(levels):
+        base = random_bits(rng, n)
+        want = 1 + rng.randrange(min(pair_bound, 3))
+        pairs = []
+        for _ in range(want):
+            u = _confined_open(rng, base, horizon, 2 + rng.randrange(3), 3)
+            v = thinned_delayed(rng, u, horizon)
+            pairs.append(DiffPair(u, v))
+        built.append(tuple(pairs))
+    return DiffUnionTest(tuple(built), tuple(pair_bound for _ in range(levels)), horizon)
+
+
+def nested_family(rng: random.Random, levels: int, horizon: int,
+                  count: int = 6, max_len: int = 6) -> OpenFamily:
+    """Descending chain built by thinning and delaying the level above."""
+    top = random_open_set(rng, horizon, count, max_len)
+    chain = [top]
+    for _ in range(levels - 1):
+        chain.append(thinned_delayed(rng, chain[-1], horizon))
+    return OpenFamily(tuple(chain))
+
+
+def dense_suffix_open(pattern: BitString, position: int, horizon: int,
+                      stage: int = 0) -> StagedOpenSet:
+    """Every string carrying `pattern` at offset `position`.
+
+    Shifting by any eta of length n <= position reproduces the same set
+    with the offset reduced by n, so iterated shift-intersections stay
+    nonempty however the first `position` bits are spent.
+
+    Materializes all 2^position generators; for large offsets use
+    cylinders.uniform_suffix_set, which builds the same final set with
+    shared subtrees.
+    """
+    strings = [head + pattern for head in BitString.all_strings(position)]
+    return StagedOpenSet.from_events([(stage, strings)], horizon)
+
+
+def tower_family(position: int, height: int, horizon: int) -> OpenFamily:
+    """Nested dense opens: level k asks for k+1 ones at a fixed offset."""
+    ones = BitString([1] * height)
+    levels = [dense_suffix_open(ones.prefix(k + 1), position, horizon)
+              for k in range(height)]
+    return OpenFamily(tuple(levels))
+
+
+def build_working_w2r(seed: int, payloads: Sequence[BitString],
+                      family_count: int = 3, family_levels: int = 3,
+                      depth: int = 24, horizon: int = 8,
+                      attempts: int = 64) -> W2RScheme:
+    """Deterministic retry until a scheme accepts the given payloads.
+
+    Each attempt reseeds from (seed, attempt), so the first working scheme
+    is a pure function of the arguments.
+    """
+    stars_needed = len(payloads)
+    for attempt in range(attempts):
+        rng = random.Random(f"{seed}:{attempt}")
+        base = random_pi01_tree(rng, depth=depth, horizon=horizon)
+        families = tuple(nested_family(rng, family_levels, horizon)
+                         for _ in range(family_count))
+        stars = tuple(rng.randrange(family_count) for _ in range(stars_needed))
+        scheme = W2RScheme(base, families, stars, horizon)
+        try:
+            w2r_encode(payloads, scheme)
+        except RandlabError:
+            continue
+        return scheme
+    raise RandlabError(f"no working scheme within {attempts} attempts")
+
+
+def random_functional_pair(rng: random.Random, depth: int = 5,
+                           axiom_count: int = 40, horizon: int = 8
+                           ) -> Tuple[TuringFunctional, TuringFunctional]:
+    phi = random_functional(rng, depth, axiom_count, horizon)
+    psi = random_functional(rng, depth, axiom_count, horizon)
+    return phi, psi
+
+
+def hitting_run(seed: int, opens: Sequence[CylinderSet],
+                family_count: int = 3, family_levels: int = 3,
+                depth: int = 220, horizon: int = 8, attempts: int = 64):
+    """Steer one payload into each open set over a retried scheme.
+
+    Retries swallow only scheme-shape failures (viability, guards); a
+    DensityError propagates, because a non-dense open set is the caller's
+    problem and no reseeding can fix it.  Returns the scheme, payload list,
+    per-step (n, steering_string) records, and the final encoding.
+    """
+    from .coding import extend_into_open, w2r_encode
+    from .errors import GuardExceeded, SchemeError
+
+    opens = list(opens)
+    for attempt in range(attempts):
+        rng = random.Random(f"{seed}:{attempt}")
+        base = random_pi01_tree(rng, depth=depth, horizon=horizon)
+        families = tuple(nested_family(rng, family_levels, horizon)
+                         for _ in range(family_count))
+        stars = tuple(rng.randrange(family_count) for _ in opens)
+        scheme = W2RScheme(base, families, stars, horizon)
+        payloads: List[BitString] = []
+        steps: List[Tuple[int, BitString]] = []
+        try:
+            for u in opens:
+                payload, n, zeta = extend_into_open(payloads, u, scheme)
+                payloads.append(payload)
+                steps.append((n, zeta))
+            enc = w2r_encode(payloads, scheme)
+        except (SchemeError, GuardExceeded):
+            continue
+        return scheme, payloads, steps, enc
+    raise RandlabError(f"no scheme accepted the steered payloads within {attempts} attempts")

@@ -1,0 +1,309 @@
+"""Candidate families, small-preimage selection, and the induced test level.
+
+Given two functionals and a stem sigma with length-lex index N, the kernel
+hunts for 2^N extensions of sigma whose first-functional outputs are
+pairwise incomparable.  Incomparable outputs have disjoint preimages under
+the second functional, so by pigeonhole at least one output has preimage
+measure at most 2^-N at every stage; the selector tracks the least such
+index.  Its mind changes at most 2^N times (once on discovery, once per
+candidate outgrown), and mirroring the selections as versions of an open
+set yields one level of a bounded-revision test.
+
+When no family ever appears, the tree of outputs computed above sigma has a
+small width: fewer than 2^N pairwise incomparable nodes, hence every
+maximal branch is eventually single-child.  The analysis here checks that
+structure exactly and reports where each branch's isolation sets in.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from .bitstring import EMPTY, BitString, to_nat
+from .cylinders import CylinderSet
+from .dyadic import Dyadic
+from .errors import GuardExceeded, RandlabError
+from .staged import Enumerator, StagedOpenSet, TuringFunctional
+from .demuth import VersionedOpenSet
+
+FAMILY_GUARD = 64
+
+
+@dataclass(frozen=True)
+class PairFamily:
+    """2^N candidate pairs (extension, output) discovered at one stage."""
+
+    stem: BitString
+    n: int
+    pairs: Tuple[Tuple[BitString, BitString], ...]
+    found_stage: int
+
+    def size(self) -> int:
+        return len(self.pairs)
+
+
+def _max_antichain(strings: Sequence[BitString]) -> int:
+    """Largest pairwise-incomparable subset of a finite string set."""
+    present = set(strings)
+    nodes = set(present)
+    for s in present:
+        for i in range(len(s)):
+            nodes.add(s.prefix(i))
+
+    def grow(node: BitString) -> int:
+        child_total = sum(grow(c) for c in (node.append(0), node.append(1)) if c in nodes)
+        return max(1 if node in present else 0, child_total)
+
+    return grow(EMPTY) if nodes else 0
+
+
+def _candidate_pool(phi: TuringFunctional, stem: BitString, stage: int) -> List[Tuple[BitString, BitString]]:
+    """Candidate (extension, output) pairs realized by stage `stage`.
+
+    Extensions come from axiom stems strictly extending `stem`; the output
+    is the full value the functional grants there, so the pool is closed
+    under the way values actually accumulate.
+    """
+    pool = []
+    for ax_s, _ in phi.axioms_at(stage):
+        if ax_s.extends(stem) and ax_s != stem:
+            out = phi.apply(ax_s, stage)
+            if len(out):
+                pool.append((ax_s, out))
+    return sorted(set(pool))
+
+
+def find_family(phi: TuringFunctional, stem: BitString, stage: int) -> Optional[PairFamily]:
+    """Earliest lexicographically-first family of 2^Nat(stem) candidates.
+
+    Searches stage by stage; within a stage, candidates are taken greedily
+    in sorted order, with an exact width check keeping the greedy choice
+    completable.  None when no stage up to `stage` carries a family.
+    """
+    n = to_nat(stem)
+    want = 1 << n
+    if want > FAMILY_GUARD:
+        raise GuardExceeded(f"family of 2^{n} pairs refused (limit {FAMILY_GUARD})")
+    for s in range(stage + 1):
+        pool = _candidate_pool(phi, stem, s)
+        outputs = [out for _, out in pool]
+        if _max_antichain(outputs) < want:
+            continue
+        chosen: List[Tuple[BitString, BitString]] = []
+        used_outputs: List[BitString] = []
+        for i, (cand_s, cand_t) in enumerate(pool):
+            if any(cand_t.comparable(u) for u in used_outputs):
+                continue
+            # Completability over the unscanned suffix keeps the greedy exact.
+            rest = [out for _, out in pool[i + 1:]
+                    if not any(out.comparable(u) for u in used_outputs + [cand_t])]
+            if 1 + len(used_outputs) + _max_antichain(rest) >= want:
+                chosen.append((cand_s, cand_t))
+                used_outputs.append(cand_t)
+                if len(chosen) == want:
+                    break
+        assert len(chosen) == want
+        return PairFamily(stem, n, tuple(chosen), s)
+    return None
+
+
+@dataclass(frozen=True)
+class FApprox:
+    """Stagewise trace of the guarded-image map at one stem."""
+
+    stem: BitString
+    family: Optional[PairFamily]
+    values: Tuple[BitString, ...]          # value at each stage 0..horizon
+    chosen_index: Tuple[Optional[int], ...]
+
+    def value_at(self, stage: int) -> BitString:
+        return self.values[min(stage, len(self.values) - 1)]
+
+    def final(self) -> BitString:
+        return self.values[-1]
+
+    def mind_changes(self) -> int:
+        changes = 0
+        for a, b in zip(self.values, self.values[1:]):
+            if a != b:
+                changes += 1
+        return changes
+
+
+def f_approx(phi: TuringFunctional, psi: TuringFunctional, stem: BitString, horizon: int) -> FApprox:
+    """Track f(stem) over stages: the first family member whose preimage
+    under `psi` stays within measure 2^-Nat(stem); the stem itself before
+    the family shows up.
+
+    Disjointness of the candidate preimages makes the pigeonhole exact: at
+    every stage some candidate qualifies, and the chosen index only climbs.
+    """
+    n = to_nat(stem)
+    cap = Dyadic.half_pow(n)
+    family = find_family(phi, stem, horizon)
+    values: List[BitString] = []
+    chosen: List[Optional[int]] = []
+    idx = 0
+    for s in range(horizon + 1):
+        if family is None or s < family.found_stage:
+            values.append(stem)
+            chosen.append(None)
+            continue
+        while idx < family.size():
+            sigma_j, tau_j = family.pairs[idx]
+            if psi.preimage(tau_j, s).measure() <= cap:
+                break
+            idx += 1
+        if idx >= family.size():
+            raise RandlabError("pigeonhole failed: some preimages overlap")
+        values.append(family.pairs[idx][0])
+        chosen.append(idx)
+    return FApprox(stem, family, tuple(values), tuple(chosen))
+
+
+def induced_demuth_level(phi: TuringFunctional, psi: TuringFunctional, stem: BitString, horizon: int) -> Tuple[VersionedOpenSet, FApprox]:
+    """One bounded-revision level mirroring the selector's switches.
+
+    Each version is the staged preimage of the currently selected output;
+    there are at most 2^Nat(stem) versions and the last one's final measure
+    is at most 2^-Nat(stem) by the selection rule.
+    """
+    trace = f_approx(phi, psi, stem, horizon)
+    versions: List[Tuple[int, StagedOpenSet]] = []
+    if trace.family is not None:
+        seen: Dict[int, int] = {}
+        for s, j in enumerate(trace.chosen_index):
+            if j is not None and j not in seen:
+                seen[j] = s
+        for j, start in sorted(seen.items(), key=lambda kv: kv[1]):
+            tau_j = trace.family.pairs[j][1]
+            events = []
+            recorded: set = set()
+            for s in range(horizon + 1):
+                gens = [g for g in psi.preimage(tau_j, s).strings if g not in recorded]
+                recorded.update(gens)
+                if gens:
+                    events.append((s, gens))
+            versions.append((start, StagedOpenSet.from_events(events, horizon)))
+    return VersionedOpenSet(versions), trace
+
+
+@dataclass(frozen=True)
+class BranchIsolation:
+    branch: BitString
+    onset: int  # position after the last two-child node on the branch
+
+
+@dataclass(frozen=True)
+class IsolationAnalysis:
+    applicable: bool
+    antichain_width: int
+    width_bound: int
+    branches: Tuple[BranchIsolation, ...]
+
+    @property
+    def all_isolated(self) -> bool:
+        return self.applicable and all(b.onset <= len(b.branch) for b in self.branches)
+
+
+def isolated_path_analysis(tree: Enumerator, n: int) -> IsolationAnalysis:
+    """Exact structure check on a width-bounded prefix tree.
+
+    Applicable when the final set has fewer than 2^n pairwise incomparable
+    elements; each maximal branch then reports the position after its last
+    branching node, beyond which it runs single-child to its tip.
+    """
+    final = sorted(tree.final())
+    if final:
+        closed = set(final)
+        for s in final:
+            for i in range(len(s)):
+                closed.add(s.prefix(i))
+        if len(closed) != len(final):
+            raise RandlabError("enumerated tree is not closed under prefixes")
+    width = _max_antichain(final)
+    bound = 1 << n
+    if width >= bound:
+        return IsolationAnalysis(False, width, bound, ())
+    members = set(final)
+    branches = []
+    for s in final:
+        if s.append(0) not in members and s.append(1) not in members:
+            onset = 0
+            for p in range(len(s)):
+                sibling = s.prefix(p).append(1 - s[p])
+                if sibling in members:
+                    onset = p + 1
+            branches.append(BranchIsolation(s, onset))
+    return IsolationAnalysis(True, width, bound, tuple(branches))
+
+
+@dataclass(frozen=True)
+class CaseReport:
+    stem: BitString
+    n: int
+    case: str  # "width-bounded" or "disagreement"
+    trace: FApprox
+    isolation: Optional[IsolationAnalysis]
+    selected_output: Optional[BitString]
+    x_in_preimage: Optional[bool]
+    disagreement_position: Optional[int]
+    phi_on_g: BitString
+    psi_on_x: BitString
+
+
+def output_tree(phi: TuringFunctional, stem: BitString, horizon: int) -> Enumerator:
+    """Prefix closure of every output the functional grants above `stem`,
+    dated by the stage the output is first granted."""
+    events: Dict[int, set] = {}
+    seen: set = set()
+    for s in range(horizon + 1):
+        outs = {phi.apply(stem, s)}
+        for ax_s, _ in phi.axioms_at(s):
+            if ax_s.comparable(stem):
+                longer = ax_s if ax_s.extends(stem) else stem
+                outs.add(phi.apply(longer, s))
+        closure: set = set()
+        for out in outs:
+            for i in range(len(out) + 1):
+                closure.add(out.prefix(i))
+        fresh = closure - seen
+        if fresh:
+            events[s] = fresh
+            seen |= closure
+    return Enumerator(sorted((s, sorted(v)) for s, v in events.items()), horizon)
+
+
+def classify_case(phi: TuringFunctional, psi: TuringFunctional, g_prefix: BitString,
+                  x: BitString, stem_length: int, horizon: int) -> CaseReport:
+    """Which side of the dichotomy the configuration lands on at this stem.
+
+    With no family: the output tree above the stem is width-bounded, and
+    the isolation analysis applies.  With a family: the selector's final
+    output either swallows `x` (its preimage got it) or pins a length-wise
+    disagreement between the two computations.
+    """
+    stem = g_prefix.prefix(stem_length)
+    n = to_nat(stem)
+    trace = f_approx(phi, psi, stem, horizon)
+    phi_g = phi.apply(g_prefix, horizon)
+    psi_x = psi.apply(x, horizon)
+    if trace.family is None:
+        analysis = isolated_path_analysis(output_tree(phi, stem, horizon), n)
+        return CaseReport(stem, n, "width-bounded", trace, analysis,
+                          None, None, None, phi_g, psi_x)
+    j = trace.chosen_index[-1]
+    assert j is not None
+    tau = trace.family.pairs[j][1]
+    pre = psi.preimage(tau, horizon)
+    inside = pre.contains_prefix_of(x)
+    position: Optional[int] = None
+    if not inside:
+        limit = min(len(tau), len(psi_x))
+        for i in range(limit):
+            if tau[i] != psi_x[i]:
+                position = i
+                break
+    return CaseReport(stem, n, "disagreement", trace, None, tau, inside,
+                      position, phi_g, psi_x)
