@@ -1,113 +1,229 @@
 """Clopen subsets of Cantor space presented by canonical generator antichains.
 
 A set is stored as a binary decision trie: True for a full subtree, False
-for an empty one, a (zero, one) pair otherwise.  The trie makes union,
-intersection, difference, complement, shifting, and exact measure all cheap
-structural recursions, so no operation ever enumerates points.  The
-canonical antichain (no generator a prefix of another, no sibling pair
-s0/s1 left unmerged) is read off the trie on demand.
+for an empty one, an interior `_Node` with a zero and a one child
+otherwise.  Interior nodes are hash-consed (Bryant's unique table): `_pair`
+returns the one live node with the given children, so equal tries are the
+same object, set equality is identity of the roots, and tries built by
+`uniform_suffix_set` share every repeated subtree.  The table holds its
+nodes weakly; a node lives exactly as long as some set or node refers to
+it.  The table is process-wide and unlocked: build tries from one thread.
+Each node carries a structural hash computed from its children's, so
+hashes do not depend on addresses or on PYTHONHASHSEED.
+
+Union, intersection and difference are memoized apply walks over pairs of
+nodes, linear in the distinct pairs they meet; complement, shifting and
+exact measure are walks over distinct nodes.  Every walk keeps an explicit
+stack, so trie depth is bounded by memory, not by the recursion limit, and
+no operation ever enumerates points.  The canonical antichain (no
+generator a prefix of another, no sibling pair s0/s1 left unmerged) is
+read off the trie on demand.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+import bisect
+import functools
+import weakref
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
-from .bitstring import EMPTY, BitString
+from .bitstring import BitString
 from .dyadic import Dyadic
 
-# Trie node: True (full), False (empty), or (zero_child, one_child).
-Node = Union[bool, tuple]
+
+class _Node:
+    """An interior trie node.  Build only through `_pair`."""
+
+    __slots__ = ("zero", "one", "hash", "__weakref__")
+
+    def __init__(self, zero: "Node", one: "Node") -> None:
+        self.zero = zero
+        self.one = one
+        # Leaves hash as the bools they are: 1 and 0.
+        self.hash = hash((zero if zero is True or zero is False else zero.hash,
+                          one if one is True or one is False else one.hash))
+
+
+# Trie node: True (full), False (empty), or an interior _Node.
+Node = Union[bool, _Node]
+
+# The unique table: (id(zero), id(one)) -> weak reference to the live node
+# with those children.  A node keeps its children alive, so the ids in a
+# live entry stay valid; a node's death drops its entry before its children
+# can die and free their ids.  (A plain dict of weak references, not a
+# WeakValueDictionary, whose Python-level bookkeeping doubles the cost of
+# building a node.)
+_UNIQUE: Dict[Tuple[int, int], "weakref.ref[_Node]"] = {}
 
 
 def _pair(zero: Node, one: Node) -> Node:
-    if zero is True and one is True:
-        return True
-    if zero is False and one is False:
+    if zero is one and (zero is True or zero is False):
+        return zero
+    key = (id(zero), id(one))
+    ref = _UNIQUE.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = _Node(zero, one)
+    _UNIQUE[key] = weakref.ref(node, functools.partial(_forget, key))
+    return node
+
+
+def _forget(key: Tuple[int, int], dead: "weakref.ref[_Node]") -> None:
+    if _UNIQUE.get(key) is dead:
+        del _UNIQUE[key]
+
+
+def _chain(bits: str) -> Node:
+    """The trie of the one cylinder at `bits`."""
+    node: Node = True
+    for c in reversed(bits):
+        node = _pair(False, node) if c == "1" else _pair(node, False)
+    return node
+
+
+def _build(generators: Set[str]) -> Node:
+    """The trie of the union of the cylinders at the given bit strings."""
+    # Sorted, a string comes right before its extensions; keep the antichain.
+    keys: List[str] = []
+    for g in sorted(generators):
+        if not keys or not g.startswith(keys[-1]):
+            keys.append(g)
+    if not keys:
         return False
-    return (zero, one)
+    out: List[Node] = []
+    # Entries (lo, hi, depth, join): keys[lo:hi] share their first `depth`
+    # bits; join pairs the two results their halves left on `out`.
+    todo = [(0, len(keys), 0, False)]
+    while todo:
+        lo, hi, depth, join = todo.pop()
+        if join:
+            one = out.pop()
+            out.append(_pair(out.pop(), one))
+        elif lo == hi:
+            out.append(False)
+        elif lo + 1 == hi:
+            out.append(_chain(keys[lo][depth:]))
+        else:
+            mid = bisect.bisect_left(keys, keys[lo][:depth] + "1", lo, hi)
+            todo.append((lo, hi, depth, True))
+            todo.append((mid, hi, depth + 1, False))
+            todo.append((lo, mid, depth + 1, False))
+    return out[0]
 
 
-def _insert(node: Node, bits: str, i: int) -> Node:
-    if node is True:
-        return True
-    if i == len(bits):
-        return True
-    zero, one = node if isinstance(node, tuple) else (False, False)
-    if bits[i] == "0":
-        zero = _insert(zero, bits, i + 1)
-    else:
-        one = _insert(one, bits, i + 1)
-    return _pair(zero, one)
+def _apply(leaf: Callable[[Node, Node], Optional[Node]], a: Node, b: Node) -> Node:
+    """Memoized apply (Bryant): leaf(a, b) settles a pair of nodes or returns
+    None to split both by their first bit.  Each distinct pair is split once,
+    and the memo lives for this one operation."""
+    done = leaf(a, b)
+    if done is not None:
+        return done
+    memo: Dict[Tuple[Node, Node], Node] = {}
+    out: List[Node] = []
+    # Entries are (a, b, False) to settle a pair and (a, b, True) to join the
+    # two results its halves left on `out`.
+    todo = [(a, b, False)]
+    while todo:
+        a, b, join = todo.pop()
+        if join:
+            one = out.pop()
+            node = memo[a, b] = _pair(out.pop(), one)
+            out.append(node)
+            continue
+        done = leaf(a, b)
+        if done is None:
+            done = memo.get((a, b))
+            if done is None:
+                todo.append((a, b, True))
+                if a is True:  # full minus a node: both halves are full
+                    todo.append((True, b.one, False))
+                    todo.append((True, b.zero, False))
+                else:
+                    todo.append((a.one, b.one, False))
+                    todo.append((a.zero, b.zero, False))
+                continue
+        out.append(done)
+    return out[0]
 
 
-def _union(a: Node, b: Node) -> Node:
+def _union_leaf(a: Node, b: Node) -> Optional[Node]:
     if a is True or b is True:
         return True
-    if a is False:
+    if a is False or a is b:
         return b
     if b is False:
         return a
-    return _pair(_union(a[0], b[0]), _union(a[1], b[1]))
+    return None
 
 
-def _inter(a: Node, b: Node) -> Node:
+def _inter_leaf(a: Node, b: Node) -> Optional[Node]:
     if a is False or b is False:
         return False
-    if a is True:
+    if a is True or a is b:
         return b
     if b is True:
         return a
-    return _pair(_inter(a[0], b[0]), _inter(a[1], b[1]))
+    return None
 
 
-def _diff(a: Node, b: Node) -> Node:
-    if a is False or b is True:
+def _diff_leaf(a: Node, b: Node) -> Optional[Node]:
+    if a is False or b is True or a is b:
         return False
     if b is False:
         return a
-    if a is True:
-        return _pair(_diff(True, b[0]), _diff(True, b[1]))
-    return _pair(_diff(a[0], b[0]), _diff(a[1], b[1]))
+    return None
 
 
-def _collect(node: Node, prefix: List[str], out: List[BitString]) -> None:
-    if node is False:
-        return
-    if node is True:
-        out.append(BitString("".join(prefix)))
-        return
-    prefix.append("0")
-    _collect(node[0], prefix, out)
-    prefix[-1] = "1"
-    _collect(node[1], prefix, out)
-    prefix.pop()
+def _collect(root: Node) -> List[BitString]:
+    """The generators below `root`, in lexicographic order."""
+    out: List[BitString] = []
+    path: List[str] = []
+    # (node, its depth, the bit that leads to it); path[:depth] spells it.
+    stack = [(root, 0, "")]
+    while stack:
+        node, depth, bit = stack.pop()
+        if depth:
+            del path[depth - 1:]
+            path.append(bit)
+        if node is True:
+            out.append(BitString("".join(path)))
+        elif node is not False:
+            stack.append((node.one, depth + 1, "1"))
+            stack.append((node.zero, depth + 1, "0"))
+    return out
 
 
-def _measure(node: Node, memo: Optional[Dict[int, Dyadic]] = None) -> Dyadic:
-    if node is True:
-        return Dyadic(1)
-    if node is False:
-        return Dyadic(0)
-    # Tries built by uniform_suffix_set share subtrees; memoizing by id keeps
-    # the walk linear in distinct nodes.  Ids stay valid because the caller's
-    # root holds every reachable node alive for the duration.
-    if memo is None:
-        memo = {}
-    got = memo.get(id(node))
-    if got is None:
-        got = Dyadic(1, 1) * (_measure(node[0], memo) + _measure(node[1], memo))
-        memo[id(node)] = got
-    return got
+def _measure(root: Node) -> Dyadic:
+    memo: Dict[Node, Dyadic] = {True: Dyadic(1), False: Dyadic(0)}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in memo:
+            stack.pop()
+            continue
+        m0 = memo.get(node.zero)
+        m1 = memo.get(node.one)
+        if m0 is None or m1 is None:
+            if m0 is None:
+                stack.append(node.zero)
+            if m1 is None:
+                stack.append(node.one)
+            continue
+        stack.pop()
+        # (m0 + m1) / 2, normalized once.
+        e = max(m0.exp, m1.exp)
+        memo[node] = Dyadic((m0.num << (e - m0.exp)) + (m1.num << (e - m1.exp)), e + 1)
+    return memo[root]
 
 
 def _descend(node: Node, bits: str) -> Node:
     """Subtree at a path; True absorbs (a full set stays full below)."""
     for c in bits:
-        if node is True:
-            return True
-        if node is False:
-            return False
-        node = node[c == "1"]
+        if node is True or node is False:
+            return node
+        node = node.one if c == "1" else node.zero
     return node
 
 
@@ -125,10 +241,7 @@ class CylinderSet:
     @staticmethod
     def normalize(generators: Iterable[Union[BitString, str]]) -> "CylinderSet":
         """Canonical form of the union of the given cylinders."""
-        tree: Node = False
-        for g in generators:
-            tree = _insert(tree, BitString(g).bits, 0)
-        return CylinderSet(tree)
+        return CylinderSet(_build({BitString(g).bits for g in generators}))
 
     @staticmethod
     def cylinder(s: Union[BitString, str]) -> "CylinderSet":
@@ -138,9 +251,7 @@ class CylinderSet:
     def strings(self) -> Tuple[BitString, ...]:
         """The canonical antichain, in lexicographic order."""
         if self._strings is None:
-            out: List[BitString] = []
-            _collect(self._tree, [], out)
-            self._strings = tuple(out)
+            self._strings = tuple(_collect(self._tree))
         return self._strings
 
     def is_empty(self) -> bool:
@@ -157,22 +268,22 @@ class CylinderSet:
         return _measure(_descend(self._tree, BitString(s).bits))
 
     def __or__(self, other: "CylinderSet") -> "CylinderSet":
-        return CylinderSet(_union(self._tree, other._tree))
+        return CylinderSet(_apply(_union_leaf, self._tree, other._tree))
 
     def __and__(self, other: "CylinderSet") -> "CylinderSet":
-        return CylinderSet(_inter(self._tree, other._tree))
+        return CylinderSet(_apply(_inter_leaf, self._tree, other._tree))
 
     def __sub__(self, other: "CylinderSet") -> "CylinderSet":
-        return CylinderSet(_diff(self._tree, other._tree))
+        return CylinderSet(_apply(_diff_leaf, self._tree, other._tree))
 
     def complement(self) -> "CylinderSet":
-        return CylinderSet(_diff(True, self._tree))
+        return CylinderSet(_apply(_diff_leaf, True, self._tree))
 
     def is_subset(self, other: "CylinderSet") -> bool:
-        return _diff(self._tree, other._tree) is False
+        return _apply(_diff_leaf, self._tree, other._tree) is False
 
     def intersects(self, other: "CylinderSet") -> bool:
-        return _inter(self._tree, other._tree) is not False
+        return _apply(_inter_leaf, self._tree, other._tree) is not False
 
     def contains_prefix_of(self, x: Union[BitString, str]) -> bool:
         """Does some generator sit on (a prefix of) the path `x`?
@@ -180,14 +291,7 @@ class CylinderSet:
         Exact membership test for any point extending `x` when the antichain
         is at most |x| deep; in general it reports whether [x] is swallowed.
         """
-        node = self._tree
-        for c in BitString(x).bits:
-            if node is True:
-                return True
-            if node is False:
-                return False
-            node = node[c == "1"]
-        return node is True
+        return _descend(self._tree, BitString(x).bits) is True
 
     def meets_cylinder(self, s: Union[BitString, str]) -> bool:
         """Exact nonemptiness of the intersection with [s]."""
@@ -198,10 +302,12 @@ class CylinderSet:
         return CylinderSet(_descend(self._tree, BitString(eta).bits))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, CylinderSet) and self._tree == other._tree
+        # Interned tries: equal sets have the very same root.
+        return isinstance(other, CylinderSet) and self._tree is other._tree
 
     def __hash__(self) -> int:
-        return hash(self._tree)
+        tree = self._tree
+        return hash(tree) if tree is True or tree is False else tree.hash
 
     def __iter__(self) -> Iterator[BitString]:
         return iter(self.strings)
@@ -228,9 +334,7 @@ def uniform_suffix_set(pattern: Union[BitString, str], position: int) -> Cylinde
     """
     if position < 0:
         raise ValueError("suffix position must be nonnegative")
-    node: Node = True
-    for c in reversed(BitString(pattern).bits):
-        node = (False, node) if c == "1" else (node, False)
+    node = _chain(BitString(pattern).bits)
     for _ in range(position):
         node = _pair(node, node)
     return CylinderSet(node)

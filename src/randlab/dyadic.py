@@ -21,11 +21,13 @@ class Dyadic:
         if exp < 0:
             num <<= -exp
             exp = 0
-        while num and num % 2 == 0 and exp > 0:
-            num //= 2
-            exp -= 1
         if num == 0:
             exp = 0
+        elif exp:
+            # Strip the factors of two the denominator can absorb, all at once.
+            shift = min((num & -num).bit_length() - 1, exp)
+            num >>= shift
+            exp -= shift
         self.num = num
         self.exp = exp
 

@@ -84,7 +84,8 @@ class FireworksConfig:
         cfg = FireworksConfig(adversaries, k, bounds, target_length, stage_budget, defaults)
         if defaults:
             total = sum(Dyadic(1, 0).as_fraction() / n for n in bounds)
-            assert total <= Dyadic.half_pow(k).as_fraction()
+            if total > Dyadic.half_pow(k).as_fraction():
+                raise RandlabError(f"default cap bounds {bounds} sum {total} over 2^-{k}")
         return cfg
 
     @property
@@ -161,11 +162,13 @@ class _Strategy:
         self.wait_prefix: Optional[BitString] = None
 
     def refuted(self, stage: int) -> bool:
-        assert self.guess_prefix is not None
+        if self.guess_prefix is None:
+            raise RandlabError(f"strategy {self.index} asked for refutation before guessing")
         return any(t.extends(self.guess_prefix) for t in self.enum.at(stage))
 
     def answer(self, stage: int) -> Optional[BitString]:
-        assert self.wait_prefix is not None
+        if self.wait_prefix is None:
+            raise RandlabError(f"strategy {self.index} asked for an answer before committing")
         hits = [t for t in self.enum.at(stage) if t.extends(self.wait_prefix)]
         return min(hits, key=lambda t: (len(t), t.bits)) if hits else None
 
@@ -312,7 +315,8 @@ def exact_failure_probability(cfg: FireworksConfig) -> Dyadic:
     total = _cap_space(cfg)
     failures = sum(1 for run in sweep_runs(cfg) if run.failed)
     exp = total.bit_length() - 1
-    assert 1 << exp == total  # bounds are powers of two
+    if 1 << exp != total:
+        raise RandlabError(f"cap space {total} is not a power of two")
     return Dyadic(failures, exp)
 
 

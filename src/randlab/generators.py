@@ -183,30 +183,6 @@ def nested_family(rng: random.Random, levels: int, horizon: int,
     return OpenFamily(tuple(chain))
 
 
-def dense_suffix_open(pattern: BitString, position: int, horizon: int,
-                      stage: int = 0) -> StagedOpenSet:
-    """Every string carrying `pattern` at offset `position`.
-
-    Shifting by any eta of length n <= position reproduces the same set
-    with the offset reduced by n, so iterated shift-intersections stay
-    nonempty however the first `position` bits are spent.
-
-    Materializes all 2^position generators; for large offsets use
-    cylinders.uniform_suffix_set, which builds the same final set with
-    shared subtrees.
-    """
-    strings = [head + pattern for head in BitString.all_strings(position)]
-    return StagedOpenSet.from_events([(stage, strings)], horizon)
-
-
-def tower_family(position: int, height: int, horizon: int) -> OpenFamily:
-    """Nested dense opens: level k asks for k+1 ones at a fixed offset."""
-    ones = BitString([1] * height)
-    levels = [dense_suffix_open(ones.prefix(k + 1), position, horizon)
-              for k in range(height)]
-    return OpenFamily(tuple(levels))
-
-
 def build_working_w2r(seed: int, payloads: Sequence[BitString],
                       family_count: int = 3, family_levels: int = 3,
                       depth: int = 24, horizon: int = 8,

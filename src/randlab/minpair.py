@@ -103,7 +103,8 @@ def find_family(phi: TuringFunctional, stem: BitString, stage: int) -> Optional[
                 used_outputs.append(cand_t)
                 if len(chosen) == want:
                     break
-        assert len(chosen) == want
+        if len(chosen) != want:
+            raise RandlabError(f"greedy family at stage {s} took {len(chosen)} of {want} pairs")
         return PairFamily(stem, n, tuple(chosen), s)
     return None
 
@@ -294,7 +295,8 @@ def classify_case(phi: TuringFunctional, psi: TuringFunctional, g_prefix: BitStr
         return CaseReport(stem, n, "width-bounded", trace, analysis,
                           None, None, None, phi_g, psi_x)
     j = trace.chosen_index[-1]
-    assert j is not None
+    if j is None:
+        raise RandlabError(f"a family at stem {stem} but no chosen pair at stage {horizon}")
     tau = trace.family.pairs[j][1]
     pre = psi.preimage(tau, horizon)
     inside = pre.contains_prefix_of(x)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .bitstring import EMPTY, BitString
-from .cylinders import EMPTY_SET, CylinderSet
+from .cylinders import EMPTY_SET, CylinderSet, _descend
 from .dyadic import Dyadic
 from .errors import GuardExceeded, InconsistentFunctional, RandlabError
 
@@ -259,45 +259,43 @@ class Pi01Tree:
 
     def _extreme_intact(self, sigma: BitString, length: int, stage: int, want_left: bool) -> Optional[BitString]:
         """Lex-least (or -greatest) fully intact extension of sigma at `length`."""
-        removed = self.removed_open(stage)
-        node = removed._tree
-        # Walk down to sigma first; a removal above sigma kills everything.
-        for c in sigma.bits:
-            if node is True:
-                return None
-            if node is False:
-                break
-            node = node[c == "1"]
-        else:
-            pass
+        # A removal on or above sigma kills everything; none at all below
+        # sigma leaves the whole cylinder intact.
+        node = _descend(self.removed_open(stage)._tree, sigma.bits)
         if node is True:
             return None
-
+        fill = "0" if want_left else "1"
         span = length - len(sigma)
-        memo: Dict[Tuple[int, int], Optional[str]] = {}
-
-        def search(nd, remaining: int) -> Optional[str]:
-            if nd is False:
-                return "0" * remaining if want_left else "1" * remaining
-            if nd is True:
-                return None
-            if remaining == 0:
-                return None  # removals strictly below: not intact
-            key = (id(nd), remaining)
-            if key in memo:
-                return memo[key]
-            order = (0, 1) if want_left else (1, 0)
-            res = None
-            for b in order:
-                sub = search(nd[b], remaining - 1)
-                if sub is not None:
-                    res = str(b) + sub
-                    break
-            memo[key] = res
-            return res
-
-        tail = search(node, span)
-        return None if tail is None else sigma + BitString(tail)
+        if node is False:
+            return sigma + BitString(fill * span)
+        order = ("0", "1") if want_left else ("1", "0")
+        # Depth-first in the wanted order; the first empty subtree found is
+        # the answer.  `dead` holds (node, remaining) pairs already searched
+        # in vain, so shared subtrees are searched once.
+        dead = set()
+        path: List[str] = []
+        frames = [[node, span, 0]]
+        while frames:
+            frame = frames[-1]
+            nd, remaining, tried = frame
+            if tried == 2 or remaining == 0:
+                # remaining == 0 with removals strictly below: not intact.
+                dead.add((nd, remaining))
+                frames.pop()
+                if frames:
+                    path.pop()
+                continue
+            frame[2] = tried + 1
+            bit = order[tried]
+            child = nd.one if bit == "1" else nd.zero
+            if child is False:
+                path.append(bit)
+                return sigma + BitString("".join(path) + fill * (remaining - 1))
+            if child is True or (child, remaining - 1) in dead:
+                continue
+            path.append(bit)
+            frames.append([child, remaining - 1, 0])
+        return None
 
     def leftmost_intact(self, sigma: StrLike, length: int, stage: int) -> Optional[BitString]:
         return self._extreme_intact(BitString(sigma), length, stage, True)

@@ -5,15 +5,25 @@ a string of DEPTH bits, and every operation is recomputed by scanning all
 2^DEPTH of them.  The trie implementation must agree exactly.
 """
 
+import ast
+import gc
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import randlab
+from randlab import cylinders
 from randlab.bitstring import BitString
+from randlab.coding import shifted_core
 from randlab.cylinders import (CylinderSet, EMPTY_SET, FULL_SET, brute_measure,
                                uniform_suffix_set)
 from randlab.dyadic import Dyadic
+from randlab.staged import Pi01Tree
 
 DEPTH = 8
 
@@ -154,9 +164,190 @@ def test_uniform_suffix_set_large_offset_is_cheap():
     assert not big.contains_prefix_of("0" * 40 + "10")
     # Shifting consumes free positions one head bit at a time.
     assert big.shift("1" * 13) == uniform_suffix_set("11", 27)
+    # 2^390 shifted copies, folded in 390 doublings: the trie has 402
+    # nodes, and every operation on shared subtrees reuses them.  A node
+    # count, not a clock, so the guard holds on any machine.
+    before = len(cylinders._UNIQUE)
+    far = uniform_suffix_set("11", 400)
+    core = shifted_core(far, 390)
+    assert not core.is_empty()
+    assert core.measure() == Dyadic(1, 2)
+    assert core == uniform_suffix_set("11", 10)
+    assert len(cylinders._UNIQUE) - before <= 450
 
 
 def test_measure_of_shared_trie_is_exact():
     # One pattern bit fixed out of position+2: measure 2^-1 regardless of offset.
     for position in (0, 10, 33):
         assert uniform_suffix_set("1", position).measure() == Fraction(1, 2)
+
+
+# The tuple-trie functions this module used before nodes were interned:
+# True, False, or a (zero, one) tuple, compared and hashed by structure.
+# They are the reference for the interned trie.
+
+def old_pair(zero, one):
+    if zero is True and one is True:
+        return True
+    if zero is False and one is False:
+        return False
+    return (zero, one)
+
+
+def old_insert(node, bits, i):
+    if node is True:
+        return True
+    if i == len(bits):
+        return True
+    zero, one = node if isinstance(node, tuple) else (False, False)
+    if bits[i] == "0":
+        zero = old_insert(zero, bits, i + 1)
+    else:
+        one = old_insert(one, bits, i + 1)
+    return old_pair(zero, one)
+
+
+def old_union(a, b):
+    if a is True or b is True:
+        return True
+    if a is False:
+        return b
+    if b is False:
+        return a
+    return old_pair(old_union(a[0], b[0]), old_union(a[1], b[1]))
+
+
+def old_inter(a, b):
+    if a is False or b is False:
+        return False
+    if a is True:
+        return b
+    if b is True:
+        return a
+    return old_pair(old_inter(a[0], b[0]), old_inter(a[1], b[1]))
+
+
+def old_diff(a, b):
+    if a is False or b is True:
+        return False
+    if b is False:
+        return a
+    if a is True:
+        return old_pair(old_diff(True, b[0]), old_diff(True, b[1]))
+    return old_pair(old_diff(a[0], b[0]), old_diff(a[1], b[1]))
+
+
+def old_measure(node):
+    if node is True:
+        return Dyadic(1)
+    if node is False:
+        return Dyadic(0)
+    return Dyadic(1, 1) * (old_measure(node[0]) + old_measure(node[1]))
+
+
+def old_descend(node, bits):
+    for c in bits:
+        if node is True:
+            return True
+        if node is False:
+            return False
+        node = node[c == "1"]
+    return node
+
+
+def old_tree(strings):
+    tree = False
+    for g in strings:
+        tree = old_insert(tree, BitString(g).bits, 0)
+    return tree
+
+
+def as_tuple(cs):
+    def walk(node):
+        if node is True or node is False:
+            return node
+        return (walk(node.zero), walk(node.one))
+    return walk(cs._tree)
+
+
+def structural_hash(node):
+    """The documented hash: leaves hash as bools, a node as the pair of
+    its children's hashes."""
+    if node is True or node is False:
+        return hash(node)
+    return hash((structural_hash(node[0]), structural_hash(node[1])))
+
+
+@given(gen_strings, gen_strings, st.text(alphabet="01", max_size=4))
+@settings(max_examples=300)
+def test_interned_trie_matches_tuple_trie(gens_a, gens_b, eta):
+    a, b = CylinderSet.normalize(gens_a), CylinderSet.normalize(gens_b)
+    ta, tb = old_tree(gens_a), old_tree(gens_b)
+    assert as_tuple(a) == ta and as_tuple(b) == tb
+    assert as_tuple(a | b) == old_union(ta, tb)
+    assert as_tuple(a & b) == old_inter(ta, tb)
+    assert as_tuple(a - b) == old_diff(ta, tb)
+    assert as_tuple(a.complement()) == old_diff(True, ta)
+    assert as_tuple(a.shift(eta)) == old_descend(ta, eta)
+    assert a.measure() == old_measure(ta) == brute_measure(a.strings, DEPTH)
+    assert (a == b) == (ta == tb)
+    assert hash(a) == structural_hash(ta)
+    # Interning: equal sets share one root, whichever way they were built.
+    assert ((a | b) - (b - a))._tree is (a & b | a - b)._tree
+
+
+DEEP = 5000
+
+
+def test_deep_tries_need_no_recursion():
+    assert sys.getrecursionlimit() < DEEP
+    line = CylinderSet.cylinder("0" * DEEP)
+    dense = uniform_suffix_set("1", DEEP)
+    assert line.measure() == Dyadic(1, DEEP)
+    assert dense.measure() == Dyadic(1, 1)
+    assert line.strings == (BitString("0" * DEEP),)
+    both = line | dense
+    assert both.measure() == Dyadic(1, 1) + Dyadic(1, DEEP + 1)
+    assert (line & dense).measure() == Dyadic(1, DEEP + 1)
+    assert (line - dense).measure() == Dyadic(1, DEEP + 1)
+    assert (both - dense) == (line - dense)
+    assert line.complement().measure() == 1 - Dyadic(1, DEEP)
+    assert line.complement().complement() == line
+    assert line.shift("0" * (DEEP - 1)) == CylinderSet.cylinder("0")
+    assert dense.shift("01" * (DEEP // 2)) == uniform_suffix_set("1", 0)
+    assert CylinderSet.normalize(["0" * DEEP]) == line
+    assert hash(CylinderSet.normalize(["0" * DEEP])) == hash(line)
+    tree = Pi01Tree(DEEP + 1, [(0, ["0" * DEEP, "0" * (DEEP - 1) + "1"])])
+    assert tree.leftmost_intact("^", DEEP, 0) == BitString("0" * (DEEP - 2) + "10")
+    assert tree.rightmost_intact("^", DEEP, 0) == BitString("1" * DEEP)
+
+
+def test_unique_table_shrinks_when_sets_are_dropped():
+    gc.collect()
+    before = len(cylinders._UNIQUE)
+    kept = [uniform_suffix_set("101", 300), CylinderSet.cylinder("01" * 200)]
+    kept.append(kept[0] | kept[1])
+    assert len(cylinders._UNIQUE) > before + 500
+    del kept
+    assert len(cylinders._UNIQUE) == before
+
+
+HASH_PROGRAM = """
+from randlab.cylinders import CylinderSet, EMPTY_SET, FULL_SET, uniform_suffix_set
+sets = [EMPTY_SET, FULL_SET, CylinderSet.normalize(["0110", "1", "000"]),
+        uniform_suffix_set("01", 30)]
+print([hash(s) for s in sets])
+"""
+
+
+def test_hash_does_not_depend_on_the_hash_seed():
+    src = str(pathlib.Path(randlab.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", HASH_PROGRAM], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(set(ast.literal_eval(outputs[0]))) == 4

@@ -102,3 +102,34 @@ def test_hash_consistent_with_eq(a, b):
 def test_coercion_rejects_float():
     with pytest.raises(TypeError):
         Dyadic(1, 1) + 0.5
+
+
+def loop_normalized(num, exp):
+    """The one-factor-at-a-time normalization the constructor replaced."""
+    if exp < 0:
+        num <<= -exp
+        exp = 0
+    while num and num % 2 == 0 and exp > 0:
+        num //= 2
+        exp -= 1
+    if num == 0:
+        exp = 0
+    return num, exp
+
+
+@given(st.integers(min_value=-(1 << 80), max_value=1 << 80).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(min_value=-8, max_value=90))),
+       st.integers(min_value=0, max_value=100))
+def test_normalization_matches_loop(num_exp, shift):
+    num, exp = num_exp
+    # Shifting the numerator up exercises runs of trailing zeros that
+    # exceed, match and fall short of the exponent.
+    num <<= shift
+    d = Dyadic(num, exp)
+    assert (d.num, d.exp) == loop_normalized(num, exp)
+
+
+def test_normalization_is_fast_at_large_exponents():
+    # The loop took one big-integer division per factor of two.
+    d = Dyadic(1 << 200_000, 300_000)
+    assert (d.num, d.exp) == (1, 100_000)

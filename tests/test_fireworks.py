@@ -185,3 +185,13 @@ def test_check_requirement():
     assert check_requirement(w, BitString("0"), 3) is Requirement.UNMET
     with pytest.raises(RandlabError):
         check_requirement(w, BitString("0101"), 3)
+
+
+def test_strategy_queries_before_their_prefix_raise():
+    # These were asserts, which `python -O` strips.
+    from randlab.fireworks import _Strategy
+    st = _Strategy(0, 1, SILENT)
+    with pytest.raises(RandlabError, match="before guessing"):
+        st.refuted(0)
+    with pytest.raises(RandlabError, match="before committing"):
+        st.answer(0)

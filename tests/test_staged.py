@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from randlab.bitstring import EMPTY, BitString
 from randlab.cylinders import CylinderSet, EMPTY_SET, FULL_SET
@@ -126,6 +128,18 @@ def test_extreme_intact_walks():
     assert t.leftmost_intact("00", 4, 0) is None
     # Intactness is strict: at length 1 every node has a removal below it.
     assert t.leftmost_intact("^", 1, 0) is None
+
+
+@given(st.lists(st.text(alphabet="01", min_size=1, max_size=6), max_size=6),
+       st.text(alphabet="01", max_size=2), st.integers(min_value=0, max_value=4))
+def test_extreme_intact_matches_brute_force(removals, sigma, extra):
+    t = Pi01Tree(6, [(0, removals)] if removals else [])
+    length = len(sigma) + extra
+    stem = BitString(sigma)
+    intact = [stem + tail for tail in BitString.all_strings(extra) if t.intact(stem + tail, 0)]
+    intact.sort(key=lambda s: s.bits)
+    assert t.leftmost_intact(sigma, length, 0) == (intact[0] if intact else None)
+    assert t.rightmost_intact(sigma, length, 0) == (intact[-1] if intact else None)
 
 
 def test_restrict_merges_schedules():
