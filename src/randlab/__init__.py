@@ -1,8 +1,8 @@
 """Finite-stage laboratory for effective randomness constructions.
 
 Everything here is exact: cylinder sets are canonical prefix-free
-antichains, measures are dyadic rationals, and staged objects replay
-deterministically from their event lists.  No floats, no sampling noise.
+antichains, measures are dyadic rationals, and staged objects are read off
+snapshots accumulated from their event lists.  No floats, no sampling noise.
 """
 
 from .bitstring import BitString, EMPTY, to_nat, from_nat, self_delimit, read_self_delimited, encode_pair, decode_pair

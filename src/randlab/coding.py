@@ -366,5 +366,5 @@ def extend_into_open(payloads: Sequence[BitString], u: CylinderSet, scheme: W2RS
         if witness is not None:
             raise DensityError(f"open set misses every extension of head {witness}")
         raise DensityError(f"shifted copies of the open set share nothing at head length {n}")
-    zeta = min(core.strings, key=lambda s: (len(s), s.bits))
+    zeta = core.least_generator()
     return BitString("0" * (n - done)) + zeta, n, zeta

@@ -301,6 +301,66 @@ class CylinderSet:
         """The set {Z : eta . Z in self}."""
         return CylinderSet(_descend(self._tree, BitString(eta).bits))
 
+    def least_generator(self) -> Optional[BitString]:
+        """The length-lex least generator, None for the empty set: the first
+        full subtree met breadth-first, 0 before 1.  A node met again, deeper
+        or further right, leads only to longer or lex-greater strings, so no
+        node is expanded twice and the antichain (2^k strings for a k-fold
+        shared trie) is never read."""
+        seen: Set[_Node] = set()
+        level: List[Tuple[Node, str]] = [(self._tree, "")]
+        while level:
+            below: List[Tuple[Node, str]] = []
+            for node, path in level:
+                if node is True:
+                    return BitString(path)
+                if node is not False and node not in seen:
+                    seen.add(node)
+                    below += [(node.zero, path + "0"), (node.one, path + "1")]
+            level = below
+        return None
+
+    def disjoint_extension(self, sigma: BitString, length: int, rightmost: bool = False) -> Optional[BitString]:
+        """Lex-least (or, with `rightmost`, lex-greatest) extension of sigma
+        at `length` whose cylinder misses the set; None when there is none."""
+        # A generator on or above sigma covers everything; none at all below
+        # sigma leaves the whole cylinder clear.
+        node = _descend(self._tree, sigma.bits)
+        if node is True:
+            return None
+        fill = "1" if rightmost else "0"
+        span = length - len(sigma)
+        if node is False:
+            return sigma + BitString(fill * span)
+        order = ("1", "0") if rightmost else ("0", "1")
+        # Depth-first in the wanted order; the first empty subtree found is
+        # the answer.  `dead` holds (node, remaining) pairs already searched
+        # in vain, so shared subtrees are searched once.
+        dead = set()
+        path: List[str] = []
+        frames = [[node, span, 0]]
+        while frames:
+            frame = frames[-1]
+            nd, remaining, tried = frame
+            if tried == 2 or remaining == 0:
+                # remaining == 0 with generators strictly below: not clear.
+                dead.add((nd, remaining))
+                frames.pop()
+                if frames:
+                    path.pop()
+                continue
+            frame[2] = tried + 1
+            bit = order[tried]
+            child = nd.one if bit == "1" else nd.zero
+            if child is False:
+                path.append(bit)
+                return sigma + BitString("".join(path) + fill * (remaining - 1))
+            if child is True or (child, remaining - 1) in dead:
+                continue
+            path.append(bit)
+            frames.append([child, remaining - 1, 0])
+        return None
+
     def __eq__(self, other: object) -> bool:
         # Interned tries: equal sets have the very same root.
         return isinstance(other, CylinderSet) and self._tree is other._tree

@@ -14,15 +14,16 @@ final measure stay within explicit budgets.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .bitstring import BitString
 from .cylinders import EMPTY_SET, CylinderSet
 from .dyadic import Dyadic
 from .errors import RandlabError
-from .staged import Enumerator, StagedOpenSet
+from .staged import StagedOpenSet, first_seen
 
 
 class VersionedOpenSet:
@@ -33,26 +34,21 @@ class VersionedOpenSet:
     only its declaration is frozen.
     """
 
-    __slots__ = ("versions",)
+    __slots__ = ("versions", "_stages")
 
     def __init__(self, versions: Sequence[Tuple[int, StagedOpenSet]]) -> None:
-        last = -1
-        for stage, _ in versions:
+        self.versions = tuple(versions)
+        self._stages = [stage for stage, _ in self.versions]
+        for last, stage in zip([-1] + self._stages, self._stages):
             if stage <= last:
                 raise RandlabError(f"version stages must increase, got {stage} after {last}")
-            last = stage
-        self.versions = tuple(versions)
 
     def version_count(self) -> int:
         return len(self.versions)
 
     def live_at(self, stage: int) -> Optional[StagedOpenSet]:
-        live = None
-        for s, v in self.versions:
-            if s > stage:
-                break
-            live = v
-        return live
+        i = bisect_right(self._stages, stage)
+        return self.versions[i - 1][1] if i else None
 
     def open_at(self, stage: int) -> CylinderSet:
         live = self.live_at(stage)
@@ -60,8 +56,7 @@ class VersionedOpenSet:
 
     def final_at(self, horizon: int) -> CylinderSet:
         """Full content of the last version, read at `horizon`."""
-        live = self.live_at(horizon)
-        return EMPTY_SET if live is None else live.open_at(horizon)
+        return self.open_at(horizon)
 
     def __repr__(self) -> str:
         return f"VersionedOpenSet({self.version_count()} versions)"
@@ -210,18 +205,14 @@ def diffunion_to_demuth(test: DiffUnionTest) -> DemuthTest:
         quantum = Fraction(1, c * (1 << (n + 1)))
 
         def version_from_snapshot(snapshot_stage: Optional[int], declare: int) -> Tuple[int, StagedOpenSet]:
-            events = []
-            seen: set = set()
-            for s in range(test.horizon + 1):
+            def tracked(s: int) -> CylinderSet:
                 acc = EMPTY_SET
                 for pair in pairs:
-                    u_now = pair.u.open_at(s)
                     v_snap = EMPTY_SET if snapshot_stage is None else pair.v.open_at(snapshot_stage)
-                    acc = acc | (u_now - v_snap)
-                fresh = [g for g in acc.strings if g not in seen]
-                seen.update(acc.strings)
-                if fresh:
-                    events.append((s, fresh))
+                    acc = acc | (pair.u.open_at(s) - v_snap)
+                return acc
+
+            events = first_seen((s, tracked(s).strings) for s in range(test.horizon + 1))
             return declare, StagedOpenSet.from_events(events, test.horizon)
 
         versions = [version_from_snapshot(None, 0)]

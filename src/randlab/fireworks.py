@@ -21,13 +21,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .bitstring import EMPTY, BitString
 from .cylinders import CylinderSet
 from .dyadic import Dyadic
 from .errors import GuardExceeded, RandlabError
-from .staged import Enumerator, StagedOpenSet
+from .staged import Enumerator, StagedOpenSet, by_stage
 
 SWEEP_GUARD = 1 << 24
 
@@ -342,20 +342,20 @@ def extract_failure_sets(cfg: FireworksConfig) -> Tuple[FailureSets, ...]:
     _cap_space(cfg)
     lengths = cfg.block_lengths
     total_bits = sum(lengths)
-    committed: List[Dict[int, List[BitString]]] = [dict() for _ in cfg.adversaries]
-    answered: List[Dict[int, List[BitString]]] = [dict() for _ in cfg.adversaries]
+    committed: List[List[Tuple[int, BitString]]] = [[] for _ in cfg.adversaries]
+    answered: List[List[Tuple[int, BitString]]] = [[] for _ in cfg.adversaries]
     for v in range(1 << total_bits):
         oracle = BitString(format(v, f"0{total_bits}b") if total_bits else "")
         caps = oracle_block_caps(oracle, cfg.cap_bounds)
         run = run_fireworks(cfg, caps)
         for rec in run.records:
             if rec.active_stage is not None:
-                committed[rec.index].setdefault(rec.active_stage, []).append(oracle)
+                committed[rec.index].append((rec.active_stage, oracle))
                 if rec.answer_stage is not None:
-                    answered[rec.index].setdefault(rec.answer_stage, []).append(oracle)
+                    answered[rec.index].append((rec.answer_stage, oracle))
     out = []
     for e in range(len(cfg.adversaries)):
-        u = StagedOpenSet.from_events(sorted(committed[e].items()), cfg.stage_budget)
-        v = StagedOpenSet.from_events(sorted(answered[e].items()), cfg.stage_budget)
+        u = StagedOpenSet.from_events(by_stage(committed[e]), cfg.stage_budget)
+        v = StagedOpenSet.from_events(by_stage(answered[e]), cfg.stage_budget)
         out.append(FailureSets(u, v))
     return tuple(out)

@@ -9,14 +9,14 @@ Pass a `random.Random` so callers control reproducibility.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bitstring import BitString, EMPTY
 from .cylinders import CylinderSet
 from .demuth import DemuthTest, DiffPair, DiffUnionTest, VersionedOpenSet
 from .dyadic import Dyadic
 from .errors import RandlabError
-from .staged import Enumerator, Pi01Tree, StagedOpenSet, TuringFunctional
+from .staged import Enumerator, Pi01Tree, StagedOpenSet, TuringFunctional, by_stage
 from .coding import OpenFamily, W2RScheme, w2r_encode
 
 
@@ -29,18 +29,10 @@ def random_cylinder_set(rng: random.Random, count: int, max_len: int) -> Cylinde
     return CylinderSet.normalize(strings)
 
 
-def _bucket_events(pairs: Sequence[Tuple[int, BitString]]) -> List[Tuple[int, List[BitString]]]:
-    # Enumerator wants strictly increasing stages, so group first.
-    buckets: Dict[int, Set[BitString]] = {}
-    for stage, s in pairs:
-        buckets.setdefault(stage, set()).add(s)
-    return [(stage, sorted(strings)) for stage, strings in sorted(buckets.items())]
-
-
 def random_enumerator(rng: random.Random, horizon: int, count: int, max_len: int) -> Enumerator:
     pairs = [(rng.randrange(horizon + 1), random_bits(rng, 1 + rng.randrange(max_len)))
              for _ in range(count)]
-    return Enumerator(_bucket_events(pairs), horizon)
+    return Enumerator(by_stage(pairs), horizon)
 
 
 def random_open_set(rng: random.Random, horizon: int, count: int, max_len: int) -> StagedOpenSet:
@@ -77,11 +69,7 @@ def random_functional(rng: random.Random, depth: int, axiom_count: int,
     for _ in range(axiom_count):
         stem = candidates[rng.randrange(len(candidates))]
         pairs.append((rng.randrange(horizon + 1), (stem, labels[stem])))
-    buckets: Dict[int, Set[Tuple[BitString, BitString]]] = {}
-    for stage, ax in pairs:
-        buckets.setdefault(stage, set()).add(ax)
-    events = [(stage, sorted(axs)) for stage, axs in sorted(buckets.items())]
-    return TuringFunctional(events, horizon)
+    return TuringFunctional(by_stage(pairs), horizon)
 
 
 def random_pi01_tree(rng: random.Random, depth: int = 24, horizon: int = 8,
@@ -106,14 +94,14 @@ def random_pi01_tree(rng: random.Random, depth: int = 24, horizon: int = 8,
             continue
         removed = grown
         kept.append((rng.randrange(horizon + 1), s))
-    return Pi01Tree(depth, _bucket_events(kept), horizon)
+    return Pi01Tree(depth, by_stage(kept), horizon)
 
 
 def _confined_open(rng: random.Random, base: BitString, horizon: int,
                    count: int, suffix_max: int) -> StagedOpenSet:
     pairs = [(rng.randrange(horizon + 1), base + random_bits(rng, 1 + rng.randrange(suffix_max)))
              for _ in range(count)]
-    return StagedOpenSet(Enumerator(_bucket_events(pairs), horizon))
+    return StagedOpenSet(Enumerator(by_stage(pairs), horizon))
 
 
 def _increasing_stages(rng: random.Random, count: int, horizon: int) -> List[int]:
@@ -155,7 +143,7 @@ def thinned_delayed(rng: random.Random, source: StagedOpenSet, horizon: int,
         for s in strings:
             if rng.randrange(keep_one_in) == 0:
                 pairs.append((min(horizon, stage + rng.randrange(delay_max + 1)), s))
-    return StagedOpenSet(Enumerator(_bucket_events(pairs), horizon))
+    return StagedOpenSet(Enumerator(by_stage(pairs), horizon))
 
 
 def random_diffunion_test(rng: random.Random, levels: int, pair_bound: int,

@@ -18,13 +18,13 @@ structure exactly and reports where each branch's isolation sets in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .bitstring import EMPTY, BitString, to_nat
 from .cylinders import CylinderSet
 from .dyadic import Dyadic
 from .errors import GuardExceeded, RandlabError
-from .staged import Enumerator, StagedOpenSet, TuringFunctional
+from .staged import Enumerator, StagedOpenSet, TuringFunctional, first_seen
 from .demuth import VersionedOpenSet
 
 FAMILY_GUARD = 64
@@ -118,9 +118,6 @@ class FApprox:
     values: Tuple[BitString, ...]          # value at each stage 0..horizon
     chosen_index: Tuple[Optional[int], ...]
 
-    def value_at(self, stage: int) -> BitString:
-        return self.values[min(stage, len(self.values) - 1)]
-
     def final(self) -> BitString:
         return self.values[-1]
 
@@ -173,19 +170,11 @@ def induced_demuth_level(phi: TuringFunctional, psi: TuringFunctional, stem: Bit
     trace = f_approx(phi, psi, stem, horizon)
     versions: List[Tuple[int, StagedOpenSet]] = []
     if trace.family is not None:
-        seen: Dict[int, int] = {}
-        for s, j in enumerate(trace.chosen_index):
-            if j is not None and j not in seen:
-                seen[j] = s
-        for j, start in sorted(seen.items(), key=lambda kv: kv[1]):
+        # One index is chosen per stage, so a switch stage brings exactly one.
+        switches = first_seen((s, [j]) for s, j in enumerate(trace.chosen_index) if j is not None)
+        for start, (j,) in switches:
             tau_j = trace.family.pairs[j][1]
-            events = []
-            recorded: set = set()
-            for s in range(horizon + 1):
-                gens = [g for g in psi.preimage(tau_j, s).strings if g not in recorded]
-                recorded.update(gens)
-                if gens:
-                    events.append((s, gens))
+            events = first_seen((s, psi.preimage(tau_j, s).strings) for s in range(horizon + 1))
             versions.append((start, StagedOpenSet.from_events(events, horizon)))
     return VersionedOpenSet(versions), trace
 
@@ -257,23 +246,15 @@ class CaseReport:
 def output_tree(phi: TuringFunctional, stem: BitString, horizon: int) -> Enumerator:
     """Prefix closure of every output the functional grants above `stem`,
     dated by the stage the output is first granted."""
-    events: Dict[int, set] = {}
-    seen: set = set()
-    for s in range(horizon + 1):
+    def closure(s: int) -> set:
         outs = {phi.apply(stem, s)}
         for ax_s, _ in phi.axioms_at(s):
             if ax_s.comparable(stem):
                 longer = ax_s if ax_s.extends(stem) else stem
                 outs.add(phi.apply(longer, s))
-        closure: set = set()
-        for out in outs:
-            for i in range(len(out) + 1):
-                closure.add(out.prefix(i))
-        fresh = closure - seen
-        if fresh:
-            events[s] = fresh
-            seen |= closure
-    return Enumerator(sorted((s, sorted(v)) for s, v in events.items()), horizon)
+        return {out.prefix(i) for out in outs for i in range(len(out) + 1)}
+
+    return Enumerator(first_seen((s, closure(s)) for s in range(horizon + 1)), horizon)
 
 
 def classify_case(phi: TuringFunctional, psi: TuringFunctional, g_prefix: BitString,

@@ -1,63 +1,113 @@
 """Stage-indexed stand-ins for effectively presented objects.
 
-Everything here is a finite script: an enumeration schedule with a horizon.
-Monotonicity in the stage index is structural (schedules are cumulative), so
-the only invariants that need active checking are stage ordering, functional
-consistency, and depth bounds on tree removals.
+Everything here is a finite script: a cumulative schedule of dated events
+with a horizon.  One private `_Schedule` checks the stages (non-negative,
+strictly increasing, horizon at or past the last event) and accumulates one
+frozen snapshot per event at construction, so every stage query is a
+`bisect` on the event stages that returns a stored snapshot.  Enumerations
+and axiom sets are schedules; a co-enumerated tree is a depth bound plus a
+staged open set of removals.  Monotonicity in the stage index is therefore
+structural, and the only invariants left to check are functional
+consistency and depth bounds on tree removals.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from bisect import bisect_right
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple, TypeVar, Union
 
 from .bitstring import EMPTY, BitString
-from .cylinders import EMPTY_SET, CylinderSet, _descend
+from .cylinders import CylinderSet
 from .dyadic import Dyadic
 from .errors import GuardExceeded, InconsistentFunctional, RandlabError
 
 StrLike = Union[BitString, str]
+T = TypeVar("T", bound=Hashable)
 
 
-def _as_events(events: Iterable[Tuple[int, Iterable[StrLike]]]) -> Tuple[Tuple[int, Tuple[BitString, ...]], ...]:
-    out = []
-    last = -1
-    for stage, strings in events:
-        stage = int(stage)
-        if stage < 0:
-            raise RandlabError(f"negative stage {stage}")
-        if stage <= last:
-            raise RandlabError(f"stages must be strictly increasing, got {stage} after {last}")
-        last = stage
-        out.append((stage, tuple(sorted(BitString(s) for s in strings))))
-    return tuple(out)
+def by_stage(dated: Iterable[Tuple[int, T]]) -> List[Tuple[int, List[T]]]:
+    """Group (stage, item) pairs into events: stages ascending, each item
+    once per stage, in the order first given."""
+    buckets: Dict[int, Dict[T, None]] = {}
+    for stage, item in dated:
+        buckets.setdefault(stage, {})[item] = None
+    return [(stage, list(buckets[stage])) for stage in sorted(buckets)]
 
 
-class Enumerator:
+def first_seen(snapshots: Iterable[Tuple[int, Iterable[T]]]) -> List[Tuple[int, List[T]]]:
+    """Events dating each item by the first snapshot that holds it; the
+    (stage, items) snapshots come in increasing stage order."""
+    first: Dict[T, int] = {}
+    for stage, items in snapshots:
+        for item in items:
+            first.setdefault(item, stage)
+    return by_stage((stage, item) for item, stage in first.items())
+
+
+def _bits(s: StrLike) -> BitString:
+    # Strings already normalised pass through, so merged schedules re-read none.
+    return s if isinstance(s, BitString) else BitString(s)
+
+
+def _axiom(pair: Tuple[StrLike, StrLike]) -> Tuple[BitString, BitString]:
+    sigma, tau = pair
+    return _bits(sigma), _bits(tau)
+
+
+class _Schedule:
+    """Strictly increasing dated events with a horizon.
+
+    `events` holds each event's items normalised and sorted; the snapshot
+    after event i is everything events 0..i enumerate, frozen by `freeze`,
+    and snapshot 0 is the empty one every stage before the first event reads.
+    """
+
+    __slots__ = ("events", "horizon", "_stages", "_snapshots")
+
+    def __init__(self, events: Iterable[Tuple[int, Iterable]], horizon: Optional[int], item: Callable, freeze: Callable) -> None:
+        out = []
+        stages: List[int] = []
+        acc: set = set()
+        snapshots = [freeze(acc)]
+        for stage, items in events:
+            stage = int(stage)
+            if stage < 0:
+                raise RandlabError(f"negative stage {stage}")
+            if stages and stage <= stages[-1]:
+                raise RandlabError(f"stages must be strictly increasing, got {stage} after {stages[-1]}")
+            items = tuple(sorted(map(item, items)))
+            out.append((stage, items))
+            stages.append(stage)
+            acc.update(items)
+            snapshots.append(freeze(acc))
+        last = stages[-1] if stages else 0
+        self.horizon = last if horizon is None else int(horizon)
+        if self.horizon < last:
+            raise RandlabError(f"horizon {self.horizon} precedes last event at {last}")
+        self.events = tuple(out)
+        self._stages = stages
+        self._snapshots = tuple(snapshots)
+
+    def _at(self, stage: int):
+        return self._snapshots[bisect_right(self._stages, stage)]
+
+
+class Enumerator(_Schedule):
     """A monotone stage -> finite-string-set schedule with a horizon.
 
     `at(s)` is the set enumerated by stage s; stages past the horizon return
     the final set, stages before the first event return nothing.
     """
 
-    __slots__ = ("events", "horizon")
+    __slots__ = ()
 
     def __init__(self, events: Iterable[Tuple[int, Iterable[StrLike]]], horizon: Optional[int] = None) -> None:
-        self.events = _as_events(events)
-        last = self.events[-1][0] if self.events else 0
-        self.horizon = last if horizon is None else int(horizon)
-        if self.horizon < last:
-            raise RandlabError(f"horizon {self.horizon} precedes last event at {last}")
+        super().__init__(events, horizon, _bits, frozenset)
 
-    def at(self, stage: int) -> frozenset:
-        acc: set = set()
-        for s, strings in self.events:
-            if s > stage:
-                break
-            acc.update(strings)
-        return frozenset(acc)
+    at = _Schedule._at
 
     def final(self) -> frozenset:
-        return self.at(self.horizon)
+        return self._snapshots[-1]
 
     def first_stage_of(self, s: BitString) -> Optional[int]:
         for stage, strings in self.events:
@@ -85,7 +135,8 @@ class StagedOpenSet:
 
     def __init__(self, enumerator: Enumerator) -> None:
         self.enumerator = enumerator
-        self._cache: Dict[int, CylinderSet] = {}
+        # One set per snapshot: the stages between two events share it.
+        self._cache: List[Optional[CylinderSet]] = [None] * len(enumerator._snapshots)
 
     @staticmethod
     def from_events(events, horizon: Optional[int] = None) -> "StagedOpenSet":
@@ -105,10 +156,11 @@ class StagedOpenSet:
         return self.enumerator.horizon
 
     def open_at(self, stage: int) -> CylinderSet:
-        stage = min(max(stage, -1), self.horizon)
-        if stage not in self._cache:
-            self._cache[stage] = CylinderSet.normalize(self.enumerator.at(stage))
-        return self._cache[stage]
+        i = bisect_right(self.enumerator._stages, stage)
+        found = self._cache[i]
+        if found is None:
+            found = self._cache[i] = CylinderSet.normalize(self.enumerator._snapshots[i])
+        return found
 
     def final(self) -> CylinderSet:
         return self.open_at(self.horizon)
@@ -120,35 +172,21 @@ class StagedOpenSet:
         return f"StagedOpenSet({self.enumerator!r})"
 
 
-class TuringFunctional:
+class TuringFunctional(_Schedule):
     """A monotone oracle-to-output map given by stage-dated axioms (sigma, tau).
 
     Reading an axiom (sigma, tau) as "every oracle extending sigma computes
     at least tau", consistency demands that comparable oracles never receive
     incomparable outputs.  The check runs over the full final axiom set at
     construction, which covers every stage because schedules only grow.
+    Each snapshot is the sorted tuple of the axioms granted so far.
     """
 
-    __slots__ = ("events", "horizon")
+    __slots__ = ()
 
     def __init__(self, events: Iterable[Tuple[int, Iterable[Tuple[StrLike, StrLike]]]], horizon: Optional[int] = None) -> None:
-        norm: List[Tuple[int, Tuple[Tuple[BitString, BitString], ...]]] = []
-        last = -1
-        for stage, pairs in events:
-            stage = int(stage)
-            if stage <= last:
-                raise RandlabError(f"stages must be strictly increasing, got {stage} after {last}")
-            last = stage
-            norm.append((stage, tuple(sorted((BitString(a), BitString(b)) for a, b in pairs))))
-        self.events = tuple(norm)
-        last_stage = self.events[-1][0] if self.events else 0
-        self.horizon = last_stage if horizon is None else int(horizon)
-        if self.horizon < last_stage:
-            raise RandlabError(f"horizon {self.horizon} precedes last event at {last_stage}")
-        self._check_consistency()
-
-    def _check_consistency(self) -> None:
-        axioms = self.axioms_at(self.horizon)
+        super().__init__(events, horizon, _axiom, lambda acc: tuple(sorted(acc)))
+        axioms = self._snapshots[-1]
         for i, (s1, t1) in enumerate(axioms):
             for s2, t2 in axioms[i + 1:]:
                 if s1.comparable(s2) and not t1.comparable(t2):
@@ -156,13 +194,7 @@ class TuringFunctional:
                         f"axioms ({s1},{t1}) and ({s2},{t2}) disagree on a common oracle"
                     )
 
-    def axioms_at(self, stage: int) -> Tuple[Tuple[BitString, BitString], ...]:
-        acc: List[Tuple[BitString, BitString]] = []
-        for s, pairs in self.events:
-            if s > stage:
-                break
-            acc.extend(pairs)
-        return tuple(sorted(set(acc)))
+    axioms_at = _Schedule._at
 
     def apply(self, sigma: StrLike, stage: int) -> BitString:
         """Longest output granted to oracles extending `sigma` by `stage`.
@@ -172,7 +204,7 @@ class TuringFunctional:
         """
         sigma = BitString(sigma)
         best = EMPTY
-        for ax_s, ax_t in self.axioms_at(stage):
+        for ax_s, ax_t in self._at(stage):
             if ax_s.is_prefix_of(sigma) and len(ax_t) > len(best):
                 best = ax_t
         return best
@@ -183,11 +215,17 @@ class TuringFunctional:
         if len(tau) == 0:
             # Every oracle computes the empty output.
             return CylinderSet(True)
-        gens = [ax_s for ax_s, ax_t in self.axioms_at(stage) if ax_t.extends(tau)]
-        return CylinderSet.normalize(gens)
+        return CylinderSet.normalize(ax_s for ax_s, ax_t in self._at(stage) if ax_t.extends(tau))
 
     def __repr__(self) -> str:
-        return f"TuringFunctional({len(self.axioms_at(self.horizon))} axioms, horizon={self.horizon})"
+        return f"TuringFunctional({len(self._snapshots[-1])} axioms, horizon={self.horizon})"
+
+
+def _check_depth(enumerator: Enumerator, depth: int, what: str) -> None:
+    """Refuse the first string, in event order, longer than `depth`."""
+    deep = next((s for _, strings in enumerator.events for s in strings if len(s) > depth), None)
+    if deep is not None:
+        raise RandlabError(f"{what} {deep} deeper than depth {depth}")
 
 
 class Pi01Tree:
@@ -197,33 +235,21 @@ class Pi01Tree:
     lengths and the leaf level at which survivor counts are measured.
     """
 
-    __slots__ = ("depth", "events", "horizon", "_removed_cache")
+    __slots__ = ("depth", "removals")
 
     def __init__(self, depth: int, events: Iterable[Tuple[int, Iterable[StrLike]]] = (), horizon: Optional[int] = None) -> None:
         if depth < 1:
             raise RandlabError("tree depth must be positive")
         self.depth = int(depth)
-        self.events = _as_events(events)
-        for _, strings in self.events:
-            for s in strings:
-                if len(s) > self.depth:
-                    raise RandlabError(f"removal {s} deeper than tree depth {self.depth}")
-        last = self.events[-1][0] if self.events else 0
-        self.horizon = last if horizon is None else int(horizon)
-        if self.horizon < last:
-            raise RandlabError(f"horizon {self.horizon} precedes last event at {last}")
-        self._removed_cache: Dict[int, CylinderSet] = {}
+        self.removals = StagedOpenSet.from_events(events, horizon)
+        _check_depth(self.removals.enumerator, self.depth, "removal")
+
+    @property
+    def horizon(self) -> int:
+        return self.removals.horizon
 
     def removed_open(self, stage: int) -> CylinderSet:
-        stage = min(max(stage, -1), self.horizon)
-        if stage not in self._removed_cache:
-            acc: set = set()
-            for s, strings in self.events:
-                if s > stage:
-                    break
-                acc.update(strings)
-            self._removed_cache[stage] = CylinderSet.normalize(acc)
-        return self._removed_cache[stage]
+        return self.removals.open_at(stage)
 
     def viable(self, sigma: StrLike, stage: int) -> bool:
         """Exact check that [sigma] still meets the class at `stage`."""
@@ -257,66 +283,19 @@ class Pi01Tree:
         surviving depth-level leaves)."""
         return Dyadic(1) - self.removed_open(stage).measure()
 
-    def _extreme_intact(self, sigma: BitString, length: int, stage: int, want_left: bool) -> Optional[BitString]:
-        """Lex-least (or -greatest) fully intact extension of sigma at `length`."""
-        # A removal on or above sigma kills everything; none at all below
-        # sigma leaves the whole cylinder intact.
-        node = _descend(self.removed_open(stage)._tree, sigma.bits)
-        if node is True:
-            return None
-        fill = "0" if want_left else "1"
-        span = length - len(sigma)
-        if node is False:
-            return sigma + BitString(fill * span)
-        order = ("0", "1") if want_left else ("1", "0")
-        # Depth-first in the wanted order; the first empty subtree found is
-        # the answer.  `dead` holds (node, remaining) pairs already searched
-        # in vain, so shared subtrees are searched once.
-        dead = set()
-        path: List[str] = []
-        frames = [[node, span, 0]]
-        while frames:
-            frame = frames[-1]
-            nd, remaining, tried = frame
-            if tried == 2 or remaining == 0:
-                # remaining == 0 with removals strictly below: not intact.
-                dead.add((nd, remaining))
-                frames.pop()
-                if frames:
-                    path.pop()
-                continue
-            frame[2] = tried + 1
-            bit = order[tried]
-            child = nd.one if bit == "1" else nd.zero
-            if child is False:
-                path.append(bit)
-                return sigma + BitString("".join(path) + fill * (remaining - 1))
-            if child is True or (child, remaining - 1) in dead:
-                continue
-            path.append(bit)
-            frames.append([child, remaining - 1, 0])
-        return None
-
     def leftmost_intact(self, sigma: StrLike, length: int, stage: int) -> Optional[BitString]:
-        return self._extreme_intact(BitString(sigma), length, stage, True)
+        return self.removed_open(stage).disjoint_extension(BitString(sigma), length)
 
     def rightmost_intact(self, sigma: StrLike, length: int, stage: int) -> Optional[BitString]:
-        return self._extreme_intact(BitString(sigma), length, stage, False)
+        return self.removed_open(stage).disjoint_extension(BitString(sigma), length, rightmost=True)
 
     def restrict(self, extra: StagedOpenSet) -> "Pi01Tree":
         """The class cut down by the complement of a staged open set: the
         open set's cylinders become additional staged removals."""
-        for _, strings in extra.enumerator.events:
-            for s in strings:
-                if len(s) > self.depth:
-                    raise RandlabError(f"restriction string {s} deeper than depth {self.depth}")
-        merged: Dict[int, set] = {}
-        for stage, strings in self.events:
-            merged.setdefault(stage, set()).update(strings)
-        for stage, strings in extra.enumerator.events:
-            merged.setdefault(stage, set()).update(strings)
-        events = sorted((stage, sorted(strs)) for stage, strs in merged.items())
-        return Pi01Tree(self.depth, events, max(self.horizon, extra.horizon))
+        _check_depth(extra.enumerator, self.depth, "restriction string")
+        merged = by_stage((stage, s) for schedule in (self.removals.enumerator, extra.enumerator)
+                          for stage, strings in schedule.events for s in strings)
+        return Pi01Tree(self.depth, merged, max(self.horizon, extra.horizon))
 
     def __repr__(self) -> str:
-        return f"Pi01Tree(depth={self.depth}, {len(self.events)} removal events, horizon={self.horizon})"
+        return f"Pi01Tree(depth={self.depth}, {len(self.removals.enumerator.events)} removal events, horizon={self.horizon})"

@@ -11,6 +11,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -174,6 +175,21 @@ def test_uniform_suffix_set_large_offset_is_cheap():
     assert core.measure() == Dyadic(1, 2)
     assert core == uniform_suffix_set("11", 10)
     assert len(cylinders._UNIQUE) - before <= 450
+
+
+@given(clopens)
+def test_least_generator_is_the_length_lex_least_string(a):
+    expected = min(a.strings, key=lambda s: (len(s), s.bits)) if a.strings else None
+    assert a.least_generator() == expected
+
+
+def test_least_generator_of_a_shifted_core_reads_no_antichain():
+    # The core's antichain holds 2^40 strings of length 41.
+    core = shifted_core(uniform_suffix_set("1", 44), 4)
+    start = time.perf_counter()
+    assert core.least_generator() == BitString("0" * 40 + "1")
+    assert time.perf_counter() - start < 0.5
+    assert core._strings is None
 
 
 def test_measure_of_shared_trie_is_exact():

@@ -1,11 +1,18 @@
+import importlib.util
+import pathlib
+import types
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from randlab import staged
 from randlab.bitstring import EMPTY, BitString
 from randlab.cylinders import CylinderSet, EMPTY_SET, FULL_SET
+from randlab.demuth import VersionedOpenSet
 from randlab.errors import GuardExceeded, InconsistentFunctional, RandlabError
-from randlab.staged import Enumerator, Pi01Tree, StagedOpenSet, TuringFunctional
+from randlab.staged import (Enumerator, Pi01Tree, StagedOpenSet, TuringFunctional, by_stage,
+                            first_seen)
 
 
 def test_enumerator_cumulative():
@@ -153,3 +160,230 @@ def test_restrict_merges_schedules():
     deep = StagedOpenSet.from_events([(0, ["00000"])], horizon=0)
     with pytest.raises(RandlabError):
         t.restrict(deep)
+
+
+def test_functional_negative_stage_named():
+    with pytest.raises(RandlabError, match="negative stage -1"):
+        TuringFunctional([(-1, [("0", "1")])])
+
+
+def test_depth_errors_name_the_first_string_in_event_order():
+    # Within a stage strings sort length-lex, so "000" precedes "111".
+    with pytest.raises(RandlabError, match="removal 000 deeper"):
+        Pi01Tree(2, [(0, ["1"]), (1, ["111", "000", "0"]), (2, ["00000"])])
+    t = Pi01Tree(2, [(0, ["00"])], horizon=4)
+    extra = StagedOpenSet.from_events([(0, ["1"]), (2, ["0101", "110"]), (3, ["11111"])], horizon=4)
+    with pytest.raises(RandlabError, match="restriction string 110 deeper"):
+        t.restrict(extra)
+
+
+def test_by_stage_and_first_seen():
+    assert by_stage([(2, "b"), (0, "a"), (2, "c"), (2, "b")]) == [(0, ["a"]), (2, ["b", "c"])]
+    assert first_seen([(0, {"a"}), (1, {"a", "b"}), (3, {"b", "c"})]) == [(0, ["a"]), (1, ["b"]), (3, ["c"])]
+    assert by_stage([]) == first_seen([]) == []
+
+
+# The stage queries as they were before the cumulative schedule: each one
+# replays the events from stage 0.  They are the oracles for the lookups.
+
+def old_at(events, stage):
+    acc = set()
+    for s, strings in events:
+        if s > stage:
+            break
+        acc.update(strings)
+    return frozenset(acc)
+
+
+def old_axioms_at(events, stage):
+    acc = []
+    for s, pairs in events:
+        if s > stage:
+            break
+        acc.extend(pairs)
+    return tuple(sorted(set(acc)))
+
+
+def old_apply(events, sigma, stage):
+    sigma = BitString(sigma)
+    best = EMPTY
+    for ax_s, ax_t in old_axioms_at(events, stage):
+        if ax_s.is_prefix_of(sigma) and len(ax_t) > len(best):
+            best = ax_t
+    return best
+
+
+def old_preimage(events, tau, stage):
+    tau = BitString(tau)
+    if len(tau) == 0:
+        return CylinderSet(True)
+    return CylinderSet.normalize([ax_s for ax_s, ax_t in old_axioms_at(events, stage) if ax_t.extends(tau)])
+
+
+def old_removed_open(events, horizon, stage):
+    stage = min(max(stage, -1), horizon)
+    acc = set()
+    for s, strings in events:
+        if s > stage:
+            break
+        acc.update(strings)
+    return CylinderSet.normalize(acc)
+
+
+def old_restrict_events(events, extra_events):
+    merged = {}
+    for stage, strings in events:
+        merged.setdefault(stage, set()).update(strings)
+    for stage, strings in extra_events:
+        merged.setdefault(stage, set()).update(strings)
+    return sorted((stage, sorted(strs)) for stage, strs in merged.items())
+
+
+def old_live_at(versions, stage):
+    live = None
+    for s, v in versions:
+        if s > stage:
+            break
+        live = v
+    return live
+
+
+# The three hand-written "fresh since the last stage" loops that first_seen
+# replaced: diffunion_to_demuth's and induced_demuth_level's (same shape,
+# over CylinderSet.strings) and output_tree's (over prefix closures).
+
+def old_fresh_demuth(snapshots):
+    events = []
+    seen = set()
+    for s, strings in snapshots:
+        fresh = [g for g in strings if g not in seen]
+        seen.update(strings)
+        if fresh:
+            events.append((s, fresh))
+    return events
+
+
+def old_fresh_minpair(snapshots):
+    events = []
+    recorded = set()
+    for s, strings in snapshots:
+        gens = [g for g in strings if g not in recorded]
+        recorded.update(gens)
+        if gens:
+            events.append((s, gens))
+    return events
+
+
+def old_fresh_output_tree(snapshots):
+    events = {}
+    seen = set()
+    for s, closure in snapshots:
+        fresh = set(closure) - seen
+        if fresh:
+            events[s] = fresh
+            seen |= set(closure)
+    return sorted((s, sorted(v)) for s, v in events.items())
+
+
+bit_strings = st.text(alphabet="01", max_size=5)
+
+
+@st.composite
+def schedules(draw, items):
+    """(events, horizon) with strictly increasing stages, empty and repeated
+    items allowed, and the horizon at or past the last event."""
+    stages = sorted(draw(st.sets(st.integers(min_value=0, max_value=12), max_size=5)))
+    events = [(s, draw(st.lists(items, max_size=4))) for s in stages]
+    horizon = (stages[-1] if stages else 0) + draw(st.integers(min_value=0, max_value=3))
+    return events, horizon
+
+
+def query_stages(horizon):
+    # Negative, before the first event, on and between events, past the horizon.
+    return range(-3, horizon + 4)
+
+
+def _flip(s):
+    return "".join("1" if c == "0" else "0" for c in s)
+
+
+# tau a prefix of sigma's complement: comparable stems get comparable outputs.
+axioms = st.tuples(bit_strings, st.integers(min_value=0, max_value=5)).map(
+    lambda p: (p[0], _flip(p[0])[:p[1]]))
+
+
+@given(schedules(bit_strings))
+def test_enumerator_and_open_set_match_replay(sched):
+    events, horizon = sched
+    e = Enumerator(events, horizon)
+    o = StagedOpenSet(e)
+    norm = e.events
+    for stage in query_stages(horizon):
+        assert e.at(stage) == old_at(norm, stage)
+        assert o.open_at(stage) == CylinderSet.normalize(old_at(norm, min(max(stage, -1), horizon)))
+    assert e.final() == old_at(norm, horizon)
+
+
+@given(schedules(axioms), st.lists(bit_strings, min_size=1, max_size=4))
+def test_functional_matches_replay(sched, probes):
+    events, horizon = sched
+    phi = TuringFunctional(events, horizon)
+    norm = phi.events
+    for stage in query_stages(horizon):
+        assert phi.axioms_at(stage) == old_axioms_at(norm, stage)
+        for p in probes:
+            assert phi.apply(p, stage) == old_apply(norm, p, stage)
+            assert phi.preimage(p, stage) == old_preimage(norm, p, stage)
+
+
+@given(schedules(bit_strings), schedules(bit_strings))
+def test_tree_and_restrict_match_replay(base, more):
+    (events, horizon), (extra_events, extra_horizon) = base, more
+    t = Pi01Tree(6, events, horizon)
+    extra = StagedOpenSet.from_events(extra_events, extra_horizon)
+    cut = t.restrict(extra)
+    merged = old_restrict_events(t.removals.enumerator.events, extra.enumerator.events)
+    # The merge keeps no stage that brings nothing; those never changed a query.
+    assert cut.removals.enumerator.events == tuple(ev for ev in Enumerator(merged).events if ev[1])
+    assert cut.horizon == max(horizon, extra_horizon)
+    for stage in query_stages(max(horizon, extra_horizon)):
+        assert t.removed_open(stage) == old_removed_open(t.removals.enumerator.events, horizon, stage)
+        assert cut.removed_open(stage) == old_removed_open(merged, cut.horizon, stage)
+
+
+@given(st.sets(st.integers(min_value=0, max_value=12), max_size=5))
+def test_live_at_matches_replay(stages):
+    versions = [(s, StagedOpenSet.empty(12)) for s in sorted(stages)]
+    level = VersionedOpenSet(versions)
+    for stage in range(-3, 16):
+        assert level.live_at(stage) is old_live_at(versions, stage)
+
+
+@given(schedules(bit_strings))
+def test_first_seen_matches_the_fresh_since_loops(sched):
+    events, horizon = sched
+    o = StagedOpenSet.from_events(events, horizon)
+    # Generator snapshots, as the demuth and minpair loops read them; a
+    # generator can drop out when its sibling arrives and the two merge.
+    gens = [(s, o.open_at(s).strings) for s in range(horizon + 1)]
+    new = Enumerator(first_seen(gens), horizon).events
+    assert new == Enumerator(old_fresh_demuth(gens), horizon).events
+    assert new == Enumerator(old_fresh_minpair(gens), horizon).events
+    closures = [(s, {g.prefix(i) for g in strings for i in range(len(g) + 1)}) for s, strings in gens]
+    assert (Enumerator(first_seen(closures), horizon).events
+            == Enumerator(old_fresh_output_tree(closures), horizon).events)
+
+
+def test_staged_queries_are_traceable():
+    # The benchmark's tracer wraps what each class defines in its own body
+    # (vars(cls)); an inherited query would silently drop out of its counts.
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for query in tracing.STAGED_QUERIES:
+        cls_name, method = query.split(".")
+        assert isinstance(vars(getattr(staged, cls_name)).get(method), types.FunctionType), query
+    # It also fingerprints fireworks adversaries by their events and horizon.
+    e = Enumerator([(1, ["0"])], horizon=3)
+    assert (e.events, e.horizon) == (((1, (BitString("0"),)),), 3)
