@@ -44,8 +44,8 @@ from .fireworks import (
     caps_from_seed,
     run_fireworks,
     sweep_runs,
-    exact_failure_probability,
-    extract_failure_sets,
+    Sweep,
+    sweep,
     check_requirement,
 )
 from .coding import (
@@ -104,7 +104,7 @@ __all__ = [
     "Outcome", "Requirement", "FireworksConfig", "FireworksRun",
     "StrategyRecord", "FailureSets", "default_cap_bounds", "oracle_block_caps",
     "caps_from_seed", "run_fireworks", "sweep_runs",
-    "exact_failure_probability", "extract_failure_sets", "check_requirement",
+    "Sweep", "sweep", "check_requirement",
     "kucera_depth", "kg_encode", "kg_decode", "kg_decode_prefix",
     "OpenFamily", "W2RScheme", "W2REncoding", "LayerRecord", "GammaResult",
     "g_lsc", "w2r_encode", "stabilization_stage", "gamma_decode",

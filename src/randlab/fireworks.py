@@ -12,16 +12,19 @@ Because a cap only matters at the strategy's own decision points, two runs
 differing in one cap coincide up to the first diverging decision.  That
 yields the sharp sweep picture: fixing all other caps, at most one value of
 a strategy's cap ends in an unanswered commitment, every smaller value ends
-answered, every larger one ends passively.  Sweeping all cap vectors gives
-the exact failure probability as a dyadic rational.
+answered, every larger one ends passively.  `sweep` runs every cap vector
+once, through `sweep_runs`, and folds the runs into what the reports read:
+the failing runs, the exact failure probability as a dyadic rational, and
+each strategy's commitments and answers on the oracle side.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .bitstring import EMPTY, BitString
 from .cylinders import CylinderSet
@@ -68,6 +71,8 @@ class FireworksConfig:
         cap_bounds: Optional[Sequence[int]] = None,
     ) -> "FireworksConfig":
         adversaries = tuple(adversaries)
+        if k < 0:
+            raise RandlabError(f"k {k} must be non-negative")
         defaults = cap_bounds is None
         bounds = default_cap_bounds(len(adversaries), k) if defaults else tuple(cap_bounds)
         if len(bounds) != len(adversaries):
@@ -297,27 +302,8 @@ def _cap_space(cfg: FireworksConfig) -> int:
 def sweep_runs(cfg: FireworksConfig):
     """Yield a run per cap vector, in lexicographic cap order."""
     _cap_space(cfg)
-
-    def rec(prefix: List[int], e: int):
-        if e == len(cfg.cap_bounds):
-            yield run_fireworks(cfg, tuple(prefix))
-            return
-        for cap in range(1, cfg.cap_bounds[e] + 1):
-            prefix.append(cap)
-            yield from rec(prefix, e + 1)
-            prefix.pop()
-
-    yield from rec([], 0)
-
-
-def exact_failure_probability(cfg: FireworksConfig) -> Dyadic:
-    """Fraction of cap vectors whose run contains an unanswered commitment."""
-    total = _cap_space(cfg)
-    failures = sum(1 for run in sweep_runs(cfg) if run.failed)
-    exp = total.bit_length() - 1
-    if 1 << exp != total:
-        raise RandlabError(f"cap space {total} is not a power of two")
-    return Dyadic(failures, exp)
+    for caps in itertools.product(*(range(1, n + 1) for n in cfg.cap_bounds)):
+        yield run_fireworks(cfg, caps)
 
 
 @dataclass(frozen=True)
@@ -331,31 +317,56 @@ class FailureSets:
         return self.committed.final() - self.answered.final()
 
 
-def extract_failure_sets(cfg: FireworksConfig) -> Tuple[FailureSets, ...]:
-    """Run every oracle block vector and collect commitment/answer cylinders.
+@dataclass(frozen=True)
+class Sweep:
+    """What the reports read off one pass over every cap vector.
 
-    The cylinder for an oracle is dated by the stage at which the event it
-    records became visible, so each side is a legitimate staged open set.
-    The residue measure per strategy is at most 1 / cap_bound, and the union
-    of residues has exactly the sweep's failure probability.
+    `failures` are the failing runs in lexicographic cap order, `probability`
+    their share of the `total` vectors.  `committed[e]` and `answered[e]` date
+    each oracle whose run has strategy e commit, or its commitment answered.
     """
-    _cap_space(cfg)
-    lengths = cfg.block_lengths
-    total_bits = sum(lengths)
+
+    total: int
+    failures: Tuple[FireworksRun, ...]
+    probability: Dyadic
+    committed: Tuple[Tuple[Tuple[int, BitString], ...], ...]
+    answered: Tuple[Tuple[Tuple[int, BitString], ...], ...]
+    stage_budget: int
+
+    def failure_sets(self) -> Tuple[FailureSets, ...]:
+        """Commitment and answer cylinders per strategy, each a staged open
+        set dating an oracle's cylinder by the stage its event became visible.
+        The residue measure per strategy is at most 1 / cap_bound, and the
+        union of residues has exactly the sweep's failure probability.
+        """
+        return tuple(
+            FailureSets(StagedOpenSet.from_events(by_stage(c), self.stage_budget),
+                        StagedOpenSet.from_events(by_stage(a), self.stage_budget))
+            for c, a in zip(self.committed, self.answered))
+
+
+def sweep(cfg: FireworksConfig) -> Sweep:
+    """Run every cap vector once and fold the runs into a `Sweep`.
+
+    Lexicographic cap order is oracle order: the i-th vector is the one
+    `oracle_block_caps` reads off i written in sum(block_lengths) bits.
+    """
+    total = _cap_space(cfg)
+    bits = sum(cfg.block_lengths)
+    if 1 << bits != total:
+        raise RandlabError(f"cap space {total} is not a power of two")
+    failures = []
     committed: List[List[Tuple[int, BitString]]] = [[] for _ in cfg.adversaries]
     answered: List[List[Tuple[int, BitString]]] = [[] for _ in cfg.adversaries]
-    for v in range(1 << total_bits):
-        oracle = BitString(format(v, f"0{total_bits}b") if total_bits else "")
-        caps = oracle_block_caps(oracle, cfg.cap_bounds)
-        run = run_fireworks(cfg, caps)
+    for i, run in enumerate(sweep_runs(cfg)):
+        if run.failed:
+            failures.append(run)
+        oracle = BitString(format(i, f"0{bits}b") if bits else "")
         for rec in run.records:
             if rec.active_stage is not None:
                 committed[rec.index].append((rec.active_stage, oracle))
                 if rec.answer_stage is not None:
                     answered[rec.index].append((rec.answer_stage, oracle))
-    out = []
-    for e in range(len(cfg.adversaries)):
-        u = StagedOpenSet.from_events(by_stage(committed[e]), cfg.stage_budget)
-        v = StagedOpenSet.from_events(by_stage(answered[e]), cfg.stage_budget)
-        out.append(FailureSets(u, v))
-    return tuple(out)
+    return Sweep(total, tuple(failures), Dyadic(len(failures), bits),
+                 tuple(map(tuple, committed)), tuple(map(tuple, answered)),
+                 cfg.stage_budget)

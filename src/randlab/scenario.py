@@ -9,6 +9,7 @@ is derived from the scenario and experiment names only.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
@@ -23,9 +24,8 @@ from .demuth import (DemuthTest, DiffPair, DiffUnionTest, VersionedOpenSet,
                      verify_diffunion)
 from .dyadic import Dyadic
 from .errors import RandlabError, ScenarioError
-from .fireworks import (FireworksConfig, Outcome, caps_from_seed,
-                        exact_failure_probability, extract_failure_sets,
-                        run_fireworks, sweep_runs)
+from .fireworks import (FireworksConfig, Outcome, caps_from_seed, run_fireworks,
+                        sweep, sweep_runs)
 from .coding import (gamma_decode, kg_decode, kg_encode, stabilization_stage,
                      w2r_encode)
 from .generators import (build_working_w2r, hitting_run, random_demuth_test,
@@ -78,6 +78,25 @@ def _take(params: Dict[str, object], where: str, key: str, default=_err):
 def _done(params: Dict[str, object], where: str) -> None:
     if params:
         raise _err(where, f"unknown keys {sorted(params)}")
+
+
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _take_int(params: Dict[str, object], where: str, key: str, default=_err):
+    v = _take(params, where, key, default)
+    if v is not default and not _is_int(v):
+        raise _err(where, f"'{key}' must be an integer, got {v!r}")
+    return v
+
+
+def _take_ints(params: Dict[str, object], where: str, key: str):
+    """An optional list of integers, None when absent."""
+    v = _take(params, where, key, None)
+    if v is not None and not (isinstance(v, list) and all(map(_is_int, v))):
+        raise _err(where, f"'{key}' must be a list of integers, got {v!r}")
+    return v
 
 
 def _events(raw: object, where: str) -> List[Tuple[int, List[str]]]:
@@ -264,24 +283,29 @@ class Context:
         return fname
 
 
-def _fireworks_config(ctx: Context, exp: Experiment, params, where) -> FireworksConfig:
+def _fireworks_config(ctx: Context, exp: Experiment, params) -> FireworksConfig:
+    """The config read off `params`, which must hold no other key."""
+    where = exp.name
     names = _take(params, where, "adversaries")
+    if not isinstance(names, list):
+        raise _err(where, f"'adversaries' must be a list of enumerator names, got {names!r}")
     advs = [ctx.objects.enumerator(n, where) for n in names]
-    k = _take(params, where, "k")
-    target = _take(params, where, "target_length")
-    budget = _take(params, where, "stage_budget")
-    bounds = _take(params, where, "cap_bounds", None)
-    return FireworksConfig.build(advs, k, target, budget, bounds)
+    k = _take_int(params, where, "k")
+    target = _take_int(params, where, "target_length")
+    budget = _take_int(params, where, "stage_budget")
+    bounds = _take_ints(params, where, "cap_bounds")
+    cfg = FireworksConfig.build(advs, k, target, budget, bounds)
+    _done(params, where)
+    return cfg
 
 
 def _run_fireworks_run(ctx: Context, exp: Experiment) -> RunFact:
     where = exp.name
     params = dict(exp.params)
-    caps = _take(params, where, "caps", None)
-    seed = _take(params, where, "seed", None)
+    caps = _take_ints(params, where, "caps")
+    seed = _take_int(params, where, "seed", None)
     keep_trace = _take(params, where, "trace", False)
-    cfg = _fireworks_config(ctx, exp, params, where)
-    _done(params, where)
+    cfg = _fireworks_config(ctx, exp, params)
     if caps is None:
         if seed is None:
             raise _err(where, "need either caps or seed")
@@ -302,79 +326,43 @@ def _run_fireworks_run(ctx: Context, exp: Experiment) -> RunFact:
 
 
 def _run_fireworks_sweep(ctx: Context, exp: Experiment) -> RunFact:
-    where = exp.name
-    params = dict(exp.params)
-    cfg = _fireworks_config(ctx, exp, params, where)
-    _done(params, where)
-    prob = exact_failure_probability(cfg)
+    cfg = _fireworks_config(ctx, exp, dict(exp.params))
+    sw = sweep(cfg)
     residue_bound = sum(Fraction(1, n) for n in cfg.cap_bounds)
-    total = 1
-    for n in cfg.cap_bounds:
-        total *= n
-    failures = [run for run in sweep_runs(cfg) if run.failed]
-    within = prob.as_fraction() <= residue_bound
+    within = sw.probability.as_fraction() <= residue_bound
     summary = csv_text(
         ["adversaries", "k", "cap_bounds", "total_vectors", "failing_vectors",
          "failure_probability", "residue_bound", "within_bound"],
-        [(exp.params["adversaries"], cfg.k, cfg.cap_bounds, total, len(failures),
-          prob, residue_bound, within)])
+        [(exp.params["adversaries"], cfg.k, cfg.cap_bounds, sw.total, len(sw.failures),
+          sw.probability, residue_bound, within)])
     rows = [(run.caps, [o.value for o in run.outcomes], run.x_prefix)
-            for run in failures]
+            for run in sw.failures]
     fail_text = csv_text(["caps", "outcomes", "x_prefix"], rows)
     arts = (ctx.write(exp, ".csv", summary), ctx.write(exp, "_failures.csv", fail_text))
     return RunFact(exp.name, exp.kind, within, arts,
-                   {"probability": prob, "bound": residue_bound})
+                   {"probability": sw.probability, "bound": residue_bound})
 
 
 def _axis_pattern(outcomes: Sequence[Outcome]) -> Tuple[bool, Optional[int]]:
     """ActiveSuccess* ActiveFailure? PassiveSuccess*, else not a pattern."""
-    fail_at = None
-    state = 0  # 0 = successes, 1 = past the failure
-    for i, o in enumerate(outcomes):
-        if o is Outcome.ACTIVE_FAILURE:
-            if state == 1:
-                return False, None
-            fail_at = i
-            state = 1
-        elif o is Outcome.ACTIVE_SUCCESS:
-            if state == 1:
-                return False, None
-        elif o is Outcome.PASSIVE_SUCCESS:
-            state = 1
-        else:
-            return False, None
-    return True, fail_at
+    i = 0
+    while i < len(outcomes) and outcomes[i] is Outcome.ACTIVE_SUCCESS:
+        i += 1
+    fail_at = i if i < len(outcomes) and outcomes[i] is Outcome.ACTIVE_FAILURE else None
+    if all(o is Outcome.PASSIVE_SUCCESS for o in outcomes[i + (fail_at is not None):]):
+        return True, fail_at
+    return False, None
 
 
 def _run_fireworks_trichotomy(ctx: Context, exp: Experiment) -> RunFact:
-    where = exp.name
-    params = dict(exp.params)
-    cfg = _fireworks_config(ctx, exp, params, where)
-    _done(params, where)
-    cache: Dict[Tuple[int, ...], Tuple[Outcome, ...]] = {}
-
-    def outcomes(caps: Tuple[int, ...]) -> Tuple[Outcome, ...]:
-        if caps not in cache:
-            cache[caps] = run_fireworks(cfg, caps).outcomes
-        return cache[caps]
-
+    cfg = _fireworks_config(ctx, exp, dict(exp.params))
+    table = {run.caps: run.outcomes for run in sweep_runs(cfg)}
     rows = []
     ok = True
-    count = len(cfg.cap_bounds)
-    for e in range(count):
-        others = [range(1, cfg.cap_bounds[i] + 1) for i in range(count) if i != e]
-        def fixings(axes):
-            if not axes:
-                yield ()
-                return
-            for head in axes[0]:
-                for tail in fixings(axes[1:]):
-                    yield (head,) + tail
-        for fixed in fixings(others):
-            axis = []
-            for cap in range(1, cfg.cap_bounds[e] + 1):
-                caps = fixed[:e] + (cap,) + fixed[e:]
-                axis.append(outcomes(caps)[e])
+    ranges = [range(1, n + 1) for n in cfg.cap_bounds]
+    for e, axis_caps in enumerate(ranges):
+        for fixed in itertools.product(*ranges[:e], *ranges[e + 1:]):
+            axis = [table[fixed[:e] + (cap,) + fixed[e:]][e] for cap in axis_caps]
             good, fail_at = _axis_pattern(axis)
             ok = ok and good
             rows.append((e, fixed, [o.value for o in axis],
@@ -385,16 +373,12 @@ def _run_fireworks_trichotomy(ctx: Context, exp: Experiment) -> RunFact:
 
 
 def _run_fireworks_extract(ctx: Context, exp: Experiment) -> RunFact:
-    where = exp.name
-    params = dict(exp.params)
-    cfg = _fireworks_config(ctx, exp, params, where)
-    _done(params, where)
-    sets = extract_failure_sets(cfg)
-    prob = exact_failure_probability(cfg)
+    cfg = _fireworks_config(ctx, exp, dict(exp.params))
+    sw = sweep(cfg)
     union = EMPTY_SET
     rows = []
     ok = True
-    for e, fs in enumerate(sets):
+    for e, fs in enumerate(sw.failure_sets()):
         residue = fs.residue()
         union = union | residue
         bound = Dyadic(1, cfg.cap_bounds[e].bit_length() - 1)
@@ -402,12 +386,12 @@ def _run_fireworks_extract(ctx: Context, exp: Experiment) -> RunFact:
         ok = ok and fits
         rows.append((e, fs.committed.final(), fs.answered.final(), residue,
                      residue.measure(), bound, fits))
-    agrees = union.measure() == prob
+    agrees = union.measure() == sw.probability
     ok = ok and agrees
     text = csv_text(["strategy", "committed", "answered", "residue",
                      "residue_measure", "measure_bound", "within_bound"], rows)
     tail = csv_text(["union_measure", "sweep_probability", "agree"],
-                    [(union.measure(), prob, agrees)])
+                    [(union.measure(), sw.probability, agrees)])
     arts = (ctx.write(exp, ".csv", text), ctx.write(exp, "_union.csv", tail))
     return RunFact(exp.name, exp.kind, ok, arts)
 

@@ -11,9 +11,8 @@ from fractions import Fraction
 
 from randlab import (BitString, CylinderSet, DemuthTest, Dyadic,
                      FireworksConfig, Outcome, brute_measure,
-                     exact_failure_probability, from_nat, kg_decode,
-                     kg_encode, run_fireworks, uniform_suffix_set,
-                     verify_demuth)
+                     from_nat, kg_decode, kg_encode, run_fireworks, sweep,
+                     uniform_suffix_set, verify_demuth)
 from randlab.coding import gamma_decode, stabilization_stage, w2r_encode
 from randlab.demuth import demuth_to_diffunion, diffunion_to_demuth
 from randlab.generators import (build_working_w2r, hitting_run, random_bits,
@@ -54,7 +53,7 @@ def test_criterion_01_failure_bound():
     bound_ok = True
     for _, advs, p in _fireworks_suites():
         cfg = FireworksConfig.build(advs, 2, p["target_length"], p["stage_budget"])
-        prob = exact_failure_probability(cfg)
+        prob = sweep(cfg).probability
         residue = sum(Fraction(1, n) for n in cfg.cap_bounds)
         bound_ok = bound_ok and prob.as_fraction() <= residue < Fraction(1, 4)
         sizes.append(len(advs))

@@ -9,17 +9,23 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import randlab.fireworks
+import randlab.scenario
 from randlab.bitstring import BitString
 from randlab.cylinders import CylinderSet
 from randlab.dyadic import Dyadic
 from randlab.errors import GuardExceeded, RandlabError
-from randlab.fireworks import (FireworksConfig, Outcome, Requirement,
-                               caps_from_seed, check_requirement,
-                               default_cap_bounds, exact_failure_probability,
-                               extract_failure_sets, oracle_block_caps,
-                               run_fireworks, sweep_runs)
-from randlab.staged import Enumerator
+from randlab.fireworks import (FailureSets, FireworksConfig, Outcome,
+                               Requirement, _cap_space, caps_from_seed,
+                               check_requirement, default_cap_bounds,
+                               oracle_block_caps, run_fireworks, sweep,
+                               sweep_runs)
+from randlab.scenario import (ObjectTable, SCENARIO_DIR, load_scenario,
+                              run_scenario)
+from randlab.staged import Enumerator, StagedOpenSet, by_stage
 
 SILENT = Enumerator([], horizon=0)
 
@@ -45,7 +51,7 @@ def test_silent_adversary_always_passive():
         run = run_fireworks(cfg, (cap,))
         assert run.outcomes == (Outcome.PASSIVE_SUCCESS,)
         assert run.x_prefix == BitString("0" * 6)
-    assert exact_failure_probability(cfg) == Dyadic(0)
+    assert sweep(cfg).probability == Dyadic(0)
 
 
 def test_one_shot_commitment_fails_only_at_cap_one():
@@ -70,13 +76,13 @@ def test_one_shot_commitment_fails_only_at_cap_one():
         assert run.records[0].guesses_made == 2
         assert not run.failed
 
-    assert exact_failure_probability(cfg) == Dyadic(1, 2)
+    assert sweep(cfg).probability == Dyadic(1, 2)
 
 
 def test_one_shot_failure_sets():
     w = Enumerator([(1, ["1"])], horizon=1)
     cfg = FireworksConfig.build([w], k=1, target_length=3, stage_budget=6)
-    (fs,) = extract_failure_sets(cfg)
+    (fs,) = sweep(cfg).failure_sets()
     # Only the cap-1 oracle block 00 commits, and nothing answers it.
     assert fs.committed.final() == CylinderSet.cylinder("00")
     assert fs.answered.final().is_empty()
@@ -93,16 +99,16 @@ def test_ladder_axis_is_sharp():
     # Each answered commitment adopts the refuting rung of the next stage.
     assert run_fireworks(cfg, (1,)).x_prefix.prefix(2) == BitString("01")
     assert run_fireworks(cfg, (2,)).x_prefix.prefix(3) == BitString("001")
-    assert exact_failure_probability(cfg) == Dyadic(1, 2)
+    assert sweep(cfg).probability == Dyadic(1, 2)
 
 
 def test_ladder_residue_is_the_failing_block():
     cfg = FireworksConfig.build([ladder()], k=1, target_length=64, stage_budget=40)
-    (fs,) = extract_failure_sets(cfg)
+    (fs,) = sweep(cfg).failure_sets()
     # All four caps commit; only cap 4 (oracle block 11) goes unanswered.
     assert fs.committed.final().is_full()
     assert fs.residue() == CylinderSet.cylinder("11")
-    assert fs.residue().measure() == exact_failure_probability(cfg)
+    assert fs.residue().measure() == sweep(cfg).probability
 
 
 AXIS = re.compile(r"^(ActiveSuccess )*(ActiveFailure )?(PassiveSuccess )*$")
@@ -123,19 +129,19 @@ def test_duet_trichotomy_and_silent_immunity():
     for outcomes in table.values():
         assert outcomes[1] is Outcome.PASSIVE_SUCCESS
     failing = sum(1 for o in table.values() if Outcome.ACTIVE_FAILURE in o)
-    assert exact_failure_probability(cfg) == Dyadic(failing, 4)
+    assert sweep(cfg).probability == Dyadic(failing, 4)
 
 
 def test_extract_union_matches_sweep_probability():
     cfg = FireworksConfig.build([ladder(), SILENT], k=1, target_length=64,
                                 stage_budget=40, cap_bounds=(4, 4))
-    sets = extract_failure_sets(cfg)
+    sets = sweep(cfg).failure_sets()
     union = CylinderSet.normalize([])
     for e, fs in enumerate(sets):
         residue = fs.residue()
         assert residue.measure() <= Fraction(1, cfg.cap_bounds[e])
         union = union | residue
-    assert union.measure() == exact_failure_probability(cfg)
+    assert union.measure() == sweep(cfg).probability
 
 
 def test_oracle_block_caps():
@@ -175,7 +181,7 @@ def test_sweep_guard():
     cfg = FireworksConfig.build([SILENT, SILENT], k=0, target_length=4,
                                 stage_budget=8, cap_bounds=(1 << 13, 1 << 13))
     with pytest.raises(GuardExceeded):
-        exact_failure_probability(cfg)
+        sweep(cfg).probability
 
 
 def test_check_requirement():
@@ -195,3 +201,123 @@ def test_strategy_queries_before_their_prefix_raise():
         st.refuted(0)
     with pytest.raises(RandlabError, match="before committing"):
         st.answer(0)
+
+
+# The two whole-sweep functions `sweep` replaced, kept verbatim as oracles:
+# each enumerates the cap vectors on its own.
+
+def exact_failure_probability(cfg):
+    total = _cap_space(cfg)
+    failures = sum(1 for run in sweep_runs(cfg) if run.failed)
+    exp = total.bit_length() - 1
+    if 1 << exp != total:
+        raise RandlabError(f"cap space {total} is not a power of two")
+    return Dyadic(failures, exp)
+
+
+def extract_failure_sets(cfg):
+    _cap_space(cfg)
+    lengths = cfg.block_lengths
+    total_bits = sum(lengths)
+    committed = [[] for _ in cfg.adversaries]
+    answered = [[] for _ in cfg.adversaries]
+    for v in range(1 << total_bits):
+        oracle = BitString(format(v, f"0{total_bits}b") if total_bits else "")
+        caps = oracle_block_caps(oracle, cfg.cap_bounds)
+        run = run_fireworks(cfg, caps)
+        for rec in run.records:
+            if rec.active_stage is not None:
+                committed[rec.index].append((rec.active_stage, oracle))
+                if rec.answer_stage is not None:
+                    answered[rec.index].append((rec.answer_stage, oracle))
+    out = []
+    for e in range(len(cfg.adversaries)):
+        u = StagedOpenSet.from_events(by_stage(committed[e]), cfg.stage_budget)
+        v = StagedOpenSet.from_events(by_stage(answered[e]), cfg.stage_budget)
+        out.append(FailureSets(u, v))
+    return tuple(out)
+
+
+def assert_sweep_matches_references(cfg):
+    sw = sweep(cfg)
+    runs = list(sweep_runs(cfg))
+    assert sw.total == len(runs)
+    assert sw.probability == exact_failure_probability(cfg)
+    assert sw.failures == tuple(r for r in runs if r.failed)
+    bits = sum(cfg.block_lengths)
+    for i, run in enumerate(runs):
+        oracle = BitString(format(i, f"0{bits}b") if bits else "")
+        assert oracle_block_caps(oracle, cfg.cap_bounds) == run.caps
+    got, want = sw.failure_sets(), extract_failure_sets(cfg)
+    assert len(got) == len(want) == len(cfg.adversaries)
+    for g, w in zip(got, want):
+        for side in ("committed", "answered"):
+            a, b = getattr(g, side), getattr(w, side)
+            assert a.horizon == b.horizon
+            for stage in range(-1, cfg.stage_budget + 2):
+                assert a.open_at(stage) == b.open_at(stage), (side, stage)
+            assert a.final() == b.final()
+
+
+def bundled_fireworks_configs():
+    configs = {}
+    for name in ("fireworks_small", "fireworks_duet", "fireworks_bank"):
+        scen = load_scenario(SCENARIO_DIR / f"{name}.json")
+        table = ObjectTable(scen.objects)
+        for exp in scen.experiments:
+            p = exp.params
+            configs[(name, tuple(p["adversaries"]))] = FireworksConfig.build(
+                [table.enumerators[a] for a in p["adversaries"]], p["k"],
+                p["target_length"], p["stage_budget"], p["cap_bounds"])
+    return list(configs.values())
+
+
+@pytest.mark.parametrize("cfg", bundled_fireworks_configs(),
+                         ids=["small", "duet", "bank"])
+def test_sweep_matches_the_per_vector_references_on_bundled_configs(cfg):
+    assert_sweep_matches_references(cfg)
+
+
+ladders = st.integers(1, 5).map(ladder)
+random_adversaries = st.dictionaries(
+    st.integers(1, 8),
+    st.lists(st.text(alphabet="01", min_size=1, max_size=4), min_size=1, max_size=3),
+    max_size=4,
+).map(lambda events: Enumerator(sorted(events.items()), horizon=9))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(ladders | random_adversaries, st.sampled_from((2, 4, 8))),
+                min_size=1, max_size=3),
+       st.integers(1, 24))
+def test_sweep_matches_the_per_vector_references_on_generated_adversaries(pairs, target):
+    advs, bounds = zip(*pairs)
+    cfg = FireworksConfig.build(advs, k=1, target_length=target, stage_budget=40,
+                                cap_bounds=bounds)
+    assert_sweep_matches_references(cfg)
+
+
+def test_bundled_scenarios_make_one_engine_run_per_vector_and_report(tmp_path, monkeypatch):
+    # Counts of runs do not depend on machine speed: sweep, extract and the
+    # trichotomy each run every vector once, a probe runs one.
+    calls = []
+    original = randlab.fireworks.run_fireworks
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(randlab.fireworks, "run_fireworks", counted)
+    monkeypatch.setattr(randlab.scenario, "run_fireworks", counted)
+    counts = {}
+    for name in ("fireworks_bank", "fireworks_duet", "fireworks_small"):
+        calls.clear()
+        result = run_scenario(load_scenario(SCENARIO_DIR / f"{name}.json"), tmp_path / name)
+        assert result.ok
+        counts[name] = len(calls)
+    assert counts == {"fireworks_bank": 8193, "fireworks_duet": 64, "fireworks_small": 13}
+
+
+def test_negative_k_is_refused():
+    with pytest.raises(RandlabError, match="k -1 must be non-negative"):
+        FireworksConfig.build([SILENT], k=-1, target_length=4, stage_budget=8)

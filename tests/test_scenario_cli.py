@@ -1,14 +1,21 @@
 """Scenario loading, the runner, and the command line front end."""
 
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import randlab
 from randlab.cli import main
 from randlab.errors import ScenarioError
+from randlab.fireworks import Outcome
 from randlab.scenario import (Experiment, Scenario, bundled_scenarios,
-                              GOLDEN_DIR, SCENARIO_DIR, load_scenario,
-                              run_scenario)
+                              GOLDEN_DIR, SCENARIO_DIR, _axis_pattern,
+                              load_scenario, run_scenario)
 
 
 def write_doc(tmp_path, doc, name="scen.json"):
@@ -200,3 +207,81 @@ def test_cli_version_runs():
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
+
+
+# 8192 * 4096 = 2^25 cap vectors, past the 2^24 sweep guard.
+HUGE_TRICHOTOMY = ["fireworks", "trichotomy", "--adversary", "1@1;01@2#3",
+                   "--adversary", "1@1#3", "--k", "1", "--cap-bounds", "8192,4096",
+                   "--target-length", "64", "--stage-budget", "40"]
+
+
+def test_cli_trichotomy_over_the_guard_exits_2_at_once():
+    env = dict(os.environ, PYTHONPATH=str(Path(randlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "randlab.cli", *HUGE_TRICHOTOMY],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 2
+    assert "cap sweep over 33554432 vectors refused" in proc.stderr
+
+
+def test_trichotomy_handler_refuses_a_sweep_over_the_guard(tmp_path):
+    objects = {"enumerators": {"a": {"events": [[1, ["1"]]], "horizon": 3}}}
+    exp = Experiment("tri", "fireworks_trichotomy",
+                     {"adversaries": ["a", "a"], "k": 1, "cap_bounds": [8192, 4096],
+                      "target_length": 64, "stage_budget": 40})
+    with pytest.raises(ScenarioError, match="tri: cap sweep over 33554432 vectors refused"):
+        run_scenario(Scenario("x", objects, (exp,)), tmp_path)
+
+
+LADDER = {"events": [[1, ["1"]], [2, ["01"]]], "horizon": 3}
+GOOD_SWEEP = {"name": "s", "kind": "fireworks_sweep", "adversaries": ["ladder"],
+              "k": 1, "cap_bounds": [4], "target_length": 8, "stage_budget": 12}
+
+
+@pytest.mark.parametrize("change, key", [
+    ({"adversaries": "ladder"}, "adversaries"),
+    ({"k": "1"}, "k"),
+    ({"kind": "fireworks_run", "caps": ["a"]}, "caps"),
+    ({"cap_bounds": ["4"]}, "cap_bounds"),
+    ({"stage_budget": True}, "stage_budget"),
+    ({"kind": "fireworks_run", "seed": [3]}, "seed"),
+])
+def test_cli_malformed_fireworks_parameters_exit_2(tmp_path, capsys, change, key):
+    doc = {"name": "bad", "objects": {"enumerators": {"ladder": LADDER}},
+           "experiments": [dict(GOOD_SWEEP, **change)]}
+    code = main(["run", str(write_doc(tmp_path, doc))])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: s: '{key}' must be" in err
+
+
+def test_cli_negative_k_with_default_cap_bounds_exits_2(capsys):
+    code = main(["fireworks", "sweep", "--adversary", "1@1", "--k", "-1",
+                 "--target-length", "4", "--stage-budget", "12"])
+    assert code == 2
+    assert "k -1 must be non-negative" in capsys.readouterr().err
+
+
+def _axis_pattern_reference(outcomes):
+    # The state machine _axis_pattern replaced, kept as an oracle.
+    fail_at = None
+    state = 0  # 0 = successes, 1 = past the failure
+    for i, o in enumerate(outcomes):
+        if o is Outcome.ACTIVE_FAILURE:
+            if state == 1:
+                return False, None
+            fail_at = i
+            state = 1
+        elif o is Outcome.ACTIVE_SUCCESS:
+            if state == 1:
+                return False, None
+        elif o is Outcome.PASSIVE_SUCCESS:
+            state = 1
+        else:
+            return False, None
+    return True, fail_at
+
+
+def test_axis_pattern_matches_the_state_machine_on_every_short_axis():
+    for n in range(6):
+        for axis in itertools.product(list(Outcome), repeat=n):
+            assert _axis_pattern(list(axis)) == _axis_pattern_reference(axis), axis
