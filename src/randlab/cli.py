@@ -13,7 +13,6 @@ import argparse
 import random
 import sys
 import tempfile
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from . import __version__
@@ -22,32 +21,28 @@ from .errors import RandlabError, ScenarioError
 from .coding import kg_decode, kg_encode
 from .generators import random_pi01_tree
 from .scenario import Experiment, Scenario, load_scenario, run_scenario
-from .staged import Enumerator
 
 
 def _parse_adversary(spec: str) -> Dict[str, object]:
     """'0,01@1;00@2' -> events; optional '#H' suffix overrides the horizon."""
-    horizon = None
-    if "#" in spec:
-        spec, tail = spec.rsplit("#", 1)
-        horizon = int(tail)
-    events = []
-    for part in spec.split(";"):
-        if not part:
-            continue
-        try:
+    body, hash_mark, tail = spec.partition("#")
+    try:
+        events = []
+        for part in filter(None, body.split(";")):
             strings, stage = part.rsplit("@", 1)
-        except ValueError:
-            raise ScenarioError(f"bad adversary event {part!r}, want STRINGS@STAGE")
-        events.append([int(stage), [s for s in strings.split(",") if s]])
-    raw: Dict[str, object] = {"events": events}
-    raw["horizon"] = horizon if horizon is not None else (
-        max((s for s, _ in events), default=0))
-    return raw
+            events.append([int(stage), _csv_strs(strings)])
+        horizon = int(tail) if hash_mark else max((s for s, _ in events), default=0)
+    except ValueError:
+        raise ScenarioError(f"bad adversary {spec!r}, want STRINGS@STAGE;... "
+                            "with integer stages and an optional integer #HORIZON")
+    return {"events": events, "horizon": horizon}
 
 
 def _csv_ints(text: str) -> List[int]:
-    return [int(x) for x in text.split(",") if x]
+    try:
+        return [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"want comma-separated integers, got {text!r}")
 
 
 def _csv_strs(text: str) -> List[str]:
@@ -88,17 +83,13 @@ def _fireworks_params(args) -> Dict[str, object]:
         "stage_budget": args.stage_budget,
     }
     if args.cap_bounds:
-        params["cap_bounds"] = _csv_ints(args.cap_bounds)
+        params["cap_bounds"] = args.cap_bounds
     return params
 
 
 def _cmd_run(args) -> int:
     scen = load_scenario(args.scenario)
-    out = args.out if args.out else None
-    if out is None:
-        with tempfile.TemporaryDirectory() as tmp:
-            return _emit(run_scenario(scen, tmp), False)
-    return _emit(run_scenario(scen, out), True)
+    return _run_inline(scen.name, scen.objects, scen.experiments, args.out or None)
 
 
 def _cmd_fireworks(args) -> int:
@@ -106,7 +97,7 @@ def _cmd_fireworks(args) -> int:
     params = _fireworks_params(args)
     if args.mode == "run":
         if args.caps:
-            params["caps"] = _csv_ints(args.caps)
+            params["caps"] = args.caps
         elif args.seed is not None:
             params["seed"] = args.seed
         else:
@@ -130,15 +121,12 @@ def _cmd_tests_convert(args) -> int:
 def _cmd_kg(args) -> int:
     rng = random.Random(args.seed)
     tree = random_pi01_tree(rng, depth=args.depth, horizon=args.horizon)
-    stem = BitString(args.stem)
     if args.mode == "encode":
-        payload = BitString(args.payload)
-        code = kg_encode(payload, stem, tree)
+        code = kg_encode(args.payload, args.stem, tree)
         sys.stdout.write(f"codeword {code}\n")
         sys.stdout.write(f"viable {'yes' if tree.viable(code, tree.horizon) else 'no'}\n")
         return 0
-    code = BitString(args.codeword)
-    payload = kg_decode(code, stem, tree, tree.horizon)
+    payload = kg_decode(args.codeword, args.stem, tree, tree.horizon)
     if payload is None:
         sys.stdout.write("decode failed\n")
         return 1
@@ -151,7 +139,7 @@ def _cmd_w2r(args) -> int:
         # Steered payloads stack up; the class must be deep enough to hold them.
         depth = args.depth if args.depth is not None else 220
         params = {"seed": args.seed,
-                  "positions": _csv_ints(args.positions),
+                  "positions": args.positions,
                   "patterns": _csv_strs(args.patterns),
                   "depth": depth, "horizon": args.horizon}
         exp = Experiment("hit", "w2r_hitting", params)
@@ -189,8 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fw.add_argument("--k", type=int, required=True)
     p_fw.add_argument("--target-length", type=int, required=True)
     p_fw.add_argument("--stage-budget", type=int, required=True)
-    p_fw.add_argument("--cap-bounds", help="comma-separated powers of two")
-    p_fw.add_argument("--caps", help="explicit cap vector for mode=run")
+    p_fw.add_argument("--cap-bounds", type=_csv_ints, help="comma-separated powers of two")
+    p_fw.add_argument("--caps", type=_csv_ints, help="explicit cap vector for mode=run")
     p_fw.add_argument("--seed", type=int, help="draw caps from this seed for mode=run")
     p_fw.add_argument("--trace", action="store_true")
     p_fw.add_argument("--out")
@@ -211,9 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_kg = sub.add_parser("kg", help="codeword embedding into a seeded class")
     p_kg.add_argument("mode", choices=["encode", "decode"])
     p_kg.add_argument("--seed", type=int, required=True)
-    p_kg.add_argument("--payload", help="bits to encode (mode=encode)")
-    p_kg.add_argument("--codeword", help="bits to decode (mode=decode)")
-    p_kg.add_argument("--stem", default="^")
+    p_kg.add_argument("--payload", type=BitString, help="bits to encode (mode=encode)")
+    p_kg.add_argument("--codeword", type=BitString, help="bits to decode (mode=decode)")
+    p_kg.add_argument("--stem", type=BitString, default="^")
     p_kg.add_argument("--depth", type=int, default=24)
     p_kg.add_argument("--horizon", type=int, default=8)
     p_kg.set_defaults(func=_cmd_kg)
@@ -222,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_w2r.add_argument("mode", choices=["encode", "hit"])
     p_w2r.add_argument("--seed", type=int, required=True)
     p_w2r.add_argument("--payloads", help="comma-separated payloads (encode)")
-    p_w2r.add_argument("--positions", help="dense-open offsets (hit)")
+    p_w2r.add_argument("--positions", type=_csv_ints, help="dense-open offsets (hit)")
     p_w2r.add_argument("--patterns", help="dense-open patterns (hit)")
     p_w2r.add_argument("--depth", type=int, default=None,
                        help="class depth (default 24, or 220 for hit)")

@@ -32,13 +32,10 @@ from .staged import Pi01Tree, StagedOpenSet
 
 def kucera_depth(sigma: BitString, tree: Pi01Tree, stage: int) -> int:
     """Least length with two or more fully intact extensions of `sigma`."""
-    for length in range(len(sigma) + 1, tree.depth + 1):
-        left = tree.leftmost_intact(sigma, length, stage)
-        if left is None:
-            continue
-        right = tree.rightmost_intact(sigma, length, stage)
-        if right != left:
-            return length
+    sigma = BitString(sigma)
+    span = tree.removed_open(stage).branching_span(sigma)
+    if span is not None and len(sigma) + span <= tree.depth:
+        return len(sigma) + span
     raise DepthExhausted(f"no branching level above {sigma} within depth {tree.depth}")
 
 

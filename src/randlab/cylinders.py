@@ -320,6 +320,34 @@ class CylinderSet:
             level = below
         return None
 
+    def branching_span(self, sigma: BitString) -> Optional[int]:
+        """Least span s such that two or more extensions of sigma of length
+        |sigma| + s have cylinders missing the set; None when the set
+        covers [sigma].
+
+        Breadth-first below sigma, counting (up to two) the paths into each
+        node of a level: the first level that reaches an empty subtree
+        answers, with one bit more when a single path reaches it.  A node
+        met on an earlier level meets every empty subtree below it sooner
+        there, so it is expanded once.
+        """
+        level: Dict[Node, int] = {_descend(self._tree, sigma.bits): 1}
+        seen: Set[_Node] = set()
+        span = 0
+        while level:
+            clear = level.get(False, 0)
+            if clear:
+                return span if clear > 1 else span + 1
+            below: Dict[Node, int] = {}
+            for node, paths in level.items():
+                if node is not True and node not in seen:
+                    seen.add(node)
+                    for child in (node.zero, node.one):
+                        below[child] = min(2, below.get(child, 0) + paths)
+            level = below
+            span += 1
+        return None
+
     def disjoint_extension(self, sigma: BitString, length: int, rightmost: bool = False) -> Optional[BitString]:
         """Lex-least (or, with `rightmost`, lex-greatest) extension of sigma
         at `length` whose cylinder misses the set; None when there is none."""

@@ -60,7 +60,6 @@ class FireworksConfig:
     cap_bounds: Tuple[int, ...]
     target_length: int
     stage_budget: int
-    defaults_used: bool = True
 
     @staticmethod
     def build(
@@ -86,7 +85,7 @@ class FireworksConfig:
                     f"adversary horizon {w.horizon} exceeds stage budget {stage_budget}; "
                     "outcomes at the horizon would be unsound"
                 )
-        cfg = FireworksConfig(adversaries, k, bounds, target_length, stage_budget, defaults)
+        cfg = FireworksConfig(adversaries, k, bounds, target_length, stage_budget)
         if defaults:
             total = sum(Dyadic(1, 0).as_fraction() / n for n in bounds)
             if total > Dyadic.half_pow(k).as_fraction():

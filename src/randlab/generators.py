@@ -9,15 +9,26 @@ Pass a `random.Random` so callers control reproducibility.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .bitstring import BitString, EMPTY
 from .cylinders import CylinderSet
 from .demuth import DemuthTest, DiffPair, DiffUnionTest, VersionedOpenSet
 from .dyadic import Dyadic
-from .errors import RandlabError
+from .errors import GuardExceeded, RandlabError, SchemeError
 from .staged import Enumerator, Pi01Tree, StagedOpenSet, TuringFunctional, by_stage
-from .coding import OpenFamily, W2RScheme, w2r_encode
+from .coding import OpenFamily, W2RScheme, extend_into_open, w2r_encode
+
+# Fixed shapes of the seeded material; the goldens were made with these values.
+_GROWTH_MAX = 2              # output bits a functional's label gains per level
+_REMOVAL_LEN_MAX = 8         # tree removals are shorter than this
+_REMOVAL_TRIES = 24          # removals drawn per tree
+_MIN_MEASURE = Dyadic(1, 1)  # floor on the measure of a tree's class
+_KEEP_ONE_IN = 2             # thinning keeps about one string in this many
+_DELAY_MAX = 2               # and delays each kept one by at most this many stages
+_FAMILY_TOP = 6              # strings drawn for the top level of a nested family
+_FAMILY_TOP_MAX_LEN = 6      # and their greatest length
+_ATTEMPTS = 64               # seeded schemes tried before a W2R run gives up
 
 
 def random_bits(rng: random.Random, length: int) -> BitString:
@@ -40,7 +51,7 @@ def random_open_set(rng: random.Random, horizon: int, count: int, max_len: int) 
 
 
 def random_functional(rng: random.Random, depth: int, axiom_count: int,
-                      horizon: int, growth_max: int = 2) -> TuringFunctional:
+                      horizon: int) -> TuringFunctional:
     """Grow outputs down a labeled tree, then date a sample of nodes.
 
     Along any branch the label only extends, so any two axioms with
@@ -56,7 +67,7 @@ def random_functional(rng: random.Random, depth: int, axiom_count: int,
             for bit in (0, 1):
                 child = node.append(bit)
                 grown = labels[node]
-                for _ in range(rng.randrange(growth_max + 1)):
+                for _ in range(rng.randrange(_GROWTH_MAX + 1)):
                     grown = grown.append(rng.getrandbits(1))
                 labels[child] = grown
                 nodes.append(child)
@@ -72,25 +83,23 @@ def random_functional(rng: random.Random, depth: int, axiom_count: int,
     return TuringFunctional(by_stage(pairs), horizon)
 
 
-def random_pi01_tree(rng: random.Random, depth: int = 24, horizon: int = 8,
-                     removal_len_max: int = 8, removal_tries: int = 24,
-                     min_measure: Optional[Dyadic] = None) -> Pi01Tree:
+def random_pi01_tree(rng: random.Random, depth: int = 24, horizon: int = 8) -> Pi01Tree:
     """Depth-bounded class with short removals and a floor on its measure.
 
-    Removals stay shorter than `removal_len_max`, so viable stems of any
+    Removals stay shorter than `_REMOVAL_LEN_MAX`, so viable stems of any
     greater length sit in untouched cylinders; the rejection loop keeps
-    the class at least `min_measure` big (half the space by default).
+    the class at least `_MIN_MEASURE` (half the space) big.
     """
-    if min_measure is None:
-        min_measure = Dyadic(1, 1)
-    if removal_len_max >= depth:
+    if _REMOVAL_LEN_MAX >= depth:
         raise RandlabError("removals must be shorter than the tree depth")
+    if horizon < 0:
+        raise RandlabError(f"horizon {horizon} must be non-negative")
     removed = CylinderSet.normalize([])
     kept: List[Tuple[int, BitString]] = []
-    for _ in range(removal_tries):
-        s = random_bits(rng, 1 + rng.randrange(removal_len_max))
+    for _ in range(_REMOVAL_TRIES):
+        s = random_bits(rng, 1 + rng.randrange(_REMOVAL_LEN_MAX))
         grown = removed | CylinderSet.cylinder(s)
-        if Dyadic.one() - grown.measure() < min_measure:
+        if Dyadic.one() - grown.measure() < _MIN_MEASURE:
             continue
         removed = grown
         kept.append((rng.randrange(horizon + 1), s))
@@ -135,14 +144,13 @@ def random_demuth_test(rng: random.Random, levels: int, version_bound: int,
     return DemuthTest(tuple(built), tuple(version_bound for _ in range(levels)), horizon)
 
 
-def thinned_delayed(rng: random.Random, source: StagedOpenSet, horizon: int,
-                    keep_one_in: int = 2, delay_max: int = 2) -> StagedOpenSet:
+def thinned_delayed(rng: random.Random, source: StagedOpenSet, horizon: int) -> StagedOpenSet:
     """Subset of `source` at every stage: drop strings, push stages later."""
     pairs: List[Tuple[int, BitString]] = []
     for stage, strings in source.enumerator.events:
         for s in strings:
-            if rng.randrange(keep_one_in) == 0:
-                pairs.append((min(horizon, stage + rng.randrange(delay_max + 1)), s))
+            if rng.randrange(_KEEP_ONE_IN) == 0:
+                pairs.append((min(horizon, stage + rng.randrange(_DELAY_MAX + 1)), s))
     return StagedOpenSet(Enumerator(by_stage(pairs), horizon))
 
 
@@ -161,39 +169,42 @@ def random_diffunion_test(rng: random.Random, levels: int, pair_bound: int,
     return DiffUnionTest(tuple(built), tuple(pair_bound for _ in range(levels)), horizon)
 
 
-def nested_family(rng: random.Random, levels: int, horizon: int,
-                  count: int = 6, max_len: int = 6) -> OpenFamily:
+def nested_family(rng: random.Random, levels: int, horizon: int) -> OpenFamily:
     """Descending chain built by thinning and delaying the level above."""
-    top = random_open_set(rng, horizon, count, max_len)
+    top = random_open_set(rng, horizon, _FAMILY_TOP, _FAMILY_TOP_MAX_LEN)
     chain = [top]
     for _ in range(levels - 1):
         chain.append(thinned_delayed(rng, chain[-1], horizon))
     return OpenFamily(tuple(chain))
 
 
+def _schemes(seed: int, stars: int, family_count: int, family_levels: int,
+             depth: int, horizon: int) -> Iterator[W2RScheme]:
+    """One scheme per attempt, each reseeded from (seed, attempt)."""
+    for attempt in range(_ATTEMPTS):
+        rng = random.Random(f"{seed}:{attempt}")
+        base = random_pi01_tree(rng, depth=depth, horizon=horizon)
+        families = tuple(nested_family(rng, family_levels, horizon)
+                         for _ in range(family_count))
+        yield W2RScheme(base, families, tuple(rng.randrange(family_count) for _ in range(stars)),
+                        horizon)
+
+
 def build_working_w2r(seed: int, payloads: Sequence[BitString],
                       family_count: int = 3, family_levels: int = 3,
-                      depth: int = 24, horizon: int = 8,
-                      attempts: int = 64) -> W2RScheme:
+                      depth: int = 24, horizon: int = 8) -> W2RScheme:
     """Deterministic retry until a scheme accepts the given payloads.
 
     Each attempt reseeds from (seed, attempt), so the first working scheme
     is a pure function of the arguments.
     """
-    stars_needed = len(payloads)
-    for attempt in range(attempts):
-        rng = random.Random(f"{seed}:{attempt}")
-        base = random_pi01_tree(rng, depth=depth, horizon=horizon)
-        families = tuple(nested_family(rng, family_levels, horizon)
-                         for _ in range(family_count))
-        stars = tuple(rng.randrange(family_count) for _ in range(stars_needed))
-        scheme = W2RScheme(base, families, stars, horizon)
+    for scheme in _schemes(seed, len(payloads), family_count, family_levels, depth, horizon):
         try:
             w2r_encode(payloads, scheme)
         except RandlabError:
             continue
         return scheme
-    raise RandlabError(f"no working scheme within {attempts} attempts")
+    raise RandlabError(f"no working scheme within {_ATTEMPTS} attempts")
 
 
 def random_functional_pair(rng: random.Random, depth: int = 5,
@@ -206,7 +217,7 @@ def random_functional_pair(rng: random.Random, depth: int = 5,
 
 def hitting_run(seed: int, opens: Sequence[CylinderSet],
                 family_count: int = 3, family_levels: int = 3,
-                depth: int = 220, horizon: int = 8, attempts: int = 64):
+                depth: int = 220, horizon: int = 8):
     """Steer one payload into each open set over a retried scheme.
 
     Retries swallow only scheme-shape failures (viability, guards); a
@@ -214,17 +225,7 @@ def hitting_run(seed: int, opens: Sequence[CylinderSet],
     problem and no reseeding can fix it.  Returns the scheme, payload list,
     per-step (n, steering_string) records, and the final encoding.
     """
-    from .coding import extend_into_open, w2r_encode
-    from .errors import GuardExceeded, SchemeError
-
-    opens = list(opens)
-    for attempt in range(attempts):
-        rng = random.Random(f"{seed}:{attempt}")
-        base = random_pi01_tree(rng, depth=depth, horizon=horizon)
-        families = tuple(nested_family(rng, family_levels, horizon)
-                         for _ in range(family_count))
-        stars = tuple(rng.randrange(family_count) for _ in opens)
-        scheme = W2RScheme(base, families, stars, horizon)
+    for scheme in _schemes(seed, len(opens), family_count, family_levels, depth, horizon):
         payloads: List[BitString] = []
         steps: List[Tuple[int, BitString]] = []
         try:
@@ -236,4 +237,4 @@ def hitting_run(seed: int, opens: Sequence[CylinderSet],
         except (SchemeError, GuardExceeded):
             continue
         return scheme, payloads, steps, enc
-    raise RandlabError(f"no scheme accepted the steered payloads within {attempts} attempts")
+    raise RandlabError(f"no scheme accepted the steered payloads within {_ATTEMPTS} attempts")

@@ -266,6 +266,8 @@ def classify_case(phi: TuringFunctional, psi: TuringFunctional, g_prefix: BitStr
     output either swallows `x` (its preimage got it) or pins a length-wise
     disagreement between the two computations.
     """
+    if not 0 <= stem_length <= len(g_prefix):
+        raise RandlabError(f"stem length {stem_length} outside 0..{len(g_prefix)}")
     stem = g_prefix.prefix(stem_length)
     n = to_nat(stem)
     trace = f_approx(phi, psi, stem, horizon)

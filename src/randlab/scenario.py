@@ -5,6 +5,10 @@ objects by name; `experiments` runs library operations over them (or over
 seeded generator material) and writes one or two report files each.
 Identical scenario plus seed gives byte-identical reports; every file name
 is derived from the scenario and experiment names only.
+
+Every JSON object is read by one `_Keys` reader, which checks each value
+against its kind; a missing, mistyped or unread key and a reference to an
+unknown object are each a `ScenarioError` naming its location (exit 2).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bitstring import BitString, from_nat
-from .cylinders import CylinderSet, EMPTY_SET, uniform_suffix_set
+from .cylinders import EMPTY_SET, uniform_suffix_set
 from .demuth import (DemuthTest, DiffPair, DiffUnionTest, VersionedOpenSet,
                      demuth_to_diffunion, diffunion_to_demuth, verify_demuth,
                      verify_diffunion)
@@ -67,165 +71,152 @@ def _err(where: str, msg: str) -> ScenarioError:
     return ScenarioError(f"{where}: {msg}")
 
 
-def _take(params: Dict[str, object], where: str, key: str, default=_err):
-    if key in params:
-        return params.pop(key)
-    if default is _err:
-        raise _err(where, f"missing required key '{key}'")
-    return default
-
-
-def _done(params: Dict[str, object], where: str) -> None:
-    if params:
-        raise _err(where, f"unknown keys {sorted(params)}")
-
-
 def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _take_int(params: Dict[str, object], where: str, key: str, default=_err):
-    v = _take(params, where, key, default)
-    if v is not default and not _is_int(v):
-        raise _err(where, f"'{key}' must be an integer, got {v!r}")
-    return v
+def _is_str(v: object) -> bool:
+    return isinstance(v, str)
 
 
-def _take_ints(params: Dict[str, object], where: str, key: str):
-    """An optional list of integers, None when absent."""
-    v = _take(params, where, key, None)
-    if v is not None and not (isinstance(v, list) and all(map(_is_int, v))):
-        raise _err(where, f"'{key}' must be a list of integers, got {v!r}")
-    return v
+def _is_bits(v: object) -> bool:
+    return isinstance(v, str) and (v == "^" or not v.strip("01"))
 
 
-def _events(raw: object, where: str) -> List[Tuple[int, List[str]]]:
-    if not isinstance(raw, list):
-        raise _err(where, "events must be a list of [stage, [strings]] pairs")
-    out = []
-    for item in raw:
-        if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], int)):
-            raise _err(where, f"bad event entry {item!r}")
-        out.append((item[0], list(item[1])))
-    return out
+def _list_of(check: Callable[[object], bool]) -> Callable[[object], bool]:
+    return lambda v: isinstance(v, list) and all(map(check, v))
 
 
-OBJECT_KINDS = ("enumerators", "open_sets", "cylinder_sets", "functionals",
-                "trees", "families", "demuth_tests", "diff_tests")
+def _pair_of(first: Callable[[object], bool],
+             second: Callable[[object], bool]) -> Callable[[object], bool]:
+    return lambda v: isinstance(v, list) and len(v) == 2 and first(v[0]) and second(v[1])
+
+
+# kind -> (check, what the value must be in errors)
+_KINDS: Dict[str, Tuple[Callable[[object], bool], str]] = {
+    "int": (_is_int, "an integer"),
+    "nat": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "positive": (lambda v: _is_int(v) and v > 0, "a positive integer"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "str": (_is_str, "a string"),
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "list": (lambda v: isinstance(v, list), "a list"),
+    "bits": (_is_bits, "a bit string"),
+    "ints": (_list_of(_is_int), "a list of integers"),
+    "nats": (_list_of(lambda v: _is_int(v) and v >= 0), "a list of non-negative integers"),
+    "names": (_list_of(_is_str), "a list of names"),
+    "bit_list": (_list_of(_is_bits), "a list of bit strings"),
+    "payloads": (lambda v: _list_of(_is_bits)(v) or isinstance(v, dict) and list(v) == ["all_up_to"]
+                 and _is_int(v["all_up_to"]), 'a list of bit strings or {"all_up_to": n}'),
+    "direction": (lambda v: v in ("d2u", "u2d"), "'d2u' or 'u2d'"),
+    "events": (_list_of(_pair_of(_is_int, _list_of(_is_bits))),
+               "a list of [stage, [bit strings]] events"),
+    "axiom_events": (_list_of(_pair_of(_is_int, _list_of(_pair_of(_is_bits, _is_bits)))),
+                     "a list of [stage, [[sigma, tau]]] events"),
+    "version_levels": (_list_of(_list_of(_pair_of(_is_int, _is_str))),
+                       "a list of levels of [stage, open set] versions"),
+    "pair_levels": (_list_of(_list_of(_pair_of(_is_str, _is_str))),
+                    "a list of levels of [open set, open set] pairs"),
+}
+
+_REQUIRED = object()
+
+
+class _Keys:
+    """The keys of one JSON object, each taken once and checked by kind."""
+
+    def __init__(self, raw: object, where: str) -> None:
+        if not isinstance(raw, dict):
+            raise _err(where, "must be an object")
+        self.left = dict(raw)
+        self.where = where
+
+    def take(self, key: str, kind: str, default=_REQUIRED):
+        if key not in self.left:
+            if default is _REQUIRED:
+                raise _err(self.where, f"missing required key '{key}'")
+            return default
+        value = self.left.pop(key)
+        check, what = _KINDS[kind]
+        if not check(value):
+            raise _err(self.where, f"'{key}' must be {what}, got {value!r}")
+        return value
+
+    def done(self) -> None:
+        if self.left:
+            raise _err(self.where, f"unknown keys {sorted(self.left)}")
+
+
+def _enumerator(keys: _Keys, table: "ObjectTable") -> Enumerator:
+    return Enumerator(keys.take("events", "events"), keys.take("horizon", "int"))
+
+
+def _functional(keys: _Keys, table: "ObjectTable") -> TuringFunctional:
+    return TuringFunctional(keys.take("events", "axiom_events"), keys.take("horizon", "int"))
+
+
+def _tree(keys: _Keys, table: "ObjectTable") -> Pi01Tree:
+    return Pi01Tree(keys.take("depth", "int"), keys.take("events", "events", []),
+                    keys.take("horizon", "int"))
+
+
+def _demuth_test(keys: _Keys, table: "ObjectTable") -> DemuthTest:
+    horizon = keys.take("horizon", "int")
+    bounds = keys.take("version_bounds", "ints")
+    levels = tuple(VersionedOpenSet([(stage, table.get("open_sets", ref, keys.where))
+                                     for stage, ref in level])
+                   for level in keys.take("levels", "version_levels"))
+    return DemuthTest(levels, tuple(bounds), horizon)
+
+
+def _diff_test(keys: _Keys, table: "ObjectTable") -> DiffUnionTest:
+    horizon = keys.take("horizon", "int")
+    bounds = keys.take("pair_bounds", "ints")
+    levels = tuple(tuple(DiffPair(table.get("open_sets", u, keys.where),
+                                  table.get("open_sets", v, keys.where))
+                         for u, v in level)
+                   for level in keys.take("levels", "pair_levels"))
+    return DiffUnionTest(levels, tuple(bounds), horizon)
+
+
+# kind -> (one object's name in errors, builder); built in this order, so a
+# test can name the open sets built before it.
+_OBJECTS: Dict[str, Tuple[str, Callable[[_Keys, "ObjectTable"], object]]] = {
+    "enumerators": ("enumerator", _enumerator),
+    "open_sets": ("open set", lambda keys, table: StagedOpenSet(_enumerator(keys, table))),
+    "functionals": ("functional", _functional),
+    "trees": ("tree", _tree),
+    "demuth_tests": ("test", _demuth_test),
+    "diff_tests": ("test", _diff_test),
+}
 
 
 class ObjectTable:
     """Named staged objects, built in dependency order."""
 
-    def __init__(self, raw: Dict[str, Dict[str, object]]) -> None:
-        for kind in raw:
-            if kind not in OBJECT_KINDS:
+    def __init__(self, raw: object) -> None:
+        keys = _Keys(raw, "objects")
+        for kind in keys.left:
+            if kind not in _OBJECTS:
                 raise _err("objects", f"unknown object kind '{kind}'")
-        self.enumerators: Dict[str, Enumerator] = {}
-        self.open_sets: Dict[str, StagedOpenSet] = {}
-        self.cylinder_sets: Dict[str, CylinderSet] = {}
-        self.functionals: Dict[str, TuringFunctional] = {}
-        self.trees: Dict[str, Pi01Tree] = {}
-        self.demuth_tests: Dict[str, DemuthTest] = {}
-        self.diff_tests: Dict[str, DiffUnionTest] = {}
-        for name, spec in sorted(raw.get("enumerators", {}).items()):
-            where = f"objects.enumerators.{name}"
-            spec = dict(spec)
-            events = _events(_take(spec, where, "events"), where)
-            horizon = _take(spec, where, "horizon")
-            _done(spec, where)
-            self.enumerators[name] = self._wrap(where, Enumerator, events, horizon)
-        for name, spec in sorted(raw.get("open_sets", {}).items()):
-            where = f"objects.open_sets.{name}"
-            spec = dict(spec)
-            events = _events(_take(spec, where, "events"), where)
-            horizon = _take(spec, where, "horizon")
-            _done(spec, where)
-            self.open_sets[name] = StagedOpenSet(self._wrap(where, Enumerator, events, horizon))
-        for name, spec in sorted(raw.get("cylinder_sets", {}).items()):
-            where = f"objects.cylinder_sets.{name}"
-            spec = dict(spec)
-            strings = _take(spec, where, "strings")
-            _done(spec, where)
-            self.cylinder_sets[name] = self._wrap(where, CylinderSet.normalize, strings)
-        for name, spec in sorted(raw.get("functionals", {}).items()):
-            where = f"objects.functionals.{name}"
-            spec = dict(spec)
-            raw_events = _take(spec, where, "events")
-            horizon = _take(spec, where, "horizon")
-            _done(spec, where)
-            events = [(s, [tuple(ax) for ax in axs]) for s, axs in _events(raw_events, where)]
-            self.functionals[name] = self._wrap(where, TuringFunctional, events, horizon)
-        for name, spec in sorted(raw.get("trees", {}).items()):
-            where = f"objects.trees.{name}"
-            spec = dict(spec)
-            depth = _take(spec, where, "depth")
-            events = _events(_take(spec, where, "events", []), where)
-            horizon = _take(spec, where, "horizon")
-            _done(spec, where)
-            self.trees[name] = self._wrap(where, Pi01Tree, depth, events, horizon)
-        for name, spec in sorted(raw.get("demuth_tests", {}).items()):
-            where = f"objects.demuth_tests.{name}"
-            spec = dict(spec)
-            horizon = _take(spec, where, "horizon")
-            bounds = _take(spec, where, "version_bounds")
-            levels_raw = _take(spec, where, "levels")
-            _done(spec, where)
-            levels = []
-            for lvl in levels_raw:
-                versions = [(stage, self.open_set(ref, where)) for stage, ref in lvl]
-                levels.append(self._wrap(where, VersionedOpenSet, versions))
-            self.demuth_tests[name] = self._wrap(
-                where, DemuthTest, tuple(levels), tuple(bounds), horizon)
-        for name, spec in sorted(raw.get("diff_tests", {}).items()):
-            where = f"objects.diff_tests.{name}"
-            spec = dict(spec)
-            horizon = _take(spec, where, "horizon")
-            bounds = _take(spec, where, "pair_bounds")
-            levels_raw = _take(spec, where, "levels")
-            _done(spec, where)
-            levels = []
-            for lvl in levels_raw:
-                pairs = tuple(DiffPair(self.open_set(u, where), self.open_set(v, where))
-                              for u, v in lvl)
-                levels.append(pairs)
-            self.diff_tests[name] = self._wrap(
-                where, DiffUnionTest, tuple(levels), tuple(bounds), horizon)
+        self._built: Dict[str, Dict[str, object]] = {}
+        for kind, (_, build) in _OBJECTS.items():
+            built = self._built[kind] = {}
+            for name, spec in sorted(keys.take(kind, "object", {}).items()):
+                spec_keys = _Keys(spec, f"objects.{kind}.{name}")
+                try:
+                    built[name] = build(spec_keys, self)
+                except ScenarioError:
+                    raise
+                except RandlabError as e:
+                    raise _err(spec_keys.where, str(e))
+                spec_keys.done()
 
-    @staticmethod
-    def _wrap(where: str, ctor, *args):
-        try:
-            return ctor(*args)
-        except RandlabError as e:
-            raise _err(where, str(e))
-        except (TypeError, ValueError) as e:
-            raise _err(where, str(e))
-
-    def _lookup(self, table: Dict[str, object], name: object, where: str, kind: str):
-        if not isinstance(name, str) or name not in table:
-            raise _err(where, f"unknown {kind} '{name}'")
-        return table[name]
-
-    def enumerator(self, name, where):
-        return self._lookup(self.enumerators, name, where, "enumerator")
-
-    def open_set(self, name, where):
-        return self._lookup(self.open_sets, name, where, "open set")
-
-    def cylinder_set(self, name, where):
-        return self._lookup(self.cylinder_sets, name, where, "cylinder set")
-
-    def functional(self, name, where):
-        return self._lookup(self.functionals, name, where, "functional")
-
-    def tree(self, name, where):
-        return self._lookup(self.trees, name, where, "tree")
-
-    def demuth_test(self, name, where):
-        return self._lookup(self.demuth_tests, name, where, "test")
-
-    def diff_test(self, name, where):
-        return self._lookup(self.diff_tests, name, where, "test")
+    def get(self, kind: str, name: str, where: str):
+        """The object of `kind` called `name`; `where` locates the reference."""
+        if name not in self._built[kind]:
+            raise _err(where, f"unknown {_OBJECTS[kind][0]} '{name}'")
+        return self._built[kind][name]
 
 
 SCENARIO_DIR = Path(__file__).parent / "scenarios"
@@ -241,30 +232,27 @@ def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError) as e:
+        raise ScenarioError(f"{path}: cannot read: {e}")
     except json.JSONDecodeError as e:
         raise ScenarioError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}")
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: top level must be an object")
-    doc = dict(raw)
-    name = _take(doc, str(path), "name")
-    objects = _take(doc, str(path), "objects", {})
-    experiments_raw = _take(doc, str(path), "experiments", [])
-    _done(doc, str(path))
-    experiments = []
-    seen = set()
-    for i, item in enumerate(experiments_raw):
-        where = f"experiments[{i}]"
-        if not isinstance(item, dict):
-            raise _err(where, "must be an object")
-        item = dict(item)
-        ename = _take(item, where, "name")
-        kind = _take(item, where, "kind")
-        if ename in seen:
-            raise _err(where, f"duplicate experiment name '{ename}'")
-        seen.add(ename)
+    doc = _Keys(raw, str(path))
+    name = doc.take("name", "str")
+    objects = doc.take("objects", "object", {})
+    entries = doc.take("experiments", "list", [])
+    doc.done()
+    experiments: List[Experiment] = []
+    for i, entry in enumerate(entries):
+        keys = _Keys(entry, f"experiments[{i}]")
+        ename = keys.take("name", "str")
+        kind = keys.take("kind", "str")
+        if any(e.name == ename for e in experiments):
+            raise _err(keys.where, f"duplicate experiment name '{ename}'")
         if kind not in HANDLERS:
-            raise _err(where, f"unknown experiment kind '{kind}'")
-        experiments.append(Experiment(ename, kind, item))
+            raise _err(keys.where, f"unknown experiment kind '{kind}'")
+        experiments.append(Experiment(ename, kind, keys.left))
     return Scenario(name, objects, tuple(experiments))
 
 
@@ -283,34 +271,27 @@ class Context:
         return fname
 
 
-def _fireworks_config(ctx: Context, exp: Experiment, params) -> FireworksConfig:
-    """The config read off `params`, which must hold no other key."""
-    where = exp.name
-    names = _take(params, where, "adversaries")
-    if not isinstance(names, list):
-        raise _err(where, f"'adversaries' must be a list of enumerator names, got {names!r}")
-    advs = [ctx.objects.enumerator(n, where) for n in names]
-    k = _take_int(params, where, "k")
-    target = _take_int(params, where, "target_length")
-    budget = _take_int(params, where, "stage_budget")
-    bounds = _take_ints(params, where, "cap_bounds")
-    cfg = FireworksConfig.build(advs, k, target, budget, bounds)
-    _done(params, where)
-    return cfg
+def _fireworks_config(ctx: Context, keys: _Keys) -> FireworksConfig:
+    """The config read off `keys`, which must hold no other key."""
+    names = keys.take("adversaries", "names")
+    k, target, budget = (keys.take(key, "int") for key in ("k", "target_length", "stage_budget"))
+    bounds = keys.take("cap_bounds", "ints", None)
+    keys.done()
+    advs = [ctx.objects.get("enumerators", n, keys.where) for n in names]
+    return FireworksConfig.build(advs, k, target, budget, bounds)
 
 
 def _run_fireworks_run(ctx: Context, exp: Experiment) -> RunFact:
-    where = exp.name
-    params = dict(exp.params)
-    caps = _take_ints(params, where, "caps")
-    seed = _take_int(params, where, "seed", None)
-    keep_trace = _take(params, where, "trace", False)
-    cfg = _fireworks_config(ctx, exp, params)
+    keys = _Keys(exp.params, exp.name)
+    caps = keys.take("caps", "ints", None)
+    seed = keys.take("seed", "int", None)
+    keep_trace = keys.take("trace", "bool", False)
+    cfg = _fireworks_config(ctx, keys)
     if caps is None:
         if seed is None:
-            raise _err(where, "need either caps or seed")
+            raise _err(exp.name, "need either caps or seed")
         caps = caps_from_seed(seed, cfg.cap_bounds)
-    run = run_fireworks(cfg, tuple(caps), keep_trace=bool(keep_trace))
+    run = run_fireworks(cfg, tuple(caps), keep_trace=keep_trace)
     rows = [(r.index, r.cap, r.outcome.value, r.guesses_made, r.final_guess,
              r.active_stage, r.answer_stage, r.failure_proven)
             for r in run.records]
@@ -326,7 +307,7 @@ def _run_fireworks_run(ctx: Context, exp: Experiment) -> RunFact:
 
 
 def _run_fireworks_sweep(ctx: Context, exp: Experiment) -> RunFact:
-    cfg = _fireworks_config(ctx, exp, dict(exp.params))
+    cfg = _fireworks_config(ctx, _Keys(exp.params, exp.name))
     sw = sweep(cfg)
     residue_bound = sum(Fraction(1, n) for n in cfg.cap_bounds)
     within = sw.probability.as_fraction() <= residue_bound
@@ -355,7 +336,7 @@ def _axis_pattern(outcomes: Sequence[Outcome]) -> Tuple[bool, Optional[int]]:
 
 
 def _run_fireworks_trichotomy(ctx: Context, exp: Experiment) -> RunFact:
-    cfg = _fireworks_config(ctx, exp, dict(exp.params))
+    cfg = _fireworks_config(ctx, _Keys(exp.params, exp.name))
     table = {run.caps: run.outcomes for run in sweep_runs(cfg)}
     rows = []
     ok = True
@@ -373,7 +354,7 @@ def _run_fireworks_trichotomy(ctx: Context, exp: Experiment) -> RunFact:
 
 
 def _run_fireworks_extract(ctx: Context, exp: Experiment) -> RunFact:
-    cfg = _fireworks_config(ctx, exp, dict(exp.params))
+    cfg = _fireworks_config(ctx, _Keys(exp.params, exp.name))
     sw = sweep(cfg)
     union = EMPTY_SET
     rows = []
@@ -427,37 +408,31 @@ def _convert_u2d_rows(test: DiffUnionTest):
 
 
 def _run_convert(ctx: Context, exp: Experiment) -> RunFact:
-    where = exp.name
-    params = dict(exp.params)
-    direction = _take(params, where, "direction")
-    test_name = _take(params, where, "test")
-    _done(params, where)
+    keys = _Keys(exp.params, exp.name)
+    direction = keys.take("direction", "direction")
+    test_name = keys.take("test", "str")
+    keys.done()
     if direction == "d2u":
-        test = ctx.objects.demuth_test(test_name, where)
-        rows, ok = _convert_d2u_rows(test)
+        rows, ok = _convert_d2u_rows(ctx.objects.get("demuth_tests", test_name, exp.name))
         header = ["level", "versions", "version_bound", "pairs", "pair_bound",
                   "final_identity"]
-    elif direction == "u2d":
-        test = ctx.objects.diff_test(test_name, where)
-        rows, ok = _convert_u2d_rows(test)
+    else:
+        rows, ok = _convert_u2d_rows(ctx.objects.get("diff_tests", test_name, exp.name))
         header = ["level", "versions", "version_bound", "measure",
                   "measure_bound", "covers_final", "ok"]
-    else:
-        raise _err(where, f"direction must be d2u or u2d, not {direction!r}")
     arts = (ctx.write(exp, ".csv", csv_text(header, rows)),)
     return RunFact(exp.name, exp.kind, ok, arts)
 
 
 def _run_convert_sweep(ctx: Context, exp: Experiment) -> RunFact:
-    where = exp.name
-    params = dict(exp.params)
-    direction = _take(params, where, "direction")
-    count = _take(params, where, "count")
-    seed = _take(params, where, "seed")
-    levels = _take(params, where, "levels", 4)
-    bound = _take(params, where, "bound", 4)
-    horizon = _take(params, where, "horizon", 8)
-    _done(params, where)
+    keys = _Keys(exp.params, exp.name)
+    direction = keys.take("direction", "direction")
+    count = keys.take("count", "nat")
+    seed = keys.take("seed", "int")
+    levels = keys.take("levels", "nat", 4)
+    bound = keys.take("bound", "positive", 4)
+    horizon = keys.take("horizon", "nat", 8)
+    keys.done()
     rows = []
     all_ok = True
     for i in range(count):
@@ -465,11 +440,9 @@ def _run_convert_sweep(ctx: Context, exp: Experiment) -> RunFact:
         if direction == "d2u":
             test = random_demuth_test(rng, levels, bound, horizon)
             _, ok = _convert_d2u_rows(test)
-        elif direction == "u2d":
+        else:
             test = random_diffunion_test(rng, levels, bound, horizon)
             _, ok = _convert_u2d_rows(test)
-        else:
-            raise _err(where, f"direction must be d2u or u2d, not {direction!r}")
         all_ok = all_ok and ok
         rows.append((i, f"{seed}:{i}", ok))
     text = csv_text(["instance", "seed", "ok"], rows)
@@ -477,27 +450,18 @@ def _run_convert_sweep(ctx: Context, exp: Experiment) -> RunFact:
     return RunFact(exp.name, exp.kind, all_ok, arts)
 
 
-def _payload_list(raw: object, where: str) -> List[BitString]:
-    if isinstance(raw, dict):
-        up_to = raw.get("all_up_to")
-        if not isinstance(up_to, int) or set(raw) != {"all_up_to"}:
-            raise _err(where, f"bad payload spec {raw!r}")
-        out = []
-        for length in range(up_to + 1):
-            out.extend(BitString.all_strings(length))
-        return out
-    if isinstance(raw, list):
-        return [BitString(p) for p in raw]
-    raise _err(where, f"bad payload spec {raw!r}")
+def _strings_up_to(length: int) -> List[BitString]:
+    return [s for n in range(length + 1) for s in BitString.all_strings(n)]
 
 
 def _run_kg_roundtrip(ctx: Context, exp: Experiment) -> RunFact:
-    where = exp.name
-    params = dict(exp.params)
-    tree = ctx.objects.tree(_take(params, where, "tree"), where)
-    stem = BitString(_take(params, where, "stem", "^"))
-    payloads = _payload_list(_take(params, where, "payloads"), where)
-    _done(params, where)
+    keys = _Keys(exp.params, exp.name)
+    tree = ctx.objects.get("trees", keys.take("tree", "str"), exp.name)
+    stem = BitString(keys.take("stem", "bits", "^"))
+    raw = keys.take("payloads", "payloads")
+    keys.done()
+    payloads = (_strings_up_to(raw["all_up_to"]) if isinstance(raw, dict)
+                else [BitString(p) for p in raw])
     rows = []
     ok = True
     for p in payloads:
@@ -513,15 +477,13 @@ def _run_kg_roundtrip(ctx: Context, exp: Experiment) -> RunFact:
 
 
 def _run_kg_sweep(ctx: Context, exp: Experiment) -> RunFact:
-    where = exp.name
-    params = dict(exp.params)
-    count = _take(params, where, "count")
-    seed = _take(params, where, "seed")
-    depth = _take(params, where, "depth", 24)
-    horizon = _take(params, where, "horizon", 8)
-    payload_len = _take(params, where, "payload_len", 4)
-    _done(params, where)
-    payloads = _payload_list({"all_up_to": payload_len}, where)
+    keys = _Keys(exp.params, exp.name)
+    count = keys.take("count", "nat")
+    seed = keys.take("seed", "int")
+    depth = keys.take("depth", "int", 24)
+    horizon = keys.take("horizon", "nat", 8)
+    payloads = _strings_up_to(keys.take("payload_len", "nat", 4))
+    keys.done()
     rows = []
     ok = True
     for i in range(count):
@@ -540,22 +502,19 @@ def _run_kg_sweep(ctx: Context, exp: Experiment) -> RunFact:
 
 
 def _run_w2r(ctx: Context, exp: Experiment) -> RunFact:
-    where = exp.name
-    params = dict(exp.params)
-    seed = _take(params, where, "seed")
-    payloads = [BitString(p) for p in _take(params, where, "payloads")]
-    family_count = _take(params, where, "family_count", 3)
-    family_levels = _take(params, where, "family_levels", 3)
-    depth = _take(params, where, "depth", 24)
-    horizon = _take(params, where, "horizon", 8)
-    _done(params, where)
+    keys = _Keys(exp.params, exp.name)
+    seed = keys.take("seed", "int")
+    payloads = [BitString(p) for p in keys.take("payloads", "bit_list")]
+    family_count = keys.take("family_count", "positive", 3)
+    family_levels = keys.take("family_levels", "nat", 3)
+    depth = keys.take("depth", "int", 24)
+    horizon = keys.take("horizon", "nat", 8)
+    keys.done()
     scheme = build_working_w2r(seed, payloads, family_count, family_levels,
                                depth, horizon)
     enc = w2r_encode(payloads, scheme)
     stab = stabilization_stage(payloads, scheme)
-    stream = BitString("^")
-    for p in payloads:
-        stream = stream + p
+    stream = BitString("".join(p.bits for p in payloads))
     t_max = max(scheme.horizon, stab) + len(stream)
     res = gamma_decode(enc.codeword, t_max, scheme)
     decoded = res.output_prefix()
@@ -569,9 +528,7 @@ def _run_w2r(ctx: Context, exp: Experiment) -> RunFact:
         if not agree and i < stab:
             early_disagreements += 1
         pos_rows.append((i, stream[i], bit, t, agree))
-    tail_ok = all(bit == stream[i]
-                  for i in range(stab, len(stream))
-                  for bit, _ in [res.positions.get(i, (None, None))])
+    tail_ok = all(agree for *_, agree in pos_rows[stab:])
     ok = decoded == stream and tail_ok
     head = csv_text(["codeword", "stabilization_stage", "decoded", "payload_stream",
                      "match", "early_disagreements"],
@@ -588,27 +545,24 @@ def _run_w2r(ctx: Context, exp: Experiment) -> RunFact:
 
 
 def _run_w2r_hitting(ctx: Context, exp: Experiment) -> RunFact:
-    where = exp.name
-    params = dict(exp.params)
-    seed = _take(params, where, "seed")
-    positions = _take(params, where, "positions")
-    patterns = _take(params, where, "patterns")
-    depth = _take(params, where, "depth", 220)
-    horizon = _take(params, where, "horizon", 8)
-    family_count = _take(params, where, "family_count", 3)
-    family_levels = _take(params, where, "family_levels", 3)
-    _done(params, where)
+    keys = _Keys(exp.params, exp.name)
+    seed = keys.take("seed", "int")
+    positions = keys.take("positions", "nats")
+    patterns = keys.take("patterns", "bit_list")
+    depth = keys.take("depth", "int", 220)
+    horizon = keys.take("horizon", "nat", 8)
+    family_count = keys.take("family_count", "positive", 3)
+    family_levels = keys.take("family_levels", "nat", 3)
+    keys.done()
     if len(positions) != len(patterns):
-        raise _err(where, "positions and patterns must pair up")
+        raise _err(exp.name, "positions and patterns must pair up")
     # Shared-subtree tries; materializing these opens as string lists would
     # cost 2^position generators each.
     opens = [uniform_suffix_set(BitString(p), pos)
              for pos, p in zip(positions, patterns)]
     scheme, payloads, steps, enc = hitting_run(
         seed, opens, family_count, family_levels, depth, horizon)
-    stream = BitString("^")
-    for p in payloads:
-        stream = stream + p
+    stream = BitString("".join(p.bits for p in payloads))
     t_max = max(scheme.horizon, len(stream)) + horizon
     decoded = gamma_decode(enc.codeword, t_max, scheme).output_prefix()
     rows = []
@@ -648,15 +602,14 @@ def _minpair_rows(phi, psi, nat_max: int, horizon: int):
 
 
 def _run_minpair_sweep(ctx: Context, exp: Experiment) -> RunFact:
-    where = exp.name
-    params = dict(exp.params)
-    count = _take(params, where, "count")
-    seed = _take(params, where, "seed")
-    nat_max = _take(params, where, "nat_max", 3)
-    horizon = _take(params, where, "horizon", 8)
-    depth = _take(params, where, "depth", 6)
-    axioms = _take(params, where, "axioms", 120)
-    _done(params, where)
+    keys = _Keys(exp.params, exp.name)
+    count = keys.take("count", "nat")
+    seed = keys.take("seed", "int")
+    nat_max = keys.take("nat_max", "nat", 3)
+    horizon = keys.take("horizon", "nat", 8)
+    depth = keys.take("depth", "int", 6)
+    axioms = keys.take("axioms", "nat", 120)
+    keys.done()
     rows = []
     all_ok = True
     for i in range(count):
@@ -675,15 +628,14 @@ def _run_minpair_sweep(ctx: Context, exp: Experiment) -> RunFact:
 
 
 def _run_minpair_case(ctx: Context, exp: Experiment) -> RunFact:
-    where = exp.name
-    params = dict(exp.params)
-    phi = ctx.objects.functional(_take(params, where, "phi"), where)
-    psi = ctx.objects.functional(_take(params, where, "psi"), where)
-    g_prefix = BitString(_take(params, where, "g"))
-    x = BitString(_take(params, where, "x"))
-    stem_length = _take(params, where, "stem_length")
-    horizon = _take(params, where, "horizon")
-    _done(params, where)
+    keys = _Keys(exp.params, exp.name)
+    phi = ctx.objects.get("functionals", keys.take("phi", "str"), exp.name)
+    psi = ctx.objects.get("functionals", keys.take("psi", "str"), exp.name)
+    g_prefix = BitString(keys.take("g", "bits"))
+    x = BitString(keys.take("x", "bits"))
+    stem_length = keys.take("stem_length", "int")
+    horizon = keys.take("horizon", "int")
+    keys.done()
     rep = classify_case(phi, psi, g_prefix, x, stem_length, horizon)
     lines = [
         f"stem {rep.stem} (nat {rep.n}): case {rep.case}\n",
@@ -707,9 +659,7 @@ def _run_minpair_case(ctx: Context, exp: Experiment) -> RunFact:
 
 
 def _run_interaction(ctx: Context, exp: Experiment) -> RunFact:
-    where = exp.name
-    params = dict(exp.params)
-    _done(params, where)
+    _Keys(exp.params, exp.name).done()
     rep = emit_interaction_report(ctx.result.facts)
     arts = (ctx.write(exp, ".txt", rep.render()),)
     return RunFact(exp.name, exp.kind, True, arts)

@@ -42,7 +42,7 @@ def _fireworks_suites():
             p = exp.params
             names = tuple(p["adversaries"])
             key = (scen.name, names, tuple(p.get("cap_bounds", ())))
-            advs = tuple(table.enumerators[a] for a in names)
+            advs = tuple(table.get("enumerators", a, scen.name) for a in names)
             suites[key] = (scen.name, advs, p)
     return sorted(suites.values(), key=lambda t: (t[0], len(t[1])))
 

@@ -7,6 +7,8 @@ every walk below is written out by hand next to its assertion.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randlab.bitstring import EMPTY, BitString, self_delimit
 from randlab.cylinders import CylinderSet, EMPTY_SET, uniform_suffix_set
@@ -17,7 +19,7 @@ from randlab.coding import (OpenFamily, W2RScheme, encode_bits, extend_into_open
 from randlab.errors import (DensityError, DepthExhausted, RandlabError,
                             SchemeError)
 from randlab.generators import (build_working_w2r, random_pi01_tree)
-from randlab.staged import Pi01Tree, StagedOpenSet
+from randlab.staged import Pi01Tree, StagedOpenSet, by_stage
 
 
 def crossbar(depth=6):
@@ -35,6 +37,36 @@ def test_kucera_depth_crossbar():
     cramped = Pi01Tree(2, [(0, ["00", "10"])])
     with pytest.raises(DepthExhausted):
         kucera_depth(BitString("01"), cramped, 0)
+
+
+def kucera_depth_reference(sigma, tree, stage):
+    # The per-length loop kucera_depth replaced, kept as an oracle.
+    for length in range(len(sigma) + 1, tree.depth + 1):
+        left = tree.leftmost_intact(sigma, length, stage)
+        if left is None:
+            continue
+        right = tree.rightmost_intact(sigma, length, stage)
+        if right != left:
+            return length
+    return None
+
+
+bit_strings = st.text(alphabet="01", max_size=7).map(BitString)
+
+
+@settings(max_examples=300, deadline=None)
+@given(depth=st.integers(1, 10),
+       removals=st.lists(st.tuples(st.integers(0, 4), st.text(alphabet="01", min_size=1,
+                                                               max_size=10)), max_size=8),
+       sigma=bit_strings, stage=st.integers(-1, 5))
+def test_kucera_depth_matches_the_per_length_loop(depth, removals, sigma, stage):
+    tree = Pi01Tree(depth, by_stage((s, r[:depth]) for s, r in removals), horizon=4)
+    want = kucera_depth_reference(sigma, tree, stage)
+    if want is None:
+        with pytest.raises(DepthExhausted):
+            kucera_depth(sigma, tree, stage)
+    else:
+        assert kucera_depth(sigma, tree, stage) == want
 
 
 def test_encode_bits_walks_extremes():

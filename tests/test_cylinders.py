@@ -192,6 +192,18 @@ def test_least_generator_of_a_shifted_core_reads_no_antichain():
     assert core._strings is None
 
 
+def test_branching_span_walks_a_shared_trie_once():
+    # 2^40 clear extensions of length 41, reached through one node per level.
+    far = uniform_suffix_set("1", 40)
+    start = time.perf_counter()
+    assert far.branching_span(BitString("")) == 41
+    assert time.perf_counter() - start < 0.5
+    # Below 0^40 only [0] is clear, so its two extensions split one bit later.
+    assert far.branching_span(BitString("0" * 40)) == 2
+    assert far.branching_span(BitString("0" * 40 + "1")) is None
+    assert EMPTY_SET.branching_span(BitString("01")) == 1
+
+
 def test_measure_of_shared_trie_is_exact():
     # One pattern bit fixed out of position+2: measure 2^-1 regardless of offset.
     for position in (0, 10, 33):
@@ -336,6 +348,7 @@ def test_deep_tries_need_no_recursion():
     tree = Pi01Tree(DEEP + 1, [(0, ["0" * DEEP, "0" * (DEEP - 1) + "1"])])
     assert tree.leftmost_intact("^", DEEP, 0) == BitString("0" * (DEEP - 2) + "10")
     assert tree.rightmost_intact("^", DEEP, 0) == BitString("1" * DEEP)
+    assert dense.branching_span(BitString("")) == DEEP + 1
 
 
 def test_unique_table_shrinks_when_sets_are_dropped():

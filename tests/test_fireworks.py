@@ -267,7 +267,7 @@ def bundled_fireworks_configs():
         for exp in scen.experiments:
             p = exp.params
             configs[(name, tuple(p["adversaries"]))] = FireworksConfig.build(
-                [table.enumerators[a] for a in p["adversaries"]], p["k"],
+                [table.get("enumerators", a, name) for a in p["adversaries"]], p["k"],
                 p["target_length"], p["stage_budget"], p["cap_bounds"])
     return list(configs.values())
 

@@ -13,7 +13,7 @@ import randlab
 from randlab.cli import main
 from randlab.errors import ScenarioError
 from randlab.fireworks import Outcome
-from randlab.scenario import (Experiment, Scenario, bundled_scenarios,
+from randlab.scenario import (HANDLERS, Experiment, Scenario, bundled_scenarios,
                               GOLDEN_DIR, SCENARIO_DIR, _axis_pattern,
                               load_scenario, run_scenario)
 
@@ -172,6 +172,12 @@ def test_cli_library_error_exits_3(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_negative_class_horizon_exits_3(capsys):
+    code = main(["kg", "encode", "--seed", "3", "--payload", "1", "--horizon", "-1"])
+    assert code == 3
+    assert "horizon -1 must be non-negative" in capsys.readouterr().err
+
+
 def test_cli_fireworks_sweep_inline(capsys):
     code = main(["fireworks", "sweep", "--adversary", "1@1", "--k", "1",
                  "--target-length", "4", "--stage-budget", "12",
@@ -285,3 +291,153 @@ def test_axis_pattern_matches_the_state_machine_on_every_short_axis():
     for n in range(6):
         for axis in itertools.product(list(Outcome), repeat=n):
             assert _axis_pattern(list(axis)) == _axis_pattern_reference(axis), axis
+
+
+# One object of each kind, for the experiments below to name.
+OBJECTS = {
+    "enumerators": {"w": {"events": [[1, ["1"]]], "horizon": 2}},
+    "open_sets": {"a": {"events": [[0, ["0"]]], "horizon": 2}},
+    "functionals": {"f": {"events": [[0, [["0", "1"]]]], "horizon": 2}},
+    "trees": {"t": {"depth": 9, "horizon": 2}},
+    "demuth_tests": {"d": {"horizon": 2, "version_bounds": [1], "levels": [[[0, "a"]]]}},
+    "diff_tests": {"u": {"horizon": 2, "pair_bounds": [1], "levels": [[["a", "a"]]]}},
+}
+
+
+def _with_experiment(**entry):
+    return {"name": "bad", "objects": OBJECTS, "experiments": [dict({"name": "e"}, **entry)]}
+
+
+FIREWORKS = {"adversaries": ["w"], "k": 1, "cap_bounds": [2], "target_length": 4,
+             "stage_budget": 4}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"name": 5}, "scen.json: 'name' must be a string, got 5"),
+    ({"name": "x", "objects": []}, "'objects' must be an object"),
+    ({"name": "x", "experiments": {"e": 1}}, "'experiments' must be a list"),
+    ({"name": "x", "experiments": [5]}, "experiments[0]: must be an object"),
+    ({"name": "x", "experiments": [{"name": 5, "kind": "interaction"}]},
+     "experiments[0]: 'name' must be a string"),
+    ({"name": "x", "objects": {"families": {}}}, "objects: unknown object kind 'families'"),
+    ({"name": "x", "objects": {"cylinder_sets": {"c": {"strings": ["0"]}}}},
+     "objects: unknown object kind 'cylinder_sets'"),
+    ({"name": "x", "objects": {"enumerators": {"a": [1]}}},
+     "objects.enumerators.a: must be an object"),
+    ({"name": "x", "objects": {"enumerators": {"a": {"events": [[True, ["1"]]], "horizon": 2}}}},
+     "objects.enumerators.a: 'events' must be"),
+    ({"name": "x", "objects": {"enumerators": {"a": {"events": [], "horizon": "2"}}}},
+     "objects.enumerators.a: 'horizon' must be an integer"),
+    ({"name": "x", "objects": {"open_sets": {"a": {"events": [[0, ["012"]]], "horizon": 2}}}},
+     "objects.open_sets.a: 'events' must be"),
+    ({"name": "x", "objects": {"functionals": {"f": {"events": [[0, [["0"]]]], "horizon": 2}}}},
+     "objects.functionals.f: 'events' must be"),
+    ({"name": "x", "objects": {"trees": {"t": {"depth": "8", "horizon": 2}}}},
+     "objects.trees.t: 'depth' must be an integer"),
+    ({"name": "x", "objects": {
+        "open_sets": {"a": {"events": [], "horizon": 2}},
+        "demuth_tests": {"d": {"horizon": 2, "version_bounds": [1], "levels": [[["0", "a"]]]}}}},
+     "objects.demuth_tests.d: 'levels' must be"),
+    ({"name": "x", "objects": {
+        "open_sets": {"a": {"events": [], "horizon": 2}},
+        "demuth_tests": {"d": {"horizon": 2, "version_bounds": [1], "levels": [[[0, "ghost"]]]}}}},
+     "objects.demuth_tests.d: unknown open set 'ghost'"),
+    ({"name": "x", "objects": {
+        "open_sets": {"a": {"events": [], "horizon": 2}},
+        "diff_tests": {"u": {"horizon": 2, "pair_bounds": [1], "levels": [["a"]]}}}},
+     "objects.diff_tests.u: 'levels' must be"),
+    ({"name": "x", "objects": {"enumerators": {"a": {"events": [[3, ["1"]]], "horizon": 2}}}},
+     "objects.enumerators.a: horizon 2 precedes last event at 3"),
+    (_with_experiment(kind="w2r", seed=5, payloads="01"),
+     "e: 'payloads' must be a list of bit strings, got '01'"),
+    (_with_experiment(kind="fireworks_run", caps=[1], trace="no", **FIREWORKS),
+     "e: 'trace' must be a boolean, got 'no'"),
+    (_with_experiment(kind="kg_sweep", count="2", seed=1), "e: 'count' must be a non-negative integer"),
+    (_with_experiment(kind="convert_sweep", direction="sideways", count=1, seed=1),
+     "e: 'direction' must be 'd2u' or 'u2d'"),
+    (_with_experiment(kind="w2r_hitting", seed=9, positions=["8"], patterns=["1"]),
+     "e: 'positions' must be a list of non-negative integers, got ['8']"),
+    (_with_experiment(kind="minpair_case", phi="f", psi="f", g="012", x="0",
+                      stem_length=1, horizon=2), "e: 'g' must be a bit string"),
+    (_with_experiment(kind="kg_roundtrip", tree="t", payloads={"all_up_to": "2"}),
+     "e: 'payloads' must be a list of bit strings or"),
+    (_with_experiment(kind="fireworks_sweep", **dict(FIREWORKS, adversaries=["w", 3])),
+     "e: 'adversaries' must be a list of names"),
+    (_with_experiment(kind="w2r", seed=5, payloads=["1"], family_count=0),
+     "e: 'family_count' must be a positive integer, got 0"),
+    (_with_experiment(kind="kg_sweep", count=1, seed=1, horizon=-1),
+     "e: 'horizon' must be a non-negative integer, got -1"),
+    (_with_experiment(kind="convert_sweep", direction="d2u", count=1, seed=1, bound=0),
+     "e: 'bound' must be a positive integer, got 0"),
+    (_with_experiment(kind="w2r_hitting", seed=9, positions=[-3], patterns=["1"]),
+     "e: 'positions' must be a list of non-negative integers"),
+    (_with_experiment(kind="minpair_case", phi="f", psi="f", g="0", x="0",
+                      stem_length=40, horizon=2), "e: stem length 40 outside 0..1"),
+])
+def test_malformed_scenario_exits_2_naming_its_location(tmp_path, capsys, doc, message):
+    code = main(["run", str(write_doc(tmp_path, doc))])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert message in err
+
+
+# Parameters each handler runs on; a new handler needs an entry here.
+MINIMAL_PARAMS = {
+    "fireworks_run": dict(FIREWORKS, caps=[1]),
+    "fireworks_sweep": FIREWORKS,
+    "fireworks_trichotomy": FIREWORKS,
+    "fireworks_extract": FIREWORKS,
+    "convert": {"direction": "u2d", "test": "u"},
+    "convert_sweep": {"direction": "d2u", "count": 1, "seed": 0},
+    "kg_roundtrip": {"tree": "t", "payloads": ["0"]},
+    "kg_sweep": {"count": 1, "seed": 0},
+    "w2r": {"seed": 5, "payloads": ["1"]},
+    "w2r_hitting": {"seed": 9, "positions": [8], "patterns": ["1"]},
+    "minpair_sweep": {"count": 1, "seed": 0},
+    "minpair_case": {"phi": "f", "psi": "f", "g": "0", "x": "0", "stem_length": 1,
+                     "horizon": 2},
+    "interaction": {},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HANDLERS))
+def test_every_handler_refuses_a_stray_key(tmp_path, kind):
+    ok = Experiment("e", kind, MINIMAL_PARAMS[kind])
+    run_scenario(Scenario("x", OBJECTS, (ok,)), tmp_path / "ok")
+    stray = Experiment("e", kind, dict(MINIMAL_PARAMS[kind], stray=1))
+    with pytest.raises(ScenarioError, match=r"^e: unknown keys \['stray'\]$"):
+        run_scenario(Scenario("x", OBJECTS, (stray,)), tmp_path / "stray")
+
+
+FIREWORKS_ARGS = ["--k", "1", "--target-length", "4", "--stage-budget", "12"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fireworks", "sweep", "--adversary", "1@x", *FIREWORKS_ARGS], "bad adversary '1@x'"),
+    (["fireworks", "sweep", "--adversary", "1@1#z", *FIREWORKS_ARGS], "bad adversary '1@1#z'"),
+    (["fireworks", "sweep", "--adversary", "1", *FIREWORKS_ARGS], "bad adversary '1'"),
+    (["fireworks", "sweep", "--adversary", "2@1", *FIREWORKS_ARGS],
+     "objects.enumerators.w0: 'events' must be"),
+    (["fireworks", "run", "--adversary", "1@1", "--caps", "a", *FIREWORKS_ARGS],
+     "argument --caps: want comma-separated integers, got 'a'"),
+    (["fireworks", "sweep", "--adversary", "1@1", "--cap-bounds", "4,q", *FIREWORKS_ARGS],
+     "argument --cap-bounds"),
+    (["w2r", "hit", "--seed", "1", "--positions", "8,x", "--patterns", "1,1"],
+     "argument --positions"),
+    (["w2r", "hit", "--seed", "1", "--positions", "8", "--patterns", "x"],
+     "hit: 'patterns' must be a list of bit strings"),
+    (["w2r", "encode", "--seed", "1", "--payloads", "1,2"],
+     "encode: 'payloads' must be a list of bit strings"),
+    (["kg", "encode", "--seed", "1", "--payload", "2"], "argument --payload"),
+    (["kg", "decode", "--seed", "1", "--codeword", "x"], "argument --codeword"),
+    (["kg", "encode", "--seed", "1", "--payload", "1", "--stem", "2"], "argument --stem"),
+    (["run", "no/such/scenario.json"], "no/such/scenario.json: cannot read"),
+])
+def test_cli_malformed_arguments_exit_2(capsys, argv, message):
+    try:
+        code = main(argv)
+    except SystemExit as stop:  # argparse refuses with exit status 2
+        code = stop.code
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert message in err
