@@ -12,19 +12,27 @@ Because a cap only matters at the strategy's own decision points, two runs
 differing in one cap coincide up to the first diverging decision.  That
 yields the sharp sweep picture: fixing all other caps, at most one value of
 a strategy's cap ends in an unanswered commitment, every smaller value ends
-answered, every larger one ends passively.  `sweep` runs every cap vector
-once, through `sweep_runs`, and folds the runs into what the reports read:
-the failing runs, the exact failure probability as a dyadic rational, and
-each strategy's commitments and answers on the oracle side.
+answered, every larger one ends passively.  `sweep` turns this into the
+algorithm: it replays the engine on boxes of cap vectors, one range per
+strategy, and splits a box only where `guesses < cap` is undecided on it,
+so it makes one run per behaviour and its leaf boxes tile the cap space.
+It folds the leaves into what the reports read: the failing runs, the
+exact failure probability as a dyadic rational, and each strategy's
+commitments and answers on the oracle side as aligned dyadic blocks.
+`SWEEP_GUARD` is there only for what is materialised per vector (the
+failing runs, the oracle blocks a box spells out): the walk itself needs no
+guard, though `sweep` still refuses cap spaces past it.  `sweep_runs`, one
+run per cap vector, is the brute-force reference the walk is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .bitstring import EMPTY, BitString
 from .cylinders import CylinderSet
@@ -72,6 +80,8 @@ class FireworksConfig:
         adversaries = tuple(adversaries)
         if k < 0:
             raise RandlabError(f"k {k} must be non-negative")
+        if target_length < 1:
+            raise RandlabError(f"target_length {target_length} must be positive")
         defaults = cap_bounds is None
         bounds = default_cap_bounds(len(adversaries), k) if defaults else tuple(cap_bounds)
         if len(bounds) != len(adversaries):
@@ -299,10 +309,123 @@ def _cap_space(cfg: FireworksConfig) -> int:
 
 
 def sweep_runs(cfg: FireworksConfig):
-    """Yield a run per cap vector, in lexicographic cap order."""
+    """Yield a run per cap vector, in lexicographic cap order.
+
+    The brute-force reference for `sweep`, which makes one run per box.
+    """
     _cap_space(cfg)
     for caps in itertools.product(*(range(1, n + 1) for n in cfg.cap_bounds)):
         yield run_fireworks(cfg, caps)
+
+
+def _with_caps(run: FireworksRun, caps: Tuple[int, ...]) -> FireworksRun:
+    return replace(run, caps=caps,
+                   records=tuple(replace(r, cap=c) for r, c in zip(run.records, caps)))
+
+
+@dataclass(frozen=True)
+class Leaf:
+    """A box of cap vectors, one range per strategy, that all make one run.
+
+    `run` is the run of the box's least vector; the run of any other vector
+    in the box differs from it only in the caps (`runs`).
+    """
+
+    box: Tuple[range, ...]
+    run: FireworksRun
+
+    @property
+    def volume(self) -> int:
+        return math.prod(map(len, self.box))
+
+    def runs(self) -> Iterator[FireworksRun]:
+        """The run of every vector in the box, in lexicographic cap order."""
+        for caps in itertools.product(*self.box):
+            yield _with_caps(self.run, caps)
+
+
+class _Cap:
+    """A strategy's cap while the engine replays a box: some value in lo..hi.
+
+    The engine reads a cap only through `guesses < cap`, which Python asks
+    of the cap as `cap > guesses`.  Undecided on lo..hi, it splits the box
+    at `guesses`: this replay keeps guesses+1..hi, and `pending` receives the
+    whole box as it stands with this cap in lo..guesses.
+    """
+
+    __slots__ = ("lo", "hi", "box", "pending")
+
+    def __init__(self, lo: int, hi: int, box: List["_Cap"], pending: list) -> None:
+        self.lo, self.hi, self.box, self.pending = lo, hi, box, pending
+
+    def __gt__(self, guesses: int) -> bool:
+        if self.lo <= guesses < self.hi:
+            self.pending.append(tuple((c.lo, guesses) if c is self else (c.lo, c.hi)
+                                      for c in self.box))
+            self.lo = guesses + 1
+        return guesses < self.lo
+
+    # The engine's range check; both sides are decided on every box.
+    def __ge__(self, n: int) -> bool:
+        return self._decided(self.lo >= n, self.hi < n, ">=", n)
+
+    def __le__(self, n: int) -> bool:
+        return self._decided(self.hi <= n, self.lo > n, "<=", n)
+
+    def _decided(self, holds: bool, fails: bool, op: str, n: int) -> bool:
+        if holds == fails:
+            raise RandlabError(f"cap in {self.lo}..{self.hi} {op} {n} is undecided")
+        return holds
+
+
+def _leaves(cfg: FireworksConfig) -> List[Leaf]:
+    """Replay the engine once per leaf box; the leaves tile the cap space.
+
+    A depth-first walk over an explicit stack of boxes, each a (lo, hi)
+    pair per strategy.  It holds one entry per behaviour, never one per
+    vector, so it needs no guard.  Leaves come in order of least vector.
+    """
+    pending = [tuple((1, n) for n in cfg.cap_bounds)]
+    leaves = []
+    while pending:
+        caps: List[_Cap] = []
+        caps.extend(_Cap(lo, hi, caps, pending) for lo, hi in pending.pop())
+        run = run_fireworks(cfg, caps)
+        box = tuple(range(c.lo, c.hi + 1) for c in caps)
+        leaves.append(Leaf(box, _with_caps(run, tuple(r.start for r in box))))
+    leaves.sort(key=lambda leaf: leaf.run.caps)
+    return leaves
+
+
+def _aligned_blocks(lo: int, hi: int, width: int) -> List[str]:
+    """lo..hi as the fewest aligned dyadic blocks of `width`-bit values,
+    each given by its prefix; lo..hi must not be all of them."""
+    out = []
+    while lo <= hi:
+        size = (lo & -lo).bit_length() - 1 if lo else width
+        while lo + (1 << size) - 1 > hi:
+            size -= 1
+        out.append(format(lo >> size, f"0{width - size}b"))
+        lo += 1 << size
+    return out
+
+
+def _box_oracles(box: Tuple[range, ...], cfg: FireworksConfig) -> List[BitString]:
+    """The oracles of a box's vectors as cylinders.
+
+    Block e holds cap - 1 in its block length, so the cap range of the last
+    strategy not free over its whole range is a few aligned blocks; the
+    blocks after it are free and the ones before it are spelt out.
+    """
+    last = max((e for e, (r, n) in enumerate(zip(box, cfg.cap_bounds)) if len(r) < n),
+               default=-1)
+    prefixes = [""]
+    for e in range(last + 1):
+        r, width = box[e], cfg.block_lengths[e]
+        blocks = (_aligned_blocks(r.start - 1, r.stop - 2, width) if e == last
+                  else [format(cap - 1, f"0{width}b") for cap in r])
+        prefixes = [p + b for p in prefixes for b in blocks]
+    return [BitString(p) for p in prefixes]
 
 
 @dataclass(frozen=True)
@@ -318,19 +441,26 @@ class FailureSets:
 
 @dataclass(frozen=True)
 class Sweep:
-    """What the reports read off one pass over every cap vector.
+    """What the reports read off one walk over the cap space.
 
-    `failures` are the failing runs in lexicographic cap order, `probability`
-    their share of the `total` vectors.  `committed[e]` and `answered[e]` date
-    each oracle whose run has strategy e commit, or its commitment answered.
+    `leaves` tile the `total` vectors, in order of least vector;
+    `probability` is the share of vectors whose run fails.  `committed[e]`
+    and `answered[e]` date the oracle cylinders whose runs have strategy e
+    commit, or its commitment answered.
     """
 
     total: int
-    failures: Tuple[FireworksRun, ...]
+    leaves: Tuple[Leaf, ...]
     probability: Dyadic
     committed: Tuple[Tuple[Tuple[int, BitString], ...], ...]
     answered: Tuple[Tuple[Tuple[int, BitString], ...], ...]
     stage_budget: int
+
+    @property
+    def failures(self) -> Tuple[FireworksRun, ...]:
+        """The failing run of every vector, in lexicographic cap order."""
+        runs = (run for leaf in self.leaves if leaf.run.failed for run in leaf.runs())
+        return tuple(sorted(runs, key=lambda run: run.caps))
 
     def failure_sets(self) -> Tuple[FailureSets, ...]:
         """Commitment and answer cylinders per strategy, each a staged open
@@ -345,7 +475,7 @@ class Sweep:
 
 
 def sweep(cfg: FireworksConfig) -> Sweep:
-    """Run every cap vector once and fold the runs into a `Sweep`.
+    """Walk the cap boxes once and fold the leaves into a `Sweep`.
 
     Lexicographic cap order is oracle order: the i-th vector is the one
     `oracle_block_caps` reads off i written in sum(block_lengths) bits.
@@ -354,18 +484,17 @@ def sweep(cfg: FireworksConfig) -> Sweep:
     bits = sum(cfg.block_lengths)
     if 1 << bits != total:
         raise RandlabError(f"cap space {total} is not a power of two")
-    failures = []
+    leaves = _leaves(cfg)
     committed: List[List[Tuple[int, BitString]]] = [[] for _ in cfg.adversaries]
     answered: List[List[Tuple[int, BitString]]] = [[] for _ in cfg.adversaries]
-    for i, run in enumerate(sweep_runs(cfg)):
-        if run.failed:
-            failures.append(run)
-        oracle = BitString(format(i, f"0{bits}b") if bits else "")
-        for rec in run.records:
-            if rec.active_stage is not None:
-                committed[rec.index].append((rec.active_stage, oracle))
-                if rec.answer_stage is not None:
-                    answered[rec.index].append((rec.answer_stage, oracle))
-    return Sweep(total, tuple(failures), Dyadic(len(failures), bits),
+    for leaf in leaves:
+        records = [rec for rec in leaf.run.records if rec.active_stage is not None]
+        oracles = _box_oracles(leaf.box, cfg) if records else []
+        for rec in records:
+            committed[rec.index].extend((rec.active_stage, o) for o in oracles)
+            if rec.answer_stage is not None:
+                answered[rec.index].extend((rec.answer_stage, o) for o in oracles)
+    failing = sum(leaf.volume for leaf in leaves if leaf.run.failed)
+    return Sweep(total, tuple(leaves), Dyadic(failing, bits),
                  tuple(map(tuple, committed)), tuple(map(tuple, answered)),
                  cfg.stage_budget)

@@ -28,8 +28,7 @@ from .demuth import (DemuthTest, DiffPair, DiffUnionTest, VersionedOpenSet,
                      verify_diffunion)
 from .dyadic import Dyadic
 from .errors import RandlabError, ScenarioError
-from .fireworks import (FireworksConfig, Outcome, caps_from_seed, run_fireworks,
-                        sweep, sweep_runs)
+from .fireworks import FireworksConfig, Outcome, caps_from_seed, run_fireworks, sweep
 from .coding import (gamma_decode, kg_decode, kg_encode, stabilization_stage,
                      w2r_encode)
 from .generators import (build_working_w2r, hitting_run, random_demuth_test,
@@ -287,6 +286,8 @@ def _run_fireworks_run(ctx: Context, exp: Experiment) -> RunFact:
     seed = keys.take("seed", "int", None)
     keep_trace = keys.take("trace", "bool", False)
     cfg = _fireworks_config(ctx, keys)
+    if caps is not None and seed is not None:
+        raise _err(exp.name, "give 'caps' or 'seed', not both")
     if caps is None:
         if seed is None:
             raise _err(exp.name, "need either caps or seed")
@@ -309,15 +310,15 @@ def _run_fireworks_run(ctx: Context, exp: Experiment) -> RunFact:
 def _run_fireworks_sweep(ctx: Context, exp: Experiment) -> RunFact:
     cfg = _fireworks_config(ctx, _Keys(exp.params, exp.name))
     sw = sweep(cfg)
+    failures = sw.failures
     residue_bound = sum(Fraction(1, n) for n in cfg.cap_bounds)
     within = sw.probability.as_fraction() <= residue_bound
     summary = csv_text(
         ["adversaries", "k", "cap_bounds", "total_vectors", "failing_vectors",
          "failure_probability", "residue_bound", "within_bound"],
-        [(exp.params["adversaries"], cfg.k, cfg.cap_bounds, sw.total, len(sw.failures),
+        [(exp.params["adversaries"], cfg.k, cfg.cap_bounds, sw.total, len(failures),
           sw.probability, residue_bound, within)])
-    rows = [(run.caps, [o.value for o in run.outcomes], run.x_prefix)
-            for run in sw.failures]
+    rows = [(run.caps, [o.value for o in run.outcomes], run.x_prefix) for run in failures]
     fail_text = csv_text(["caps", "outcomes", "x_prefix"], rows)
     arts = (ctx.write(exp, ".csv", summary), ctx.write(exp, "_failures.csv", fail_text))
     return RunFact(exp.name, exp.kind, within, arts,
@@ -337,7 +338,8 @@ def _axis_pattern(outcomes: Sequence[Outcome]) -> Tuple[bool, Optional[int]]:
 
 def _run_fireworks_trichotomy(ctx: Context, exp: Experiment) -> RunFact:
     cfg = _fireworks_config(ctx, _Keys(exp.params, exp.name))
-    table = {run.caps: run.outcomes for run in sweep_runs(cfg)}
+    table = {caps: leaf.run.outcomes
+             for leaf in sweep(cfg).leaves for caps in itertools.product(*leaf.box)}
     rows = []
     ok = True
     ranges = [range(1, n + 1) for n in cfg.cap_bounds]

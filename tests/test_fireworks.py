@@ -5,7 +5,10 @@ expected outcome below was derived by walking the scheduler loop by hand
 before being frozen into an assertion.
 """
 
+import itertools
 import re
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,10 +22,10 @@ from randlab.cylinders import CylinderSet
 from randlab.dyadic import Dyadic
 from randlab.errors import GuardExceeded, RandlabError
 from randlab.fireworks import (FailureSets, FireworksConfig, Outcome,
-                               Requirement, _cap_space, caps_from_seed,
-                               check_requirement, default_cap_bounds,
-                               oracle_block_caps, run_fireworks, sweep,
-                               sweep_runs)
+                               Requirement, _aligned_blocks, _cap_space, _Cap,
+                               _leaves, caps_from_seed, check_requirement,
+                               default_cap_bounds, oracle_block_caps,
+                               run_fireworks, sweep, sweep_runs)
 from randlab.scenario import (ObjectTable, SCENARIO_DIR, load_scenario,
                               run_scenario)
 from randlab.staged import Enumerator, StagedOpenSet, by_stage
@@ -297,9 +300,10 @@ def test_sweep_matches_the_per_vector_references_on_generated_adversaries(pairs,
     assert_sweep_matches_references(cfg)
 
 
-def test_bundled_scenarios_make_one_engine_run_per_vector_and_report(tmp_path, monkeypatch):
+def test_bundled_scenarios_make_one_engine_run_per_box_and_report(tmp_path, monkeypatch):
     # Counts of runs do not depend on machine speed: sweep, extract and the
-    # trichotomy each run every vector once, a probe runs one.
+    # trichotomy each run every leaf box once, a probe runs one.  The bank
+    # has 12 leaves, the duet 3 and the small ladder 4 (one per cap).
     calls = []
     original = randlab.fireworks.run_fireworks
 
@@ -315,9 +319,102 @@ def test_bundled_scenarios_make_one_engine_run_per_vector_and_report(tmp_path, m
         result = run_scenario(load_scenario(SCENARIO_DIR / f"{name}.json"), tmp_path / name)
         assert result.ok
         counts[name] = len(calls)
-    assert counts == {"fireworks_bank": 8193, "fireworks_duet": 64, "fireworks_small": 13}
+    assert counts == {"fireworks_bank": 25, "fireworks_duet": 6, "fireworks_small": 13}
 
 
 def test_negative_k_is_refused():
     with pytest.raises(RandlabError, match="k -1 must be non-negative"):
         FireworksConfig.build([SILENT], k=-1, target_length=4, stage_budget=8)
+
+
+def test_non_positive_target_length_is_refused():
+    for target in (0, -4):
+        with pytest.raises(RandlabError, match=f"target_length {target} must be positive"):
+            FireworksConfig.build([SILENT], k=1, target_length=target, stage_budget=8)
+
+
+def assert_leaves_tile_the_sweep(cfg):
+    leaves = _leaves(cfg)
+    owner = {}
+    for leaf in leaves:
+        for caps in itertools.product(*leaf.box):
+            assert caps not in owner, "leaf boxes overlap"
+            owner[caps] = leaf
+    total = _cap_space(cfg)
+    assert sum(leaf.volume for leaf in leaves) == total == len(owner)
+    for run in sweep_runs(cfg):
+        leaf = owner[run.caps]
+        assert run == replace(leaf.run, caps=run.caps, records=tuple(
+            replace(r, cap=c) for r, c in zip(leaf.run.records, run.caps)))
+    for leaf in leaves:
+        assert [r.caps for r in leaf.runs()] == list(itertools.product(*leaf.box))
+
+
+@pytest.mark.parametrize("cfg", bundled_fireworks_configs(),
+                         ids=["small", "duet", "bank"])
+def test_leaves_tile_the_cap_space_on_bundled_configs(cfg):
+    assert_leaves_tile_the_sweep(cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(ladders | random_adversaries, st.sampled_from((2, 4, 8))),
+                min_size=1, max_size=3),
+       st.integers(1, 24))
+def test_leaves_tile_the_cap_space_on_generated_adversaries(pairs, target):
+    advs, bounds = zip(*pairs)
+    cfg = FireworksConfig.build(advs, k=1, target_length=target, stage_budget=40,
+                                cap_bounds=bounds)
+    assert_leaves_tile_the_sweep(cfg)
+
+
+def bank_config(bound):
+    scen = load_scenario(SCENARIO_DIR / "fireworks_bank.json")
+    table = ObjectTable(scen.objects)
+    advs = [table.get("enumerators", a, "bank") for a in ("creeper", "forker", "spotter")]
+    return FireworksConfig.build(advs, 2, 64, 40, (bound,) * 3)
+
+
+def test_box_walk_scales_with_behaviours_not_vectors(monkeypatch):
+    calls = []
+    original = randlab.fireworks.run_fireworks
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(randlab.fireworks, "run_fireworks", counted)
+    leaves = _leaves(bank_config(64))
+    assert sum(leaf.volume for leaf in leaves if leaf.run.failed) == 12097  # of 2^18
+    assert len(calls) == len(leaves) <= 16
+
+    # 2^60 vectors: far past SWEEP_GUARD, which only bounds `sweep`.
+    start = time.perf_counter()
+    leaves = _leaves(bank_config(1 << 20))
+    assert time.perf_counter() - start < 1.0
+    assert len(leaves) == 12
+    assert sum(leaf.volume for leaf in leaves) == 1 << 60
+    for a, b in itertools.combinations(leaves, 2):
+        assert any(ra.stop <= rb.start or rb.stop <= ra.start
+                   for ra, rb in zip(a.box, b.box)), "leaf boxes overlap"
+
+
+def test_undecided_range_check_raises():
+    cap = _Cap(2, 5, [], [])
+    assert cap >= 1 and cap <= 8 and not cap >= 6 and not cap <= 1
+    with pytest.raises(RandlabError, match=r"cap in 2..5 >= 3 is undecided"):
+        cap >= 3
+    with pytest.raises(RandlabError, match=r"cap in 2..5 <= 4 is undecided"):
+        cap <= 4
+
+
+def test_aligned_blocks_cover_exactly_the_range():
+    for width in range(1, 6):
+        for lo in range(1 << width):
+            for hi in range(lo, 1 << width):
+                if (lo, hi) == (0, (1 << width) - 1):
+                    continue
+                blocks = _aligned_blocks(lo, hi, width)
+                covered = [v for v in range(1 << width)
+                           for b in blocks if format(v, f"0{width}b").startswith(b)]
+                assert covered == list(range(lo, hi + 1)), (width, lo, hi)
+                assert len(blocks) <= 2 * width

@@ -267,6 +267,14 @@ def test_cli_negative_k_with_default_cap_bounds_exits_2(capsys):
     assert "k -1 must be non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["0", "-4"])
+def test_cli_non_positive_target_length_exits_2(capsys, target):
+    code = main(["fireworks", "sweep", "--adversary", "1@1", "--k", "1",
+                 "--target-length", target, "--stage-budget", "12", "--cap-bounds", "4"])
+    assert code == 2
+    assert f"target_length {target} must be positive" in capsys.readouterr().err
+
+
 def _axis_pattern_reference(outcomes):
     # The state machine _axis_pattern replaced, kept as an oracle.
     fail_at = None
@@ -352,6 +360,8 @@ FIREWORKS = {"adversaries": ["w"], "k": 1, "cap_bounds": [2], "target_length": 4
      "e: 'payloads' must be a list of bit strings, got '01'"),
     (_with_experiment(kind="fireworks_run", caps=[1], trace="no", **FIREWORKS),
      "e: 'trace' must be a boolean, got 'no'"),
+    (_with_experiment(kind="fireworks_run", caps=[2], seed=3, **FIREWORKS),
+     "e: give 'caps' or 'seed', not both"),
     (_with_experiment(kind="kg_sweep", count="2", seed=1), "e: 'count' must be a non-negative integer"),
     (_with_experiment(kind="convert_sweep", direction="sideways", count=1, seed=1),
      "e: 'direction' must be 'd2u' or 'u2d'"),
