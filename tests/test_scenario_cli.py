@@ -360,8 +360,6 @@ FIREWORKS = {"adversaries": ["w"], "k": 1, "cap_bounds": [2], "target_length": 4
      "e: 'payloads' must be a list of bit strings, got '01'"),
     (_with_experiment(kind="fireworks_run", caps=[1], trace="no", **FIREWORKS),
      "e: 'trace' must be a boolean, got 'no'"),
-    (_with_experiment(kind="fireworks_run", caps=[2], seed=3, **FIREWORKS),
-     "e: give 'caps' or 'seed', not both"),
     (_with_experiment(kind="kg_sweep", count="2", seed=1), "e: 'count' must be a non-negative integer"),
     (_with_experiment(kind="convert_sweep", direction="sideways", count=1, seed=1),
      "e: 'direction' must be 'd2u' or 'u2d'"),
@@ -383,6 +381,8 @@ FIREWORKS = {"adversaries": ["w"], "k": 1, "cap_bounds": [2], "target_length": 4
      "e: 'positions' must be a list of non-negative integers"),
     (_with_experiment(kind="minpair_case", phi="f", psi="f", g="0", x="0",
                       stem_length=40, horizon=2), "e: stem length 40 outside 0..1"),
+    (_with_experiment(kind="fireworks_run", caps=[2], seed=3, **FIREWORKS),
+     "e: give 'caps' or 'seed', not both"),
 ])
 def test_malformed_scenario_exits_2_naming_its_location(tmp_path, capsys, doc, message):
     code = main(["run", str(write_doc(tmp_path, doc))])
