@@ -107,6 +107,12 @@ class BitString:
 EMPTY = BitString("")
 
 
+def length_lex(s: BitString) -> Tuple[int, str]:
+    """Sort key of the length-lexicographic order, compared in C rather
+    than through `BitString.__lt__`."""
+    return len(s._bits), s._bits
+
+
 def to_nat(s: BitString) -> int:
     """Length-lex position of a string: ^ -> 0, 0 -> 1, 1 -> 2, 00 -> 3, ..."""
     return int("1" + s.bits, 2) - 1

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -319,8 +319,10 @@ def sweep_runs(cfg: FireworksConfig):
 
 
 def _with_caps(run: FireworksRun, caps: Tuple[int, ...]) -> FireworksRun:
-    return replace(run, caps=caps,
-                   records=tuple(replace(r, cap=c) for r, c in zip(run.records, caps)))
+    records = tuple(StrategyRecord(r.index, c, r.outcome, r.guesses_made, r.final_guess,
+                                   r.active_stage, r.answer_stage, r.failure_proven)
+                    for r, c in zip(run.records, caps))
+    return FireworksRun(run.x_prefix, caps, records, run.stages_used, run.halted_by, run.trace)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ structure exactly and reports where each branch's isolation sets in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .bitstring import EMPTY, BitString, to_nat
+from .bitstring import BitString, to_nat
 from .cylinders import CylinderSet
 from .dyadic import Dyadic
 from .errors import GuardExceeded, RandlabError
@@ -44,48 +44,61 @@ class PairFamily:
 
 
 def _max_antichain(strings: Sequence[BitString]) -> int:
-    """Largest pairwise-incomparable subset of a finite string set."""
-    present = set(strings)
-    nodes = set(present)
-    for s in present:
-        for i in range(len(s)):
-            nodes.add(s.prefix(i))
+    """Largest pairwise-incomparable subset of a finite string set.
 
-    def grow(node: BitString) -> int:
-        child_total = sum(grow(c) for c in (node.append(0), node.append(1)) if c in nodes)
-        return max(1 if node in present else 0, child_total)
-
-    return grow(EMPTY) if nodes else 0
+    One bottom-up pass over the trie of the strings' prefixes, longest
+    nodes first: a node's width is the larger of its own membership and
+    the sum of its children's widths.
+    """
+    present = {s.bits for s in strings}
+    nodes: Set[str] = set()
+    for bits in present:
+        # Stop at the first prefix already in: its own prefixes are too.
+        for i in range(len(bits), -1, -1):
+            if bits[:i] in nodes:
+                break
+            nodes.add(bits[:i])
+    width: Dict[str, int] = {}
+    for node in sorted(nodes, key=len, reverse=True):
+        children = width.get(node + "0", 0) + width.get(node + "1", 0)
+        width[node] = max(1 if node in present else 0, children)
+    return width.get("", 0)
 
 
 def _candidate_pool(phi: TuringFunctional, stem: BitString, stage: int) -> List[Tuple[BitString, BitString]]:
-    """Candidate (extension, output) pairs realized by stage `stage`.
+    """Candidate (extension, output) pairs realized by stage `stage`, in
+    length-lex order of the extension.
 
     Extensions come from axiom stems strictly extending `stem`; the output
     is the full value the functional grants there, so the pool is closed
     under the way values actually accumulate.
     """
     pool = []
+    last = None
+    # The snapshot is in length-lex order, so equal stems are neighbours.
     for ax_s, _ in phi.axioms_at(stage):
-        if ax_s.extends(stem) and ax_s != stem:
+        if ax_s != last and len(ax_s) > len(stem) and ax_s.extends(stem):
+            last = ax_s
             out = phi.apply(ax_s, stage)
             if len(out):
                 pool.append((ax_s, out))
-    return sorted(set(pool))
+    return pool
 
 
 def find_family(phi: TuringFunctional, stem: BitString, stage: int) -> Optional[PairFamily]:
     """Earliest lexicographically-first family of 2^Nat(stem) candidates.
 
-    Searches stage by stage; within a stage, candidates are taken greedily
-    in sorted order, with an exact width check keeping the greedy choice
-    completable.  None when no stage up to `stage` carries a family.
+    Searches stage 0 and then each event stage of `phi` up to `stage`, since
+    the pool only changes at events; within a stage, candidates are taken
+    greedily in length-lex order, with an exact width check keeping the
+    greedy choice completable.  None when no stage up to `stage` carries a
+    family.
     """
     n = to_nat(stem)
     want = 1 << n
     if want > FAMILY_GUARD:
         raise GuardExceeded(f"family of 2^{n} pairs refused (limit {FAMILY_GUARD})")
-    for s in range(stage + 1):
+    for s in phi.change_stages(stage):
         pool = _candidate_pool(phi, stem, s)
         outputs = [out for _, out in pool]
         if _max_antichain(outputs) < want:
@@ -140,23 +153,21 @@ def f_approx(phi: TuringFunctional, psi: TuringFunctional, stem: BitString, hori
     n = to_nat(stem)
     cap = Dyadic.half_pow(n)
     family = find_family(phi, stem, horizon)
-    values: List[BitString] = []
-    chosen: List[Optional[int]] = []
+    if family is None:
+        return FApprox(stem, None, (stem,) * (horizon + 1), (None,) * (horizon + 1))
+    found = family.found_stage
+    values: List[BitString] = [stem] * found
+    chosen: List[Optional[int]] = [None] * found
+    # The preimages, hence the choice, change only at the events of psi.
+    starts = [found] + [s for s in psi.change_stages(horizon) if s > found]
     idx = 0
-    for s in range(horizon + 1):
-        if family is None or s < family.found_stage:
-            values.append(stem)
-            chosen.append(None)
-            continue
-        while idx < family.size():
-            sigma_j, tau_j = family.pairs[idx]
-            if psi.preimage(tau_j, s).measure() <= cap:
-                break
+    for start, end in zip(starts, starts[1:] + [horizon + 1]):
+        while idx < family.size() and psi.preimage(family.pairs[idx][1], start).measure() > cap:
             idx += 1
         if idx >= family.size():
             raise RandlabError("pigeonhole failed: some preimages overlap")
-        values.append(family.pairs[idx][0])
-        chosen.append(idx)
+        values += [family.pairs[idx][0]] * (end - start)
+        chosen += [idx] * (end - start)
     return FApprox(stem, family, tuple(values), tuple(chosen))
 
 
@@ -174,7 +185,7 @@ def induced_demuth_level(phi: TuringFunctional, psi: TuringFunctional, stem: Bit
         switches = first_seen((s, [j]) for s, j in enumerate(trace.chosen_index) if j is not None)
         for start, (j,) in switches:
             tau_j = trace.family.pairs[j][1]
-            events = first_seen((s, psi.preimage(tau_j, s).strings) for s in range(horizon + 1))
+            events = first_seen((s, psi.preimage(tau_j, s).strings) for s in psi.change_stages(horizon))
             versions.append((start, StagedOpenSet.from_events(events, horizon)))
     return VersionedOpenSet(versions), trace
 
@@ -247,14 +258,12 @@ def output_tree(phi: TuringFunctional, stem: BitString, horizon: int) -> Enumera
     """Prefix closure of every output the functional grants above `stem`,
     dated by the stage the output is first granted."""
     def closure(s: int) -> set:
-        outs = {phi.apply(stem, s)}
-        for ax_s, _ in phi.axioms_at(s):
-            if ax_s.comparable(stem):
-                longer = ax_s if ax_s.extends(stem) else stem
-                outs.add(phi.apply(longer, s))
+        # An axiom on a prefix of the stem counts in the stem's own output.
+        queries = {stem}.union(ax_s for ax_s, _ in phi.axioms_at(s) if ax_s.extends(stem))
+        outs = {phi.apply(q, s) for q in queries}
         return {out.prefix(i) for out in outs for i in range(len(out) + 1)}
 
-    return Enumerator(first_seen((s, closure(s)) for s in range(horizon + 1)), horizon)
+    return Enumerator(first_seen((s, closure(s)) for s in phi.change_stages(horizon)), horizon)
 
 
 def classify_case(phi: TuringFunctional, psi: TuringFunctional, g_prefix: BitString,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple, TypeVar, Union
 
-from .bitstring import EMPTY, BitString
+from .bitstring import EMPTY, BitString, length_lex
 from .cylinders import CylinderSet
 from .dyadic import Dyadic
 from .errors import GuardExceeded, InconsistentFunctional, RandlabError
@@ -54,17 +54,25 @@ def _axiom(pair: Tuple[StrLike, StrLike]) -> Tuple[BitString, BitString]:
     return _bits(sigma), _bits(tau)
 
 
+def _axiom_key(axiom: Tuple[BitString, BitString]) -> Tuple[int, str, int, str]:
+    # Length-lex on sigma, then on tau: the order of the (sigma, tau) tuples.
+    return length_lex(axiom[0]) + length_lex(axiom[1])
+
+
 class _Schedule:
     """Strictly increasing dated events with a horizon.
 
-    `events` holds each event's items normalised and sorted; the snapshot
-    after event i is everything events 0..i enumerate, frozen by `freeze`,
-    and snapshot 0 is the empty one every stage before the first event reads.
+    `events` holds each event's items normalised and sorted on `key`, a
+    length-lex sort key compared in C (no Python `__lt__` per comparison);
+    the snapshot after event i is everything events 0..i enumerate, frozen
+    by `freeze`, and snapshot 0 is the empty one every stage before the
+    first event reads.
     """
 
     __slots__ = ("events", "horizon", "_stages", "_snapshots")
 
-    def __init__(self, events: Iterable[Tuple[int, Iterable]], horizon: Optional[int], item: Callable, freeze: Callable) -> None:
+    def __init__(self, events: Iterable[Tuple[int, Iterable]], horizon: Optional[int],
+                 item: Callable, key: Callable, freeze: Callable) -> None:
         out = []
         stages: List[int] = []
         acc: set = set()
@@ -75,7 +83,7 @@ class _Schedule:
                 raise RandlabError(f"negative stage {stage}")
             if stages and stage <= stages[-1]:
                 raise RandlabError(f"stages must be strictly increasing, got {stage} after {stages[-1]}")
-            items = tuple(sorted(map(item, items)))
+            items = tuple(sorted(map(item, items), key=key))
             out.append((stage, items))
             stages.append(stage)
             acc.update(items)
@@ -91,6 +99,13 @@ class _Schedule:
     def _at(self, stage: int):
         return self._snapshots[bisect_right(self._stages, stage)]
 
+    def change_stages(self, upto: int) -> List[int]:
+        """Stage 0 and every event stage up to `upto`, ascending: from one of
+        these to the next, every stage query answers alike."""
+        if upto < 0:
+            return []
+        return sorted({0, *self._stages[:bisect_right(self._stages, upto)]})
+
 
 class Enumerator(_Schedule):
     """A monotone stage -> finite-string-set schedule with a horizon.
@@ -102,7 +117,7 @@ class Enumerator(_Schedule):
     __slots__ = ()
 
     def __init__(self, events: Iterable[Tuple[int, Iterable[StrLike]]], horizon: Optional[int] = None) -> None:
-        super().__init__(events, horizon, _bits, frozenset)
+        super().__init__(events, horizon, _bits, length_lex, frozenset)
 
     at = _Schedule._at
 
@@ -172,27 +187,53 @@ class StagedOpenSet:
         return f"StagedOpenSet({self.enumerator!r})"
 
 
+def _check_consistent(axioms: Iterable[Tuple[BitString, BitString]]) -> None:
+    """Refuse two axioms whose stems are comparable and whose outputs are not.
+
+    One preorder walk: sorted by stem bits, a stem comes before its
+    extensions and they follow it contiguously, so after popping the stems
+    that are not prefixes of the one at hand, the stack holds exactly its
+    ancestors (and equal stems).  Their outputs form a chain, checked as they
+    were pushed, so an output comparable with the longest of them is
+    comparable with all of them.
+    """
+    # (stem bits, the axiom with the longest output from the root down to it)
+    stack: List[Tuple[str, Tuple[BitString, BitString]]] = []
+    for sigma, tau in sorted(axioms, key=lambda axiom: axiom[0].bits):
+        bits = sigma.bits
+        while stack and not bits.startswith(stack[-1][0]):
+            stack.pop()
+        longest = (sigma, tau)
+        if stack:
+            above_s, above_t = stack[-1][1]
+            if not tau.comparable(above_t):
+                raise InconsistentFunctional(
+                    f"axioms ({above_s},{above_t}) and ({sigma},{tau}) disagree on a common oracle"
+                )
+            if len(above_t) > len(tau):
+                longest = (above_s, above_t)
+        stack.append((bits, longest))
+
+
 class TuringFunctional(_Schedule):
     """A monotone oracle-to-output map given by stage-dated axioms (sigma, tau).
 
     Reading an axiom (sigma, tau) as "every oracle extending sigma computes
     at least tau", consistency demands that comparable oracles never receive
-    incomparable outputs.  The check runs over the full final axiom set at
-    construction, which covers every stage because schedules only grow.
-    Each snapshot is the sorted tuple of the axioms granted so far.
+    incomparable outputs.  The check is one preorder walk over the final
+    axiom set at construction (`_check_consistent`), which covers every
+    stage because schedules only grow.  Each snapshot is the tuple of the
+    axioms granted so far in length-lex order of (sigma, tau); `apply`
+    reads a table from stem to longest output, built once per snapshot the
+    first time one of its stages is asked.
     """
 
-    __slots__ = ()
+    __slots__ = ("_longest",)
 
     def __init__(self, events: Iterable[Tuple[int, Iterable[Tuple[StrLike, StrLike]]]], horizon: Optional[int] = None) -> None:
-        super().__init__(events, horizon, _axiom, lambda acc: tuple(sorted(acc)))
-        axioms = self._snapshots[-1]
-        for i, (s1, t1) in enumerate(axioms):
-            for s2, t2 in axioms[i + 1:]:
-                if s1.comparable(s2) and not t1.comparable(t2):
-                    raise InconsistentFunctional(
-                        f"axioms ({s1},{t1}) and ({s2},{t2}) disagree on a common oracle"
-                    )
+        super().__init__(events, horizon, _axiom, _axiom_key, lambda acc: tuple(sorted(acc, key=_axiom_key)))
+        _check_consistent(self._snapshots[-1])
+        self._longest: List[Optional[Dict[str, BitString]]] = [None] * len(self._snapshots)
 
     axioms_at = _Schedule._at
 
@@ -200,13 +241,20 @@ class TuringFunctional(_Schedule):
         """Longest output granted to oracles extending `sigma` by `stage`.
 
         Consistency makes the applicable outputs pairwise comparable, so the
-        longest one is unique.  No applicable axiom means the empty output.
+        longest one is unique; it is found by looking up the |sigma| + 1
+        prefixes of sigma.  No applicable axiom means the empty output.
         """
-        sigma = BitString(sigma)
+        bits = _bits(sigma).bits
+        i = bisect_right(self._stages, stage)
+        table = self._longest[i]
+        if table is None:
+            # Within a stem the snapshot's order puts the longest output last.
+            table = self._longest[i] = {ax_s.bits: ax_t for ax_s, ax_t in self._snapshots[i]}
         best = EMPTY
-        for ax_s, ax_t in self._at(stage):
-            if ax_s.is_prefix_of(sigma) and len(ax_t) > len(best):
-                best = ax_t
+        for n in range(len(bits) + 1):
+            out = table.get(bits[:n])
+            if out is not None and len(out) > len(best):
+                best = out
         return best
 
     def preimage(self, tau: StrLike, stage: int) -> CylinderSet:

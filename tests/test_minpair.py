@@ -1,16 +1,22 @@
 import random
+from bisect import bisect_right
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_staged import axioms, schedules
 
-from randlab.bitstring import BitString, from_nat
+from randlab.bitstring import BitString, from_nat, to_nat
 from randlab.demuth import DemuthTest, verify_demuth
+from randlab.dyadic import Dyadic
 from randlab.errors import GuardExceeded, RandlabError
 from randlab.generators import random_functional_pair
-from randlab.minpair import (FAMILY_GUARD, classify_case, f_approx,
+from randlab.minpair import (FAMILY_GUARD, FApprox, PairFamily, classify_case, f_approx,
                              find_family, induced_demuth_level,
                              isolated_path_analysis, output_tree,
                              _max_antichain)
-from randlab.staged import Enumerator, TuringFunctional
+from randlab.staged import Enumerator, TuringFunctional, first_seen
 
 
 def test_max_antichain_small_cases():
@@ -198,3 +204,184 @@ def test_classify_case_width_bounded():
     assert rep.isolation is not None
     assert rep.isolation.applicable
     assert rep.selected_output is None
+
+
+def test_find_family_on_a_deep_output():
+    # The recursive antichain walk once raised RecursionError here.
+    phi = TuringFunctional([(0, [("00", "0" * 3000), ("01", "1")])], 1)
+    fam = find_family(phi, BitString("0"), 1)
+    assert fam is not None and fam.found_stage == 0
+    assert [p[1] for p in fam.pairs] == [BitString("0" * 3000), BitString("1")]
+    assert _max_antichain([BitString("0" * 5000), BitString("1" * 4000), BitString("01")]) == 3
+
+
+# The minpair path as it was before the event-wise queries: an `apply` that
+# scans every axiom, pools rebuilt and preimages read at every stage, and a
+# recursive antichain.  They are the oracles for the fast path.
+
+def old_apply(phi, sigma, stage):
+    best = BitString()
+    for ax_s, ax_t in phi.axioms_at(stage):
+        if ax_s.is_prefix_of(sigma) and len(ax_t) > len(best):
+            best = ax_t
+    return best
+
+
+def old_max_antichain(strings):
+    present = set(strings)
+    nodes = set(present)
+    for s in present:
+        for i in range(len(s)):
+            nodes.add(s.prefix(i))
+
+    def grow(node):
+        child_total = sum(grow(c) for c in (node.append(0), node.append(1)) if c in nodes)
+        return max(1 if node in present else 0, child_total)
+
+    return grow(BitString()) if nodes else 0
+
+
+def old_candidate_pool(phi, stem, stage):
+    pool = []
+    for ax_s, _ in phi.axioms_at(stage):
+        if ax_s.extends(stem) and ax_s != stem:
+            out = old_apply(phi, ax_s, stage)
+            if len(out):
+                pool.append((ax_s, out))
+    return sorted(set(pool))
+
+
+def old_find_family(phi, stem, stage):
+    n = to_nat(stem)
+    want = 1 << n
+    for s in range(stage + 1):
+        pool = old_candidate_pool(phi, stem, s)
+        if old_max_antichain([out for _, out in pool]) < want:
+            continue
+        chosen, used_outputs = [], []
+        for i, (cand_s, cand_t) in enumerate(pool):
+            if any(cand_t.comparable(u) for u in used_outputs):
+                continue
+            rest = [out for _, out in pool[i + 1:]
+                    if not any(out.comparable(u) for u in used_outputs + [cand_t])]
+            if 1 + len(used_outputs) + old_max_antichain(rest) >= want:
+                chosen.append((cand_s, cand_t))
+                used_outputs.append(cand_t)
+                if len(chosen) == want:
+                    break
+        return PairFamily(stem, n, tuple(chosen), s)
+    return None
+
+
+def old_f_approx(phi, psi, stem, horizon):
+    cap = Dyadic.half_pow(to_nat(stem))
+    family = old_find_family(phi, stem, horizon)
+    values, chosen = [], []
+    idx = 0
+    for s in range(horizon + 1):
+        if family is None or s < family.found_stage:
+            values.append(stem)
+            chosen.append(None)
+            continue
+        while idx < family.size():
+            if psi.preimage(family.pairs[idx][1], s).measure() <= cap:
+                break
+            idx += 1
+        values.append(family.pairs[idx][0])
+        chosen.append(idx)
+    return FApprox(stem, family, tuple(values), tuple(chosen))
+
+
+def old_version_events(psi, trace, horizon):
+    out = []
+    if trace.family is not None:
+        switches = first_seen((s, [j]) for s, j in enumerate(trace.chosen_index) if j is not None)
+        for start, (j,) in switches:
+            tau_j = trace.family.pairs[j][1]
+            events = first_seen((s, psi.preimage(tau_j, s).strings) for s in range(horizon + 1))
+            out.append((start, Enumerator(events, horizon).events))
+    return out
+
+
+def old_output_tree(phi, stem, horizon):
+    def closure(s):
+        outs = {old_apply(phi, stem, s)}
+        for ax_s, _ in phi.axioms_at(s):
+            if ax_s.comparable(stem):
+                longer = ax_s if ax_s.extends(stem) else stem
+                outs.add(old_apply(phi, longer, s))
+        return {out.prefix(i) for out in outs for i in range(len(out) + 1)}
+
+    return Enumerator(first_seen((s, closure(s)) for s in range(horizon + 1)), horizon)
+
+
+def _agrees_with_the_old_path(phi, psi, horizon, stems):
+    for stem in stems:
+        for stage in (horizon // 2, horizon):
+            assert find_family(phi, stem, stage) == old_find_family(phi, stem, stage)
+        trace = f_approx(phi, psi, stem, horizon)
+        assert trace == old_f_approx(phi, psi, stem, horizon)
+        vos, again = induced_demuth_level(phi, psi, stem, horizon)
+        assert again == trace
+        assert ([(start, v.enumerator.events) for start, v in vos.versions]
+                == old_version_events(psi, trace, horizon))
+        assert output_tree(phi, stem, horizon).events == old_output_tree(phi, stem, horizon).events
+        for stage in range(horizon + 1):
+            for probe in (stem, stem.append(0), stem.append(1) + stem):
+                assert phi.apply(probe, stage) == old_apply(phi, probe, stage)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_minpair_path_matches_the_old_path_on_seeded_pairs(seed):
+    phi, psi = random_functional_pair(random.Random(seed), 4, 30, 6)
+    _agrees_with_the_old_path(phi, psi, 6, [from_nat(n) for n in range(4)])
+
+
+@settings(deadline=None)
+@given(schedules(axioms), schedules(axioms))
+def test_minpair_path_matches_the_old_path_on_schedules(phi_sched, psi_sched):
+    horizon = max(phi_sched[1], psi_sched[1])
+    phi = TuringFunctional(phi_sched[0], horizon)
+    psi = TuringFunctional(psi_sched[0], horizon)
+    _agrees_with_the_old_path(phi, psi, horizon, [from_nat(n) for n in range(3)])
+
+
+@given(st.lists(st.text(alphabet="01", max_size=8).map(BitString), max_size=12))
+def test_max_antichain_matches_the_recursive_walk(strings):
+    assert _max_antichain(strings) == old_max_antichain(strings)
+
+
+# Work-count gates: on a schedule with events at stages 0 and 40 only, the
+# minpair queries read each snapshot once, not each of the 61 stages.
+
+SPARSE_PHI = TuringFunctional([(0, [("00", "0"), ("01", "11")]), (40, [("000", "01")])], 60)
+SPARSE_PSI = TuringFunctional([(0, [("00", "0")]), (40, [("01", "0"), ("10", "0")])], 60)
+
+
+def _queries(monkeypatch):
+    """Count apply/preimage calls per (query, functional, argument, snapshot)."""
+    counts = Counter()
+    for name in ("apply", "preimage"):
+        original = getattr(TuringFunctional, name)
+
+        def counted(self, arg, stage, name=name, original=original):
+            counts[name, id(self), str(arg), bisect_right(self._stages, stage)] += 1
+            return original(self, arg, stage)
+        monkeypatch.setattr(TuringFunctional, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("query, reads", [
+    # psi offers no family above 0, so every stage up to 60 is searched.
+    (lambda: find_family(SPARSE_PSI, BitString("0"), 60), 1),
+    (lambda: f_approx(SPARSE_PHI, SPARSE_PSI, BitString("0"), 60), 1),
+    (lambda: output_tree(SPARSE_PHI, BitString("0"), 60), 1),
+    # The selector and the version it switches to each read the new snapshot.
+    (lambda: induced_demuth_level(SPARSE_PHI, SPARSE_PSI, BitString("0"), 60), 2),
+], ids=["find_family", "f_approx", "output_tree", "induced_demuth_level"])
+def test_sparse_schedule_reads_each_snapshot_once(monkeypatch, query, reads):
+    counts = _queries(monkeypatch)
+    query()
+    assert counts and max(counts.values()) <= reads
+    assert {snapshot for *_, snapshot in counts} <= {1, 2}

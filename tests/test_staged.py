@@ -1,5 +1,7 @@
 import importlib.util
 import pathlib
+import random
+import re
 import types
 
 import pytest
@@ -11,6 +13,7 @@ from randlab.bitstring import EMPTY, BitString
 from randlab.cylinders import CylinderSet, EMPTY_SET, FULL_SET
 from randlab.demuth import VersionedOpenSet
 from randlab.errors import GuardExceeded, InconsistentFunctional, RandlabError
+from randlab.generators import random_functional
 from randlab.staged import (Enumerator, Pi01Tree, StagedOpenSet, TuringFunctional, by_stage,
                             first_seen)
 
@@ -387,3 +390,63 @@ def test_staged_queries_are_traceable():
     # It also fingerprints fireworks adversaries by their events and horizon.
     e = Enumerator([(1, ["0"])], horizon=3)
     assert (e.events, e.horizon) == (((1, (BitString("0"),)),), 3)
+
+
+# The consistency check as it was before the preorder walk: every pair of
+# axioms, in snapshot order.  It is the oracle for the walk's verdict.
+
+def old_conflict(axioms):
+    axioms = sorted(set(axioms))
+    for i, (s1, t1) in enumerate(axioms):
+        for s2, t2 in axioms[i + 1:]:
+            if s1.comparable(s2) and not t1.comparable(t2):
+                return (s1, t1), (s2, t2)
+    return None
+
+
+NAMED_AXIOM = re.compile(r"\(([01^]+),([01^]+)\)")
+
+
+def _final_axioms(events):
+    return {(BitString(s), BitString(t)) for _, pairs in events for s, t in pairs}
+
+
+@given(st.one_of(schedules(axioms), schedules(st.tuples(bit_strings, bit_strings))))
+def test_consistency_walk_matches_pairwise(sched):
+    events, horizon = sched
+    final = _final_axioms(events)
+    try:
+        TuringFunctional(events, horizon)
+    except InconsistentFunctional as err:
+        assert old_conflict(final) is not None
+        named = [(BitString(s), BitString(t)) for s, t in NAMED_AXIOM.findall(str(err))]
+        assert len(named) == 2 and all(ax in final for ax in named)
+        (s1, t1), (s2, t2) = named
+        assert s1.comparable(s2) and not t1.comparable(t2)
+    else:
+        assert old_conflict(final) is None
+
+
+@given(schedules(bit_strings), schedules(st.tuples(bit_strings, bit_strings)))
+def test_event_items_keep_the_length_lex_order(strings, pairs):
+    # The keyed sort must order every event as BitString.__lt__ does.
+    e = Enumerator(*strings)
+    assert e.events == tuple((s, tuple(sorted(map(BitString, items)))) for s, items in strings[0])
+    final = _final_axioms(pairs[0])
+    if old_conflict(final) is None:
+        phi = TuringFunctional(*pairs)
+        assert phi.events == tuple((s, tuple(sorted((BitString(a), BitString(b)) for a, b in items)))
+                                   for s, items in pairs[0])
+        assert phi.axioms_at(pairs[1]) == tuple(sorted(final))
+
+
+def test_consistency_check_compares_once_per_axiom(monkeypatch):
+    # A work-count gate: the pairwise loop made ~n^2/2 comparisons here.
+    built = random_functional(random.Random(7), 11, 4000, 8)
+    count = len(built.axioms_at(built.horizon))
+    assert count >= 2000
+    calls = []
+    comparable = BitString.comparable
+    monkeypatch.setattr(BitString, "comparable", lambda a, b: calls.append(1) or comparable(a, b))
+    TuringFunctional(built.events, built.horizon)
+    assert 0 < len(calls) <= count
