@@ -60,6 +60,7 @@ from .coding import (
     GammaResult,
     g_lsc,
     w2r_encode,
+    w2r_extend,
     stabilization_stage,
     gamma_decode,
     shifted_core,
@@ -107,7 +108,7 @@ __all__ = [
     "Sweep", "sweep", "check_requirement",
     "kucera_depth", "kg_encode", "kg_decode", "kg_decode_prefix",
     "OpenFamily", "W2RScheme", "W2REncoding", "LayerRecord", "GammaResult",
-    "g_lsc", "w2r_encode", "stabilization_stage", "gamma_decode",
+    "g_lsc", "w2r_encode", "w2r_extend", "stabilization_stage", "gamma_decode",
     "shifted_core", "extend_into_open",
     "Experiment", "Scenario", "ScenarioResult", "bundled_scenarios",
     "load_scenario", "run_scenario",

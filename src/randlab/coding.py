@@ -11,17 +11,21 @@ of the class sees different survivors and honestly garbles or rejects.
 The layered scheme iterates the single step while shrinking the class:
 after coding one (index, payload) pair it intersects the class with a
 member of a monotone family of clopen complements, chosen by a least-index
-search that is only approximable from below.  The staged decoder runs one
-replay per approximation stage t and lets later stages fill in only the
-positions earlier stages never claimed; positions at or beyond the point
-where every relevant index search has stabilized then decode correctly, so
-errors are confined below that point.
+search that is only approximable from below.  An encoding grows one layer
+at a time, so a caller steering each next payload extends the encoding it
+already has.  The staged decoder replays the parse once per approximation
+stage t and lets later stages fill in only the positions earlier stages
+never claimed; positions at or beyond the point where every relevant index
+search has stabilized then decode correctly, so errors are confined below
+that point.  Only the index searches read t: the replays share one walk
+per path of (family, index) choices, and from the scheme's settle stage on
+every schedule sits at its final snapshot, so later replays repeat it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .bitstring import (EMPTY, BitString, decode_pair, encode_pair,
                         read_self_delimited, self_delimit)
@@ -148,11 +152,12 @@ def g_lsc(family: OpenFamily, sigma: BitString, tree: Pi01Tree, stage: int) -> O
 
     Approximates its limit from below as the stage grows (sets only grow,
     so the search condition only decays).  None means no level qualifies.
+    [sigma] meets the complement of two opens exactly when the two, seen
+    from sigma, do not cover everything.
     """
-    blocked = tree.removed_open(stage)
-    cyl = CylinderSet.cylinder(sigma)
+    blocked = tree.removed_open(stage).shift(sigma)
     for k, level in enumerate(family.levels):
-        if not (cyl - blocked - level.open_at(stage)).is_empty():
+        if not (blocked | level.open_at(stage).shift(sigma)).is_full():
             return k
     return None
 
@@ -176,6 +181,12 @@ class W2RScheme:
             raise SchemeError(f"no family with index {e}")
         return self.families[e]
 
+    def settle_stage(self) -> int:
+        """Least stage at which the base and every family level sit at their
+        final snapshots, and so does every class restricted by them."""
+        return max([self.base.horizon] + [level.horizon for family in self.families
+                                          for level in family.levels])
+
 
 @dataclass(frozen=True)
 class LayerRecord:
@@ -193,30 +204,36 @@ class W2REncoding:
     classes: Tuple[Pi01Tree, ...]  # classes[i] holds after i layers
 
 
+def w2r_extend(enc: W2REncoding, payload: BitString, scheme: W2RScheme) -> W2REncoding:
+    """Code one more payload above `enc`, along the next star index."""
+    n = len(enc.layers)
+    if n >= len(scheme.star_indices):
+        raise SchemeError("more payloads than configured star indices")
+    e = scheme.star_indices[n]
+    payload = BitString(payload)
+    tree = enc.classes[-1]
+    cur = encode_bits(self_delimit(encode_pair(e, payload)), enc.codeword, tree, scheme.horizon)
+    family = scheme.family(e)
+    trajectory = tuple(
+        _finite_or_fail(g_lsc(family, cur, tree, t), e, cur, t)
+        for t in range(scheme.horizon + 1)
+    )
+    g = trajectory[-1]
+    tree = tree.restrict(family.levels[g])
+    if not tree.viable(cur, scheme.horizon):
+        raise SchemeError(f"class emptied above {cur} after layer {n}")
+    return W2REncoding(cur, enc.layers + (LayerRecord(e, payload, cur, g, trajectory),),
+                       enc.classes + (tree,))
+
+
 def w2r_encode(payloads: Sequence[BitString], scheme: W2RScheme) -> W2REncoding:
     """Layer the payloads into the base class along the star indices."""
     if len(payloads) > len(scheme.star_indices):
         raise SchemeError("more payloads than configured star indices")
-    tree = scheme.base
-    cur = EMPTY
-    layers: List[LayerRecord] = []
-    classes: List[Pi01Tree] = [tree]
-    for n, payload in enumerate(payloads):
-        e = scheme.star_indices[n]
-        pair = encode_pair(e, BitString(payload))
-        cur = encode_bits(self_delimit(pair), cur, tree, scheme.horizon)
-        family = scheme.family(e)
-        trajectory = tuple(
-            _finite_or_fail(g_lsc(family, cur, tree, t), e, cur, t)
-            for t in range(scheme.horizon + 1)
-        )
-        g = trajectory[-1]
-        tree = tree.restrict(family.levels[g])
-        if not tree.viable(cur, scheme.horizon):
-            raise SchemeError(f"class emptied above {cur} after layer {n}")
-        layers.append(LayerRecord(e, BitString(payload), cur, g, trajectory))
-        classes.append(tree)
-    return W2REncoding(cur, tuple(layers), tuple(classes))
+    enc = W2REncoding(EMPTY, (), (scheme.base,))
+    for payload in payloads:
+        enc = w2r_extend(enc, payload, scheme)
+    return enc
 
 
 def _finite_or_fail(value: Optional[int], e: int, sigma: BitString, stage: int) -> int:
@@ -225,9 +242,8 @@ def _finite_or_fail(value: Optional[int], e: int, sigma: BitString, stage: int) 
     return value
 
 
-def stabilization_stage(payloads: Sequence[BitString], scheme: W2RScheme) -> int:
+def stabilization_stage(enc: W2REncoding) -> int:
     """Least stage from which every layer's index search sits at its limit."""
-    enc = w2r_encode(payloads, scheme)
     stable = 0
     for layer in enc.layers:
         final = layer.g_value
@@ -264,30 +280,51 @@ class GammaResult:
         return len(self.output_prefix())
 
 
-def _sub_procedure(x: BitString, t: int, scheme: W2RScheme) -> SubProcedureRecord:
-    """One staged replay: parse layers greedily with stage-t index searches."""
-    tree = scheme.base
+# A parsed layer: (family index, payload, codeword), or None where the parse stops.
+_Step = Optional[Tuple[int, BitString, BitString]]
+# A path of (family, index) choices -> (class after them, the next parsed layer).
+_Walks = Dict[Tuple[Tuple[int, int], ...], Tuple[Pi01Tree, _Step]]
+
+
+def _parse_step(x: BitString, cur: BitString, tree: Pi01Tree, scheme: W2RScheme) -> _Step:
+    """One layer of `x` above `cur`, walked at the scheme's horizon."""
+    step = kg_decode_prefix(x, cur, tree, scheme.horizon)
+    if step is None:
+        return None
+    pair_code, codeword = step
+    pair = decode_pair(pair_code)
+    if pair is None:
+        return None
+    e, payload = pair
+    if not 0 <= e < len(scheme.families):
+        return None
+    return e, payload, codeword
+
+
+def _replay(x: BitString, t: int, scheme: W2RScheme, walks: _Walks) -> SubProcedureRecord:
+    """The stage-t parse: layers greedily, each index search at stage t.
+
+    Each path's class and parsed layer come from `walks`, built the first
+    time a stage takes that path, so a replay runs only its index searches.
+    """
+    path: Tuple[Tuple[int, int], ...] = ()
+    tree, step = walks[path]
     cur = EMPTY
     parsed: List[Tuple[int, BitString]] = []
     merged: List[int] = []
-    while True:
-        step = kg_decode_prefix(x, cur, tree, scheme.horizon)
-        if step is None:
-            break
-        pair_code, codeword = step
-        pair = decode_pair(pair_code)
-        if pair is None:
-            break
-        e, payload = pair
-        if not 0 <= e < len(scheme.families):
-            break
-        g = g_lsc(scheme.family(e), codeword, tree, t)
+    while step is not None:
+        e, payload, codeword = step
+        g = g_lsc(scheme.families[e], codeword, tree, t)
         if g is None:
             break
         parsed.append((e, payload))
         merged.extend(payload)
-        tree = tree.restrict(scheme.family(e).levels[g])
         cur = codeword
+        path += ((e, g),)
+        if path not in walks:
+            child = tree.restrict(scheme.families[e].levels[g])
+            walks[path] = (child, _parse_step(x, codeword, child, scheme))
+        tree, step = walks[path]
     return SubProcedureRecord(t, tuple(parsed), cur, BitString(merged))
 
 
@@ -298,17 +335,24 @@ def gamma_decode(x: BitString, t_max: int, scheme: W2RScheme) -> GammaResult:
     write wrong bits, but it may only write positions up to t; once every
     index search a true parse depends on has stabilized below t, later
     positions are written by correct replays only.
+
+    The replays share their work: every path of (family, index) choices is
+    walked and its class restricted once, and a replay runs only the index
+    searches.  Past the scheme's settle stage the index searches no longer
+    move, so each later replay is the settle-stage record at its own t.
+    Positions claimed so far always form a prefix, so each stage writes only
+    beyond it.
     """
+    settle = scheme.settle_stage()
+    walks: _Walks = {(): (scheme.base, _parse_step(x, EMPTY, scheme.base, scheme))}
     positions: Dict[int, Tuple[int, int]] = {}
-    subs = []
+    subs: List[SubProcedureRecord] = []
     for t in range(t_max + 1):
-        rec = _sub_procedure(x, t, scheme)
+        rec = replace(subs[settle], t=t) if t > settle else _replay(x, t, scheme, walks)
         subs.append(rec)
         zeta = rec.merged
-        if len(zeta):
-            for i in range(0, min(t, len(zeta) - 1) + 1):
-                if i not in positions:
-                    positions[i] = (zeta[i], t)
+        for i in range(len(positions), min(t, len(zeta) - 1) + 1):
+            positions[i] = (zeta[i], t)
     return GammaResult(positions, tuple(subs))
 
 
@@ -325,38 +369,38 @@ def shifted_core(u: CylinderSet, n: int) -> CylinderSet:
 
 
 def _density_witness(u: CylinderSet, depth: int) -> Optional[BitString]:
-    """A shortest head (up to `depth`) whose shifted copy of `u` is empty."""
-    memo: Dict[CylinderSet, Optional[str]] = {}
+    """The length-lex least head, of length at most `depth`, whose shifted
+    copy of `u` is empty; None when there is none.
 
-    def search(v: CylinderSet, budget: int) -> Optional[str]:
-        if v.is_empty():
-            return ""
-        if budget == 0:
-            return None
-        if v in memo:
-            return memo[v]
-        memo[v] = None
-        for b in "01":
-            tail = search(v.shift(b), budget - 1)
-            if tail is not None:
-                memo[v] = b + tail
-                break
-        return memo[v]
-
-    found = search(u, depth)
-    return None if found is None else BitString(found)
-
-
-def extend_into_open(payloads: Sequence[BitString], u: CylinderSet, scheme: W2RScheme) -> Tuple[BitString, int, BitString]:
-    """Choose the next payload so decoded outputs are steered into `u`.
-
-    Returns (next_payload, n, steering_string): n bounds both the already
-    coded length and the stabilization stage, and the steering string lands
-    inside `u` no matter which length-n head precedes it.  The next payload
-    pads with zeros up to position n and then spells the steering string.
+    Breadth-first over the shifted copies, 0 before 1.  A copy met again,
+    deeper or further right, leads only to longer or lex-greater heads, so
+    no copy is expanded twice; a full copy never empties.
     """
-    done = sum(len(BitString(p)) for p in payloads)
-    n = max(stabilization_stage(payloads, scheme), done)
+    seen: Set[CylinderSet] = set()
+    level: List[Tuple[CylinderSet, str]] = [(u, "")]
+    for length in range(depth + 1):
+        below: List[Tuple[CylinderSet, str]] = []
+        for v, head in level:
+            if v.is_empty():
+                return BitString(head)
+            if length < depth and not v.is_full() and v not in seen:
+                seen.add(v)
+                below += [(v.shift("0"), head + "0"), (v.shift("1"), head + "1")]
+        level = below
+    return None
+
+
+def extend_into_open(enc: W2REncoding, u: CylinderSet) -> Tuple[BitString, int, BitString]:
+    """Choose the payload that extends `enc` so decoded outputs land in `u`.
+
+    Returns (next_payload, n, steering_string): n bounds both the coded
+    payload length of `enc` and its stabilization stage, and the steering
+    string lands inside `u` no matter which length-n head precedes it.  The
+    next payload pads with zeros up to position n and then spells the
+    steering string.
+    """
+    done = sum(len(layer.payload) for layer in enc.layers)
+    n = max(stabilization_stage(enc), done)
     core = shifted_core(u, n)
     if core.is_empty():
         witness = _density_witness(u, n)

@@ -17,7 +17,8 @@ from .demuth import DemuthTest, DiffPair, DiffUnionTest, VersionedOpenSet
 from .dyadic import Dyadic
 from .errors import GuardExceeded, RandlabError, SchemeError
 from .staged import Enumerator, Pi01Tree, StagedOpenSet, TuringFunctional, by_stage
-from .coding import OpenFamily, W2RScheme, extend_into_open, w2r_encode
+from .coding import (OpenFamily, W2REncoding, W2RScheme, extend_into_open, w2r_encode,
+                     w2r_extend)
 
 # Fixed shapes of the seeded material; the goldens were made with these values.
 _GROWTH_MAX = 2              # output bits a functional's label gains per level
@@ -192,18 +193,19 @@ def _schemes(seed: int, stars: int, family_count: int, family_levels: int,
 
 def build_working_w2r(seed: int, payloads: Sequence[BitString],
                       family_count: int = 3, family_levels: int = 3,
-                      depth: int = 24, horizon: int = 8) -> W2RScheme:
+                      depth: int = 24, horizon: int = 8) -> Tuple[W2RScheme, W2REncoding]:
     """Deterministic retry until a scheme accepts the given payloads.
 
     Each attempt reseeds from (seed, attempt), so the first working scheme
-    is a pure function of the arguments.
+    is a pure function of the arguments.  Returns it with the payloads'
+    encoding.
     """
     for scheme in _schemes(seed, len(payloads), family_count, family_levels, depth, horizon):
         try:
-            w2r_encode(payloads, scheme)
+            enc = w2r_encode(payloads, scheme)
         except RandlabError:
             continue
-        return scheme
+        return scheme, enc
     raise RandlabError(f"no working scheme within {_ATTEMPTS} attempts")
 
 
@@ -223,18 +225,19 @@ def hitting_run(seed: int, opens: Sequence[CylinderSet],
     Retries swallow only scheme-shape failures (viability, guards); a
     DensityError propagates, because a non-dense open set is the caller's
     problem and no reseeding can fix it.  Returns the scheme, payload list,
-    per-step (n, steering_string) records, and the final encoding.
+    per-step (n, steering_string) records, and the final encoding.  Each
+    open's payload is layered onto the running encoding before the next
+    open is steered from it.
     """
     for scheme in _schemes(seed, len(opens), family_count, family_levels, depth, horizon):
-        payloads: List[BitString] = []
+        enc = w2r_encode((), scheme)
         steps: List[Tuple[int, BitString]] = []
         try:
             for u in opens:
-                payload, n, zeta = extend_into_open(payloads, u, scheme)
-                payloads.append(payload)
+                payload, n, zeta = extend_into_open(enc, u)
+                enc = w2r_extend(enc, payload, scheme)
                 steps.append((n, zeta))
-            enc = w2r_encode(payloads, scheme)
         except (SchemeError, GuardExceeded):
             continue
-        return scheme, payloads, steps, enc
+        return scheme, [layer.payload for layer in enc.layers], steps, enc
     raise RandlabError(f"no scheme accepted the steered payloads within {_ATTEMPTS} attempts")

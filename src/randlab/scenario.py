@@ -29,8 +29,7 @@ from .demuth import (DemuthTest, DiffPair, DiffUnionTest, VersionedOpenSet,
 from .dyadic import Dyadic
 from .errors import RandlabError, ScenarioError
 from .fireworks import FireworksConfig, Outcome, caps_from_seed, run_fireworks, sweep
-from .coding import (gamma_decode, kg_decode, kg_encode, stabilization_stage,
-                     w2r_encode)
+from .coding import gamma_decode, kg_decode, kg_encode, stabilization_stage
 from .generators import (build_working_w2r, hitting_run, random_demuth_test,
                          random_diffunion_test, random_functional_pair,
                          random_pi01_tree)
@@ -512,10 +511,9 @@ def _run_w2r(ctx: Context, exp: Experiment) -> RunFact:
     depth = keys.take("depth", "int", 24)
     horizon = keys.take("horizon", "nat", 8)
     keys.done()
-    scheme = build_working_w2r(seed, payloads, family_count, family_levels,
-                               depth, horizon)
-    enc = w2r_encode(payloads, scheme)
-    stab = stabilization_stage(payloads, scheme)
+    scheme, enc = build_working_w2r(seed, payloads, family_count, family_levels,
+                                    depth, horizon)
+    stab = stabilization_stage(enc)
     stream = BitString("".join(p.bits for p in payloads))
     t_max = max(scheme.horizon, stab) + len(stream)
     res = gamma_decode(enc.codeword, t_max, scheme)

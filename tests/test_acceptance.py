@@ -13,7 +13,7 @@ from randlab import (BitString, CylinderSet, DemuthTest, Dyadic,
                      FireworksConfig, Outcome, brute_measure,
                      from_nat, kg_decode, kg_encode, run_fireworks, sweep,
                      uniform_suffix_set, verify_demuth)
-from randlab.coding import gamma_decode, stabilization_stage, w2r_encode
+from randlab.coding import gamma_decode, stabilization_stage
 from randlab.demuth import demuth_to_diffunion, diffunion_to_demuth
 from randlab.generators import (build_working_w2r, hitting_run, random_bits,
                                 random_cylinder_set, random_demuth_test,
@@ -182,9 +182,8 @@ def test_criterion_06_gamma_error_confinement():
         rng = random.Random(f"acc6:{i}")
         payloads = [random_bits(rng, 1 + rng.randrange(3))
                     for _ in range(1 + i % 3)]
-        scheme = build_working_w2r(1000 + i, payloads, depth=64)
-        enc = w2r_encode(payloads, scheme)
-        stab = stabilization_stage(payloads, scheme)
+        scheme, enc = build_working_w2r(1000 + i, payloads, depth=64)
+        stab = stabilization_stage(enc)
         stream = BitString("^")
         for p in payloads:
             stream = stream + p

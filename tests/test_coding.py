@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from randlab.bitstring import EMPTY, BitString, self_delimit
 from randlab.cylinders import CylinderSet, EMPTY_SET, uniform_suffix_set
-from randlab.coding import (OpenFamily, W2RScheme, encode_bits, extend_into_open,
-                            g_lsc, gamma_decode, kg_decode, kg_decode_prefix,
+from randlab.coding import (OpenFamily, W2RScheme, _density_witness, encode_bits,
+                            extend_into_open, g_lsc, gamma_decode, kg_decode,
+                            kg_decode_prefix,
                             kg_encode, kucera_depth, shifted_core,
                             stabilization_stage, w2r_encode)
 from randlab.errors import (DensityError, DepthExhausted, RandlabError,
@@ -154,8 +155,7 @@ def test_g_lsc_approximates_from_below():
 
 def test_w2r_encode_layers_and_classes():
     payloads = [BitString("101"), BitString("01")]
-    scheme = build_working_w2r(5, payloads)
-    enc = w2r_encode(payloads, scheme)
+    scheme, enc = build_working_w2r(5, payloads)
     assert [l.family_index for l in enc.layers] == list(scheme.star_indices)
     assert [l.payload for l in enc.layers] == payloads
     assert len(enc.classes) == 3
@@ -168,9 +168,8 @@ def test_w2r_encode_layers_and_classes():
 
 def test_stabilization_confines_errors():
     payloads = [BitString("101"), BitString("01")]
-    scheme = build_working_w2r(5, payloads)
-    enc = w2r_encode(payloads, scheme)
-    stab = stabilization_stage(payloads, scheme)
+    scheme, enc = build_working_w2r(5, payloads)
+    stab = stabilization_stage(enc)
     for layer in enc.layers:
         assert all(g == layer.g_value for g in layer.g_trajectory[stab:])
     stream = BitString("10101")
@@ -183,8 +182,7 @@ def test_stabilization_confines_errors():
 
 def test_gamma_positions_written_once_and_stage_limited():
     payloads = [BitString("11")]
-    scheme = build_working_w2r(7, payloads)
-    enc = w2r_encode(payloads, scheme)
+    scheme, enc = build_working_w2r(7, payloads)
     res = gamma_decode(enc.codeword, 10, scheme)
     for i, (bit, t) in res.positions.items():
         assert i <= t  # a stage-t replay may claim positions up to t only
@@ -208,8 +206,8 @@ def test_shifted_core_exact():
 
 def test_extend_into_open_steers_every_head():
     u = uniform_suffix_set("11", 6)
-    scheme = build_working_w2r(5, [BitString("10")])
-    payload, n, zeta = extend_into_open([BitString("10")], u, scheme)
+    _, enc = build_working_w2r(5, [BitString("10")])
+    payload, n, zeta = extend_into_open(enc, u)
     assert payload == BitString("0" * (n - 2)) + zeta
     assert n >= 2
     for head in BitString.all_strings(n):
@@ -219,14 +217,45 @@ def test_extend_into_open_steers_every_head():
 def test_extend_into_open_rejects_sparse_sets():
     # With no coded prefix the head length is zero and a bare cylinder is
     # reachable; one prior payload forces heads the cylinder cannot absorb.
-    scheme = build_working_w2r(5, [BitString("10")])
-    payload, n, zeta = extend_into_open([], CylinderSet.cylinder("11"), scheme)
+    scheme, coded = build_working_w2r(5, [BitString("10")])
+    payload, n, zeta = extend_into_open(w2r_encode([], scheme), CylinderSet.cylinder("11"))
     assert (payload, n, zeta) == (BitString("11"), 0, BitString("11"))
     with pytest.raises(DensityError) as err:
-        extend_into_open([BitString("10")], CylinderSet.cylinder("11"), scheme)
+        extend_into_open(coded, CylinderSet.cylinder("11"))
     assert "head" in str(err.value)
     with pytest.raises(DensityError):
-        extend_into_open([BitString("10")], EMPTY_SET, scheme)
+        extend_into_open(coded, EMPTY_SET)
+
+
+def density_witness_reference(u, depth):
+    # Every head in length-lex order, shortest first.
+    for length in range(depth + 1):
+        for head in BitString.all_strings(length):
+            if u.shift(head).is_empty():
+                return head
+    return None
+
+
+def test_density_witness_is_a_shortest_head():
+    u = CylinderSet.normalize(["01110"])
+    assert _density_witness(u, 6) == BitString("1")
+    assert _density_witness(u, 0) is None
+    assert _density_witness(EMPTY_SET, 0) == EMPTY
+
+
+@settings(max_examples=300, deadline=None)
+@given(gens=st.lists(st.text(alphabet="01", max_size=6), max_size=5),
+       depth=st.integers(0, 7))
+def test_density_witness_matches_breadth_first_search(gens, depth):
+    u = CylinderSet.normalize(gens)
+    assert _density_witness(u, depth) == density_witness_reference(u, depth)
+
+
+def test_density_witness_deep_head_without_recursion():
+    # Everything but [0^5000]: the only empty copy sits 5000 bits down.
+    u = CylinderSet.cylinder("0" * 5000).complement()
+    assert _density_witness(u, 5000) == BitString("0" * 5000)
+    assert _density_witness(u, 4999) is None
 
 
 def test_scheme_star_index_validation():
