@@ -34,24 +34,51 @@ from .errors import DensityError, DepthExhausted, SchemeError
 from .staged import Pi01Tree, StagedOpenSet
 
 
+def _exhausted(sigma: BitString, tree: Pi01Tree) -> DepthExhausted:
+    return DepthExhausted(f"no branching level above {sigma} within depth {tree.depth}")
+
+
 def kucera_depth(sigma: BitString, tree: Pi01Tree, stage: int) -> int:
     """Least length with two or more fully intact extensions of `sigma`."""
     sigma = BitString(sigma)
     span = tree.removed_open(stage).branching_span(sigma)
     if span is not None and len(sigma) + span <= tree.depth:
         return len(sigma) + span
-    raise DepthExhausted(f"no branching level above {sigma} within depth {tree.depth}")
+    raise _exhausted(sigma, tree)
+
+
+def _extreme(cur: BitString, tree: Pi01Tree, stage: int, rightmost: int) -> Tuple[int, BitString]:
+    """The walk step above `cur` toward one side: the branching length and
+    the leftmost (rightmost when `rightmost` is 1) intact extension there.
+
+    The tree's step table for the stage keeps, per stem, the length, or None
+    where the depth runs out, and each side once a walk has taken it, so
+    every later walk through `cur` reads them.
+    """
+    table = tree.step_table(stage)
+    key = cur.bits
+    if key not in table:
+        try:
+            length = kucera_depth(cur, tree, stage)
+        except DepthExhausted:
+            table[key] = None
+            raise
+        table[key] = [length, None, None]
+    step = table[key]
+    if step is None:
+        raise _exhausted(cur, tree)
+    end = step[1 + rightmost]
+    if end is None:
+        extend = tree.rightmost_intact if rightmost else tree.leftmost_intact
+        end = step[1 + rightmost] = extend(cur, step[0], stage)
+    return step[0], end
 
 
 def encode_bits(bits: BitString, sigma: BitString, tree: Pi01Tree, stage: int) -> BitString:
     """Walk the raw bits into the tree, one branching level per bit."""
     cur = BitString(sigma)
     for b in bits:
-        length = kucera_depth(cur, tree, stage)
-        if b:
-            cur = tree.rightmost_intact(cur, length, stage)
-        else:
-            cur = tree.leftmost_intact(cur, length, stage)
+        _, cur = _extreme(cur, tree, stage, b)
     return cur
 
 
@@ -101,17 +128,15 @@ def kg_decode_prefix(x: BitString, sigma: BitString, tree: Pi01Tree, stage: Opti
     reader = _CodecReader()
     while not reader.complete():
         try:
-            length = kucera_depth(cur, tree, s)
+            length, left = _extreme(cur, tree, s, 0)
         except DepthExhausted:
             return None
         if length > len(x):
             return None
-        left = tree.leftmost_intact(cur, length, s)
-        right = tree.rightmost_intact(cur, length, s)
         step = x.prefix(length)
         if step == left:
             reader.push(0)
-        elif step == right:
+        elif step == _extreme(cur, tree, s, 1)[1]:
             reader.push(1)
         else:
             return None
@@ -214,9 +239,10 @@ def w2r_extend(enc: W2REncoding, payload: BitString, scheme: W2RScheme) -> W2REn
     tree = enc.classes[-1]
     cur = encode_bits(self_delimit(encode_pair(e, payload)), enc.codeword, tree, scheme.horizon)
     family = scheme.family(e)
+    # The decoder's index searches move until the settle stage, not the walk's.
     trajectory = tuple(
         _finite_or_fail(g_lsc(family, cur, tree, t), e, cur, t)
-        for t in range(scheme.horizon + 1)
+        for t in range(scheme.settle_stage() + 1)
     )
     g = trajectory[-1]
     tree = tree.restrict(family.levels[g])

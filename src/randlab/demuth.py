@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .bitstring import BitString
 from .cylinders import EMPTY_SET, CylinderSet
@@ -179,6 +179,19 @@ def _multiples_exceeded(measure: Dyadic, quantum: Fraction) -> int:
     return (t.numerator - 1) // t.denominator
 
 
+def _sweep(sets: Sequence[StagedOpenSet], horizon: int) -> Iterator[Tuple[int, List[int], List[CylinderSet]]]:
+    """Walk stages 0..horizon where some set changes: at each, the indices of
+    the sets that change there and every set's value, each set read only at
+    its own change stages."""
+    changes = [set(o.enumerator.change_stages(horizon)) for o in sets]
+    now = [EMPTY_SET] * len(sets)
+    for s in sorted(set().union(*changes)):
+        changed = [k for k, stages in enumerate(changes) if s in stages]
+        for k in changed:
+            now[k] = sets[k].open_at(s)
+        yield s, changed, list(now)
+
+
 def diffunion_to_demuth(test: DiffUnionTest) -> DemuthTest:
     """Track each difference-union level one index up by a version list.
 
@@ -189,6 +202,10 @@ def diffunion_to_demuth(test: DiffUnionTest) -> DemuthTest:
     stage.  Crossings in the same stage coalesce into one declaration, so
     the version count stays at most c^2 * 2^(n+1), and the final measure
     stays at most 2^-n as long as the input level obeys its own bound.
+
+    A tracked union can change only where some U_k changes and a crossing
+    happen only where some V_k does, so both are read only at the change
+    stages of their schedules (`_sweep`).
     """
     if not test.levels:
         raise RandlabError("no input levels to convert")
@@ -203,30 +220,30 @@ def diffunion_to_demuth(test: DiffUnionTest) -> DemuthTest:
             )
         c = max(1, len(pairs))
         quantum = Fraction(1, c * (1 << (n + 1)))
+        u_rows = list(_sweep([pair.u for pair in pairs], test.horizon))
 
-        def version_from_snapshot(snapshot_stage: Optional[int], declare: int) -> Tuple[int, StagedOpenSet]:
-            def tracked(s: int) -> CylinderSet:
+        def version_from_snapshot(v_snap: List[CylinderSet], declare: int) -> Tuple[int, StagedOpenSet]:
+            def tracked(u_now: List[CylinderSet]) -> CylinderSet:
                 acc = EMPTY_SET
-                for pair in pairs:
-                    v_snap = EMPTY_SET if snapshot_stage is None else pair.v.open_at(snapshot_stage)
-                    acc = acc | (pair.u.open_at(s) - v_snap)
+                for u, v in zip(u_now, v_snap):
+                    acc = acc | (u - v)
                 return acc
 
-            events = first_seen((s, tracked(s).strings) for s in range(test.horizon + 1))
+            events = first_seen((s, tracked(u_now).strings) for s, _, u_now in u_rows)
             return declare, StagedOpenSet.from_events(events, test.horizon)
 
-        versions = [version_from_snapshot(None, 0)]
+        versions = [version_from_snapshot([EMPTY_SET] * len(pairs), 0)]
         exceeded = [0] * len(pairs)
-        for s in range(test.horizon + 1):
+        for s, changed, v_now in _sweep([pair.v for pair in pairs], test.horizon):
             crossed = False
-            for k, pair in enumerate(pairs):
-                now = _multiples_exceeded(pair.v.open_at(s).measure(), quantum)
+            for k in changed:
+                now = _multiples_exceeded(v_now[k].measure(), quantum)
                 if now > exceeded[k]:
                     exceeded[k] = now
                     crossed = True
             if crossed:
                 declare = s if s > versions[-1][0] else versions[-1][0] + 1
-                versions.append(version_from_snapshot(s, declare))
+                versions.append(version_from_snapshot(v_now, declare))
         out_levels.append(VersionedOpenSet(versions))
         out_bounds.append(c * c * (1 << (n + 1)))
     return DemuthTest(tuple(out_levels), tuple(out_bounds), test.horizon)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .bitstring import BitString, EMPTY
+from .bitstring import BitString
 from .cylinders import CylinderSet
 from .demuth import DemuthTest, DiffPair, DiffUnionTest, VersionedOpenSet
 from .dyadic import Dyadic
@@ -57,24 +57,26 @@ def random_functional(rng: random.Random, depth: int, axiom_count: int,
 
     Along any branch the label only extends, so any two axioms with
     comparable stems automatically have comparable outputs.  That is the
-    whole consistency requirement, met without rejection sampling.
+    whole consistency requirement, met without rejection sampling.  Nodes
+    and labels grow as plain bit text; the functional turns only the drawn
+    axioms into bit strings.
     """
-    labels: Dict[BitString, BitString] = {EMPTY: EMPTY}
-    nodes = [EMPTY]
-    frontier = [EMPTY]
+    labels: Dict[str, str] = {"": ""}
+    nodes = [""]
+    frontier = [""]
     for _ in range(depth):
-        nxt: List[BitString] = []
+        nxt: List[str] = []
         for node in frontier:
-            for bit in (0, 1):
-                child = node.append(bit)
+            for bit in "01":
+                child = node + bit
                 grown = labels[node]
                 for _ in range(rng.randrange(_GROWTH_MAX + 1)):
-                    grown = grown.append(rng.getrandbits(1))
+                    grown += "1" if rng.getrandbits(1) else "0"
                 labels[child] = grown
                 nodes.append(child)
                 nxt.append(child)
         frontier = nxt
-    candidates = [n for n in nodes if len(labels[n]) > 0]
+    candidates = [n for n in nodes if labels[n]]
     if not candidates:
         return TuringFunctional([], horizon)
     pairs = []

@@ -44,11 +44,16 @@ class PairFamily:
 
 
 def _max_antichain(strings: Sequence[BitString]) -> int:
-    """Largest pairwise-incomparable subset of a finite string set.
+    """Largest pairwise-incomparable subset of a finite string set."""
+    return _widths(strings).get("", 0)
 
-    One bottom-up pass over the trie of the strings' prefixes, longest
-    nodes first: a node's width is the larger of its own membership and
-    the sum of its children's widths.
+
+def _widths(strings: Sequence[BitString]) -> Dict[str, int]:
+    """Width of every node of the trie of the strings' prefixes: the largest
+    pairwise-incomparable subset of the strings at or below it.
+
+    One bottom-up pass, longest nodes first: a node's width is the larger
+    of its own membership and the sum of its children's widths.
     """
     present = {s.bits for s in strings}
     nodes: Set[str] = set()
@@ -62,7 +67,7 @@ def _max_antichain(strings: Sequence[BitString]) -> int:
     for node in sorted(nodes, key=len, reverse=True):
         children = width.get(node + "0", 0) + width.get(node + "1", 0)
         width[node] = max(1 if node in present else 0, children)
-    return width.get("", 0)
+    return width
 
 
 def _candidate_pool(phi: TuringFunctional, stem: BitString, stage: int) -> List[Tuple[BitString, BitString]]:
@@ -85,40 +90,61 @@ def _candidate_pool(phi: TuringFunctional, stem: BitString, stage: int) -> List[
     return pool
 
 
+def _choose(pool: Sequence[Tuple[BitString, BitString]], want: int) -> Optional[List[Tuple[BitString, BitString]]]:
+    """The first `want` candidates with pairwise incomparable outputs, taken
+    greedily in pool order; None when the pool holds no such family.
+
+    An exact width check keeps each greedy choice completable.  It reads
+    the node widths of one pass over the whole pool: the outputs
+    incomparable with every chosen one lie in the subtrees hanging off the
+    chosen outputs' root paths, so their widest antichain is the sum of
+    those subtrees' widths, updated as a path grows.  Counting the scanned
+    candidates loses nothing: one that joins a completion now would have
+    completed the choice made when it was scanned, and been taken then.
+    """
+    width = _widths([out for _, out in pool])
+    free = width.get("", 0)  # widest antichain incomparable with every chosen output
+    if free < want:
+        return None
+    chosen: List[Tuple[BitString, BitString]] = []
+    used: Set[str] = set()   # the chosen outputs' bits
+    paths: Set[str] = set()  # and all their prefixes
+    for cand_s, cand_t in pool:
+        bits = cand_t.bits
+        if bits in paths or any(bits[:i] in used for i in range(len(bits))):
+            continue
+        # The candidate's root path leaves the chosen paths at depth d.
+        d = 0
+        while bits[:d] in paths:
+            d += 1
+        after = free - width[bits[:d]] + sum(
+            width.get(bits[:i] + ("1" if bits[i] == "0" else "0"), 0) for i in range(d, len(bits)))
+        if 1 + len(chosen) + after >= want:
+            chosen.append((cand_s, cand_t))
+            used.add(bits)
+            paths.update(bits[:i] for i in range(d, len(bits) + 1))
+            free = after
+            if len(chosen) == want:
+                return chosen
+    raise RandlabError(f"greedy family took {len(chosen)} of {want} pairs")
+
+
 def find_family(phi: TuringFunctional, stem: BitString, stage: int) -> Optional[PairFamily]:
     """Earliest lexicographically-first family of 2^Nat(stem) candidates.
 
     Searches stage 0 and then each event stage of `phi` up to `stage`, since
     the pool only changes at events; within a stage, candidates are taken
-    greedily in length-lex order, with an exact width check keeping the
-    greedy choice completable.  None when no stage up to `stage` carries a
-    family.
+    greedily in length-lex order (`_choose`).  None when no stage up to
+    `stage` carries a family.
     """
     n = to_nat(stem)
     want = 1 << n
     if want > FAMILY_GUARD:
         raise GuardExceeded(f"family of 2^{n} pairs refused (limit {FAMILY_GUARD})")
     for s in phi.change_stages(stage):
-        pool = _candidate_pool(phi, stem, s)
-        outputs = [out for _, out in pool]
-        if _max_antichain(outputs) < want:
-            continue
-        chosen: List[Tuple[BitString, BitString]] = []
-        used_outputs: List[BitString] = []
-        for i, (cand_s, cand_t) in enumerate(pool):
-            if any(cand_t.comparable(u) for u in used_outputs):
-                continue
-            # Completability over the unscanned suffix keeps the greedy exact.
-            rest = [out for _, out in pool[i + 1:]
-                    if not any(out.comparable(u) for u in used_outputs + [cand_t])]
-            if 1 + len(used_outputs) + _max_antichain(rest) >= want:
-                chosen.append((cand_s, cand_t))
-                used_outputs.append(cand_t)
-                if len(chosen) == want:
-                    break
-        if len(chosen) != want:
-            raise RandlabError(f"greedy family at stage {s} took {len(chosen)} of {want} pairs")
-        return PairFamily(stem, n, tuple(chosen), s)
+        chosen = _choose(_candidate_pool(phi, stem, s), want)
+        if chosen is not None:
+            return PairFamily(stem, n, tuple(chosen), s)
     return None
 
 

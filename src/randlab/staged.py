@@ -13,8 +13,8 @@ consistency and depth bounds on tree removals.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple, TypeVar, Union
+from bisect import bisect_left, bisect_right
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from .bitstring import EMPTY, BitString, length_lex
 from .cylinders import CylinderSet
@@ -59,42 +59,58 @@ def _axiom_key(axiom: Tuple[BitString, BitString]) -> Tuple[int, str, int, str]:
     return length_lex(axiom[0]) + length_lex(axiom[1])
 
 
+def _cumulative_sets(events: Sequence[Tuple[int, tuple]]) -> List[frozenset]:
+    """Snapshot i is the set of everything events 0..i-1 enumerate."""
+    acc: set = set()
+    snapshots = [frozenset()]
+    for _, items in events:
+        acc.update(items)
+        snapshots.append(frozenset(acc))
+    return snapshots
+
+
+def _sorted_axiom_snapshots(events: Sequence[Tuple[int, tuple]]) -> List[tuple]:
+    """The distinct axioms sorted once; snapshot i keeps, in that order, the
+    ones events 0..i-1 grant."""
+    first: Dict[Tuple[BitString, BitString], int] = {}
+    for i, (_, items) in enumerate(events, 1):
+        for axiom in items:
+            first.setdefault(axiom, i)
+    ordered = sorted(first.items(), key=lambda item: _axiom_key(item[0]))
+    return [tuple(ax for ax, since in ordered if since <= i) for i in range(len(events) + 1)]
+
+
 class _Schedule:
     """Strictly increasing dated events with a horizon.
 
     `events` holds each event's items normalised and sorted on `key`, a
     length-lex sort key compared in C (no Python `__lt__` per comparison);
-    the snapshot after event i is everything events 0..i enumerate, frozen
-    by `freeze`, and snapshot 0 is the empty one every stage before the
-    first event reads.
+    `snapshots` turns the events into one frozen snapshot per event, the
+    one after event i holding everything events 0..i enumerate, plus
+    snapshot 0, the empty one every stage before the first event reads.
     """
 
     __slots__ = ("events", "horizon", "_stages", "_snapshots")
 
     def __init__(self, events: Iterable[Tuple[int, Iterable]], horizon: Optional[int],
-                 item: Callable, key: Callable, freeze: Callable) -> None:
+                 item: Callable, key: Callable, snapshots: Callable) -> None:
         out = []
         stages: List[int] = []
-        acc: set = set()
-        snapshots = [freeze(acc)]
         for stage, items in events:
             stage = int(stage)
             if stage < 0:
                 raise RandlabError(f"negative stage {stage}")
             if stages and stage <= stages[-1]:
                 raise RandlabError(f"stages must be strictly increasing, got {stage} after {stages[-1]}")
-            items = tuple(sorted(map(item, items), key=key))
-            out.append((stage, items))
+            out.append((stage, tuple(sorted(map(item, items), key=key))))
             stages.append(stage)
-            acc.update(items)
-            snapshots.append(freeze(acc))
         last = stages[-1] if stages else 0
         self.horizon = last if horizon is None else int(horizon)
         if self.horizon < last:
             raise RandlabError(f"horizon {self.horizon} precedes last event at {last}")
         self.events = tuple(out)
         self._stages = stages
-        self._snapshots = tuple(snapshots)
+        self._snapshots = tuple(snapshots(out))
 
     def _at(self, stage: int):
         return self._snapshots[bisect_right(self._stages, stage)]
@@ -117,7 +133,7 @@ class Enumerator(_Schedule):
     __slots__ = ()
 
     def __init__(self, events: Iterable[Tuple[int, Iterable[StrLike]]], horizon: Optional[int] = None) -> None:
-        super().__init__(events, horizon, _bits, length_lex, frozenset)
+        super().__init__(events, horizon, _bits, length_lex, _cumulative_sets)
 
     at = _Schedule._at
 
@@ -215,6 +231,11 @@ def _check_consistent(axioms: Iterable[Tuple[BitString, BitString]]) -> None:
         stack.append((bits, longest))
 
 
+# One snapshot's preimage index: output bits ascending, the stems in the
+# same order, and the preimages asked so far by tau bits.
+_OutputIndex = Tuple[List[str], List[BitString], Dict[str, CylinderSet]]
+
+
 class TuringFunctional(_Schedule):
     """A monotone oracle-to-output map given by stage-dated axioms (sigma, tau).
 
@@ -223,17 +244,19 @@ class TuringFunctional(_Schedule):
     incomparable outputs.  The check is one preorder walk over the final
     axiom set at construction (`_check_consistent`), which covers every
     stage because schedules only grow.  Each snapshot is the tuple of the
-    axioms granted so far in length-lex order of (sigma, tau); `apply`
-    reads a table from stem to longest output, built once per snapshot the
-    first time one of its stages is asked.
+    axioms granted so far in length-lex order of (sigma, tau), cut from one
+    sort of the distinct axioms.  `apply` reads a table from stem to longest
+    output and `preimage` an index of the axioms sorted on output bits, each
+    built once per snapshot the first time one of its stages is asked.
     """
 
-    __slots__ = ("_longest",)
+    __slots__ = ("_longest", "_by_output")
 
     def __init__(self, events: Iterable[Tuple[int, Iterable[Tuple[StrLike, StrLike]]]], horizon: Optional[int] = None) -> None:
-        super().__init__(events, horizon, _axiom, _axiom_key, lambda acc: tuple(sorted(acc, key=_axiom_key)))
+        super().__init__(events, horizon, _axiom, _axiom_key, _sorted_axiom_snapshots)
         _check_consistent(self._snapshots[-1])
         self._longest: List[Optional[Dict[str, BitString]]] = [None] * len(self._snapshots)
+        self._by_output: List[Optional[_OutputIndex]] = [None] * len(self._snapshots)
 
     axioms_at = _Schedule._at
 
@@ -258,12 +281,28 @@ class TuringFunctional(_Schedule):
         return best
 
     def preimage(self, tau: StrLike, stage: int) -> CylinderSet:
-        """Clopen set of oracle prefixes whose output extends `tau` by `stage`."""
-        tau = BitString(tau)
-        if len(tau) == 0:
+        """Clopen set of oracle prefixes whose output extends `tau` by `stage`.
+
+        Sorted on their bits, the outputs extending tau are the contiguous
+        run from tau up to tau + "2" ("2" sorts after both bits), found by
+        two bisects; each snapshot answers each tau once.
+        """
+        key = _bits(tau).bits
+        if not key:
             # Every oracle computes the empty output.
             return CylinderSet(True)
-        return CylinderSet.normalize(ax_s for ax_s, ax_t in self._at(stage) if ax_t.extends(tau))
+        i = bisect_right(self._stages, stage)
+        index = self._by_output[i]
+        if index is None:
+            ordered = sorted(self._snapshots[i], key=lambda axiom: axiom[1].bits)
+            index = self._by_output[i] = ([ax_t.bits for _, ax_t in ordered],
+                                          [ax_s for ax_s, _ in ordered], {})
+        outputs, stems, asked = index
+        found = asked.get(key)
+        if found is None:
+            lo = bisect_left(outputs, key)
+            found = asked[key] = CylinderSet.normalize(stems[lo:bisect_left(outputs, key + "2", lo)])
+        return found
 
     def __repr__(self) -> str:
         return f"TuringFunctional({len(self._snapshots[-1])} axioms, horizon={self.horizon})"
@@ -276,14 +315,22 @@ def _check_depth(enumerator: Enumerator, depth: int, what: str) -> None:
         raise RandlabError(f"{what} {deep} deeper than depth {depth}")
 
 
+# A walk step above a stem: [the least length with two fully intact
+# extensions, the leftmost of them, the rightmost], each extension None
+# until a walk asks for it; None where the tree's depth runs out first.
+WalkStep = Optional[List]
+
+
 class Pi01Tree:
     """A co-enumerated class: all of Cantor space minus staged cylinder removals.
 
     Removing a string kills every extension.  `depth` bounds both removal
-    lengths and the leaf level at which survivor counts are measured.
+    lengths and the leaf level at which survivor counts are measured.  The
+    walks into the class keep their steps in one table per removal snapshot
+    (`step_table`), which dies with the tree.
     """
 
-    __slots__ = ("depth", "removals")
+    __slots__ = ("depth", "removals", "_steps")
 
     def __init__(self, depth: int, events: Iterable[Tuple[int, Iterable[StrLike]]] = (), horizon: Optional[int] = None) -> None:
         if depth < 1:
@@ -291,6 +338,7 @@ class Pi01Tree:
         self.depth = int(depth)
         self.removals = StagedOpenSet.from_events(events, horizon)
         _check_depth(self.removals.enumerator, self.depth, "removal")
+        self._steps: List[Optional[Dict[str, WalkStep]]] = [None] * len(self.removals.enumerator._snapshots)
 
     @property
     def horizon(self) -> int:
@@ -336,6 +384,18 @@ class Pi01Tree:
 
     def rightmost_intact(self, sigma: StrLike, length: int, stage: int) -> Optional[BitString]:
         return self.removed_open(stage).disjoint_extension(BitString(sigma), length, rightmost=True)
+
+    def step_table(self, stage: int) -> Dict[str, WalkStep]:
+        """The walk steps known for the snapshot `stage` reads, by stem bits.
+
+        The coding walks fill it, one step per stem the first time they pass
+        it; every stage between two removal events shares it.
+        """
+        i = bisect_right(self.removals.enumerator._stages, stage)
+        table = self._steps[i]
+        if table is None:
+            table = self._steps[i] = {}
+        return table
 
     def restrict(self, extra: StagedOpenSet) -> "Pi01Tree":
         """The class cut down by the complement of a staged open set: the

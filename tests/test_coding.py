@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randlab import coding
 from randlab.bitstring import EMPTY, BitString, self_delimit
 from randlab.cylinders import CylinderSet, EMPTY_SET, uniform_suffix_set
 from randlab.coding import (OpenFamily, W2RScheme, _density_witness, encode_bits,
@@ -116,6 +117,113 @@ def test_kg_round_trip_seeded_trees():
             word = kg_encode(payload, EMPTY, tree)
             assert kg_decode(word, EMPTY, tree) == payload
             assert tree.viable(word, tree.horizon)
+
+
+# The walks as they were before the step tables: every step asks
+# kucera_depth and both extreme extensions afresh.  They are the oracles
+# for the table-backed walks.
+
+def encode_bits_reference(bits, sigma, tree, stage):
+    cur = BitString(sigma)
+    for b in bits:
+        length = kucera_depth(cur, tree, stage)
+        cur = (tree.rightmost_intact if b else tree.leftmost_intact)(cur, length, stage)
+    return cur
+
+
+def kg_decode_prefix_reference(x, sigma, tree, stage):
+    cur = BitString(sigma)
+    if not x.extends(cur):
+        return None
+    count, seen_zero, payload = 0, False, []
+    while not (seen_zero and len(payload) == count):
+        try:
+            length = kucera_depth(cur, tree, stage)
+        except DepthExhausted:
+            return None
+        if length > len(x):
+            return None
+        step = x.prefix(length)
+        if step == tree.leftmost_intact(cur, length, stage):
+            bit = 0
+        elif step == tree.rightmost_intact(cur, length, stage):
+            bit = 1
+        else:
+            return None
+        if seen_zero:
+            payload.append(bit)
+        elif bit:
+            count += 1
+        else:
+            seen_zero = True
+        cur = step
+    return BitString(payload), cur
+
+
+def walk_outcome(walk, *args):
+    try:
+        return walk(*args)
+    except DepthExhausted as err:
+        return "DepthExhausted", str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), depth=st.sampled_from([9, 12, 24]),
+       calls=st.lists(st.tuples(st.text(alphabet="01", max_size=6).map(BitString),
+                                st.text(alphabet="01", max_size=3).map(BitString),
+                                st.integers(-1, 9), st.integers(0, 3)),
+                      min_size=1, max_size=12))
+def test_kg_walks_match_the_unmemoized_walks(seed, depth, calls):
+    # One tree serves every call, so later walks read steps earlier walks
+    # stored, across stages; shallow trees run out of depth (DepthExhausted
+    # from encode_bits, None from the decoder), and mangled or truncated
+    # words stray off the survivors.
+    rng = random.Random(seed)
+    removal_len = min(8, depth - 1)
+    kept = [(rng.randrange(9), BitString(format(rng.getrandbits(n), f"0{n}b")))
+            for n in (1 + rng.randrange(removal_len) for _ in range(rng.randrange(8)))]
+    tree = Pi01Tree(depth, by_stage(kept), horizon=8)
+    for payload, sigma, stage, mangle in calls:
+        bits = self_delimit(payload)
+        got = walk_outcome(encode_bits, bits, sigma, tree, stage)
+        assert got == walk_outcome(encode_bits_reference, bits, sigma, tree, stage)
+        x = got if isinstance(got, BitString) else sigma + payload
+        if mangle == 1:
+            x = x.prefix(len(x) - 1) if len(x) else x
+        elif mangle == 2:
+            x = x + BitString("01")
+        elif mangle == 3 and len(x):
+            x = x.prefix(len(x) - 1).append(1 - x[len(x) - 1])
+        for probe in (stage, stage + 1):
+            assert (kg_decode_prefix(x, sigma, tree, probe)
+                    == kg_decode_prefix_reference(x, sigma, tree, probe))
+
+
+def test_kg_walks_hit_every_outcome():
+    # The differential test above reaches each kind of result.
+    tree = Pi01Tree(3, [(0, ["00"])], horizon=1)
+    with pytest.raises(DepthExhausted):
+        encode_bits(BitString("111"), EMPTY, tree, 0)
+    assert kg_decode_prefix(BitString("111"), EMPTY, tree, 0) is None
+    # A second walk through the exhausted stem reads the stored verdict.
+    with pytest.raises(DepthExhausted, match="above 111 within depth 3"):
+        encode_bits(BitString("111"), EMPTY, tree, 0)
+    assert tree.step_table(0)["111"] is None
+
+
+def test_kg_sweep_asks_kucera_depth_once_per_stem(monkeypatch):
+    # A work-count gate on one kg_sweep instance: 31 payloads encoded and
+    # decoded over one tree walk the same codec stems again and again.
+    calls = []
+    real = coding.kucera_depth
+    monkeypatch.setattr(coding, "kucera_depth",
+                        lambda sigma, tree, stage: calls.append((sigma.bits, stage)) or real(sigma, tree, stage))
+    tree = random_pi01_tree(random.Random("0:0"), depth=24, horizon=8)
+    for n in range(5):
+        for payload in BitString.all_strings(n):
+            word = kg_encode(payload, EMPTY, tree)
+            assert kg_decode(word, EMPTY, tree, tree.horizon) == payload
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_stage_replay_garbles_honestly():

@@ -1,18 +1,22 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_staged import schedules
 
 from randlab.bitstring import BitString
 from randlab.cylinders import CylinderSet, EMPTY_SET
 from randlab.demuth import (DemuthTest, DiffPair, DiffUnionTest,
-                            VersionedOpenSet, demuth_to_diffunion,
+                            VersionedOpenSet, _multiples_exceeded, demuth_to_diffunion,
                             diffunion_to_demuth, solovay_membership_profile,
                             verify_demuth, verify_diffunion)
 from randlab.dyadic import Dyadic
 from randlab.errors import RandlabError
 from randlab.generators import (random_demuth_test, random_diffunion_test,
                                 random_open_set, thinned_delayed)
-from randlab.staged import StagedOpenSet
+from randlab.staged import StagedOpenSet, first_seen
 
 
 def staged(events, horizon=4):
@@ -147,3 +151,115 @@ def test_membership_profile():
     assert solovay_membership_profile(BitString("0110"), out) == {0, 1}
     with pytest.raises(RandlabError):
         solovay_membership_profile(BitString("0"), object())
+
+
+# The converse conversion as it was before it visited only change stages:
+# every tracked union and every crossing test at every stage 0..horizon.
+# It is the oracle for `diffunion_to_demuth`.
+
+def per_stage_diffunion_to_demuth(test):
+    out_levels, out_bounds = [], []
+    for n in range(len(test.levels) - 1):
+        pairs = test.levels[n + 1]
+        if test.level_final(n + 1).measure() > Dyadic.half_pow(n + 1):
+            raise RandlabError("overweight")
+        c = max(1, len(pairs))
+        quantum = Fraction(1, c * (1 << (n + 1)))
+
+        def version(snapshot_stage, declare):
+            def tracked(s):
+                acc = EMPTY_SET
+                for pair in pairs:
+                    v_snap = EMPTY_SET if snapshot_stage is None else pair.v.open_at(snapshot_stage)
+                    acc = acc | (pair.u.open_at(s) - v_snap)
+                return acc
+            events = first_seen((s, tracked(s).strings) for s in range(test.horizon + 1))
+            return declare, StagedOpenSet.from_events(events, test.horizon)
+
+        versions = [version(None, 0)]
+        exceeded = [0] * len(pairs)
+        for s in range(test.horizon + 1):
+            crossed = False
+            for k, pair in enumerate(pairs):
+                now = _multiples_exceeded(pair.v.open_at(s).measure(), quantum)
+                if now > exceeded[k]:
+                    exceeded[k] = now
+                    crossed = True
+            if crossed:
+                declare = s if s > versions[-1][0] else versions[-1][0] + 1
+                versions.append(version(s, declare))
+        out_levels.append(VersionedOpenSet(versions))
+        out_bounds.append(c * c * (1 << (n + 1)))
+    return DemuthTest(tuple(out_levels), tuple(out_bounds), test.horizon)
+
+
+def conversion_outcome(convert, test):
+    try:
+        out = convert(test)
+    except RandlabError:
+        return RandlabError
+    return out.version_bounds, out.horizon, [
+        [(stage, v.enumerator.events, v.horizon) for stage, v in level.versions]
+        for level in out.levels]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_converse_matches_the_per_stage_loops_on_seeded_tests(seed):
+    rng = random.Random(f"cnv-diff:{seed}")
+    test = random_diffunion_test(rng, levels=2 + rng.randrange(3), pair_bound=1 + rng.randrange(3),
+                                 horizon=1 + rng.randrange(12))
+    assert (conversion_outcome(diffunion_to_demuth, test)
+            == conversion_outcome(per_stage_diffunion_to_demuth, test))
+
+
+open_sets = schedules(st.text(alphabet="01", max_size=4)).map(
+    lambda sched: StagedOpenSet.from_events(*sched))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.tuples(open_sets, open_sets), max_size=3), min_size=1, max_size=3),
+       st.integers(min_value=0, max_value=16))
+def test_converse_matches_the_per_stage_loops_on_schedules(levels, horizon):
+    # Sets that need not nest, horizons on either side of theirs, empty
+    # levels, and overweight levels the conversion refuses.
+    test = DiffUnionTest(tuple(tuple(DiffPair(u, v) for u, v in level) for level in levels),
+                         tuple(3 for _ in levels), horizon)
+    assert (conversion_outcome(diffunion_to_demuth, test)
+            == conversion_outcome(per_stage_diffunion_to_demuth, test))
+
+
+class RecordingOpenSet(StagedOpenSet):
+    """A staged open set that logs the stage of every `open_at` read."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self, enumerator):
+        super().__init__(enumerator)
+        self.reads = []
+
+    def open_at(self, stage):
+        self.reads.append(stage)
+        return super().open_at(stage)
+
+
+def test_converse_reads_each_pair_only_at_its_change_stages():
+    # A work-count gate: the per-stage loops read every U and V at every
+    # stage, once per version.  Past the final-measure check at the horizon,
+    # each set is read once per change stage of its own schedule.
+    skipped = 0
+    for i in range(10):
+        rng = random.Random(f"cnv-gate:{i}")
+        raw = random_diffunion_test(rng, levels=4, pair_bound=3, horizon=12)
+        wrapped = {}
+        levels = tuple(tuple(DiffPair(*(wrapped.setdefault(id(o), RecordingOpenSet(o.enumerator))
+                                        for o in (pair.u, pair.v)))
+                             for pair in level) for level in raw.levels)
+        test = DiffUnionTest(levels, raw.pair_bounds, raw.horizon)
+        assert conversion_outcome(diffunion_to_demuth, test) == conversion_outcome(diffunion_to_demuth, raw)
+        for o in wrapped.values():
+            changes = o.enumerator.change_stages(test.horizon)
+            allowed = set(changes) | {test.horizon}
+            assert set(o.reads) <= allowed
+            assert len(o.reads) <= len(changes) + 1
+            skipped += len(set(range(test.horizon + 1)) - allowed)
+    assert skipped > 100

@@ -258,3 +258,28 @@ def test_gamma_decode_walks_do_not_grow_past_the_settle_stage(monkeypatch):
     assert len(calls) == walks
     assert long.positions == short.positions
     assert long.subs[:t_max + 1] == short.subs
+
+
+def test_true_codewords_decode_from_the_settle_stage_on():
+    # The encoder fixes each layer's index where the decoder's index search
+    # settles, which may lie past the walk stage: from the settle stage on,
+    # every replay parses exactly the coded layers and the output reads the
+    # payload stream.
+    accepted = late = 0
+    for i in range(SCHEMES):
+        rng = random.Random(f"gamma:{i}")
+        scheme = random_scheme(rng, i % 10)
+        settle = scheme.settle_stage()
+        payloads = [random_bits(rng, rng.randrange(4)) for _ in range(1 + rng.randrange(3))]
+        try:
+            enc = w2r_encode(payloads, scheme)
+        except RandlabError:
+            continue
+        accepted += 1
+        late += settle > scheme.horizon
+        layers = tuple(zip(scheme.star_indices, payloads))
+        stream = BitString("".join(p.bits for p in payloads))
+        result = gamma_decode(enc.codeword, settle + len(stream) + scheme.horizon, scheme)
+        assert all(rec.layers == layers and rec.merged == stream for rec in result.subs[settle:]), i
+        assert result.output_prefix() == stream, i
+    assert accepted >= 100 and late >= 50, (accepted, late)

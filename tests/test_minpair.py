@@ -15,7 +15,7 @@ from randlab.generators import random_functional_pair
 from randlab.minpair import (FAMILY_GUARD, FApprox, PairFamily, classify_case, f_approx,
                              find_family, induced_demuth_level,
                              isolated_path_analysis, output_tree,
-                             _max_antichain)
+                             _candidate_pool, _choose, _max_antichain)
 from randlab.staged import Enumerator, TuringFunctional, first_seen
 
 
@@ -350,6 +350,57 @@ def test_minpair_path_matches_the_old_path_on_schedules(phi_sched, psi_sched):
 @given(st.lists(st.text(alphabet="01", max_size=8).map(BitString), max_size=12))
 def test_max_antichain_matches_the_recursive_walk(strings):
     assert _max_antichain(strings) == old_max_antichain(strings)
+
+
+# The greedy as it was before the width table: completability checked by a
+# fresh antichain over the unscanned suffix of the pool for every candidate.
+# It is the oracle for `_choose`.
+
+def suffix_greedy(pool, want):
+    if _max_antichain([out for _, out in pool]) < want:
+        return None
+    chosen, used_outputs = [], []
+    for i, (cand_s, cand_t) in enumerate(pool):
+        if any(cand_t.comparable(u) for u in used_outputs):
+            continue
+        rest = [out for _, out in pool[i + 1:]
+                if not any(out.comparable(u) for u in used_outputs + [cand_t])]
+        if 1 + len(used_outputs) + _max_antichain(rest) >= want:
+            chosen.append((cand_s, cand_t))
+            used_outputs.append(cand_t)
+            if len(chosen) == want:
+                break
+    return chosen
+
+
+def suffix_find_family(phi, stem, stage):
+    n = to_nat(stem)
+    for s in phi.change_stages(stage):
+        chosen = suffix_greedy(_candidate_pool(phi, stem, s), 1 << n)
+        if chosen is not None:
+            return PairFamily(stem, n, tuple(chosen), s)
+    return None
+
+
+pool_entries = st.tuples(st.text(alphabet="01", max_size=4).map(BitString),
+                         st.text(alphabet="01", max_size=6).map(BitString))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(pool_entries, max_size=14), st.integers(min_value=1, max_value=8))
+def test_choose_matches_the_suffix_greedy_on_any_pool(pool, want):
+    # Any order and repeated outputs, not only length-lex pools.
+    assert _choose(pool, want) == suffix_greedy(pool, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_find_family_matches_the_suffix_greedy_on_seeded_pairs(seed):
+    phi, psi = random_functional_pair(random.Random(seed), 6, 160, 8)
+    for fn in (phi, psi):
+        for n in range(4):
+            stem = from_nat(n)
+            assert find_family(fn, stem, 8) == suffix_find_family(fn, stem, 8)
 
 
 # Work-count gates: on a schedule with events at stages 0 and 40 only, the

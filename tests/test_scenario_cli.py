@@ -451,3 +451,31 @@ def test_cli_malformed_arguments_exit_2(capsys, argv, message):
     err = capsys.readouterr().err
     assert code == 2, err
     assert message in err
+
+
+def _reports(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def test_reports_do_not_depend_on_run_order_or_out_dir(tmp_path, capsys):
+    # Objects keep per-snapshot tables that experiments sharing an object
+    # table fill in turn.  A second run in the same process, scenarios in
+    # reverse order and each one's experiments reversed, into another
+    # directory, must write the same bytes.  An interaction grid reads the
+    # facts of the experiments before it, so it stays last.
+    paths = bundled_scenarios()
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    for path in paths:
+        assert main(["run", str(path), "--out", str(first)]) == 0
+    for path in reversed(paths):
+        doc = json.loads(path.read_text())
+        grids = [exp for exp in doc["experiments"] if exp["kind"] == "interaction"]
+        doc["experiments"] = [exp for exp in doc["experiments"][::-1] if exp not in grids] + grids
+        reversed_path = write_doc(tmp_path, doc, f"reversed_{path.name}")
+        assert main(["run", str(reversed_path), "--out", str(second)]) == 0
+    capsys.readouterr()
+    reports = _reports(first)
+    assert len(reports) >= len(paths)
+    assert _reports(second) == reports

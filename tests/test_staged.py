@@ -3,6 +3,7 @@ import pathlib
 import random
 import re
 import types
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given
@@ -450,3 +451,44 @@ def test_consistency_check_compares_once_per_axiom(monkeypatch):
     monkeypatch.setattr(BitString, "comparable", lambda a, b: calls.append(1) or comparable(a, b))
     TuringFunctional(built.events, built.horizon)
     assert 0 < len(calls) <= count
+
+
+def _probe_taus(phi, rng):
+    """Every prefix of every output, plus strings no output extends."""
+    taus = {ax_t.prefix(i) for _, ax_t in phi.axioms_at(phi.horizon) for i in range(len(ax_t) + 1)}
+    taus.update(BitString(format(rng.getrandbits(n), f"0{n}b")) for n in range(1, 9) for _ in range(3))
+    return sorted(taus)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_preimage_index_matches_the_scan_on_seeded_functionals(seed):
+    rng = random.Random(f"preimage:{seed}")
+    phi = random_functional(rng, 6, 160, 8)
+    norm = phi.events
+    taus = _probe_taus(phi, rng)
+    for stage in query_stages(phi.horizon):
+        for tau in taus:
+            want = old_preimage(norm, tau, stage)
+            # The second ask, as text, reads the snapshot's stored answer.
+            assert phi.preimage(tau, stage) == want
+            assert phi.preimage(tau.bits, stage) == want
+
+
+def test_preimage_answers_each_snapshot_and_tau_once(monkeypatch):
+    # A work-count gate: the scan built one set per call; the index builds
+    # one per (snapshot, tau) however often and at whichever stages it is asked.
+    rng = random.Random("preimage:gate")
+    phi = random_functional(rng, 6, 160, 8)
+    taus = [tau for tau in _probe_taus(phi, rng) if len(tau)]
+    builds = []
+    normalize = CylinderSet.normalize
+    monkeypatch.setattr(CylinderSet, "normalize",
+                        staticmethod(lambda strings: builds.append(1) or normalize(strings)))
+    stages = range(phi.horizon + 3)
+    for _ in range(3):
+        for stage in stages:
+            for tau in taus:
+                phi.preimage(tau, stage)
+    snapshots = {bisect_right(phi._stages, stage) for stage in stages}
+    assert len(snapshots) < len(stages)
+    assert 0 < len(builds) <= len(snapshots) * len(taus)
