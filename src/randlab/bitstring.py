@@ -73,11 +73,6 @@ class BitString:
         """True when one string is a prefix of the other."""
         return self.is_prefix_of(other) or other.is_prefix_of(self)
 
-    def strip_prefix(self, other: "BitString") -> "BitString":
-        if not other.is_prefix_of(self):
-            raise ValueError(f"{other} is not a prefix of {self}")
-        return BitString(self._bits[len(other._bits):])
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BitString) and self._bits == other._bits
 

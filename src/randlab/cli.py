@@ -54,7 +54,7 @@ def _emit(result, out_given: bool) -> int:
         sys.stdout.write(f"== {path.name} ==\n")
         sys.stdout.write(path.read_text())
     for fact in result.facts:
-        status = "ok" if fact.ok else "FAILED"
+        status = "ok" if fact.ok else f"FAILED at {fact.failed_at}"
         sys.stdout.write(f"experiment {fact.name}: {status}\n")
     if out_given:
         sys.stdout.write(f"wrote {len(result.files)} file(s)\n")

@@ -25,11 +25,10 @@ every schedule sits at its final snapshot, so later replays repeat it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bitstring import (EMPTY, BitString, decode_pair, encode_pair,
-                        read_self_delimited, self_delimit)
-from .cylinders import EMPTY_SET, FULL_SET, CylinderSet
+from .bitstring import EMPTY, BitString, decode_pair, encode_pair, self_delimit
+from .cylinders import CylinderSet
 from .errors import DensityError, DepthExhausted, SchemeError
 from .staged import Pi01Tree, StagedOpenSet
 
@@ -302,9 +301,6 @@ class GammaResult:
             i += 1
         return BitString(bits)
 
-    def defined_upto(self) -> int:
-        return len(self.output_prefix())
-
 
 # A parsed layer: (family index, payload, codeword), or None where the parse stops.
 _Step = Optional[Tuple[int, BitString, BitString]]
@@ -396,24 +392,10 @@ def shifted_core(u: CylinderSet, n: int) -> CylinderSet:
 
 def _density_witness(u: CylinderSet, depth: int) -> Optional[BitString]:
     """The length-lex least head, of length at most `depth`, whose shifted
-    copy of `u` is empty; None when there is none.
-
-    Breadth-first over the shifted copies, 0 before 1.  A copy met again,
-    deeper or further right, leads only to longer or lex-greater heads, so
-    no copy is expanded twice; a full copy never empties.
-    """
-    seen: Set[CylinderSet] = set()
-    level: List[Tuple[CylinderSet, str]] = [(u, "")]
-    for length in range(depth + 1):
-        below: List[Tuple[CylinderSet, str]] = []
-        for v, head in level:
-            if v.is_empty():
-                return BitString(head)
-            if length < depth and not v.is_full() and v not in seen:
-                seen.add(v)
-                below += [(v.shift("0"), head + "0"), (v.shift("1"), head + "1")]
-        level = below
-    return None
+    copy of `u` is empty; None when there is none.  Such a head is a
+    generator of the complement, and the least one is its least generator."""
+    head = u.complement().least_generator()
+    return head if head is not None and len(head) <= depth else None
 
 
 def extend_into_open(enc: W2REncoding, u: CylinderSet) -> Tuple[BitString, int, BitString]:

@@ -263,10 +263,6 @@ class CylinderSet:
     def measure(self) -> Dyadic:
         return _measure(self._tree)
 
-    def conditional_measure(self, s: Union[BitString, str]) -> Dyadic:
-        """Measure of the set relative to the cylinder at `s`."""
-        return _measure(_descend(self._tree, BitString(s).bits))
-
     def __or__(self, other: "CylinderSet") -> "CylinderSet":
         return CylinderSet(_apply(_union_leaf, self._tree, other._tree))
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .bitstring import BitString, to_nat
-from .cylinders import CylinderSet
 from .dyadic import Dyadic
 from .errors import GuardExceeded, RandlabError
 from .staged import Enumerator, StagedOpenSet, TuringFunctional, first_seen

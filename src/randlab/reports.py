@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .bitstring import BitString
 from .cylinders import CylinderSet
@@ -110,9 +110,12 @@ class RunFact:
 
     name: str
     kind: str
-    ok: bool
+    failed_at: Optional[str]  # the first failed check, None when all hold
     artifacts: Tuple[str, ...]
-    detail: Mapping[str, object] = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return self.failed_at is None
 
 
 def emit_interaction_report(runs: Sequence[RunFact]) -> InteractionReport:

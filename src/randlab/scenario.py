@@ -24,8 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .bitstring import BitString, from_nat
 from .cylinders import EMPTY_SET, uniform_suffix_set
 from .demuth import (DemuthTest, DiffPair, DiffUnionTest, VersionedOpenSet,
-                     demuth_to_diffunion, diffunion_to_demuth, verify_demuth,
-                     verify_diffunion)
+                     demuth_to_diffunion, diffunion_to_demuth, verify_demuth)
 from .dyadic import Dyadic
 from .errors import RandlabError, ScenarioError
 from .fireworks import FireworksConfig, Outcome, caps_from_seed, run_fireworks, sweep
@@ -60,9 +59,6 @@ class ScenarioResult:
     @property
     def ok(self) -> bool:
         return all(f.ok for f in self.facts)
-
-    def failures(self) -> List[str]:
-        return [f"{f.name} ({f.kind})" for f in self.facts if not f.ok]
 
 
 def _err(where: str, msg: str) -> ScenarioError:
@@ -164,6 +160,11 @@ def _demuth_test(keys: _Keys, table: "ObjectTable") -> DemuthTest:
     levels = tuple(VersionedOpenSet([(stage, table.get("open_sets", ref, keys.where))
                                      for stage, ref in level])
                    for level in keys.take("levels", "version_levels"))
+    for n, level in enumerate(levels):
+        # final_at(horizon) would miss it, but the d2u conversion would not.
+        if level.versions and level.versions[-1][0] > horizon:
+            raise _err(keys.where, f"horizon {horizon} precedes last version of "
+                                   f"level {n} at {level.versions[-1][0]}")
     return DemuthTest(levels, tuple(bounds), horizon)
 
 
@@ -268,6 +269,34 @@ class Context:
         self.result.files.append(path)
         return fname
 
+    def report(self, exp: Experiment, suffix: str, header: Sequence[str],
+               rows: Sequence[Sequence[object]], **want: object) -> Tuple[str, Optional[str]]:
+        """Write one CSV report; return its file name and its first failed
+        check, "<file> row <n> <column>", or None when every check holds."""
+        fname = self.write(exp, suffix, csv_text(header, rows))
+        failed = _failed_cell(header, rows, want)
+        return fname, failed and f"{fname} {failed}"
+
+
+def _failed_cell(header: Sequence[str], rows: Sequence[Sequence[object]],
+                 want: Dict[str, object]) -> Optional[str]:
+    """The first cell, row by row, of a `want` column that differs from its
+    wanted value, as "row <n> <column>" (n counts data rows from 1)."""
+    if not want.keys() <= set(header):
+        raise ValueError(f"check columns {sorted(want)} not all in {header}")
+    cols = [(i, name) for i, name in enumerate(header) if name in want]
+    for n, row in enumerate(rows, 1):
+        for i, name in cols:
+            if row[i] != want[name]:
+                return f"row {n} {name}"
+    return None
+
+
+def _fact(exp: Experiment, *reports: Tuple[str, Optional[str]]) -> RunFact:
+    """An experiment's reports, failed at the first failure among them."""
+    failed = next((where for _, where in reports if where), None)
+    return RunFact(exp.name, exp.kind, failed, tuple(fname for fname, _ in reports))
+
 
 def _fireworks_config(ctx: Context, keys: _Keys) -> FireworksConfig:
     """The config read off `keys`, which must hold no other key."""
@@ -295,15 +324,13 @@ def _run_fireworks_run(ctx: Context, exp: Experiment) -> RunFact:
     rows = [(r.index, r.cap, r.outcome.value, r.guesses_made, r.final_guess,
              r.active_stage, r.answer_stage, r.failure_proven)
             for r in run.records]
-    text = csv_text(["strategy", "cap", "outcome", "guesses", "final_guess",
-                     "active_stage", "answer_stage", "failure_proven"], rows)
-    arts = [ctx.write(exp, ".csv", text)]
+    reports = [ctx.report(exp, ".csv", ["strategy", "cap", "outcome", "guesses", "final_guess",
+                                        "active_stage", "answer_stage", "failure_proven"], rows)]
     if keep_trace:
         body = "\n".join(run.trace) + ("\n" if run.trace else "")
         head = f"caps={render_field(tuple(caps))} x={run.x_prefix} stages={run.stages_used}\n"
-        arts.append(ctx.write(exp, ".txt", head + body))
-    return RunFact(exp.name, exp.kind, True, tuple(arts),
-                   {"outcomes": [o.value for o in run.outcomes]})
+        reports.append((ctx.write(exp, ".txt", head + body), None))
+    return _fact(exp, *reports)
 
 
 def _run_fireworks_sweep(ctx: Context, exp: Experiment) -> RunFact:
@@ -312,16 +339,14 @@ def _run_fireworks_sweep(ctx: Context, exp: Experiment) -> RunFact:
     failures = sw.failures
     residue_bound = sum(Fraction(1, n) for n in cfg.cap_bounds)
     within = sw.probability.as_fraction() <= residue_bound
-    summary = csv_text(
-        ["adversaries", "k", "cap_bounds", "total_vectors", "failing_vectors",
-         "failure_probability", "residue_bound", "within_bound"],
+    summary = ctx.report(
+        exp, ".csv", ["adversaries", "k", "cap_bounds", "total_vectors", "failing_vectors",
+                      "failure_probability", "residue_bound", "within_bound"],
         [(exp.params["adversaries"], cfg.k, cfg.cap_bounds, sw.total, len(failures),
-          sw.probability, residue_bound, within)])
+          sw.probability, residue_bound, within)], within_bound=True)
     rows = [(run.caps, [o.value for o in run.outcomes], run.x_prefix) for run in failures]
-    fail_text = csv_text(["caps", "outcomes", "x_prefix"], rows)
-    arts = (ctx.write(exp, ".csv", summary), ctx.write(exp, "_failures.csv", fail_text))
-    return RunFact(exp.name, exp.kind, within, arts,
-                   {"probability": sw.probability, "bound": residue_bound})
+    return _fact(exp, summary,
+                 ctx.report(exp, "_failures.csv", ["caps", "outcomes", "x_prefix"], rows))
 
 
 def _axis_pattern(outcomes: Sequence[Outcome]) -> Tuple[bool, Optional[int]]:
@@ -340,18 +365,15 @@ def _run_fireworks_trichotomy(ctx: Context, exp: Experiment) -> RunFact:
     table = {caps: leaf.run.outcomes
              for leaf in sweep(cfg).leaves for caps in itertools.product(*leaf.box)}
     rows = []
-    ok = True
     ranges = [range(1, n + 1) for n in cfg.cap_bounds]
     for e, axis_caps in enumerate(ranges):
         for fixed in itertools.product(*ranges[:e], *ranges[e + 1:]):
             axis = [table[fixed[:e] + (cap,) + fixed[e:]][e] for cap in axis_caps]
             good, fail_at = _axis_pattern(axis)
-            ok = ok and good
             rows.append((e, fixed, [o.value for o in axis],
                          None if fail_at is None else fail_at + 1, good))
-    text = csv_text(["axis", "fixed_caps", "outcomes", "failing_cap", "pattern_ok"], rows)
-    arts = (ctx.write(exp, ".csv", text),)
-    return RunFact(exp.name, exp.kind, ok, arts)
+    return _fact(exp, ctx.report(exp, ".csv", ["axis", "fixed_caps", "outcomes", "failing_cap",
+                                               "pattern_ok"], rows, pattern_ok=True))
 
 
 def _run_fireworks_extract(ctx: Context, exp: Experiment) -> RunFact:
@@ -359,70 +381,65 @@ def _run_fireworks_extract(ctx: Context, exp: Experiment) -> RunFact:
     sw = sweep(cfg)
     union = EMPTY_SET
     rows = []
-    ok = True
     for e, fs in enumerate(sw.failure_sets()):
         residue = fs.residue()
         union = union | residue
         bound = Dyadic(1, cfg.cap_bounds[e].bit_length() - 1)
-        fits = residue.measure() <= bound
-        ok = ok and fits
         rows.append((e, fs.committed.final(), fs.answered.final(), residue,
-                     residue.measure(), bound, fits))
-    agrees = union.measure() == sw.probability
-    ok = ok and agrees
-    text = csv_text(["strategy", "committed", "answered", "residue",
-                     "residue_measure", "measure_bound", "within_bound"], rows)
-    tail = csv_text(["union_measure", "sweep_probability", "agree"],
-                    [(union.measure(), sw.probability, agrees)])
-    arts = (ctx.write(exp, ".csv", text), ctx.write(exp, "_union.csv", tail))
-    return RunFact(exp.name, exp.kind, ok, arts)
+                     residue.measure(), bound, residue.measure() <= bound))
+    return _fact(exp, ctx.report(exp, ".csv", ["strategy", "committed", "answered", "residue",
+                                               "residue_measure", "measure_bound", "within_bound"],
+                                 rows, within_bound=True),
+                 ctx.report(exp, "_union.csv", ["union_measure", "sweep_probability", "agree"],
+                            [(union.measure(), sw.probability, union.measure() == sw.probability)],
+                            agree=True))
 
 
-def _convert_d2u_rows(test: DemuthTest):
+def _convert_d2u_rows(test: DemuthTest) -> List[tuple]:
     out = demuth_to_diffunion(test)
-    rep_in = verify_demuth(test)
-    rep_out = verify_diffunion(out)
-    rows = []
-    ok = rep_in.ok and rep_out.ok
-    for n in range(len(test.levels)):
-        identical = out.level_final(n).strings == test.levels[n].final_at(test.horizon).strings
-        ok = ok and identical
-        rows.append((n, test.levels[n].version_count(), test.version_bounds[n],
-                     len(out.levels[n]), out.pair_bounds[n], identical))
-    return rows, ok
+    return [(n, test.levels[n].version_count(), test.version_bounds[n],
+             len(out.levels[n]), out.pair_bounds[n],
+             out.level_final(n).strings == test.levels[n].final_at(test.horizon).strings)
+            for n in range(len(test.levels))]
 
 
-def _convert_u2d_rows(test: DiffUnionTest):
+def _input_audit(test: DemuthTest) -> Optional[str]:
+    # Implies the output's audit: pair counts equal bounds, final_identity carries measures.
+    bad = [row.level for row in verify_demuth(test).rows if not row.ok]
+    return f"input test level {bad[0]}" if bad else None
+
+
+def _convert_u2d_rows(test: DiffUnionTest) -> List[tuple]:
     back = diffunion_to_demuth(test)
-    rep = verify_demuth(back)
     rows = []
-    ok = rep.ok
-    for n in range(len(back.levels)):
+    for n, row in enumerate(verify_demuth(back).rows):
         target = test.level_final(n + 1)
         covered = all(target.is_subset(v.open_at(back.horizon))
                       for _, v in back.levels[n].versions)
-        ok = ok and covered
-        row = rep.rows[n]
         rows.append((n, row.version_count, row.version_bound, row.measure,
                      row.measure_bound, covered, row.ok and covered))
-    return rows, ok
+    return rows
+
+
+# direction -> (object kind, report rows, header, check columns, the check no column shows)
+_CONVERSIONS = {
+    "d2u": ("demuth_tests", _convert_d2u_rows,
+            ["level", "versions", "version_bound", "pairs", "pair_bound", "final_identity"],
+            {"final_identity": True}, _input_audit),
+    "u2d": ("diff_tests", _convert_u2d_rows,
+            ["level", "versions", "version_bound", "measure", "measure_bound", "covers_final", "ok"],
+            {"covers_final": True, "ok": True}, lambda test: None),
+}
 
 
 def _run_convert(ctx: Context, exp: Experiment) -> RunFact:
     keys = _Keys(exp.params, exp.name)
-    direction = keys.take("direction", "direction")
+    kind, rows_of, header, want, audit = _CONVERSIONS[keys.take("direction", "direction")]
     test_name = keys.take("test", "str")
     keys.done()
-    if direction == "d2u":
-        rows, ok = _convert_d2u_rows(ctx.objects.get("demuth_tests", test_name, exp.name))
-        header = ["level", "versions", "version_bound", "pairs", "pair_bound",
-                  "final_identity"]
-    else:
-        rows, ok = _convert_u2d_rows(ctx.objects.get("diff_tests", test_name, exp.name))
-        header = ["level", "versions", "version_bound", "measure",
-                  "measure_bound", "covers_final", "ok"]
-    arts = (ctx.write(exp, ".csv", csv_text(header, rows)),)
-    return RunFact(exp.name, exp.kind, ok, arts)
+    test = ctx.objects.get(kind, test_name, exp.name)
+    fname, failed = ctx.report(exp, ".csv", header, rows_of(test), **want)
+    return _fact(exp, (fname, failed or audit(test)))
 
 
 def _run_convert_sweep(ctx: Context, exp: Experiment) -> RunFact:
@@ -434,21 +451,14 @@ def _run_convert_sweep(ctx: Context, exp: Experiment) -> RunFact:
     bound = keys.take("bound", "positive", 4)
     horizon = keys.take("horizon", "nat", 8)
     keys.done()
+    _, rows_of, header, want, audit = _CONVERSIONS[direction]
+    make = random_demuth_test if direction == "d2u" else random_diffunion_test
     rows = []
-    all_ok = True
     for i in range(count):
-        rng = random.Random(f"{seed}:{i}")
-        if direction == "d2u":
-            test = random_demuth_test(rng, levels, bound, horizon)
-            _, ok = _convert_d2u_rows(test)
-        else:
-            test = random_diffunion_test(rng, levels, bound, horizon)
-            _, ok = _convert_u2d_rows(test)
-        all_ok = all_ok and ok
-        rows.append((i, f"{seed}:{i}", ok))
-    text = csv_text(["instance", "seed", "ok"], rows)
-    arts = (ctx.write(exp, ".csv", text),)
-    return RunFact(exp.name, exp.kind, all_ok, arts)
+        test = make(random.Random(f"{seed}:{i}"), levels, bound, horizon)
+        failed = _failed_cell(header, rows_of(test), want) or audit(test)
+        rows.append((i, f"{seed}:{i}", failed is None))
+    return _fact(exp, ctx.report(exp, ".csv", ["instance", "seed", "ok"], rows, ok=True))
 
 
 def _strings_up_to(length: int) -> List[BitString]:
@@ -464,17 +474,12 @@ def _run_kg_roundtrip(ctx: Context, exp: Experiment) -> RunFact:
     payloads = (_strings_up_to(raw["all_up_to"]) if isinstance(raw, dict)
                 else [BitString(p) for p in raw])
     rows = []
-    ok = True
     for p in payloads:
         code = kg_encode(p, stem, tree)
         back = kg_decode(code, stem, tree, tree.horizon)
-        viable = tree.viable(code, tree.horizon)
-        good = back == p and viable
-        ok = ok and good
-        rows.append((p, code, back, back == p, viable))
-    text = csv_text(["payload", "codeword", "decoded", "roundtrip", "viable"], rows)
-    arts = (ctx.write(exp, ".csv", text),)
-    return RunFact(exp.name, exp.kind, ok, arts)
+        rows.append((p, code, back, back == p, tree.viable(code, tree.horizon)))
+    return _fact(exp, ctx.report(exp, ".csv", ["payload", "codeword", "decoded", "roundtrip",
+                                               "viable"], rows, roundtrip=True, viable=True))
 
 
 def _run_kg_sweep(ctx: Context, exp: Experiment) -> RunFact:
@@ -486,7 +491,6 @@ def _run_kg_sweep(ctx: Context, exp: Experiment) -> RunFact:
     payloads = _strings_up_to(keys.take("payload_len", "nat", 4))
     keys.done()
     rows = []
-    ok = True
     for i in range(count):
         rng = random.Random(f"{seed}:{i}")
         tree = random_pi01_tree(rng, depth=depth, horizon=horizon)
@@ -495,11 +499,9 @@ def _run_kg_sweep(ctx: Context, exp: Experiment) -> RunFact:
             code = kg_encode(p, BitString("^"), tree)
             if kg_decode(code, BitString("^"), tree, horizon) != p or not tree.viable(code, horizon):
                 bad += 1
-        ok = ok and bad == 0
         rows.append((i, f"{seed}:{i}", tree.class_measure(horizon), len(payloads), bad))
-    text = csv_text(["instance", "seed", "class_measure", "payloads", "failures"], rows)
-    arts = (ctx.write(exp, ".csv", text),)
-    return RunFact(exp.name, exp.kind, ok, arts)
+    return _fact(exp, ctx.report(exp, ".csv", ["instance", "seed", "class_measure", "payloads",
+                                               "failures"], rows, failures=0))
 
 
 def _run_w2r(ctx: Context, exp: Experiment) -> RunFact:
@@ -528,20 +530,15 @@ def _run_w2r(ctx: Context, exp: Experiment) -> RunFact:
         if not agree and i < stab:
             early_disagreements += 1
         pos_rows.append((i, stream[i], bit, t, agree))
-    tail_ok = all(agree for *_, agree in pos_rows[stab:])
-    ok = decoded == stream and tail_ok
-    head = csv_text(["codeword", "stabilization_stage", "decoded", "payload_stream",
-                     "match", "early_disagreements"],
-                    [(enc.codeword, stab, decoded, stream, decoded == stream,
-                      early_disagreements)])
-    layers = csv_text(["family", "payload", "g_final", "g_trajectory"], layer_rows)
-    positions = csv_text(["position", "expected", "decoded", "claimed_at", "agree"],
-                         pos_rows)
-    arts = (ctx.write(exp, ".csv", head),
-            ctx.write(exp, "_layers.csv", layers),
-            ctx.write(exp, "_positions.csv", positions))
-    return RunFact(exp.name, exp.kind, ok, arts,
-                   {"stabilization": stab, "early_disagreements": early_disagreements})
+    # `match` alone: if decoded == stream, every position agrees, past stab too.
+    return _fact(exp, ctx.report(exp, ".csv", ["codeword", "stabilization_stage", "decoded",
+                                               "payload_stream", "match", "early_disagreements"],
+                                 [(enc.codeword, stab, decoded, stream, decoded == stream,
+                                   early_disagreements)], match=True),
+                 ctx.report(exp, "_layers.csv", ["family", "payload", "g_final", "g_trajectory"],
+                            layer_rows),
+                 ctx.report(exp, "_positions.csv", ["position", "expected", "decoded",
+                                                    "claimed_at", "agree"], pos_rows))
 
 
 def _run_w2r_hitting(ctx: Context, exp: Experiment) -> RunFact:
@@ -565,40 +562,33 @@ def _run_w2r_hitting(ctx: Context, exp: Experiment) -> RunFact:
     stream = BitString("".join(p.bits for p in payloads))
     t_max = max(scheme.horizon, len(stream)) + horizon
     decoded = gamma_decode(enc.codeword, t_max, scheme).output_prefix()
-    rows = []
-    ok = decoded == stream
-    for i, (pos, pat) in enumerate(zip(positions, patterns)):
-        inside = opens[i].contains_prefix_of(decoded)
-        ok = ok and inside
-        n, zeta = steps[i]
-        rows.append((i, pos, BitString(pat), n, zeta, payloads[i], inside))
-    text = csv_text(["step", "position", "pattern", "n", "steering", "payload",
-                     "decoded_inside"], rows)
-    tail = csv_text(["codeword_length", "decoded", "stream_match"],
-                    [(len(enc.codeword), decoded, decoded == stream)])
-    arts = (ctx.write(exp, ".csv", text), ctx.write(exp, "_summary.csv", tail))
-    return RunFact(exp.name, exp.kind, ok, arts, {"opens_hit": len(opens)})
+    rows = [(i, pos, BitString(pat), *steps[i], payloads[i], opens[i].contains_prefix_of(decoded))
+            for i, (pos, pat) in enumerate(zip(positions, patterns))]
+    return _fact(exp, ctx.report(exp, ".csv", ["step", "position", "pattern", "n", "steering",
+                                               "payload", "decoded_inside"], rows,
+                                 decoded_inside=True),
+                 ctx.report(exp, "_summary.csv", ["codeword_length", "decoded", "stream_match"],
+                            [(len(enc.codeword), decoded, decoded == stream)], stream_match=True))
 
 
-def _minpair_rows(phi, psi, nat_max: int, horizon: int):
+def _minpair_rows(phi, psi, nat_max: int, horizon: int) -> List[tuple]:
+    """One row per induced level, then the audit of the test they assemble."""
     rows = []
-    ok = True
     levels = []
     for n in range(nat_max + 1):
         stem = from_nat(n)
         vos, trace = induced_demuth_level(phi, psi, stem, horizon)
         bound = 1 << n
         changes = trace.mind_changes()
-        good = changes <= bound and vos.version_count() <= bound
-        ok = ok and good
         levels.append(vos)
         rows.append((stem, n, trace.family is not None,
                      trace.family.found_stage if trace.family else None,
                      changes, bound, vos.version_count(),
-                     vos.final_at(horizon).measure(), good))
+                     vos.final_at(horizon).measure(),
+                     changes <= bound and vos.version_count() <= bound))
     assembled = DemuthTest(tuple(levels), tuple(1 << n for n in range(nat_max + 1)), horizon)
-    verified = verify_demuth(assembled).ok
-    return rows, ok and verified, verified
+    rows.append(("assembled", "-", "-", "-", "-", "-", "-", "-", verify_demuth(assembled).ok))
+    return rows
 
 
 def _run_minpair_sweep(ctx: Context, exp: Experiment) -> RunFact:
@@ -611,20 +601,13 @@ def _run_minpair_sweep(ctx: Context, exp: Experiment) -> RunFact:
     axioms = keys.take("axioms", "nat", 120)
     keys.done()
     rows = []
-    all_ok = True
     for i in range(count):
         rng = random.Random(f"{seed}:{i}")
         phi, psi = random_functional_pair(rng, depth, axioms, horizon)
-        pair_rows, ok, verified = _minpair_rows(phi, psi, nat_max, horizon)
-        all_ok = all_ok and ok
-        for row in pair_rows:
-            rows.append((i,) + row)
-        rows.append((i, "assembled", "-", "-", "-", "-", "-", "-", "-", verified))
-    text = csv_text(["pair", "stem", "nat", "family_found", "found_stage",
-                     "mind_changes", "change_bound", "versions",
-                     "final_measure", "ok"], rows)
-    arts = (ctx.write(exp, ".csv", text),)
-    return RunFact(exp.name, exp.kind, all_ok, arts)
+        rows += [(i,) + row for row in _minpair_rows(phi, psi, nat_max, horizon)]
+    return _fact(exp, ctx.report(exp, ".csv", ["pair", "stem", "nat", "family_found",
+                                               "found_stage", "mind_changes", "change_bound",
+                                               "versions", "final_measure", "ok"], rows, ok=True))
 
 
 def _run_minpair_case(ctx: Context, exp: Experiment) -> RunFact:
@@ -654,15 +637,13 @@ def _run_minpair_case(ctx: Context, exp: Experiment) -> RunFact:
                      f"{'yes' if iso.applicable else 'no'}\n")
         for b in iso.branches:
             lines.append(f"  branch {b.branch}: isolated from position {b.onset}\n")
-    arts = (ctx.write(exp, ".txt", "".join(lines)),)
-    return RunFact(exp.name, exp.kind, True, arts, {"case": rep.case})
+    return _fact(exp, (ctx.write(exp, ".txt", "".join(lines)), None))
 
 
 def _run_interaction(ctx: Context, exp: Experiment) -> RunFact:
     _Keys(exp.params, exp.name).done()
     rep = emit_interaction_report(ctx.result.facts)
-    arts = (ctx.write(exp, ".txt", rep.render()),)
-    return RunFact(exp.name, exp.kind, True, arts)
+    return _fact(exp, (ctx.write(exp, ".txt", rep.render()), None))
 
 
 HANDLERS: Dict[str, Callable[[Context, Experiment], RunFact]] = {

@@ -140,21 +140,6 @@ class Enumerator(_Schedule):
     def final(self) -> frozenset:
         return self._snapshots[-1]
 
-    def first_stage_of(self, s: BitString) -> Optional[int]:
-        for stage, strings in self.events:
-            if s in strings:
-                return stage
-        return None
-
-    def first_extension_stage(self, prefix: BitString) -> Optional[Tuple[int, BitString]]:
-        """Earliest stage enumerating an extension of `prefix`, with the
-        length-lex least such string at that stage."""
-        for stage, strings in self.events:
-            hits = sorted(t for t in strings if t.extends(prefix))
-            if hits:
-                return stage, min(hits, key=lambda t: (len(t), t.bits))
-        return None
-
     def __repr__(self) -> str:
         return f"Enumerator({len(self.events)} events, horizon={self.horizon})"
 
@@ -174,11 +159,6 @@ class StagedOpenSet:
         return StagedOpenSet(Enumerator(events, horizon))
 
     @staticmethod
-    def constant(strings: Iterable[StrLike], horizon: int = 0) -> "StagedOpenSet":
-        strings = list(strings)
-        return StagedOpenSet(Enumerator([(0, strings)] if strings else [], horizon))
-
-    @staticmethod
     def empty(horizon: int = 0) -> "StagedOpenSet":
         return StagedOpenSet(Enumerator([], horizon))
 
@@ -195,9 +175,6 @@ class StagedOpenSet:
 
     def final(self) -> CylinderSet:
         return self.open_at(self.horizon)
-
-    def measure_at(self, stage: int) -> Dyadic:
-        return self.open_at(stage).measure()
 
     def __repr__(self) -> str:
         return f"StagedOpenSet({self.enumerator!r})"

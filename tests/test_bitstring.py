@@ -33,9 +33,6 @@ def test_prefix_relations():
     assert not s.extends(BitString("10"))
     assert s.comparable(BitString("010101"))
     assert not BitString("00").comparable(BitString("01"))
-    assert s.strip_prefix(BitString("01")) == BitString("01")
-    with pytest.raises(ValueError):
-        s.strip_prefix(BitString("1"))
 
 
 def test_length_lex_order_small():

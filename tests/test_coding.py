@@ -295,7 +295,7 @@ def test_gamma_positions_written_once_and_stage_limited():
     for i, (bit, t) in res.positions.items():
         assert i <= t  # a stage-t replay may claim positions up to t only
     assert res.output_prefix() == BitString("11")
-    assert res.defined_upto() == 2
+    assert len(res.output_prefix()) == 2
 
 
 def test_shifted_core_exact():

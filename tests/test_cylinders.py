@@ -111,11 +111,6 @@ def test_meets_cylinder(a, s):
     assert a.meets_cylinder(s) == a.intersects(cyl)
 
 
-@given(clopens, st.text(alphabet="01", max_size=5))
-def test_conditional_measure(a, s):
-    assert a.conditional_measure(s) == a.shift(s).measure()
-
-
 @given(clopens, clopens)
 def test_eq_hash_contract(a, b):
     if a == b:

@@ -160,8 +160,9 @@ def test_output_tree_is_prefix_closed_and_dated():
     for s in final:
         for i in range(len(s)):
             assert s.prefix(i) in final
-    assert tree.first_stage_of(BitString("1")) == 0
-    assert tree.first_stage_of(BitString("10")) == 2
+    assert BitString("1") in tree.at(0)
+    assert BitString("10") not in tree.at(1)
+    assert BitString("10") in tree.at(2)
 
 
 def test_isolation_analysis():

@@ -155,7 +155,24 @@ def test_cli_failing_experiment_exits_1(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "experiment tri: FAILED" in out
+    assert "experiment tri: FAILED at strand_tri.csv row 3 pattern_ok\n" in out
     assert "Unresolved" in out
+
+
+def test_cli_overweight_d2u_input_names_its_level(tmp_path, capsys):
+    # Level 1 owes measure <= 1/2 but holds {1, 00}, measure 3/4; the
+    # conversion is still exact, so only the input's own audit fails.
+    doc = {"name": "heavy", "objects": {
+        "open_sets": {"a": {"events": [[0, ["0"]]], "horizon": 2},
+                      "b": {"events": [[0, ["1", "00"]]], "horizon": 2}},
+        "demuth_tests": {"t": {"horizon": 2, "version_bounds": [1, 1],
+                               "levels": [[[0, "a"]], [[0, "b"]]]}}},
+        "experiments": [{"name": "e", "kind": "convert", "direction": "d2u", "test": "t"}]}
+    code = main(["run", str(write_doc(tmp_path, doc))])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "experiment e: FAILED at input test level 1\n" in out
+    assert "1,1,1,1,1,yes" in out  # final_identity holds
 
 
 def test_cli_scenario_error_exits_2(tmp_path, capsys):
@@ -383,6 +400,12 @@ FIREWORKS = {"adversaries": ["w"], "k": 1, "cap_bounds": [2], "target_length": 4
                       stem_length=40, horizon=2), "e: stem length 40 outside 0..1"),
     (_with_experiment(kind="fireworks_run", caps=[2], seed=3, **FIREWORKS),
      "e: give 'caps' or 'seed', not both"),
+    ({"name": "x", "objects": {
+        "open_sets": {"a": {"events": [[0, ["0"]]], "horizon": 10},
+                      "b": {"events": [[0, ["1", "00"]]], "horizon": 10}},
+        "demuth_tests": {"d": {"horizon": 5, "version_bounds": [2],
+                               "levels": [[[0, "a"], [10, "b"]]]}}}},
+     "objects.demuth_tests.d: horizon 5 precedes last version of level 0 at 10"),
 ])
 def test_malformed_scenario_exits_2_naming_its_location(tmp_path, capsys, doc, message):
     code = main(["run", str(write_doc(tmp_path, doc))])

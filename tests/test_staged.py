@@ -44,15 +44,6 @@ def test_enumerator_horizon_rules():
         Enumerator([(4, ["0"])], horizon=3)
 
 
-def test_first_extension_stage_picks_least_string():
-    e = Enumerator([(2, ["110", "10"]), (5, ["100"])])
-    assert e.first_extension_stage(BitString("1")) == (2, BitString("10"))
-    assert e.first_extension_stage(BitString("100")) == (5, BitString("100"))
-    assert e.first_extension_stage(BitString("0")) is None
-    assert e.first_stage_of(BitString("110")) == 2
-    assert e.first_stage_of(BitString("111")) is None
-
-
 def test_staged_open_set_clamps():
     o = StagedOpenSet.from_events([(0, ["1"]), (2, ["01"])], horizon=4)
     assert o.open_at(-5) == EMPTY_SET
@@ -60,11 +51,10 @@ def test_staged_open_set_clamps():
     assert o.open_at(0) == CylinderSet.cylinder("1")
     assert o.open_at(100) == o.final()
     assert o.final() == CylinderSet.normalize(["1", "01"])
-    assert o.measure_at(2) == o.final().measure()
+    assert o.open_at(2).measure() == o.final().measure()
 
 
 def test_staged_open_set_constant_and_empty():
-    assert StagedOpenSet.constant(["0"]).final() == CylinderSet.cylinder("0")
     assert StagedOpenSet.empty(horizon=3).final() == EMPTY_SET
 
 
