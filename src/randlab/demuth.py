@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .bitstring import BitString
 from .cylinders import EMPTY_SET, CylinderSet
@@ -54,10 +54,6 @@ class VersionedOpenSet:
         live = self.live_at(stage)
         return EMPTY_SET if live is None else live.open_at(stage)
 
-    def final_at(self, horizon: int) -> CylinderSet:
-        """Full content of the last version, read at `horizon`."""
-        return self.open_at(horizon)
-
     def __repr__(self) -> str:
         return f"VersionedOpenSet({self.version_count()} versions)"
 
@@ -74,6 +70,14 @@ class DemuthTest:
     def __post_init__(self) -> None:
         if len(self.levels) != len(self.version_bounds):
             raise RandlabError("one version bound per level required")
+        for n, level in enumerate(self.levels):
+            # The audit reads each level at the horizon and would miss it.
+            if level.versions and level.versions[-1][0] > self.horizon:
+                raise RandlabError(f"horizon {self.horizon} precedes last version of "
+                                   f"level {n} at {level.versions[-1][0]}")
+
+    def level_final(self, n: int) -> CylinderSet:
+        return self.levels[n].open_at(self.horizon)
 
 
 @dataclass(frozen=True)
@@ -123,27 +127,22 @@ class TestReport:
         return all(r.ok for r in self.rows)
 
 
-def verify_demuth(test: DemuthTest) -> TestReport:
-    """Per-level audit: version count within bound, final measure <= 2^-n."""
+def _audit(test, counts: Iterable[int], bounds: Sequence[int]) -> TestReport:
+    """Per-level audit: count within bound, final measure <= 2^-n."""
     rows = []
-    for n, level in enumerate(test.levels):
-        count = level.version_count()
-        bound = test.version_bounds[n]
-        measure = level.final_at(test.horizon).measure()
-        cap = Dyadic.half_pow(n)
-        rows.append(LevelReport(n, count, bound, measure, cap, count <= bound and measure <= cap))
-    return TestReport(tuple(rows))
-
-
-def verify_diffunion(test: DiffUnionTest) -> TestReport:
-    rows = []
-    for n in range(len(test.levels)):
-        count = len(test.levels[n])
-        bound = test.pair_bounds[n]
+    for n, (count, bound) in enumerate(zip(counts, bounds)):
         measure = test.level_final(n).measure()
         cap = Dyadic.half_pow(n)
         rows.append(LevelReport(n, count, bound, measure, cap, count <= bound and measure <= cap))
     return TestReport(tuple(rows))
+
+
+def verify_demuth(test: DemuthTest) -> TestReport:
+    return _audit(test, (level.version_count() for level in test.levels), test.version_bounds)
+
+
+def verify_diffunion(test: DiffUnionTest) -> TestReport:
+    return _audit(test, map(len, test.levels), test.pair_bounds)
 
 
 def demuth_to_diffunion(test: DemuthTest) -> DiffUnionTest:
@@ -198,10 +197,12 @@ def diffunion_to_demuth(test: DiffUnionTest) -> DemuthTest:
     Output level n watches input level n+1.  The first version is the union
     of the U_k alone; whenever some V_k's measure first strictly exceeds a
     new multiple of 2^-(n+1) / c (c = pair count), a fresh version is
-    declared whose definition subtracts the V_k snapshots taken at that
-    stage.  Crossings in the same stage coalesce into one declaration, so
-    the version count stays at most c^2 * 2^(n+1), and the final measure
-    stays at most 2^-n as long as the input level obeys its own bound.
+    declared at that stage whose definition subtracts the V_k snapshots
+    taken there (a crossing at stage 0 replaces the first version).
+    Crossings in the same stage coalesce into one declaration, so the
+    version count stays at most c^2 * 2^(n+1), every declaration is at or
+    before the horizon, and the final measure stays at most 2^-n as long as
+    the input level obeys its own bound.
 
     A tracked union can change only where some U_k changes and a crossing
     happen only where some V_k does, so both are read only at the change
@@ -222,7 +223,7 @@ def diffunion_to_demuth(test: DiffUnionTest) -> DemuthTest:
         quantum = Fraction(1, c * (1 << (n + 1)))
         u_rows = list(_sweep([pair.u for pair in pairs], test.horizon))
 
-        def version_from_snapshot(v_snap: List[CylinderSet], declare: int) -> Tuple[int, StagedOpenSet]:
+        def version_from_snapshot(v_snap: List[CylinderSet]) -> StagedOpenSet:
             def tracked(u_now: List[CylinderSet]) -> CylinderSet:
                 acc = EMPTY_SET
                 for u, v in zip(u_now, v_snap):
@@ -230,9 +231,11 @@ def diffunion_to_demuth(test: DiffUnionTest) -> DemuthTest:
                 return acc
 
             events = first_seen((s, tracked(u_now).strings) for s, _, u_now in u_rows)
-            return declare, StagedOpenSet.from_events(events, test.horizon)
+            return StagedOpenSet.from_events(events, test.horizon)
 
-        versions = [version_from_snapshot([EMPTY_SET] * len(pairs), 0)]
+        # Declaration stage -> the V snapshots its version subtracts; a
+        # crossing at stage 0 replaces the first version, which subtracts none.
+        snapshots = {0: [EMPTY_SET] * len(pairs)}
         exceeded = [0] * len(pairs)
         for s, changed, v_now in _sweep([pair.v for pair in pairs], test.horizon):
             crossed = False
@@ -242,24 +245,15 @@ def diffunion_to_demuth(test: DiffUnionTest) -> DemuthTest:
                     exceeded[k] = now
                     crossed = True
             if crossed:
-                declare = s if s > versions[-1][0] else versions[-1][0] + 1
-                versions.append(version_from_snapshot(v_now, declare))
-        out_levels.append(VersionedOpenSet(versions))
+                snapshots[s] = v_now
+        out_levels.append(VersionedOpenSet([(s, version_from_snapshot(v_snap))
+                                            for s, v_snap in snapshots.items()]))
         out_bounds.append(c * c * (1 << (n + 1)))
     return DemuthTest(tuple(out_levels), tuple(out_bounds), test.horizon)
 
 
 def solovay_membership_profile(x: BitString, test) -> frozenset:
     """Indices of the levels whose final set swallows the cylinder at `x`."""
-    hits = set()
-    if isinstance(test, DemuthTest):
-        for n, level in enumerate(test.levels):
-            if level.final_at(test.horizon).contains_prefix_of(x):
-                hits.add(n)
-    elif isinstance(test, DiffUnionTest):
-        for n in range(len(test.levels)):
-            if test.level_final(n).contains_prefix_of(x):
-                hits.add(n)
-    else:
+    if not isinstance(test, (DemuthTest, DiffUnionTest)):
         raise RandlabError(f"not a test: {test!r}")
-    return frozenset(hits)
+    return frozenset(n for n in range(len(test.levels)) if test.level_final(n).contains_prefix_of(x))

@@ -16,11 +16,11 @@ answered, every larger one ends passively.  `sweep` turns this into the
 algorithm: it replays the engine on boxes of cap vectors, one range per
 strategy, and splits a box only where `guesses < cap` is undecided on it,
 so it makes one run per behaviour and its leaf boxes tile the cap space.
-It folds the leaves into what the reports read: the failing runs, the
-exact failure probability as a dyadic rational, and each strategy's
-commitments and answers on the oracle side as aligned dyadic blocks.
-`SWEEP_GUARD` is there only for what is materialised per vector (the
-failing runs, the oracle blocks a box spells out): the walk itself needs no
+It folds the leaves into what the reports read: the leaf boxes, the exact
+failure probability as a dyadic rational, and each strategy's commitments
+and answers on the oracle side as aligned dyadic blocks.  `SWEEP_GUARD` is
+there only for what is materialised per vector (the failing vectors a
+report lists, the oracle blocks a box spells out): the walk itself needs no
 guard, though `sweep` still refuses cap spaces past it.  `sweep_runs`, one
 run per cap vector, is the brute-force reference the walk is tested against.
 """
@@ -32,7 +32,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .bitstring import EMPTY, BitString
 from .cylinders import CylinderSet
@@ -161,8 +161,8 @@ def caps_from_seed(seed: int, cap_bounds: Sequence[int]) -> Tuple[int, ...]:
 
 
 class _Strategy:
-    __slots__ = ("index", "cap", "enum", "guesses", "guess_prefix", "satisfied_at",
-                 "active_stage", "answer_stage", "wait_prefix")
+    __slots__ = ("index", "cap", "enum", "guesses", "guess_prefix", "active_stage",
+                 "answer_stage", "wait_prefix")
 
     def __init__(self, index: int, cap: int, enum: Enumerator) -> None:
         self.index = index
@@ -170,7 +170,6 @@ class _Strategy:
         self.enum = enum
         self.guesses = 0
         self.guess_prefix: Optional[BitString] = None
-        self.satisfied_at: Optional[int] = None
         self.active_stage: Optional[int] = None
         self.answer_stage: Optional[int] = None
         self.wait_prefix: Optional[BitString] = None
@@ -199,7 +198,6 @@ def run_fireworks(cfg: FireworksConfig, caps: Sequence[int], *, keep_trace: bool
     x = EMPTY
     trace: List[str] = []
     waiting: Optional[_Strategy] = None
-    halted_by: Optional[int] = None
     stage = 0
     rr = 0
 
@@ -208,62 +206,43 @@ def run_fireworks(cfg: FireworksConfig, caps: Sequence[int], *, keep_trace: bool
             trace.append(msg)
 
     while stage < cfg.stage_budget:
+        if waiting is None:
+            if len(x) >= cfg.target_length:
+                break
+            if strategies:
+                st = strategies[rr % len(strategies)]
+                rr += 1
+                if st.answer_stage is None:
+                    if st.guess_prefix is None:
+                        st.guesses = 1
+                        st.guess_prefix = x
+                        note(f"s={stage} e={st.index} passive guess 1 on {x}")
+                    elif st.refuted(stage):
+                        if st.guesses < st.cap:
+                            st.guesses += 1
+                            st.guess_prefix = x
+                            note(f"s={stage} e={st.index} passive guess {st.guesses} on {x}")
+                        else:
+                            st.active_stage = stage
+                            st.wait_prefix = x
+                            note(f"s={stage} e={st.index} commitment on {x}")
+                            waiting = st
+            if waiting is None:
+                x = x.append(0)
+        # A commitment is first asked for its answer at the stage it is made.
         if waiting is not None:
             tau = waiting.answer(stage)
             if tau is not None:
                 waiting.answer_stage = stage
-                waiting.satisfied_at = stage
                 x = tau
                 note(f"s={stage} e={waiting.index} commitment answered by {tau}")
                 waiting = None
-            stage += 1
-            continue
-
-        if len(x) >= cfg.target_length:
-            break
-
-        if not strategies:
-            x = x.append(0)
-            stage += 1
-            continue
-
-        st = strategies[rr % len(strategies)]
-        rr += 1
-        grew = False
-        if st.satisfied_at is None:
-            if st.guess_prefix is None:
-                st.guesses = 1
-                st.guess_prefix = x
-                note(f"s={stage} e={st.index} passive guess 1 on {x}")
-            elif st.refuted(stage):
-                if st.guesses < st.cap:
-                    st.guesses += 1
-                    st.guess_prefix = x
-                    note(f"s={stage} e={st.index} passive guess {st.guesses} on {x}")
-                else:
-                    st.active_stage = stage
-                    st.wait_prefix = x
-                    note(f"s={stage} e={st.index} commitment on {x}")
-                    tau = st.answer(stage)
-                    if tau is not None:
-                        st.answer_stage = stage
-                        st.satisfied_at = stage
-                        x = tau
-                        grew = True
-                        note(f"s={stage} e={st.index} commitment answered by {tau}")
-                    else:
-                        waiting = st
-        if waiting is None and not grew and len(x) < cfg.target_length:
-            x = x.append(0)
         stage += 1
-
-    if waiting is not None:
-        halted_by = waiting.index
 
     records = []
     for st in strategies:
         proven = False
-        if st.satisfied_at is not None:
+        if st.answer_stage is not None:
             outcome = Outcome.ACTIVE_SUCCESS
         elif st.wait_prefix is not None:
             outcome = Outcome.ACTIVE_FAILURE
@@ -277,6 +256,7 @@ def run_fireworks(cfg: FireworksConfig, caps: Sequence[int], *, keep_trace: bool
             st.wait_prefix if st.wait_prefix is not None else st.guess_prefix,
             st.active_stage, st.answer_stage, proven,
         ))
+    halted_by = None if waiting is None else waiting.index
     return FireworksRun(x, tuple(caps), tuple(records), stage, halted_by, tuple(trace))
 
 
@@ -330,7 +310,7 @@ class Leaf:
     """A box of cap vectors, one range per strategy, that all make one run.
 
     `run` is the run of the box's least vector; the run of any other vector
-    in the box differs from it only in the caps (`runs`).
+    in the box differs from it only in the caps.
     """
 
     box: Tuple[range, ...]
@@ -339,11 +319,6 @@ class Leaf:
     @property
     def volume(self) -> int:
         return math.prod(map(len, self.box))
-
-    def runs(self) -> Iterator[FireworksRun]:
-        """The run of every vector in the box, in lexicographic cap order."""
-        for caps in itertools.product(*self.box):
-            yield _with_caps(self.run, caps)
 
 
 class _Cap:
@@ -457,12 +432,6 @@ class Sweep:
     committed: Tuple[Tuple[Tuple[int, BitString], ...], ...]
     answered: Tuple[Tuple[Tuple[int, BitString], ...], ...]
     stage_budget: int
-
-    @property
-    def failures(self) -> Tuple[FireworksRun, ...]:
-        """The failing run of every vector, in lexicographic cap order."""
-        runs = (run for leaf in self.leaves if leaf.run.failed for run in leaf.runs())
-        return tuple(sorted(runs, key=lambda run: run.caps))
 
     def failure_sets(self) -> Tuple[FailureSets, ...]:
         """Commitment and answer cylinders per strategy, each a staged open

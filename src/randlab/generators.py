@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .bitstring import BitString
+from .bitstring import EMPTY, BitString
 from .cylinders import CylinderSet
 from .demuth import DemuthTest, DiffPair, DiffUnionTest, VersionedOpenSet
 from .dyadic import Dyadic
@@ -41,14 +41,14 @@ def random_cylinder_set(rng: random.Random, count: int, max_len: int) -> Cylinde
     return CylinderSet.normalize(strings)
 
 
-def random_enumerator(rng: random.Random, horizon: int, count: int, max_len: int) -> Enumerator:
+def random_open_set(rng: random.Random, horizon: int, count: int, max_len: int,
+                    base: BitString = EMPTY) -> StagedOpenSet:
+    """`count` strings at stages 0..horizon, each `base` plus 1..max_len bits."""
     pairs = [(rng.randrange(horizon + 1), random_bits(rng, 1 + rng.randrange(max_len)))
              for _ in range(count)]
-    return Enumerator(by_stage(pairs), horizon)
-
-
-def random_open_set(rng: random.Random, horizon: int, count: int, max_len: int) -> StagedOpenSet:
-    return StagedOpenSet(random_enumerator(rng, horizon, count, max_len))
+    if base:
+        pairs = [(stage, base + tail) for stage, tail in pairs]
+    return StagedOpenSet(Enumerator(by_stage(pairs), horizon))
 
 
 def random_functional(rng: random.Random, depth: int, axiom_count: int,
@@ -109,13 +109,6 @@ def random_pi01_tree(rng: random.Random, depth: int = 24, horizon: int = 8) -> P
     return Pi01Tree(depth, by_stage(kept), horizon)
 
 
-def _confined_open(rng: random.Random, base: BitString, horizon: int,
-                   count: int, suffix_max: int) -> StagedOpenSet:
-    pairs = [(rng.randrange(horizon + 1), base + random_bits(rng, 1 + rng.randrange(suffix_max)))
-             for _ in range(count)]
-    return StagedOpenSet(Enumerator(by_stage(pairs), horizon))
-
-
 def _increasing_stages(rng: random.Random, count: int, horizon: int) -> List[int]:
     stages: List[int] = []
     s = rng.randrange(2)
@@ -139,7 +132,7 @@ def random_demuth_test(rng: random.Random, levels: int, version_bound: int,
         base = random_bits(rng, n)
         want = 1 + rng.randrange(min(version_bound, 3))
         stages = _increasing_stages(rng, want, horizon)
-        versions = [(stage, _confined_open(rng, base, horizon, 2 + rng.randrange(3), 3))
+        versions = [(stage, random_open_set(rng, horizon, 2 + rng.randrange(3), 3, base))
                     for stage in stages]
         if not versions:
             versions = [(0, StagedOpenSet.empty(horizon))]
@@ -165,7 +158,7 @@ def random_diffunion_test(rng: random.Random, levels: int, pair_bound: int,
         want = 1 + rng.randrange(min(pair_bound, 3))
         pairs = []
         for _ in range(want):
-            u = _confined_open(rng, base, horizon, 2 + rng.randrange(3), 3)
+            u = random_open_set(rng, horizon, 2 + rng.randrange(3), 3, base)
             v = thinned_delayed(rng, u, horizon)
             pairs.append(DiffPair(u, v))
         built.append(tuple(pairs))

@@ -27,7 +27,7 @@ from .demuth import (DemuthTest, DiffPair, DiffUnionTest, VersionedOpenSet,
                      demuth_to_diffunion, diffunion_to_demuth, verify_demuth)
 from .dyadic import Dyadic
 from .errors import RandlabError, ScenarioError
-from .fireworks import FireworksConfig, Outcome, caps_from_seed, run_fireworks, sweep
+from .fireworks import FireworksConfig, Outcome, Sweep, caps_from_seed, run_fireworks, sweep
 from .coding import gamma_decode, kg_decode, kg_encode, stabilization_stage
 from .generators import (build_working_w2r, hitting_run, random_demuth_test,
                          random_diffunion_test, random_functional_pair,
@@ -160,11 +160,6 @@ def _demuth_test(keys: _Keys, table: "ObjectTable") -> DemuthTest:
     levels = tuple(VersionedOpenSet([(stage, table.get("open_sets", ref, keys.where))
                                      for stage, ref in level])
                    for level in keys.take("levels", "version_levels"))
-    for n, level in enumerate(levels):
-        # final_at(horizon) would miss it, but the d2u conversion would not.
-        if level.versions and level.versions[-1][0] > horizon:
-            raise _err(keys.where, f"horizon {horizon} precedes last version of "
-                                   f"level {n} at {level.versions[-1][0]}")
     return DemuthTest(levels, tuple(bounds), horizon)
 
 
@@ -333,18 +328,25 @@ def _run_fireworks_run(ctx: Context, exp: Experiment) -> RunFact:
     return _fact(exp, *reports)
 
 
+def _failing_vectors(sw: Sweep) -> List[tuple]:
+    """(caps, outcomes, x prefix) of each failing vector, in cap order: the
+    failing leaves spelt out; no two vectors share caps, so the sort
+    compares nothing past them."""
+    return sorted((caps, [o.value for o in leaf.run.outcomes], leaf.run.x_prefix)
+                  for leaf in sw.leaves if leaf.run.failed for caps in itertools.product(*leaf.box))
+
+
 def _run_fireworks_sweep(ctx: Context, exp: Experiment) -> RunFact:
     cfg = _fireworks_config(ctx, _Keys(exp.params, exp.name))
     sw = sweep(cfg)
-    failures = sw.failures
+    rows = _failing_vectors(sw)
     residue_bound = sum(Fraction(1, n) for n in cfg.cap_bounds)
     within = sw.probability.as_fraction() <= residue_bound
     summary = ctx.report(
         exp, ".csv", ["adversaries", "k", "cap_bounds", "total_vectors", "failing_vectors",
                       "failure_probability", "residue_bound", "within_bound"],
-        [(exp.params["adversaries"], cfg.k, cfg.cap_bounds, sw.total, len(failures),
+        [(exp.params["adversaries"], cfg.k, cfg.cap_bounds, sw.total, len(rows),
           sw.probability, residue_bound, within)], within_bound=True)
-    rows = [(run.caps, [o.value for o in run.outcomes], run.x_prefix) for run in failures]
     return _fact(exp, summary,
                  ctx.report(exp, "_failures.csv", ["caps", "outcomes", "x_prefix"], rows))
 
@@ -399,7 +401,7 @@ def _convert_d2u_rows(test: DemuthTest) -> List[tuple]:
     out = demuth_to_diffunion(test)
     return [(n, test.levels[n].version_count(), test.version_bounds[n],
              len(out.levels[n]), out.pair_bounds[n],
-             out.level_final(n).strings == test.levels[n].final_at(test.horizon).strings)
+             out.level_final(n).strings == test.level_final(n).strings)
             for n in range(len(test.levels))]
 
 
@@ -584,7 +586,7 @@ def _minpair_rows(phi, psi, nat_max: int, horizon: int) -> List[tuple]:
         rows.append((stem, n, trace.family is not None,
                      trace.family.found_stage if trace.family else None,
                      changes, bound, vos.version_count(),
-                     vos.final_at(horizon).measure(),
+                     vos.open_at(horizon).measure(),
                      changes <= bound and vos.version_count() <= bound))
     assembled = DemuthTest(tuple(levels), tuple(1 << n for n in range(nat_max + 1)), horizon)
     rows.append(("assembled", "-", "-", "-", "-", "-", "-", "-", verify_demuth(assembled).ok))

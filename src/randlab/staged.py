@@ -1,14 +1,14 @@
 """Stage-indexed stand-ins for effectively presented objects.
 
 Everything here is a finite script: a cumulative schedule of dated events
-with a horizon.  One private `_Schedule` checks the stages (non-negative,
-strictly increasing, horizon at or past the last event) and accumulates one
-frozen snapshot per event at construction, so every stage query is a
-`bisect` on the event stages that returns a stored snapshot.  Enumerations
-and axiom sets are schedules; a co-enumerated tree is a depth bound plus a
-staged open set of removals.  Monotonicity in the stage index is therefore
-structural, and the only invariants left to check are functional
-consistency and depth bounds on tree removals.
+with a horizon.  One private `_Schedule` checks the stages (integers,
+non-negative, strictly increasing, horizon at or past the last event) and
+accumulates one frozen snapshot per event at construction, so every stage
+query is a `bisect` on the event stages that returns a stored snapshot.
+Enumerations and axiom sets are schedules; a co-enumerated tree is a depth
+bound plus a staged open set of removals.  Monotonicity in the stage index
+is therefore structural, and the only invariants left to check are
+functional consistency and depth bounds on tree removals.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence,
 from .bitstring import EMPTY, BitString, length_lex
 from .cylinders import CylinderSet
 from .dyadic import Dyadic
-from .errors import GuardExceeded, InconsistentFunctional, RandlabError
+from .errors import InconsistentFunctional, RandlabError
 
 StrLike = Union[BitString, str]
 T = TypeVar("T", bound=Hashable)
@@ -80,6 +80,12 @@ def _sorted_axiom_snapshots(events: Sequence[Tuple[int, tuple]]) -> List[tuple]:
     return [tuple(ax for ax, since in ordered if since <= i) for i in range(len(events) + 1)]
 
 
+def _check_int(value: object, what: str) -> None:
+    # bool is an int subclass, and int() would truncate a float or read a string.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise RandlabError(f"{what} {value!r} must be an integer")
+
+
 class _Schedule:
     """Strictly increasing dated events with a horizon.
 
@@ -97,7 +103,9 @@ class _Schedule:
         out = []
         stages: List[int] = []
         for stage, items in events:
-            stage = int(stage)
+            _check_int(stage, "stage")
+            if isinstance(items, str):
+                raise RandlabError(f"items at stage {stage} must be a list, got the string {items!r}")
             if stage < 0:
                 raise RandlabError(f"negative stage {stage}")
             if stages and stage <= stages[-1]:
@@ -105,7 +113,8 @@ class _Schedule:
             out.append((stage, tuple(sorted(map(item, items), key=key))))
             stages.append(stage)
         last = stages[-1] if stages else 0
-        self.horizon = last if horizon is None else int(horizon)
+        self.horizon = last if horizon is None else horizon
+        _check_int(self.horizon, "horizon")
         if self.horizon < last:
             raise RandlabError(f"horizon {self.horizon} precedes last event at {last}")
         self.events = tuple(out)
@@ -310,9 +319,10 @@ class Pi01Tree:
     __slots__ = ("depth", "removals", "_steps")
 
     def __init__(self, depth: int, events: Iterable[Tuple[int, Iterable[StrLike]]] = (), horizon: Optional[int] = None) -> None:
+        _check_int(depth, "tree depth")
         if depth < 1:
             raise RandlabError("tree depth must be positive")
-        self.depth = int(depth)
+        self.depth = depth
         self.removals = StagedOpenSet.from_events(events, horizon)
         _check_depth(self.removals.enumerator, self.depth, "removal")
         self._steps: List[Optional[Dict[str, WalkStep]]] = [None] * len(self.removals.enumerator._snapshots)
@@ -327,29 +337,6 @@ class Pi01Tree:
     def viable(self, sigma: StrLike, stage: int) -> bool:
         """Exact check that [sigma] still meets the class at `stage`."""
         return not self.removed_open(stage).shift(BitString(sigma)).is_full()
-
-    def intact(self, sigma: StrLike, stage: int) -> bool:
-        """True when no removal touches [sigma]: the whole cylinder survives."""
-        return not self.removed_open(stage).meets_cylinder(BitString(sigma))
-
-    def survivors(self, sigma: StrLike, length: int, stage: int) -> Tuple[BitString, ...]:
-        """All length-`length` extensions of sigma whose cylinder still meets
-        the class at `stage` (exact, certified against the removals so far)."""
-        sigma = BitString(sigma)
-        if length < len(sigma):
-            raise RandlabError("survivor length shorter than the stem")
-        if length > self.depth:
-            raise RandlabError(f"survivor length {length} exceeds depth {self.depth}")
-        span = length - len(sigma)
-        if span > 20:
-            raise GuardExceeded(f"survivor enumeration over 2^{span} strings refused")
-        removed = self.removed_open(stage)
-        out = []
-        for tail in BitString.all_strings(span):
-            tau = sigma + tail
-            if not removed.shift(tau).is_full():
-                out.append(tau)
-        return tuple(out)
 
     def class_measure(self, stage: int) -> Dyadic:
         """Exact measure of the stage-`stage` class (equivalently, of the

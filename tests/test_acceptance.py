@@ -119,7 +119,7 @@ def test_criterion_03_forward_conversion_identity():
         test = random_demuth_test(rng, 1 + i % 5, 1 + i % 6, 5 + i % 6)
         out = demuth_to_diffunion(test)
         for n in range(len(test.levels)):
-            if out.level_final(n) != test.levels[n].final_at(test.horizon):
+            if out.level_final(n) != test.levels[n].open_at(test.horizon):
                 mismatches += 1
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and elapsed < 5.0
@@ -137,7 +137,7 @@ def test_criterion_04_converse_conversion_bounds():
             h = max(1, test.pair_bounds[n + 1])
             if level.version_count() > h * h * (1 << (n + 1)):
                 bad += 1
-            if level.final_at(out.horizon).measure() > Dyadic.half_pow(n):
+            if level.open_at(out.horizon).measure() > Dyadic.half_pow(n):
                 bad += 1
             tracked = test.level_final(n + 1)
             for _, version in level.versions:

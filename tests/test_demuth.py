@@ -31,12 +31,12 @@ def test_versioned_set_reads_latest_declaration():
     assert level.open_at(0) == CylinderSet.cylinder("0")
     assert level.open_at(1) == CylinderSet.cylinder("0")
     assert level.open_at(2) == CylinderSet.cylinder("11")
-    assert level.final_at(4) == CylinderSet.cylinder("11")
+    assert level.open_at(4) == CylinderSet.cylinder("11")
     assert level.version_count() == 2
 
 
 def test_versioned_set_empty_and_ordering():
-    assert VersionedOpenSet([]).final_at(9) == EMPTY_SET
+    assert VersionedOpenSet([]).open_at(9) == EMPTY_SET
     with pytest.raises(RandlabError):
         VersionedOpenSet([(1, staged([])), (1, staged([]))])
 
@@ -79,7 +79,7 @@ def test_forward_conversion_identity_seeded():
                                   horizon=1 + rng.randrange(10))
         out = demuth_to_diffunion(test)
         for n, level in enumerate(test.levels):
-            assert out.level_final(n) == level.final_at(test.horizon)
+            assert out.level_final(n) == level.open_at(test.horizon)
 
 
 def test_converse_tracks_a_growing_subtrahend():
@@ -92,9 +92,29 @@ def test_converse_tracks_a_growing_subtrahend():
     # V's measure crosses 1/2 (one pair, watched level 1) only at stage 2.
     assert level.version_count() == 2
     assert [s for s, _ in level.versions] == [0, 2]
-    assert level.final_at(4) == CylinderSet.cylinder("110")
+    assert level.open_at(4) == CylinderSet.cylinder("110")
     assert out.version_bounds == (2,)
     assert verify_demuth(out).ok
+
+
+def test_converse_declares_each_version_at_its_crossing_stage():
+    # One of four pairs at level 1 (quantum 1/8) has a V that crosses a new
+    # multiple of 1/8 at every stage 0..6: 3/16 at stage 0, then 2/16 more
+    # per stage.  Coalescing the stage-0 crossing into stage 1 would push
+    # every later declaration one stage on, the last one past the horizon.
+    strings = list(BitString.all_strings(4))
+    v = staged([(0, strings[:3])] + [(s, strings[2 * s + 1:2 * s + 3]) for s in range(1, 7)],
+               horizon=6)
+    none = DiffPair(staged([], 6), staged([], 6))
+    test = DiffUnionTest(((none,), (DiffPair(staged([(0, ["1"])], 6), v), none, none, none)),
+                         (1, 4), horizon=6)
+    out = diffunion_to_demuth(test)
+    assert [s for s, _ in out.levels[0].versions] == list(range(7))
+    assert out.level_final(0) == test.level_final(1)
+    assert verify_demuth(out).ok
+    late = VersionedOpenSet([(0, staged([], 6)), (7, staged([], 6))])
+    with pytest.raises(RandlabError, match="horizon 6 precedes last version of level 0 at 7"):
+        DemuthTest((late,), (2,), horizon=6)
 
 
 def test_converse_bounds_seeded():
@@ -108,7 +128,7 @@ def test_converse_bounds_seeded():
         for n, level in enumerate(out.levels):
             c = max(1, len(test.levels[n + 1]))
             assert level.version_count() <= c * c * (1 << (n + 1))
-            assert level.final_at(test.horizon).measure() <= Dyadic.half_pow(n)
+            assert level.open_at(test.horizon).measure() <= Dyadic.half_pow(n)
             tracked = test.level_final(n + 1)
             for _, version in level.versions:
                 assert tracked.is_subset(version.open_at(test.horizon))
@@ -176,7 +196,9 @@ def per_stage_diffunion_to_demuth(test):
             events = first_seen((s, tracked(s).strings) for s in range(test.horizon + 1))
             return declare, StagedOpenSet.from_events(events, test.horizon)
 
-        versions = [version(None, 0)]
+        # Each version is declared at its crossing stage; one at stage 0
+        # replaces the first version.
+        versions = {0: version(None, 0)}
         exceeded = [0] * len(pairs)
         for s in range(test.horizon + 1):
             crossed = False
@@ -186,9 +208,8 @@ def per_stage_diffunion_to_demuth(test):
                     exceeded[k] = now
                     crossed = True
             if crossed:
-                declare = s if s > versions[-1][0] else versions[-1][0] + 1
-                versions.append(version(s, declare))
-        out_levels.append(VersionedOpenSet(versions))
+                versions[s] = version(s, s)
+        out_levels.append(VersionedOpenSet(list(versions.values())))
         out_bounds.append(c * c * (1 << (n + 1)))
     return DemuthTest(tuple(out_levels), tuple(out_bounds), test.horizon)
 

@@ -122,7 +122,7 @@ def test_induced_level_versions_mirror_switches():
     assert vos.version_count() == 2
     assert [s for s, _ in vos.versions] == [0, 2]
     # Final version: preimage of 11, empty at every stage here.
-    assert vos.final_at(4).is_empty()
+    assert vos.open_at(4).is_empty()
     assert trace.mind_changes() == 1
 
 
@@ -131,7 +131,7 @@ def test_induced_level_no_family_is_empty():
     psi = TuringFunctional([], horizon=3)
     vos, trace = induced_demuth_level(phi, psi, BitString("1"), 3)
     assert vos.version_count() == 0
-    assert vos.final_at(3).is_empty()
+    assert vos.open_at(3).is_empty()
     assert trace.family is None
 
 

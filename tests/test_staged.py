@@ -13,7 +13,7 @@ from randlab import staged
 from randlab.bitstring import EMPTY, BitString
 from randlab.cylinders import CylinderSet, EMPTY_SET, FULL_SET
 from randlab.demuth import VersionedOpenSet
-from randlab.errors import GuardExceeded, InconsistentFunctional, RandlabError
+from randlab.errors import InconsistentFunctional, RandlabError
 from randlab.generators import random_functional
 from randlab.staged import (Enumerator, Pi01Tree, StagedOpenSet, TuringFunctional, by_stage,
                             first_seen)
@@ -84,13 +84,18 @@ def test_functional_preimage():
     assert phi.preimage("0", 2) == EMPTY_SET
 
 
+def is_intact(tree, sigma, stage):
+    """No removal touches [sigma]: the whole cylinder survives."""
+    return not tree.removed_open(stage).meets_cylinder(BitString(sigma))
+
+
 def test_tree_viable_vs_intact():
     # Remove [00] and [10]: both length-2 survivors sit right of a removal.
     t = Pi01Tree(4, [(0, ["00", "10"])])
-    assert t.viable("0", 0) and not t.intact("0", 0)
-    assert t.viable("01", 0) and t.intact("01", 0)
+    assert t.viable("0", 0) and not is_intact(t, "0", 0)
+    assert t.viable("01", 0) and is_intact(t, "01", 0)
     assert not t.viable("00", 0)
-    assert t.survivors("^", 2, 0) == (BitString("01"), BitString("11"))
+    assert [s for s in BitString.all_strings(2) if t.viable(s, 0)] == [BitString("01"), BitString("11")]
     assert t.class_measure(0) == CylinderSet.normalize(["01", "11"]).measure()
 
 
@@ -113,12 +118,26 @@ def test_tree_rejects_bad_shapes():
         Pi01Tree(3, [(2, ["0"])], horizon=1)
 
 
-def test_survivor_guard():
-    t = Pi01Tree(30)
-    with pytest.raises(GuardExceeded):
-        t.survivors("^", 30, 0)
-    with pytest.raises(RandlabError):
-        t.survivors("00", 1, 0)
+@pytest.mark.parametrize("events, horizon, message", [
+    ([(0, "01")], None, "stage 0 must be a list, got the string '01'"),
+    ([(1.7, ["0"])], 2, "stage 1.7 must be an integer"),
+    ([(1, ["0"])], 2.9, "horizon 2.9 must be an integer"),
+    ([(True, ["0"])], None, "stage True must be an integer"),
+    ([(1, ["0"])], True, "horizon True must be an integer"),
+    ([("1", ["0"])], None, "stage '1' must be an integer"),
+])
+def test_schedules_refuse_what_the_scenario_reader_refuses(events, horizon, message):
+    # int() would read 1.7 as stage 1, and a bare "01" would enumerate "0" and "1".
+    with pytest.raises(RandlabError, match=re.escape(message)):
+        Enumerator(events, horizon)
+    with pytest.raises(RandlabError, match=re.escape(message)):
+        Pi01Tree(4, events, horizon)
+
+
+def test_tree_refuses_a_depth_that_is_not_an_integer():
+    for depth in (3.9, True, "3"):
+        with pytest.raises(RandlabError, match="tree depth .* must be an integer"):
+            Pi01Tree(depth)
 
 
 def test_extreme_intact_walks():
@@ -137,7 +156,7 @@ def test_extreme_intact_matches_brute_force(removals, sigma, extra):
     t = Pi01Tree(6, [(0, removals)] if removals else [])
     length = len(sigma) + extra
     stem = BitString(sigma)
-    intact = [stem + tail for tail in BitString.all_strings(extra) if t.intact(stem + tail, 0)]
+    intact = [stem + tail for tail in BitString.all_strings(extra) if is_intact(t, stem + tail, 0)]
     intact.sort(key=lambda s: s.bits)
     assert t.leftmost_intact(sigma, length, 0) == (intact[0] if intact else None)
     assert t.rightmost_intact(sigma, length, 0) == (intact[-1] if intact else None)
