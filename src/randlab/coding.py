@@ -24,13 +24,12 @@ every schedule sits at its final snapshot, so later replays repeat it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bitstring import EMPTY, BitString, decode_pair, encode_pair, self_delimit
 from .cylinders import CylinderSet
 from .errors import DensityError, DepthExhausted, SchemeError
-from .staged import Pi01Tree, StagedOpenSet
+from .staged import Pi01Tree, StagedOpenSet, _check_int
 
 
 def _exhausted(sigma: BitString, tree: Pi01Tree) -> DepthExhausted:
@@ -152,13 +151,19 @@ def kg_decode(codeword: BitString, sigma: BitString, tree: Pi01Tree, stage: Opti
     return payload if consumed == codeword else None
 
 
-@dataclass(frozen=True)
-class OpenFamily:
-    """A descending chain of staged open sets U_0 >= U_1 >= ... (stagewise)."""
-
+class _OpenFamilyFields(NamedTuple):
     levels: Tuple[StagedOpenSet, ...]
 
-    def __post_init__(self) -> None:
+
+class OpenFamily(_OpenFamilyFields):
+    """A descending chain of staged open sets U_0 >= U_1 >= ... (stagewise)."""
+
+    __slots__ = ()
+    # _replace builds its copy with _make; through the constructor, the checks
+    # run again (so too in W2RScheme, DemuthTest and DiffUnionTest).
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
         if not self.levels:
             raise SchemeError("a family needs at least one level")
         horizon = max(l.horizon for l in self.levels)
@@ -186,16 +191,23 @@ def g_lsc(family: OpenFamily, sigma: BitString, tree: Pi01Tree, stage: int) -> O
     return None
 
 
-@dataclass(frozen=True)
-class W2RScheme:
-    """Base class plus clopen-complement families for the layered coding."""
-
+class _W2RSchemeFields(NamedTuple):
     base: Pi01Tree
     families: Tuple[OpenFamily, ...]
     star_indices: Tuple[int, ...]
     horizon: int
 
-    def __post_init__(self) -> None:
+
+class W2RScheme(_W2RSchemeFields):
+    """Base class plus clopen-complement families for the layered coding."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    # The tuple's __new__ sets the fields; the checks run in the class's own
+    # __init__, so each scheme built is one call of it (perfbench counts them).
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        _check_int(self.horizon, "horizon")
         for e in self.star_indices:
             if not 0 <= e < len(self.families):
                 raise SchemeError(f"star index {e} has no family")
@@ -212,8 +224,7 @@ class W2RScheme:
                                           for level in family.levels])
 
 
-@dataclass(frozen=True)
-class LayerRecord:
+class LayerRecord(NamedTuple):
     family_index: int
     payload: BitString
     codeword: BitString
@@ -221,8 +232,7 @@ class LayerRecord:
     g_trajectory: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class W2REncoding:
+class W2REncoding(NamedTuple):
     codeword: BitString
     layers: Tuple[LayerRecord, ...]
     classes: Tuple[Pi01Tree, ...]  # classes[i] holds after i layers
@@ -279,16 +289,14 @@ def stabilization_stage(enc: W2REncoding) -> int:
     return stable
 
 
-@dataclass(frozen=True)
-class SubProcedureRecord:
+class SubProcedureRecord(NamedTuple):
     t: int
     layers: Tuple[Tuple[int, BitString], ...]  # decoded (index, payload) pairs
     consumed: BitString
     merged: BitString  # concatenated payloads
 
 
-@dataclass(frozen=True)
-class GammaResult:
+class GammaResult(NamedTuple):
     positions: Dict[int, Tuple[int, int]]  # position -> (bit, defining t)
     subs: Tuple[SubProcedureRecord, ...]
 
@@ -370,7 +378,7 @@ def gamma_decode(x: BitString, t_max: int, scheme: W2RScheme) -> GammaResult:
     positions: Dict[int, Tuple[int, int]] = {}
     subs: List[SubProcedureRecord] = []
     for t in range(t_max + 1):
-        rec = replace(subs[settle], t=t) if t > settle else _replay(x, t, scheme, walks)
+        rec = subs[settle]._replace(t=t) if t > settle else _replay(x, t, scheme, walks)
         subs.append(rec)
         zeta = rec.merged
         for i in range(len(positions), min(t, len(zeta) - 1) + 1):

@@ -15,15 +15,14 @@ final measure stay within explicit budgets.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bitstring import BitString
 from .cylinders import EMPTY_SET, CylinderSet
 from .dyadic import Dyadic
 from .errors import RandlabError
-from .staged import StagedOpenSet, first_seen
+from .staged import StagedOpenSet, _check_int, first_seen
 
 
 class VersionedOpenSet:
@@ -40,6 +39,7 @@ class VersionedOpenSet:
         self.versions = tuple(versions)
         self._stages = [stage for stage, _ in self.versions]
         for last, stage in zip([-1] + self._stages, self._stages):
+            _check_int(stage, "version stage")
             if stage <= last:
                 raise RandlabError(f"version stages must increase, got {stage} after {last}")
 
@@ -58,16 +58,21 @@ class VersionedOpenSet:
         return f"VersionedOpenSet({self.version_count()} versions)"
 
 
-@dataclass(frozen=True)
-class DemuthTest:
-    """Levels of versioned open sets; level n owes final measure <= 2^-n and
-    at most version_bounds[n] versions."""
-
+class _DemuthTestFields(NamedTuple):
     levels: Tuple[VersionedOpenSet, ...]
     version_bounds: Tuple[int, ...]
     horizon: int
 
-    def __post_init__(self) -> None:
+
+class DemuthTest(_DemuthTestFields):
+    """Levels of versioned open sets; level n owes final measure <= 2^-n and
+    at most version_bounds[n] versions."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        _check_int(self.horizon, "horizon")
         if len(self.levels) != len(self.version_bounds):
             raise RandlabError("one version bound per level required")
         for n, level in enumerate(self.levels):
@@ -80,21 +85,25 @@ class DemuthTest:
         return self.levels[n].open_at(self.horizon)
 
 
-@dataclass(frozen=True)
-class DiffPair:
+class DiffPair(NamedTuple):
     u: StagedOpenSet
     v: StagedOpenSet
 
 
-@dataclass(frozen=True)
-class DiffUnionTest:
-    """Levels of difference-pair lists; level n denotes union of (U_k - V_k)."""
-
+class _DiffUnionTestFields(NamedTuple):
     levels: Tuple[Tuple[DiffPair, ...], ...]
     pair_bounds: Tuple[int, ...]
     horizon: int
 
-    def __post_init__(self) -> None:
+
+class DiffUnionTest(_DiffUnionTestFields):
+    """Levels of difference-pair lists; level n denotes union of (U_k - V_k)."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        _check_int(self.horizon, "horizon")
         if len(self.levels) != len(self.pair_bounds):
             raise RandlabError("one pair bound per level required")
 
@@ -108,8 +117,7 @@ class DiffUnionTest:
         return self.level_set_at(n, self.horizon)
 
 
-@dataclass(frozen=True)
-class LevelReport:
+class LevelReport(NamedTuple):
     level: int
     version_count: int
     version_bound: int
@@ -118,8 +126,7 @@ class LevelReport:
     ok: bool
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(NamedTuple):
     rows: Tuple[LevelReport, ...]
 
     @property

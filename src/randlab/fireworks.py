@@ -30,9 +30,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bitstring import EMPTY, BitString
 from .cylinders import CylinderSet
@@ -61,8 +60,7 @@ def default_cap_bounds(count: int, k: int) -> Tuple[int, ...]:
     return tuple(1 << (e + k + 1) for e in range(count))
 
 
-@dataclass(frozen=True)
-class FireworksConfig:
+class FireworksConfig(NamedTuple):
     adversaries: Tuple[Enumerator, ...]
     k: int
     cap_bounds: Tuple[int, ...]
@@ -107,8 +105,7 @@ class FireworksConfig:
         return tuple(n.bit_length() - 1 for n in self.cap_bounds)
 
 
-@dataclass(frozen=True)
-class StrategyRecord:
+class StrategyRecord(NamedTuple):
     index: int
     cap: int
     outcome: Outcome
@@ -119,8 +116,7 @@ class StrategyRecord:
     failure_proven: bool
 
 
-@dataclass(frozen=True)
-class FireworksRun:
+class FireworksRun(NamedTuple):
     x_prefix: BitString
     caps: Tuple[int, ...]
     records: Tuple[StrategyRecord, ...]
@@ -305,8 +301,7 @@ def _with_caps(run: FireworksRun, caps: Tuple[int, ...]) -> FireworksRun:
     return FireworksRun(run.x_prefix, caps, records, run.stages_used, run.halted_by, run.trace)
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     """A box of cap vectors, one range per strategy, that all make one run.
 
     `run` is the run of the box's least vector; the run of any other vector
@@ -405,8 +400,7 @@ def _box_oracles(box: Tuple[range, ...], cfg: FireworksConfig) -> List[BitString
     return [BitString(p) for p in prefixes]
 
 
-@dataclass(frozen=True)
-class FailureSets:
+class FailureSets(NamedTuple):
     """Oracle-side view of one strategy: who commits, who gets answered."""
 
     committed: StagedOpenSet   # oracles driving the strategy into a commitment
@@ -416,8 +410,7 @@ class FailureSets:
         return self.committed.final() - self.answered.final()
 
 
-@dataclass(frozen=True)
-class Sweep:
+class Sweep(NamedTuple):
     """What the reports read off one walk over the cap space.
 
     `leaves` tile the `total` vectors, in order of least vector;

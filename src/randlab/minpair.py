@@ -17,8 +17,7 @@ structure exactly and reports where each branch's isolation sets in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .bitstring import BitString, to_nat
 from .dyadic import Dyadic
@@ -29,8 +28,7 @@ from .demuth import VersionedOpenSet
 FAMILY_GUARD = 64
 
 
-@dataclass(frozen=True)
-class PairFamily:
+class PairFamily(NamedTuple):
     """2^N candidate pairs (extension, output) discovered at one stage."""
 
     stem: BitString
@@ -147,8 +145,7 @@ def find_family(phi: TuringFunctional, stem: BitString, stage: int) -> Optional[
     return None
 
 
-@dataclass(frozen=True)
-class FApprox:
+class FApprox(NamedTuple):
     """Stagewise trace of the guarded-image map at one stem."""
 
     stem: BitString
@@ -215,14 +212,12 @@ def induced_demuth_level(phi: TuringFunctional, psi: TuringFunctional, stem: Bit
     return VersionedOpenSet(versions), trace
 
 
-@dataclass(frozen=True)
-class BranchIsolation:
+class BranchIsolation(NamedTuple):
     branch: BitString
     onset: int  # position after the last two-child node on the branch
 
 
-@dataclass(frozen=True)
-class IsolationAnalysis:
+class IsolationAnalysis(NamedTuple):
     applicable: bool
     antichain_width: int
     width_bound: int
@@ -265,8 +260,7 @@ def isolated_path_analysis(tree: Enumerator, n: int) -> IsolationAnalysis:
     return IsolationAnalysis(True, width, bound, tuple(branches))
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(NamedTuple):
     stem: BitString
     n: int
     case: str  # "width-bounded" or "disagreement"

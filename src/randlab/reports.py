@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .bitstring import BitString
 from .cylinders import CylinderSet
@@ -66,16 +65,15 @@ ROWS = ("kg-class-member", "w2r-class-member", "selector-pair")
 COLS = ("coded-payload", "configured-comeager-target", "partner-functional")
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     label: str
     artifacts: Tuple[str, ...] = ()
     note: str = ""
 
 
-@dataclass
 class InteractionReport:
-    cells: Dict[Tuple[str, str], Cell] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.cells: Dict[Tuple[str, str], Cell] = {}
 
     def cell(self, row: str, col: str) -> Cell:
         return self.cells.get((row, col), Cell(UNRESOLVED))
@@ -104,8 +102,7 @@ class InteractionReport:
         return "".join(out)
 
 
-@dataclass(frozen=True)
-class RunFact:
+class RunFact(NamedTuple):
     """One completed experiment, reduced to what the matrix consumes."""
 
     name: str

@@ -16,10 +16,9 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bitstring import BitString, from_nat
 from .cylinders import EMPTY_SET, uniform_suffix_set
@@ -37,24 +36,22 @@ from .reports import RunFact, csv_text, emit_interaction_report, render_field
 from .staged import Enumerator, Pi01Tree, StagedOpenSet, TuringFunctional
 
 
-@dataclass(frozen=True)
-class Experiment:
+class Experiment(NamedTuple):
     name: str
     kind: str
     params: Dict[str, object]
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     objects: Dict[str, Dict[str, object]]
     experiments: Tuple[Experiment, ...]
 
 
-@dataclass
 class ScenarioResult:
-    files: List[Path] = field(default_factory=list)
-    facts: List[RunFact] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.files: List[Path] = []
+        self.facts: List[RunFact] = []
 
     @property
     def ok(self) -> bool:

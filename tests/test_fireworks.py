@@ -8,7 +8,6 @@ before being frozen into an assertion.
 import itertools
 import re
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -345,8 +344,8 @@ def assert_leaves_tile_the_sweep(cfg):
     assert sum(leaf.volume for leaf in leaves) == total == len(owner)
     for run in sweep_runs(cfg):
         leaf = owner[run.caps]
-        assert run == replace(leaf.run, caps=run.caps, records=tuple(
-            replace(r, cap=c) for r, c in zip(leaf.run.records, run.caps)))
+        assert run == leaf.run._replace(caps=run.caps, records=tuple(
+            r._replace(cap=c) for r, c in zip(leaf.run.records, run.caps)))
 
 
 @pytest.mark.parametrize("cfg", bundled_fireworks_configs(),
