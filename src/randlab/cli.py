@@ -49,6 +49,11 @@ def _csv_strs(text: str) -> List[str]:
     return [x for x in text.split(",") if x]
 
 
+def _given(args, *names: str) -> Dict[str, object]:
+    """The named options the user gave; the scenario reader holds their defaults."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _emit(result, out_given: bool) -> int:
     for path in result.files:
         sys.stdout.write(f"== {path.name} ==\n")
@@ -113,7 +118,7 @@ def _cmd_fireworks(args) -> int:
 
 def _cmd_tests_convert(args) -> int:
     params = {"direction": args.direction, "count": args.count, "seed": args.seed,
-              "levels": args.levels, "bound": args.bound, "horizon": args.horizon}
+              **_given(args, "levels", "bound", "horizon")}
     return _run_inline("cli", {}, [Experiment("convert", "convert_sweep", params)],
                        args.out)
 
@@ -135,26 +140,18 @@ def _cmd_kg(args) -> int:
 
 
 def _cmd_w2r(args) -> int:
+    params = {"seed": args.seed, **_given(args, "depth", "horizon")}
     if args.mode == "hit":
-        # Steered payloads stack up; the class must be deep enough to hold them.
-        depth = args.depth if args.depth is not None else 220
-        params = {"seed": args.seed,
-                  "positions": args.positions,
-                  "patterns": _csv_strs(args.patterns),
-                  "depth": depth, "horizon": args.horizon}
+        params.update(positions=args.positions, patterns=_csv_strs(args.patterns))
         exp = Experiment("hit", "w2r_hitting", params)
     else:
-        depth = args.depth if args.depth is not None else 24
-        params = {"seed": args.seed,
-                  "payloads": _csv_strs(args.payloads),
-                  "depth": depth, "horizon": args.horizon}
+        params["payloads"] = _csv_strs(args.payloads)
         exp = Experiment(args.mode, "w2r", params)
     return _run_inline("cli", {}, [exp], args.out)
 
 
 def _cmd_minpair(args) -> int:
-    params = {"count": args.count, "seed": args.seed, "nat_max": args.nat_max,
-              "horizon": args.horizon}
+    params = {"count": args.count, "seed": args.seed, **_given(args, "nat_max", "horizon")}
     return _run_inline("cli", {}, [Experiment("analyze", "minpair_sweep", params)],
                        args.out)
 
@@ -190,9 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--direction", choices=["d2u", "u2d"], required=True)
     p_conv.add_argument("--seed", type=int, required=True)
     p_conv.add_argument("--count", type=int, default=10)
-    p_conv.add_argument("--levels", type=int, default=4)
-    p_conv.add_argument("--bound", type=int, default=4)
-    p_conv.add_argument("--horizon", type=int, default=8)
+    p_conv.add_argument("--levels", type=int)
+    p_conv.add_argument("--bound", type=int)
+    p_conv.add_argument("--horizon", type=int)
     p_conv.add_argument("--out")
     p_conv.set_defaults(func=_cmd_tests_convert)
 
@@ -212,9 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_w2r.add_argument("--payloads", help="comma-separated payloads (encode)")
     p_w2r.add_argument("--positions", type=_csv_ints, help="dense-open offsets (hit)")
     p_w2r.add_argument("--patterns", help="dense-open patterns (hit)")
-    p_w2r.add_argument("--depth", type=int, default=None,
-                       help="class depth (default 24, or 220 for hit)")
-    p_w2r.add_argument("--horizon", type=int, default=8)
+    p_w2r.add_argument("--depth", type=int)
+    p_w2r.add_argument("--horizon", type=int)
     p_w2r.add_argument("--out")
     p_w2r.set_defaults(func=_cmd_w2r)
 
@@ -222,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mp.add_argument("mode", choices=["analyze"])
     p_mp.add_argument("--seed", type=int, required=True)
     p_mp.add_argument("--count", type=int, default=5)
-    p_mp.add_argument("--nat-max", type=int, default=3)
-    p_mp.add_argument("--horizon", type=int, default=8)
+    p_mp.add_argument("--nat-max", type=int)
+    p_mp.add_argument("--horizon", type=int)
     p_mp.add_argument("--out")
     p_mp.set_defaults(func=_cmd_minpair)
 

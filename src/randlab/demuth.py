@@ -166,12 +166,8 @@ def demuth_to_diffunion(test: DemuthTest) -> DiffUnionTest:
         count = level.version_count()
         width = max(test.version_bounds[n], count)
         for k in range(width):
-            if k < count:
-                u = level.versions[k][1]
-                v = u if k + 1 < count else StagedOpenSet.empty(test.horizon)
-            else:
-                u = StagedOpenSet.empty(test.horizon)
-                v = StagedOpenSet.empty(test.horizon)
+            u = level.versions[k][1] if k < count else StagedOpenSet([], test.horizon)
+            v = u if k + 1 < count else StagedOpenSet([], test.horizon)
             pairs.append(DiffPair(u, v))
         levels.append(tuple(pairs))
     return DiffUnionTest(tuple(levels), tuple(max(b, l.version_count()) for b, l in zip(test.version_bounds, test.levels)), test.horizon)
@@ -189,7 +185,7 @@ def _sweep(sets: Sequence[StagedOpenSet], horizon: int) -> Iterator[Tuple[int, L
     """Walk stages 0..horizon where some set changes: at each, the indices of
     the sets that change there and every set's value, each set read only at
     its own change stages."""
-    changes = [set(o.enumerator.change_stages(horizon)) for o in sets]
+    changes = [set(o.change_stages(horizon)) for o in sets]
     now = [EMPTY_SET] * len(sets)
     for s in sorted(set().union(*changes)):
         changed = [k for k, stages in enumerate(changes) if s in stages]
@@ -238,7 +234,7 @@ def diffunion_to_demuth(test: DiffUnionTest) -> DemuthTest:
                 return acc
 
             events = first_seen((s, tracked(u_now).strings) for s, _, u_now in u_rows)
-            return StagedOpenSet.from_events(events, test.horizon)
+            return StagedOpenSet(events, test.horizon)
 
         # Declaration stage -> the V snapshots its version subtracts; a
         # crossing at stage 0 replaces the first version, which subtracts none.

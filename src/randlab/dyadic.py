@@ -32,10 +32,6 @@ class Dyadic:
         self.exp = exp
 
     @staticmethod
-    def zero() -> "Dyadic":
-        return Dyadic(0)
-
-    @staticmethod
     def one() -> "Dyadic":
         return Dyadic(1)
 

@@ -433,8 +433,8 @@ class Sweep(NamedTuple):
         union of residues has exactly the sweep's failure probability.
         """
         return tuple(
-            FailureSets(StagedOpenSet.from_events(by_stage(c), self.stage_budget),
-                        StagedOpenSet.from_events(by_stage(a), self.stage_budget))
+            FailureSets(StagedOpenSet(by_stage(c), self.stage_budget),
+                        StagedOpenSet(by_stage(a), self.stage_budget))
             for c, a in zip(self.committed, self.answered))
 
 

@@ -16,7 +16,7 @@ from .cylinders import CylinderSet
 from .demuth import DemuthTest, DiffPair, DiffUnionTest, VersionedOpenSet
 from .dyadic import Dyadic
 from .errors import GuardExceeded, RandlabError, SchemeError
-from .staged import Enumerator, Pi01Tree, StagedOpenSet, TuringFunctional, by_stage
+from .staged import Pi01Tree, StagedOpenSet, TuringFunctional, by_stage
 from .coding import (OpenFamily, W2REncoding, W2RScheme, extend_into_open, w2r_encode,
                      w2r_extend)
 
@@ -29,6 +29,8 @@ _KEEP_ONE_IN = 2             # thinning keeps about one string in this many
 _DELAY_MAX = 2               # and delays each kept one by at most this many stages
 _FAMILY_TOP = 6              # strings drawn for the top level of a nested family
 _FAMILY_TOP_MAX_LEN = 6      # and their greatest length
+_FAMILY_COUNT = 3            # nested families per W2R scheme
+_FAMILY_LEVELS = 3           # and levels per family
 _ATTEMPTS = 64               # seeded schemes tried before a W2R run gives up
 
 
@@ -48,7 +50,7 @@ def random_open_set(rng: random.Random, horizon: int, count: int, max_len: int,
              for _ in range(count)]
     if base:
         pairs = [(stage, base + tail) for stage, tail in pairs]
-    return StagedOpenSet(Enumerator(by_stage(pairs), horizon))
+    return StagedOpenSet(by_stage(pairs), horizon)
 
 
 def random_functional(rng: random.Random, depth: int, axiom_count: int,
@@ -135,7 +137,7 @@ def random_demuth_test(rng: random.Random, levels: int, version_bound: int,
         versions = [(stage, random_open_set(rng, horizon, 2 + rng.randrange(3), 3, base))
                     for stage in stages]
         if not versions:
-            versions = [(0, StagedOpenSet.empty(horizon))]
+            versions = [(0, StagedOpenSet([], horizon))]
         built.append(VersionedOpenSet(versions))
     return DemuthTest(tuple(built), tuple(version_bound for _ in range(levels)), horizon)
 
@@ -143,11 +145,11 @@ def random_demuth_test(rng: random.Random, levels: int, version_bound: int,
 def thinned_delayed(rng: random.Random, source: StagedOpenSet, horizon: int) -> StagedOpenSet:
     """Subset of `source` at every stage: drop strings, push stages later."""
     pairs: List[Tuple[int, BitString]] = []
-    for stage, strings in source.enumerator.events:
+    for stage, strings in source.events:
         for s in strings:
             if rng.randrange(_KEEP_ONE_IN) == 0:
                 pairs.append((min(horizon, stage + rng.randrange(_DELAY_MAX + 1)), s))
-    return StagedOpenSet(Enumerator(by_stage(pairs), horizon))
+    return StagedOpenSet(by_stage(pairs), horizon)
 
 
 def random_diffunion_test(rng: random.Random, levels: int, pair_bound: int,
@@ -174,20 +176,18 @@ def nested_family(rng: random.Random, levels: int, horizon: int) -> OpenFamily:
     return OpenFamily(tuple(chain))
 
 
-def _schemes(seed: int, stars: int, family_count: int, family_levels: int,
-             depth: int, horizon: int) -> Iterator[W2RScheme]:
+def _schemes(seed: int, stars: int, depth: int, horizon: int) -> Iterator[W2RScheme]:
     """One scheme per attempt, each reseeded from (seed, attempt)."""
     for attempt in range(_ATTEMPTS):
         rng = random.Random(f"{seed}:{attempt}")
         base = random_pi01_tree(rng, depth=depth, horizon=horizon)
-        families = tuple(nested_family(rng, family_levels, horizon)
-                         for _ in range(family_count))
-        yield W2RScheme(base, families, tuple(rng.randrange(family_count) for _ in range(stars)),
+        families = tuple(nested_family(rng, _FAMILY_LEVELS, horizon)
+                         for _ in range(_FAMILY_COUNT))
+        yield W2RScheme(base, families, tuple(rng.randrange(_FAMILY_COUNT) for _ in range(stars)),
                         horizon)
 
 
 def build_working_w2r(seed: int, payloads: Sequence[BitString],
-                      family_count: int = 3, family_levels: int = 3,
                       depth: int = 24, horizon: int = 8) -> Tuple[W2RScheme, W2REncoding]:
     """Deterministic retry until a scheme accepts the given payloads.
 
@@ -195,7 +195,7 @@ def build_working_w2r(seed: int, payloads: Sequence[BitString],
     is a pure function of the arguments.  Returns it with the payloads'
     encoding.
     """
-    for scheme in _schemes(seed, len(payloads), family_count, family_levels, depth, horizon):
+    for scheme in _schemes(seed, len(payloads), depth, horizon):
         try:
             enc = w2r_encode(payloads, scheme)
         except RandlabError:
@@ -212,9 +212,7 @@ def random_functional_pair(rng: random.Random, depth: int = 5,
     return phi, psi
 
 
-def hitting_run(seed: int, opens: Sequence[CylinderSet],
-                family_count: int = 3, family_levels: int = 3,
-                depth: int = 220, horizon: int = 8):
+def hitting_run(seed: int, opens: Sequence[CylinderSet], depth: int = 220, horizon: int = 8):
     """Steer one payload into each open set over a retried scheme.
 
     Retries swallow only scheme-shape failures (viability, guards); a
@@ -224,7 +222,7 @@ def hitting_run(seed: int, opens: Sequence[CylinderSet],
     open's payload is layered onto the running encoding before the next
     open is steered from it.
     """
-    for scheme in _schemes(seed, len(opens), family_count, family_levels, depth, horizon):
+    for scheme in _schemes(seed, len(opens), depth, horizon):
         enc = w2r_encode((), scheme)
         steps: List[Tuple[int, BitString]] = []
         try:

@@ -153,9 +153,6 @@ class FApprox(NamedTuple):
     values: Tuple[BitString, ...]          # value at each stage 0..horizon
     chosen_index: Tuple[Optional[int], ...]
 
-    def final(self) -> BitString:
-        return self.values[-1]
-
     def mind_changes(self) -> int:
         changes = 0
         for a, b in zip(self.values, self.values[1:]):
@@ -208,7 +205,7 @@ def induced_demuth_level(phi: TuringFunctional, psi: TuringFunctional, stem: Bit
         for start, (j,) in switches:
             tau_j = trace.family.pairs[j][1]
             events = first_seen((s, psi.preimage(tau_j, s).strings) for s in psi.change_stages(horizon))
-            versions.append((start, StagedOpenSet.from_events(events, horizon)))
+            versions.append((start, StagedOpenSet(events, horizon)))
     return VersionedOpenSet(versions), trace
 
 
@@ -235,7 +232,7 @@ def isolated_path_analysis(tree: Enumerator, n: int) -> IsolationAnalysis:
     elements; each maximal branch then reports the position after its last
     branching node, beyond which it runs single-child to its tip.
     """
-    final = sorted(tree.final())
+    final = sorted(tree.at(tree.horizon))
     if final:
         closed = set(final)
         for s in final:

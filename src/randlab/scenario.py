@@ -98,7 +98,8 @@ _KINDS: Dict[str, Tuple[Callable[[object], bool], str]] = {
     "names": (_list_of(_is_str), "a list of names"),
     "bit_list": (_list_of(_is_bits), "a list of bit strings"),
     "payloads": (lambda v: _list_of(_is_bits)(v) or isinstance(v, dict) and list(v) == ["all_up_to"]
-                 and _is_int(v["all_up_to"]), 'a list of bit strings or {"all_up_to": n}'),
+                 and _is_int(v["all_up_to"]) and v["all_up_to"] >= 0,
+                 'a list of bit strings or {"all_up_to": n} with n >= 0'),
     "direction": (lambda v: v in ("d2u", "u2d"), "'d2u' or 'u2d'"),
     "events": (_list_of(_pair_of(_is_int, _list_of(_is_bits))),
                "a list of [stage, [bit strings]] events"),
@@ -109,6 +110,9 @@ _KINDS: Dict[str, Tuple[Callable[[object], bool], str]] = {
     "pair_levels": (_list_of(_list_of(_pair_of(_is_str, _is_str))),
                     "a list of levels of [open set, open set] pairs"),
 }
+
+# Kinds whose lists hold a seeded run's instances: an empty one checks nothing.
+_NON_EMPTY = {"nats", "bit_list", "payloads"}
 
 _REQUIRED = object()
 
@@ -131,6 +135,8 @@ class _Keys:
         check, what = _KINDS[kind]
         if not check(value):
             raise _err(self.where, f"'{key}' must be {what}, got {value!r}")
+        if kind in _NON_EMPTY and value == []:
+            raise _err(self.where, f"'{key}' must not be an empty list")
         return value
 
     def done(self) -> None:
@@ -138,12 +144,9 @@ class _Keys:
             raise _err(self.where, f"unknown keys {sorted(self.left)}")
 
 
-def _enumerator(keys: _Keys, table: "ObjectTable") -> Enumerator:
-    return Enumerator(keys.take("events", "events"), keys.take("horizon", "int"))
-
-
-def _functional(keys: _Keys, table: "ObjectTable") -> TuringFunctional:
-    return TuringFunctional(keys.take("events", "axiom_events"), keys.take("horizon", "int"))
+def _schedule(build: Callable, events_kind: str) -> Callable[[_Keys, "ObjectTable"], object]:
+    """The builder of a schedule `build(events, horizon)`, its events of kind `events_kind`."""
+    return lambda keys, table: build(keys.take("events", events_kind), keys.take("horizon", "int"))
 
 
 def _tree(keys: _Keys, table: "ObjectTable") -> Pi01Tree:
@@ -173,9 +176,9 @@ def _diff_test(keys: _Keys, table: "ObjectTable") -> DiffUnionTest:
 # kind -> (one object's name in errors, builder); built in this order, so a
 # test can name the open sets built before it.
 _OBJECTS: Dict[str, Tuple[str, Callable[[_Keys, "ObjectTable"], object]]] = {
-    "enumerators": ("enumerator", _enumerator),
-    "open_sets": ("open set", lambda keys, table: StagedOpenSet(_enumerator(keys, table))),
-    "functionals": ("functional", _functional),
+    "enumerators": ("enumerator", _schedule(Enumerator, "events")),
+    "open_sets": ("open set", _schedule(StagedOpenSet, "events")),
+    "functionals": ("functional", _schedule(TuringFunctional, "axiom_events")),
     "trees": ("tree", _tree),
     "demuth_tests": ("test", _demuth_test),
     "diff_tests": ("test", _diff_test),
@@ -444,7 +447,7 @@ def _run_convert(ctx: Context, exp: Experiment) -> RunFact:
 def _run_convert_sweep(ctx: Context, exp: Experiment) -> RunFact:
     keys = _Keys(exp.params, exp.name)
     direction = keys.take("direction", "direction")
-    count = keys.take("count", "nat")
+    count = keys.take("count", "positive")
     seed = keys.take("seed", "int")
     levels = keys.take("levels", "nat", 4)
     bound = keys.take("bound", "positive", 4)
@@ -483,7 +486,7 @@ def _run_kg_roundtrip(ctx: Context, exp: Experiment) -> RunFact:
 
 def _run_kg_sweep(ctx: Context, exp: Experiment) -> RunFact:
     keys = _Keys(exp.params, exp.name)
-    count = keys.take("count", "nat")
+    count = keys.take("count", "positive")
     seed = keys.take("seed", "int")
     depth = keys.take("depth", "int", 24)
     horizon = keys.take("horizon", "nat", 8)
@@ -507,13 +510,10 @@ def _run_w2r(ctx: Context, exp: Experiment) -> RunFact:
     keys = _Keys(exp.params, exp.name)
     seed = keys.take("seed", "int")
     payloads = [BitString(p) for p in keys.take("payloads", "bit_list")]
-    family_count = keys.take("family_count", "positive", 3)
-    family_levels = keys.take("family_levels", "nat", 3)
     depth = keys.take("depth", "int", 24)
     horizon = keys.take("horizon", "nat", 8)
     keys.done()
-    scheme, enc = build_working_w2r(seed, payloads, family_count, family_levels,
-                                    depth, horizon)
+    scheme, enc = build_working_w2r(seed, payloads, depth, horizon)
     stab = stabilization_stage(enc)
     stream = BitString("".join(p.bits for p in payloads))
     t_max = max(scheme.horizon, stab) + len(stream)
@@ -547,8 +547,6 @@ def _run_w2r_hitting(ctx: Context, exp: Experiment) -> RunFact:
     patterns = keys.take("patterns", "bit_list")
     depth = keys.take("depth", "int", 220)
     horizon = keys.take("horizon", "nat", 8)
-    family_count = keys.take("family_count", "positive", 3)
-    family_levels = keys.take("family_levels", "nat", 3)
     keys.done()
     if len(positions) != len(patterns):
         raise _err(exp.name, "positions and patterns must pair up")
@@ -556,8 +554,7 @@ def _run_w2r_hitting(ctx: Context, exp: Experiment) -> RunFact:
     # cost 2^position generators each.
     opens = [uniform_suffix_set(BitString(p), pos)
              for pos, p in zip(positions, patterns)]
-    scheme, payloads, steps, enc = hitting_run(
-        seed, opens, family_count, family_levels, depth, horizon)
+    scheme, payloads, steps, enc = hitting_run(seed, opens, depth, horizon)
     stream = BitString("".join(p.bits for p in payloads))
     t_max = max(scheme.horizon, len(stream)) + horizon
     decoded = gamma_decode(enc.codeword, t_max, scheme).output_prefix()
@@ -592,7 +589,7 @@ def _minpair_rows(phi, psi, nat_max: int, horizon: int) -> List[tuple]:
 
 def _run_minpair_sweep(ctx: Context, exp: Experiment) -> RunFact:
     keys = _Keys(exp.params, exp.name)
-    count = keys.take("count", "nat")
+    count = keys.take("count", "positive")
     seed = keys.take("seed", "int")
     nat_max = keys.take("nat_max", "nat", 3)
     horizon = keys.take("horizon", "nat", 8)

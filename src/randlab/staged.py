@@ -5,10 +5,12 @@ with a horizon.  One private `_Schedule` checks the stages (integers,
 non-negative, strictly increasing, horizon at or past the last event) and
 accumulates one frozen snapshot per event at construction, so every stage
 query is a `bisect` on the event stages that returns a stored snapshot.
-Enumerations and axiom sets are schedules; a co-enumerated tree is a depth
-bound plus a staged open set of removals.  Monotonicity in the stage index
-is therefore structural, and the only invariants left to check are
-functional consistency and depth bounds on tree removals.
+Enumerations and axiom sets are schedules.  A staged open set is an
+enumeration of its generators that also answers, once per snapshot, the
+open set they generate; a co-enumerated tree is a depth bound plus a staged
+open set of removals.  Monotonicity in the stage index is therefore
+structural, and the only invariants left to check are functional
+consistency and depth bounds on tree removals.
 """
 
 from __future__ import annotations
@@ -146,47 +148,30 @@ class Enumerator(_Schedule):
 
     at = _Schedule._at
 
-    def final(self) -> frozenset:
-        return self._snapshots[-1]
-
     def __repr__(self) -> str:
-        return f"Enumerator({len(self.events)} events, horizon={self.horizon})"
+        return f"{type(self).__name__}({len(self.events)} events, horizon={self.horizon})"
 
 
-class StagedOpenSet:
-    """An open set revealed stagewise: the union of cylinders enumerated so far."""
+class StagedOpenSet(Enumerator):
+    """An open set revealed stagewise: the union of the cylinders enumerated
+    so far, with the enumeration of its generators as its schedule."""
 
-    __slots__ = ("enumerator", "_cache")
+    __slots__ = ("_open",)
 
-    def __init__(self, enumerator: Enumerator) -> None:
-        self.enumerator = enumerator
+    def __init__(self, events: Iterable[Tuple[int, Iterable[StrLike]]], horizon: Optional[int] = None) -> None:
+        super().__init__(events, horizon)
         # One set per snapshot: the stages between two events share it.
-        self._cache: List[Optional[CylinderSet]] = [None] * len(enumerator._snapshots)
-
-    @staticmethod
-    def from_events(events, horizon: Optional[int] = None) -> "StagedOpenSet":
-        return StagedOpenSet(Enumerator(events, horizon))
-
-    @staticmethod
-    def empty(horizon: int = 0) -> "StagedOpenSet":
-        return StagedOpenSet(Enumerator([], horizon))
-
-    @property
-    def horizon(self) -> int:
-        return self.enumerator.horizon
+        self._open: List[Optional[CylinderSet]] = [None] * len(self._snapshots)
 
     def open_at(self, stage: int) -> CylinderSet:
-        i = bisect_right(self.enumerator._stages, stage)
-        found = self._cache[i]
+        i = bisect_right(self._stages, stage)
+        found = self._open[i]
         if found is None:
-            found = self._cache[i] = CylinderSet.normalize(self.enumerator._snapshots[i])
+            found = self._open[i] = CylinderSet.normalize(self._snapshots[i])
         return found
 
     def final(self) -> CylinderSet:
         return self.open_at(self.horizon)
-
-    def __repr__(self) -> str:
-        return f"StagedOpenSet({self.enumerator!r})"
 
 
 def _check_consistent(axioms: Iterable[Tuple[BitString, BitString]]) -> None:
@@ -294,9 +279,9 @@ class TuringFunctional(_Schedule):
         return f"TuringFunctional({len(self._snapshots[-1])} axioms, horizon={self.horizon})"
 
 
-def _check_depth(enumerator: Enumerator, depth: int, what: str) -> None:
+def _check_depth(schedule: Enumerator, depth: int, what: str) -> None:
     """Refuse the first string, in event order, longer than `depth`."""
-    deep = next((s for _, strings in enumerator.events for s in strings if len(s) > depth), None)
+    deep = next((s for _, strings in schedule.events for s in strings if len(s) > depth), None)
     if deep is not None:
         raise RandlabError(f"{what} {deep} deeper than depth {depth}")
 
@@ -323,9 +308,9 @@ class Pi01Tree:
         if depth < 1:
             raise RandlabError("tree depth must be positive")
         self.depth = depth
-        self.removals = StagedOpenSet.from_events(events, horizon)
-        _check_depth(self.removals.enumerator, self.depth, "removal")
-        self._steps: List[Optional[Dict[str, WalkStep]]] = [None] * len(self.removals.enumerator._snapshots)
+        self.removals = StagedOpenSet(events, horizon)
+        _check_depth(self.removals, self.depth, "removal")
+        self._steps: List[Optional[Dict[str, WalkStep]]] = [None] * len(self.removals._snapshots)
 
     @property
     def horizon(self) -> int:
@@ -355,7 +340,7 @@ class Pi01Tree:
         The coding walks fill it, one step per stem the first time they pass
         it; every stage between two removal events shares it.
         """
-        i = bisect_right(self.removals.enumerator._stages, stage)
+        i = bisect_right(self.removals._stages, stage)
         table = self._steps[i]
         if table is None:
             table = self._steps[i] = {}
@@ -364,10 +349,10 @@ class Pi01Tree:
     def restrict(self, extra: StagedOpenSet) -> "Pi01Tree":
         """The class cut down by the complement of a staged open set: the
         open set's cylinders become additional staged removals."""
-        _check_depth(extra.enumerator, self.depth, "restriction string")
-        merged = by_stage((stage, s) for schedule in (self.removals.enumerator, extra.enumerator)
+        _check_depth(extra, self.depth, "restriction string")
+        merged = by_stage((stage, s) for schedule in (self.removals, extra)
                           for stage, strings in schedule.events for s in strings)
         return Pi01Tree(self.depth, merged, max(self.horizon, extra.horizon))
 
     def __repr__(self) -> str:
-        return f"Pi01Tree(depth={self.depth}, {len(self.removals.enumerator.events)} removal events, horizon={self.horizon})"
+        return f"Pi01Tree(depth={self.depth}, {len(self.removals.events)} removal events, horizon={self.horizon})"

@@ -236,8 +236,8 @@ def test_stage_replay_garbles_honestly():
 
 
 def test_open_family_nesting_enforced():
-    big = StagedOpenSet.from_events([(0, ["0"])], horizon=2)
-    small = StagedOpenSet.from_events([(1, ["00"])], horizon=2)
+    big = StagedOpenSet([(0, ["0"])], horizon=2)
+    small = StagedOpenSet([(1, ["00"])], horizon=2)
     OpenFamily((big, small))
     with pytest.raises(SchemeError):
         OpenFamily((small, big))
@@ -248,8 +248,8 @@ def test_open_family_nesting_enforced():
 def test_g_lsc_approximates_from_below():
     # Level 0 swallows the whole cylinder above 0 only at stage 2, pushing
     # the least admissible index from 0 up to 1.
-    l0 = StagedOpenSet.from_events([(2, ["0"])], horizon=4)
-    l1 = StagedOpenSet.from_events([], horizon=4)
+    l0 = StagedOpenSet([(2, ["0"])], horizon=4)
+    l1 = StagedOpenSet([], horizon=4)
     fam = OpenFamily((l0, l1))
     tree = Pi01Tree(6, horizon=4)
     values = [g_lsc(fam, BitString("0"), tree, s) for s in range(5)]
@@ -257,7 +257,7 @@ def test_g_lsc_approximates_from_below():
     for a, b in zip(values, values[1:]):
         assert a <= b
     # With every level full above sigma, no index qualifies.
-    full = OpenFamily((StagedOpenSet.from_events([(0, ["^"])], horizon=1),))
+    full = OpenFamily((StagedOpenSet([(0, ["^"])], horizon=1),))
     assert g_lsc(full, BitString("0"), Pi01Tree(4, horizon=1), 1) is None
 
 
@@ -368,7 +368,7 @@ def test_density_witness_deep_head_without_recursion():
 
 def test_scheme_star_index_validation():
     tree = Pi01Tree(6, horizon=1)
-    fam = OpenFamily((StagedOpenSet.empty(1),))
+    fam = OpenFamily((StagedOpenSet([], 1),))
     with pytest.raises(SchemeError):
         W2RScheme(tree, (fam,), (1,), horizon=1)
     scheme = W2RScheme(tree, (fam,), (0,), horizon=1)

@@ -20,7 +20,7 @@ from randlab.staged import StagedOpenSet, first_seen
 
 
 def staged(events, horizon=4):
-    return StagedOpenSet.from_events(events, horizon)
+    return StagedOpenSet(events, horizon)
 
 
 def test_versioned_set_reads_latest_declaration():
@@ -194,7 +194,7 @@ def per_stage_diffunion_to_demuth(test):
                     acc = acc | (pair.u.open_at(s) - v_snap)
                 return acc
             events = first_seen((s, tracked(s).strings) for s in range(test.horizon + 1))
-            return declare, StagedOpenSet.from_events(events, test.horizon)
+            return declare, StagedOpenSet(events, test.horizon)
 
         # Each version is declared at its crossing stage; one at stage 0
         # replaces the first version.
@@ -220,7 +220,7 @@ def conversion_outcome(convert, test):
     except RandlabError:
         return RandlabError
     return out.version_bounds, out.horizon, [
-        [(stage, v.enumerator.events, v.horizon) for stage, v in level.versions]
+        [(stage, v.events, v.horizon) for stage, v in level.versions]
         for level in out.levels]
 
 
@@ -234,7 +234,7 @@ def test_converse_matches_the_per_stage_loops_on_seeded_tests(seed):
 
 
 open_sets = schedules(st.text(alphabet="01", max_size=4)).map(
-    lambda sched: StagedOpenSet.from_events(*sched))
+    lambda sched: StagedOpenSet(*sched))
 
 
 @settings(max_examples=200, deadline=None)
@@ -254,8 +254,8 @@ class RecordingOpenSet(StagedOpenSet):
 
     __slots__ = ("reads",)
 
-    def __init__(self, enumerator):
-        super().__init__(enumerator)
+    def __init__(self, events, horizon):
+        super().__init__(events, horizon)
         self.reads = []
 
     def open_at(self, stage):
@@ -272,13 +272,13 @@ def test_converse_reads_each_pair_only_at_its_change_stages():
         rng = random.Random(f"cnv-gate:{i}")
         raw = random_diffunion_test(rng, levels=4, pair_bound=3, horizon=12)
         wrapped = {}
-        levels = tuple(tuple(DiffPair(*(wrapped.setdefault(id(o), RecordingOpenSet(o.enumerator))
+        levels = tuple(tuple(DiffPair(*(wrapped.setdefault(id(o), RecordingOpenSet(o.events, o.horizon))
                                         for o in (pair.u, pair.v)))
                              for pair in level) for level in raw.levels)
         test = DiffUnionTest(levels, raw.pair_bounds, raw.horizon)
         assert conversion_outcome(diffunion_to_demuth, test) == conversion_outcome(diffunion_to_demuth, raw)
         for o in wrapped.values():
-            changes = o.enumerator.change_stages(test.horizon)
+            changes = o.change_stages(test.horizon)
             allowed = set(changes) | {test.horizon}
             assert set(o.reads) <= allowed
             assert len(o.reads) <= len(changes) + 1

@@ -78,9 +78,9 @@ def test_half_pow():
 
 
 def test_zero_one():
-    assert Dyadic.zero() == 0
+    assert Dyadic(0) == 0
     assert Dyadic.one() == 1
-    assert Dyadic.zero() + Dyadic.one() == Dyadic(1)
+    assert Dyadic(0) + Dyadic.one() == Dyadic(1)
 
 
 @given(dyadics)

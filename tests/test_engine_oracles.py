@@ -154,7 +154,7 @@ def reference_confined_open(rng: random.Random, base: BitString, horizon: int,
                             count: int, suffix_max: int) -> StagedOpenSet:
     pairs = [(rng.randrange(horizon + 1), base + random_bits(rng, 1 + rng.randrange(suffix_max)))
              for _ in range(count)]
-    return StagedOpenSet(Enumerator(by_stage(pairs), horizon))
+    return StagedOpenSet(by_stage(pairs), horizon)
 
 
 @st.composite
@@ -196,7 +196,7 @@ def test_box_walk_splits_alike_under_the_reference_engine(cfg_caps):
 def _same_draws(make_new, make_old, seed):
     new_rng, old_rng = random.Random(seed), random.Random(seed)
     new, old = make_new(new_rng), make_old(old_rng)
-    assert new.enumerator.events == old.enumerator.events
+    assert new.events == old.events
     assert new.horizon == old.horizon
     assert new_rng.random() == old_rng.random()
 
@@ -206,7 +206,7 @@ def test_random_open_set_draws_as_the_two_reference_loops():
     for seed in range(200):
         horizon, count, max_len = shapes.randrange(10), shapes.randrange(9), 1 + shapes.randrange(6)
         _same_draws(lambda rng: random_open_set(rng, horizon, count, max_len),
-                    lambda rng: StagedOpenSet(reference_random_enumerator(rng, horizon, count, max_len)),
+                    lambda rng: reference_random_enumerator(rng, horizon, count, max_len),
                     seed)
         base = random_bits(shapes, shapes.randrange(4))
         _same_draws(lambda rng: random_open_set(rng, horizon, count, max_len, base),

@@ -234,8 +234,8 @@ def extract_failure_sets(cfg):
                     answered[rec.index].append((rec.answer_stage, oracle))
     out = []
     for e in range(len(cfg.adversaries)):
-        u = StagedOpenSet.from_events(by_stage(committed[e]), cfg.stage_budget)
-        v = StagedOpenSet.from_events(by_stage(answered[e]), cfg.stage_budget)
+        u = StagedOpenSet(by_stage(committed[e]), cfg.stage_budget)
+        v = StagedOpenSet(by_stage(answered[e]), cfg.stage_budget)
         out.append(FailureSets(u, v))
     return tuple(out)
 

@@ -170,7 +170,7 @@ def hitting_reference(schemes, opens):
 def compare_hitting(seed, opens, monkeypatch):
     """Run hitting_run and the reference over the same scheme objects;
     returns the accepting attempt, or the error class both raised."""
-    args = (seed, len(opens), 3, 3, 64, 1 + seed % 8)
+    args = (seed, len(opens), 64, 1 + seed % 8)
     ours, theirs = itertools.tee(generators._schemes(*args))
     monkeypatch.setattr(generators, "_schemes", lambda *_: ours)
     got = outcome(hitting_run, seed, opens, *args[2:])
@@ -187,7 +187,7 @@ def compare_hitting(seed, opens, monkeypatch):
 
 
 def class_key(tree):
-    return tree.depth, tree.horizon, tree.removals.enumerator.events
+    return tree.depth, tree.horizon, tree.removals.events
 
 
 def spaced_opens(seed):

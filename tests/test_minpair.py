@@ -156,7 +156,7 @@ def test_output_tree_is_prefix_closed_and_dated():
         (2, [("01", "10")]),
     ], horizon=3)
     tree = output_tree(phi, BitString("0"), 3)
-    final = tree.final()
+    final = tree.at(tree.horizon)
     for s in final:
         for i in range(len(s)):
             assert s.prefix(i) in final
@@ -324,7 +324,7 @@ def _agrees_with_the_old_path(phi, psi, horizon, stems):
         assert trace == old_f_approx(phi, psi, stem, horizon)
         vos, again = induced_demuth_level(phi, psi, stem, horizon)
         assert again == trace
-        assert ([(start, v.enumerator.events) for start, v in vos.versions]
+        assert ([(start, v.events) for start, v in vos.versions]
                 == old_version_events(psi, trace, horizon))
         assert output_tree(phi, stem, horizon).events == old_output_tree(phi, stem, horizon).events
         for stage in range(horizon + 1):

@@ -36,7 +36,7 @@ RECORDS = [getattr(mod, name) for table in (PURE, VALIDATING)
 
 
 def staged(events, horizon=4):
-    return StagedOpenSet.from_events(events, horizon)
+    return StagedOpenSet(events, horizon)
 
 
 def _valid(cls):

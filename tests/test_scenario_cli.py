@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import randlab
+from randlab import cli
 from randlab.cli import main
 from randlab.errors import ScenarioError
 from randlab.fireworks import Outcome
@@ -377,7 +378,7 @@ FIREWORKS = {"adversaries": ["w"], "k": 1, "cap_bounds": [2], "target_length": 4
      "e: 'payloads' must be a list of bit strings, got '01'"),
     (_with_experiment(kind="fireworks_run", caps=[1], trace="no", **FIREWORKS),
      "e: 'trace' must be a boolean, got 'no'"),
-    (_with_experiment(kind="kg_sweep", count="2", seed=1), "e: 'count' must be a non-negative integer"),
+    (_with_experiment(kind="kg_sweep", count="2", seed=1), "e: 'count' must be a positive integer"),
     (_with_experiment(kind="convert_sweep", direction="sideways", count=1, seed=1),
      "e: 'direction' must be 'd2u' or 'u2d'"),
     (_with_experiment(kind="w2r_hitting", seed=9, positions=["8"], patterns=["1"]),
@@ -389,7 +390,7 @@ FIREWORKS = {"adversaries": ["w"], "k": 1, "cap_bounds": [2], "target_length": 4
     (_with_experiment(kind="fireworks_sweep", **dict(FIREWORKS, adversaries=["w", 3])),
      "e: 'adversaries' must be a list of names"),
     (_with_experiment(kind="w2r", seed=5, payloads=["1"], family_count=0),
-     "e: 'family_count' must be a positive integer, got 0"),
+     "e: unknown keys ['family_count']"),
     (_with_experiment(kind="kg_sweep", count=1, seed=1, horizon=-1),
      "e: 'horizon' must be a non-negative integer, got -1"),
     (_with_experiment(kind="convert_sweep", direction="d2u", count=1, seed=1, bound=0),
@@ -406,6 +407,24 @@ FIREWORKS = {"adversaries": ["w"], "k": 1, "cap_bounds": [2], "target_length": 4
         "demuth_tests": {"d": {"horizon": 5, "version_bounds": [2],
                                "levels": [[[0, "a"], [10, "b"]]]}}}},
      "objects.demuth_tests.d: horizon 5 precedes last version of level 0 at 10"),
+    (_with_experiment(kind="w2r_hitting", seed=9, positions=[8], patterns=["1"], family_levels=3),
+     "e: unknown keys ['family_levels']"),
+    # An empty seeded run would write a report without data rows.
+    (_with_experiment(kind="kg_sweep", count=0, seed=1), "e: 'count' must be a positive integer, got 0"),
+    (_with_experiment(kind="minpair_sweep", count=0, seed=1),
+     "e: 'count' must be a positive integer, got 0"),
+    (_with_experiment(kind="convert_sweep", direction="u2d", count=0, seed=1),
+     "e: 'count' must be a positive integer, got 0"),
+    (_with_experiment(kind="kg_roundtrip", tree="t", payloads={"all_up_to": -1}),
+     "e: 'payloads' must be a list of bit strings or {\"all_up_to\": n} with n >= 0, "
+     "got {'all_up_to': -1}"),
+    (_with_experiment(kind="kg_roundtrip", tree="t", payloads=[]),
+     "e: 'payloads' must not be an empty list"),
+    (_with_experiment(kind="w2r", seed=5, payloads=[]), "e: 'payloads' must not be an empty list"),
+    (_with_experiment(kind="w2r_hitting", seed=9, positions=[], patterns=[]),
+     "e: 'positions' must not be an empty list"),
+    (_with_experiment(kind="w2r_hitting", seed=9, positions=[8], patterns=[]),
+     "e: 'patterns' must not be an empty list"),
 ])
 def test_malformed_scenario_exits_2_naming_its_location(tmp_path, capsys, doc, message):
     code = main(["run", str(write_doc(tmp_path, doc))])
@@ -465,6 +484,10 @@ FIREWORKS_ARGS = ["--k", "1", "--target-length", "4", "--stage-budget", "12"]
     (["kg", "decode", "--seed", "1", "--codeword", "x"], "argument --codeword"),
     (["kg", "encode", "--seed", "1", "--payload", "1", "--stem", "2"], "argument --stem"),
     (["run", "no/such/scenario.json"], "no/such/scenario.json: cannot read"),
+    (["tests", "convert", "--direction", "d2u", "--seed", "1", "--count", "0"],
+     "convert: 'count' must be a positive integer, got 0"),
+    (["minpair", "analyze", "--seed", "1", "--count", "0"],
+     "analyze: 'count' must be a positive integer, got 0"),
 ])
 def test_cli_malformed_arguments_exit_2(capsys, argv, message):
     try:
@@ -474,6 +497,26 @@ def test_cli_malformed_arguments_exit_2(capsys, argv, message):
     err = capsys.readouterr().err
     assert code == 2, err
     assert message in err
+
+
+@pytest.mark.parametrize("argv, params", [
+    (["tests", "convert", "--direction", "u2d", "--seed", "1"],
+     {"direction": "u2d", "count": 10, "seed": 1}),
+    (["tests", "convert", "--direction", "d2u", "--seed", "1", "--levels", "2", "--bound", "3",
+      "--horizon", "5"],
+     {"direction": "d2u", "count": 10, "seed": 1, "levels": 2, "bound": 3, "horizon": 5}),
+    (["w2r", "encode", "--seed", "1", "--payloads", "1,01"], {"seed": 1, "payloads": ["1", "01"]}),
+    (["w2r", "hit", "--seed", "1", "--positions", "8", "--patterns", "1", "--depth", "30"],
+     {"seed": 1, "depth": 30, "positions": [8], "patterns": ["1"]}),
+    (["minpair", "analyze", "--seed", "1", "--horizon", "4"], {"count": 5, "seed": 1, "horizon": 4}),
+])
+def test_cli_passes_the_reader_only_the_options_given(monkeypatch, argv, params):
+    # The scenario reader holds every default but count's.
+    seen = []
+    monkeypatch.setattr(cli, "_run_inline",
+                        lambda name, objects, experiments, out: seen.extend(experiments) or 0)
+    assert main(argv) == 0
+    assert [exp.params for exp in seen] == [params]
 
 
 def _reports(out_dir):

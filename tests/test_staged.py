@@ -25,7 +25,7 @@ def test_enumerator_cumulative():
     assert e.at(1) == {BitString("0")}
     assert e.at(2) == {BitString("0")}
     assert e.at(3) == {BitString("0"), BitString("10"), BitString("11")}
-    assert e.at(99) == e.final()
+    assert e.at(99) == e.at(e.horizon)
 
 
 def test_enumerator_stage_ordering_enforced():
@@ -45,7 +45,7 @@ def test_enumerator_horizon_rules():
 
 
 def test_staged_open_set_clamps():
-    o = StagedOpenSet.from_events([(0, ["1"]), (2, ["01"])], horizon=4)
+    o = StagedOpenSet([(0, ["1"]), (2, ["01"])], horizon=4)
     assert o.open_at(-5) == EMPTY_SET
     assert o.open_at(-1) == EMPTY_SET
     assert o.open_at(0) == CylinderSet.cylinder("1")
@@ -54,8 +54,20 @@ def test_staged_open_set_clamps():
     assert o.open_at(2).measure() == o.final().measure()
 
 
+def test_staged_open_set_is_the_enumeration_of_its_generators():
+    events = [(1, ["0"]), (3, ["11", "10"])]
+    o, e = StagedOpenSet(events, horizon=5), Enumerator(events, horizon=5)
+    assert isinstance(o, Enumerator)
+    assert o.events == e.events and o.horizon == e.horizon
+    for stage in range(-1, 7):
+        assert o.at(stage) == e.at(stage)
+        assert o.open_at(stage) == CylinderSet.normalize(e.at(stage))
+    assert o.change_stages(5) == e.change_stages(5) == [0, 1, 3]
+    assert repr(o) == "StagedOpenSet(2 events, horizon=5)"
+
+
 def test_staged_open_set_constant_and_empty():
-    assert StagedOpenSet.empty(horizon=3).final() == EMPTY_SET
+    assert StagedOpenSet([], horizon=3).final() == EMPTY_SET
 
 
 def test_functional_consistency_rejected():
@@ -164,13 +176,13 @@ def test_extreme_intact_matches_brute_force(removals, sigma, extra):
 
 def test_restrict_merges_schedules():
     t = Pi01Tree(4, [(1, ["00"])], horizon=3)
-    extra = StagedOpenSet.from_events([(2, ["11"])], horizon=3)
+    extra = StagedOpenSet([(2, ["11"])], horizon=3)
     cut = t.restrict(extra)
     assert cut.viable("11", 1)
     assert not cut.viable("11", 2)
     assert not cut.viable("00", 1)
     assert cut.depth == 4
-    deep = StagedOpenSet.from_events([(0, ["00000"])], horizon=0)
+    deep = StagedOpenSet([(0, ["00000"])], horizon=0)
     with pytest.raises(RandlabError):
         t.restrict(deep)
 
@@ -185,7 +197,7 @@ def test_depth_errors_name_the_first_string_in_event_order():
     with pytest.raises(RandlabError, match="removal 000 deeper"):
         Pi01Tree(2, [(0, ["1"]), (1, ["111", "000", "0"]), (2, ["00000"])])
     t = Pi01Tree(2, [(0, ["00"])], horizon=4)
-    extra = StagedOpenSet.from_events([(0, ["1"]), (2, ["0101", "110"]), (3, ["11111"])], horizon=4)
+    extra = StagedOpenSet([(0, ["1"]), (2, ["0101", "110"]), (3, ["11111"])], horizon=4)
     with pytest.raises(RandlabError, match="restriction string 110 deeper"):
         t.restrict(extra)
 
@@ -329,12 +341,12 @@ axioms = st.tuples(bit_strings, st.integers(min_value=0, max_value=5)).map(
 def test_enumerator_and_open_set_match_replay(sched):
     events, horizon = sched
     e = Enumerator(events, horizon)
-    o = StagedOpenSet(e)
+    o = StagedOpenSet(events, horizon)
     norm = e.events
     for stage in query_stages(horizon):
         assert e.at(stage) == old_at(norm, stage)
         assert o.open_at(stage) == CylinderSet.normalize(old_at(norm, min(max(stage, -1), horizon)))
-    assert e.final() == old_at(norm, horizon)
+    assert e.at(horizon) == old_at(norm, horizon)
 
 
 @given(schedules(axioms), st.lists(bit_strings, min_size=1, max_size=4))
@@ -353,20 +365,20 @@ def test_functional_matches_replay(sched, probes):
 def test_tree_and_restrict_match_replay(base, more):
     (events, horizon), (extra_events, extra_horizon) = base, more
     t = Pi01Tree(6, events, horizon)
-    extra = StagedOpenSet.from_events(extra_events, extra_horizon)
+    extra = StagedOpenSet(extra_events, extra_horizon)
     cut = t.restrict(extra)
-    merged = old_restrict_events(t.removals.enumerator.events, extra.enumerator.events)
+    merged = old_restrict_events(t.removals.events, extra.events)
     # The merge keeps no stage that brings nothing; those never changed a query.
-    assert cut.removals.enumerator.events == tuple(ev for ev in Enumerator(merged).events if ev[1])
+    assert cut.removals.events == tuple(ev for ev in Enumerator(merged).events if ev[1])
     assert cut.horizon == max(horizon, extra_horizon)
     for stage in query_stages(max(horizon, extra_horizon)):
-        assert t.removed_open(stage) == old_removed_open(t.removals.enumerator.events, horizon, stage)
+        assert t.removed_open(stage) == old_removed_open(t.removals.events, horizon, stage)
         assert cut.removed_open(stage) == old_removed_open(merged, cut.horizon, stage)
 
 
 @given(st.sets(st.integers(min_value=0, max_value=12), max_size=5))
 def test_live_at_matches_replay(stages):
-    versions = [(s, StagedOpenSet.empty(12)) for s in sorted(stages)]
+    versions = [(s, StagedOpenSet([], 12)) for s in sorted(stages)]
     level = VersionedOpenSet(versions)
     for stage in range(-3, 16):
         assert level.live_at(stage) is old_live_at(versions, stage)
@@ -375,7 +387,7 @@ def test_live_at_matches_replay(stages):
 @given(schedules(bit_strings))
 def test_first_seen_matches_the_fresh_since_loops(sched):
     events, horizon = sched
-    o = StagedOpenSet.from_events(events, horizon)
+    o = StagedOpenSet(events, horizon)
     # Generator snapshots, as the demuth and minpair loops read them; a
     # generator can drop out when its sibling arrives and the two merge.
     gens = [(s, o.open_at(s).strings) for s in range(horizon + 1)]

@@ -145,8 +145,7 @@ def _kg_sweep_ok(objects, p):
 
 def _w2r_ok(objects, p):
     payloads = [BitString(x) for x in p["payloads"]]
-    scheme, enc = build_working_w2r(p["seed"], payloads, p.get("family_count", 3),
-                                    p.get("family_levels", 3), p.get("depth", 24),
+    scheme, enc = build_working_w2r(p["seed"], payloads, p.get("depth", 24),
                                     p.get("horizon", 8))
     stab = stabilization_stage(enc)
     stream = BitString("".join(x.bits for x in payloads))
@@ -160,9 +159,7 @@ def _w2r_hitting_ok(objects, p):
     horizon = p.get("horizon", 8)
     opens = [uniform_suffix_set(BitString(pat), pos)
              for pos, pat in zip(p["positions"], p["patterns"])]
-    scheme, payloads, _, enc = hitting_run(p["seed"], opens, p.get("family_count", 3),
-                                           p.get("family_levels", 3), p.get("depth", 220),
-                                           horizon)
+    scheme, payloads, _, enc = hitting_run(p["seed"], opens, p.get("depth", 220), horizon)
     stream = BitString("".join(x.bits for x in payloads))
     decoded = gamma_decode(enc.codeword, max(scheme.horizon, len(stream)) + horizon,
                            scheme).output_prefix()
