@@ -230,13 +230,10 @@ def _descend(node: Node, bits: str) -> Node:
 class CylinderSet:
     """A clopen set, canonically presented.  Instances are immutable."""
 
-    __slots__ = ("_tree", "_strings")
+    __slots__ = ("_tree",)
 
     def __init__(self, tree: Node = False) -> None:
         self._tree = tree
-        # Antichain extraction is linear in the trie; skip it for the many
-        # intermediate sets whose strings nobody reads.
-        self._strings: Optional[Tuple[BitString, ...]] = None
 
     @staticmethod
     def normalize(generators: Iterable[Union[BitString, str]]) -> "CylinderSet":
@@ -249,10 +246,11 @@ class CylinderSet:
 
     @property
     def strings(self) -> Tuple[BitString, ...]:
-        """The canonical antichain, in lexicographic order."""
-        if self._strings is None:
-            self._strings = tuple(_collect(self._tree))
-        return self._strings
+        """The canonical antichain, in lexicographic order.
+
+        Extracted afresh on each read, in time linear in the trie, so the
+        many intermediate sets whose strings nobody reads never pay for it."""
+        return tuple(_collect(self._tree))
 
     def is_empty(self) -> bool:
         return self._tree is False

@@ -40,20 +40,6 @@ def render_field(v: object) -> str:
     return str(v)
 
 
-def text_table(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """Fixed-width table; widths derive from content, so output is stable."""
-    cells = [[render_field(v) for v in row] for row in rows]
-    widths = [len(h) for h in header]
-    for row in cells:
-        for i, c in enumerate(row):
-            widths[i] = max(widths[i], len(c))
-    def line(vals: Sequence[str]) -> str:
-        return "  ".join(v.ljust(w) for v, w in zip(vals, widths)).rstrip()
-    out = [line(list(header)), line(["-" * w for w in widths])]
-    out.extend(line(row) for row in cells)
-    return "\n".join(out) + "\n"
-
-
 # Conclusion-matrix labels.  Desk-scale runs witness, they never prove, so
 # each positive label is the hedged form and the default is unresolved.
 MIN_PAIR = "min-pair-witnessed"
@@ -65,41 +51,20 @@ ROWS = ("kg-class-member", "w2r-class-member", "selector-pair")
 COLS = ("coded-payload", "configured-comeager-target", "partner-functional")
 
 
-class Cell(NamedTuple):
-    label: str
-    artifacts: Tuple[str, ...] = ()
-    note: str = ""
-
-
-class InteractionReport:
-    def __init__(self) -> None:
-        self.cells: Dict[Tuple[str, str], Cell] = {}
-
-    def cell(self, row: str, col: str) -> Cell:
-        return self.cells.get((row, col), Cell(UNRESOLVED))
-
-    def set_cell(self, row: str, col: str, cell: Cell) -> None:
-        if row not in ROWS or col not in COLS:
-            raise ValueError(f"unknown matrix position ({row}, {col})")
-        if cell.label != UNRESOLVED and not cell.artifacts:
-            raise ValueError("a resolved cell must cite at least one artifact")
-        self.cells[(row, col)] = cell
-
-    def render(self) -> str:
-        rows = []
-        for r in ROWS:
-            rows.append([r] + [self.cell(r, c).label for c in COLS])
-        out = [text_table(["notion"] + list(COLS), rows)]
-        cited = [(r, c, self.cell(r, c)) for r in ROWS for c in COLS
-                 if self.cell(r, c).label != UNRESOLVED]
-        if cited:
-            out.append("witnesses:\n")
-            for r, c, cell in cited:
-                line = f"  ({r}, {c}): {cell.label} <- {', '.join(cell.artifacts)}"
-                if cell.note:
-                    line += f"  [{cell.note}]"
-                out.append(line + "\n")
-        return "".join(out)
+# The experiment kinds whose clean runs witness a matrix cell:
+# kind -> (row, column, label, note).
+WITNESSES = {kind: cell for kinds, cell in (
+    (("kg_roundtrip", "kg_sweep"),
+     ("kg-class-member", "coded-payload", COMPUTES, "exact decode on every compared member")),
+    (("w2r",),
+     ("w2r-class-member", "coded-payload", COMPUTES, "stage-limit decode matches the payload stream")),
+    (("w2r_hitting",),
+     ("w2r-class-member", "configured-comeager-target", MAY_COMPUTE,
+      "decoded output inside every configured dense open")),
+    (("minpair_sweep", "minpair_case"),
+     ("selector-pair", "partner-functional", MIN_PAIR,
+      "consistent-with only; desk scale proves nothing infinite")),
+) for kind in kinds}
 
 
 class RunFact(NamedTuple):
@@ -115,27 +80,30 @@ class RunFact(NamedTuple):
         return self.failed_at is None
 
 
-def emit_interaction_report(runs: Sequence[RunFact]) -> InteractionReport:
-    """Aggregate completed runs into the hedged conclusion matrix.
+def interaction_text(runs: Sequence[RunFact]) -> str:
+    """The hedged conclusion matrix over completed runs, as fixed-width text.
 
-    A cell is resolved only by a fully successful run of the matching kind;
-    everything else stays unresolved.  No cell ever claims more than a
-    desk-scale witness.
+    A cell is resolved only by a fully successful run of a kind in
+    `WITNESSES`, the last such run citing its artifacts; everything else
+    stays unresolved.  No cell ever claims more than a desk-scale witness.
     """
-    rep = InteractionReport()
+    cells: Dict[Tuple[str, str], Tuple[str, str, Tuple[str, ...]]] = {}
     for run in runs:
-        if not run.ok:
-            continue
-        if run.kind in ("kg_roundtrip", "kg_sweep"):
-            rep.set_cell("kg-class-member", "coded-payload",
-                         Cell(COMPUTES, run.artifacts, "exact decode on every compared member"))
-        elif run.kind == "w2r":
-            rep.set_cell("w2r-class-member", "coded-payload",
-                         Cell(COMPUTES, run.artifacts, "stage-limit decode matches the payload stream"))
-        elif run.kind == "w2r_hitting":
-            rep.set_cell("w2r-class-member", "configured-comeager-target",
-                         Cell(MAY_COMPUTE, run.artifacts, "decoded output inside every configured dense open"))
-        elif run.kind in ("minpair_sweep", "minpair_case"):
-            rep.set_cell("selector-pair", "partner-functional",
-                         Cell(MIN_PAIR, run.artifacts, "consistent-with only; desk scale proves nothing infinite"))
-    return rep
+        if run.ok and run.kind in WITNESSES:
+            row, col, label, note = WITNESSES[run.kind]
+            if not run.artifacts:
+                raise ValueError(f"{run.name}: a resolved cell must cite at least one artifact")
+            cells[row, col] = (label, note, run.artifacts)
+    table = [("notion",) + COLS]
+    table += [(r,) + tuple(cells[r, c][0] if (r, c) in cells else UNRESOLVED for c in COLS)
+              for r in ROWS]
+    widths = [max(len(row[i]) for row in table) for i in range(len(COLS) + 1)]
+    table.insert(1, tuple("-" * w for w in widths))
+    out = ["  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n" for row in table]
+    cited = [(r, c) for r in ROWS for c in COLS if (r, c) in cells]
+    if cited:
+        out.append("witnesses:\n")
+    for r, c in cited:
+        label, note, artifacts = cells[r, c]
+        out.append(f"  ({r}, {c}): {label} <- {', '.join(artifacts)}  [{note}]\n")
+    return "".join(out)

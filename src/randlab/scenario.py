@@ -32,7 +32,7 @@ from .generators import (build_working_w2r, hitting_run, random_demuth_test,
                          random_diffunion_test, random_functional_pair,
                          random_pi01_tree)
 from .minpair import classify_case, induced_demuth_level
-from .reports import RunFact, csv_text, emit_interaction_report, render_field
+from .reports import RunFact, csv_text, interaction_text, render_field
 from .staged import Enumerator, Pi01Tree, StagedOpenSet, TuringFunctional
 
 
@@ -513,9 +513,13 @@ def _run_w2r(ctx: Context, exp: Experiment) -> RunFact:
     depth = keys.take("depth", "int", 24)
     horizon = keys.take("horizon", "nat", 8)
     keys.done()
+    bits = "".join(p.bits for p in payloads)
+    if not bits:
+        # Nothing to decode: the run would check no bit, yet resolve its cell.
+        raise _err(exp.name, "the payload stream has no bits")
+    stream = BitString(bits)
     scheme, enc = build_working_w2r(seed, payloads, depth, horizon)
     stab = stabilization_stage(enc)
-    stream = BitString("".join(p.bits for p in payloads))
     t_max = max(scheme.horizon, stab) + len(stream)
     res = gamma_decode(enc.codeword, t_max, scheme)
     decoded = res.output_prefix()
@@ -587,19 +591,21 @@ def _minpair_rows(phi, psi, nat_max: int, horizon: int) -> List[tuple]:
     return rows
 
 
+_MINPAIR_DEPTH = 6  # the depth of the labeled tree each drawn functional grows
+
+
 def _run_minpair_sweep(ctx: Context, exp: Experiment) -> RunFact:
     keys = _Keys(exp.params, exp.name)
     count = keys.take("count", "positive")
     seed = keys.take("seed", "int")
     nat_max = keys.take("nat_max", "nat", 3)
     horizon = keys.take("horizon", "nat", 8)
-    depth = keys.take("depth", "int", 6)
     axioms = keys.take("axioms", "nat", 120)
     keys.done()
     rows = []
     for i in range(count):
         rng = random.Random(f"{seed}:{i}")
-        phi, psi = random_functional_pair(rng, depth, axioms, horizon)
+        phi, psi = random_functional_pair(rng, _MINPAIR_DEPTH, axioms, horizon)
         rows += [(i,) + row for row in _minpair_rows(phi, psi, nat_max, horizon)]
     return _fact(exp, ctx.report(exp, ".csv", ["pair", "stem", "nat", "family_found",
                                                "found_stage", "mind_changes", "change_bound",
@@ -638,8 +644,7 @@ def _run_minpair_case(ctx: Context, exp: Experiment) -> RunFact:
 
 def _run_interaction(ctx: Context, exp: Experiment) -> RunFact:
     _Keys(exp.params, exp.name).done()
-    rep = emit_interaction_report(ctx.result.facts)
-    return _fact(exp, (ctx.write(exp, ".txt", rep.render()), None))
+    return _fact(exp, (ctx.write(exp, ".txt", interaction_text(ctx.result.facts)), None))
 
 
 HANDLERS: Dict[str, Callable[[Context, Experiment], RunFact]] = {

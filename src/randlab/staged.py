@@ -6,9 +6,10 @@ non-negative, strictly increasing, horizon at or past the last event) and
 accumulates one frozen snapshot per event at construction, so every stage
 query is a `bisect` on the event stages that returns a stored snapshot.
 Enumerations and axiom sets are schedules.  A staged open set is an
-enumeration of its generators that also answers, once per snapshot, the
-open set they generate; a co-enumerated tree is a depth bound plus a staged
-open set of removals.  Monotonicity in the stage index is therefore
+enumeration of its generators that also answers the open set they
+generate; a co-enumerated tree is the staged open set of its removals with
+a depth bound.  What a query derives from a snapshot is built once per
+snapshot (`_per_snapshot`).  Monotonicity in the stage index is therefore
 structural, and the only invariants left to check are functional
 consistency and depth bounds on tree removals.
 """
@@ -98,7 +99,7 @@ class _Schedule:
     snapshot 0, the empty one every stage before the first event reads.
     """
 
-    __slots__ = ("events", "horizon", "_stages", "_snapshots")
+    __slots__ = ("events", "horizon", "_stages", "_snapshots", "_built")
 
     def __init__(self, events: Iterable[Tuple[int, Iterable]], horizon: Optional[int],
                  item: Callable, key: Callable, snapshots: Callable) -> None:
@@ -122,9 +123,19 @@ class _Schedule:
         self.events = tuple(out)
         self._stages = stages
         self._snapshots = tuple(snapshots(out))
+        self._built: Dict[Tuple[Callable, int], object] = {}
 
     def _at(self, stage: int):
         return self._snapshots[bisect_right(self._stages, stage)]
+
+    def _per_snapshot(self, build: Callable, stage: int):
+        """`build(snapshot)` for the snapshot `stage` reads, built the first
+        time one of its stages asks: the stages between two events share it."""
+        i = bisect_right(self._stages, stage)
+        found = self._built.get((build, i))
+        if found is None:
+            found = self._built[build, i] = build(self._snapshots[i])
+        return found
 
     def change_stages(self, upto: int) -> List[int]:
         """Stage 0 and every event stage up to `upto`, ascending: from one of
@@ -156,19 +167,10 @@ class StagedOpenSet(Enumerator):
     """An open set revealed stagewise: the union of the cylinders enumerated
     so far, with the enumeration of its generators as its schedule."""
 
-    __slots__ = ("_open",)
-
-    def __init__(self, events: Iterable[Tuple[int, Iterable[StrLike]]], horizon: Optional[int] = None) -> None:
-        super().__init__(events, horizon)
-        # One set per snapshot: the stages between two events share it.
-        self._open: List[Optional[CylinderSet]] = [None] * len(self._snapshots)
+    __slots__ = ()
 
     def open_at(self, stage: int) -> CylinderSet:
-        i = bisect_right(self._stages, stage)
-        found = self._open[i]
-        if found is None:
-            found = self._open[i] = CylinderSet.normalize(self._snapshots[i])
-        return found
+        return self._per_snapshot(CylinderSet.normalize, stage)
 
     def final(self) -> CylinderSet:
         return self.open_at(self.horizon)
@@ -202,9 +204,17 @@ def _check_consistent(axioms: Iterable[Tuple[BitString, BitString]]) -> None:
         stack.append((bits, longest))
 
 
-# One snapshot's preimage index: output bits ascending, the stems in the
-# same order, and the preimages asked so far by tau bits.
-_OutputIndex = Tuple[List[str], List[BitString], Dict[str, CylinderSet]]
+def _stem_table(axioms: Sequence[Tuple[BitString, BitString]]) -> Dict[str, BitString]:
+    """Stem bits -> longest output among one snapshot's axioms."""
+    # Within a stem the snapshot's order puts the longest output last.
+    return {ax_s.bits: ax_t for ax_s, ax_t in axioms}
+
+
+def _output_index(axioms: Sequence[Tuple[BitString, BitString]]):
+    """One snapshot's preimage index: output bits ascending, the stems in the
+    same order, and the preimages asked so far by tau bits."""
+    ordered = sorted(axioms, key=lambda axiom: axiom[1].bits)
+    return [ax_t.bits for _, ax_t in ordered], [ax_s for ax_s, _ in ordered], {}
 
 
 class TuringFunctional(_Schedule):
@@ -221,13 +231,11 @@ class TuringFunctional(_Schedule):
     built once per snapshot the first time one of its stages is asked.
     """
 
-    __slots__ = ("_longest", "_by_output")
+    __slots__ = ()
 
     def __init__(self, events: Iterable[Tuple[int, Iterable[Tuple[StrLike, StrLike]]]], horizon: Optional[int] = None) -> None:
         super().__init__(events, horizon, _axiom, _axiom_key, _sorted_axiom_snapshots)
         _check_consistent(self._snapshots[-1])
-        self._longest: List[Optional[Dict[str, BitString]]] = [None] * len(self._snapshots)
-        self._by_output: List[Optional[_OutputIndex]] = [None] * len(self._snapshots)
 
     axioms_at = _Schedule._at
 
@@ -239,11 +247,7 @@ class TuringFunctional(_Schedule):
         prefixes of sigma.  No applicable axiom means the empty output.
         """
         bits = _bits(sigma).bits
-        i = bisect_right(self._stages, stage)
-        table = self._longest[i]
-        if table is None:
-            # Within a stem the snapshot's order puts the longest output last.
-            table = self._longest[i] = {ax_s.bits: ax_t for ax_s, ax_t in self._snapshots[i]}
+        table = self._per_snapshot(_stem_table, stage)
         best = EMPTY
         for n in range(len(bits) + 1):
             out = table.get(bits[:n])
@@ -262,13 +266,7 @@ class TuringFunctional(_Schedule):
         if not key:
             # Every oracle computes the empty output.
             return CylinderSet(True)
-        i = bisect_right(self._stages, stage)
-        index = self._by_output[i]
-        if index is None:
-            ordered = sorted(self._snapshots[i], key=lambda axiom: axiom[1].bits)
-            index = self._by_output[i] = ([ax_t.bits for _, ax_t in ordered],
-                                          [ax_s for ax_s, _ in ordered], {})
-        outputs, stems, asked = index
+        outputs, stems, asked = self._per_snapshot(_output_index, stage)
         found = asked.get(key)
         if found is None:
             lo = bisect_left(outputs, key)
@@ -292,32 +290,33 @@ def _check_depth(schedule: Enumerator, depth: int, what: str) -> None:
 WalkStep = Optional[List]
 
 
-class Pi01Tree:
+def _no_steps(removals: frozenset) -> Dict[str, WalkStep]:
+    return {}
+
+
+class Pi01Tree(StagedOpenSet):
     """A co-enumerated class: all of Cantor space minus staged cylinder removals.
 
+    The tree is the staged open set of its removals: its events and
+    snapshots are the removed strings, `open_at` the removed open set.
     Removing a string kills every extension.  `depth` bounds both removal
     lengths and the leaf level at which survivor counts are measured.  The
     walks into the class keep their steps in one table per removal snapshot
     (`step_table`), which dies with the tree.
     """
 
-    __slots__ = ("depth", "removals", "_steps")
+    __slots__ = ("depth",)
 
     def __init__(self, depth: int, events: Iterable[Tuple[int, Iterable[StrLike]]] = (), horizon: Optional[int] = None) -> None:
         _check_int(depth, "tree depth")
         if depth < 1:
             raise RandlabError("tree depth must be positive")
+        super().__init__(events, horizon)
         self.depth = depth
-        self.removals = StagedOpenSet(events, horizon)
-        _check_depth(self.removals, self.depth, "removal")
-        self._steps: List[Optional[Dict[str, WalkStep]]] = [None] * len(self.removals._snapshots)
-
-    @property
-    def horizon(self) -> int:
-        return self.removals.horizon
+        _check_depth(self, depth, "removal")
 
     def removed_open(self, stage: int) -> CylinderSet:
-        return self.removals.open_at(stage)
+        return self.open_at(stage)
 
     def viable(self, sigma: StrLike, stage: int) -> bool:
         """Exact check that [sigma] still meets the class at `stage`."""
@@ -340,19 +339,15 @@ class Pi01Tree:
         The coding walks fill it, one step per stem the first time they pass
         it; every stage between two removal events shares it.
         """
-        i = bisect_right(self.removals._stages, stage)
-        table = self._steps[i]
-        if table is None:
-            table = self._steps[i] = {}
-        return table
+        return self._per_snapshot(_no_steps, stage)
 
     def restrict(self, extra: StagedOpenSet) -> "Pi01Tree":
         """The class cut down by the complement of a staged open set: the
         open set's cylinders become additional staged removals."""
         _check_depth(extra, self.depth, "restriction string")
-        merged = by_stage((stage, s) for schedule in (self.removals, extra)
+        merged = by_stage((stage, s) for schedule in (self, extra)
                           for stage, strings in schedule.events for s in strings)
         return Pi01Tree(self.depth, merged, max(self.horizon, extra.horizon))
 
     def __repr__(self) -> str:
-        return f"Pi01Tree(depth={self.depth}, {len(self.removals.events)} removal events, horizon={self.horizon})"
+        return f"Pi01Tree(depth={self.depth}, {len(self.events)} removal events, horizon={self.horizon})"

@@ -187,7 +187,7 @@ def compare_hitting(seed, opens, monkeypatch):
 
 
 def class_key(tree):
-    return tree.depth, tree.horizon, tree.removals.events
+    return tree.depth, tree.horizon, tree.events
 
 
 def spaced_opens(seed):

@@ -1,6 +1,7 @@
-"""Outside `staged`, no package module reaches into a stage schedule: none
-reads an `.enumerator` attribute, and none reads `._stages` or `._snapshots`
-through a name other than `self`."""
+"""No package module reaches into a stage schedule: none reads an
+`.enumerator` attribute, and none reads `._stages` or `._snapshots` through
+a name other than `self`.  Inside `staged` too, a schedule reads another
+schedule only through its public queries."""
 
 import ast
 import pathlib
@@ -26,3 +27,10 @@ def test_no_module_outside_staged_reaches_into_a_schedule():
              if path.name != "staged.py"
              for line, attr in _reaches_in(ast.parse(path.read_text(), str(path)))]
     assert not found, f"schedule internals read outside staged.py: {found}"
+
+
+def test_staged_reaches_into_no_other_schedule():
+    path = PACKAGE / "staged.py"
+    found = [f"{path.name}:{line} .{attr}"
+             for line, attr in _reaches_in(ast.parse(path.read_text(), str(path)))]
+    assert not found, f"one schedule reads another's internals: {found}"

@@ -425,6 +425,9 @@ FIREWORKS = {"adversaries": ["w"], "k": 1, "cap_bounds": [2], "target_length": 4
      "e: 'positions' must not be an empty list"),
     (_with_experiment(kind="w2r_hitting", seed=9, positions=[8], patterns=[]),
      "e: 'patterns' must not be an empty list"),
+    # Only the empty string: no bit to decode, yet the run would resolve a cell.
+    (_with_experiment(kind="w2r", seed=5, payloads=["^", "^"]), "e: the payload stream has no bits"),
+    (_with_experiment(kind="minpair_sweep", count=1, seed=1, depth=6), "e: unknown keys ['depth']"),
 ])
 def test_malformed_scenario_exits_2_naming_its_location(tmp_path, capsys, doc, message):
     code = main(["run", str(write_doc(tmp_path, doc))])
@@ -488,6 +491,7 @@ FIREWORKS_ARGS = ["--k", "1", "--target-length", "4", "--stage-budget", "12"]
      "convert: 'count' must be a positive integer, got 0"),
     (["minpair", "analyze", "--seed", "1", "--count", "0"],
      "analyze: 'count' must be a positive integer, got 0"),
+    (["w2r", "encode", "--seed", "5", "--payloads", "^"], "encode: the payload stream has no bits"),
 ])
 def test_cli_malformed_arguments_exit_2(capsys, argv, message):
     try:

@@ -66,6 +66,29 @@ def test_staged_open_set_is_the_enumeration_of_its_generators():
     assert repr(o) == "StagedOpenSet(2 events, horizon=5)"
 
 
+def test_a_tree_is_the_staged_open_set_of_its_removals():
+    events = [(1, ["0"]), (3, ["11", "10"])]
+    t, o = Pi01Tree(4, events, horizon=5), StagedOpenSet(events, horizon=5)
+    assert isinstance(t, StagedOpenSet)
+    assert (t.events, t.horizon) == (o.events, o.horizon)
+    for stage in range(-1, 7):
+        assert t.removed_open(stage) == t.open_at(stage) == o.open_at(stage)
+    assert t.final() == o.final()
+
+
+def test_each_snapshot_builds_what_its_queries_derive_once():
+    # Stages 1 and 2 read one snapshot, stage 3 the next.
+    o = StagedOpenSet([(1, ["0"]), (3, ["11"])], horizon=5)
+    assert o.open_at(1) is o.open_at(2) is not o.open_at(3)
+    t = Pi01Tree(4, [(1, ["0"]), (3, ["11"])], horizon=5)
+    assert t.step_table(1) is t.step_table(2) is not t.step_table(3)
+    phi = TuringFunctional([(1, [("0", "0"), ("1", "1")]), (3, [("00", "01")])], horizon=5)
+    assert phi.preimage("0", 1) is phi.preimage("0", 2) is not phi.preimage("0", 3)
+    assert phi.preimage("0", 2) == CylinderSet.cylinder("0")
+    assert phi.preimage("0", 3) == CylinderSet.cylinder("0")
+    assert phi.apply("00", 2) == BitString("0") and phi.apply("00", 3) == BitString("01")
+
+
 def test_staged_open_set_constant_and_empty():
     assert StagedOpenSet([], horizon=3).final() == EMPTY_SET
 
@@ -367,12 +390,12 @@ def test_tree_and_restrict_match_replay(base, more):
     t = Pi01Tree(6, events, horizon)
     extra = StagedOpenSet(extra_events, extra_horizon)
     cut = t.restrict(extra)
-    merged = old_restrict_events(t.removals.events, extra.events)
+    merged = old_restrict_events(t.events, extra.events)
     # The merge keeps no stage that brings nothing; those never changed a query.
-    assert cut.removals.events == tuple(ev for ev in Enumerator(merged).events if ev[1])
+    assert cut.events == tuple(ev for ev in Enumerator(merged).events if ev[1])
     assert cut.horizon == max(horizon, extra_horizon)
     for stage in query_stages(max(horizon, extra_horizon)):
-        assert t.removed_open(stage) == old_removed_open(t.removals.events, horizon, stage)
+        assert t.removed_open(stage) == old_removed_open(t.events, horizon, stage)
         assert cut.removed_open(stage) == old_removed_open(merged, cut.horizon, stage)
 
 

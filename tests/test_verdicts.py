@@ -28,6 +28,8 @@ from randlab.minpair import induced_demuth_level
 from randlab.scenario import (Experiment, ObjectTable, Scenario, _axis_pattern, _failed_cell,
                               bundled_scenarios, load_scenario, run_scenario)
 
+MINPAIR_DEPTH = 6  # the depth of the functionals every minpair_sweep draws
+
 
 def _d2u_ok(test):
     out = demuth_to_diffunion(test)
@@ -172,7 +174,7 @@ def _w2r_hitting_ok(objects, p):
 def _minpair_sweep_ok(objects, p):
     horizon = p.get("horizon", 8)
     return all(_minpair_ok(*random_functional_pair(random.Random(f"{p['seed']}:{i}"),
-                                                   p.get("depth", 6), p.get("axioms", 120),
+                                                   MINPAIR_DEPTH, p.get("axioms", 120),
                                                    horizon), p.get("nat_max", 3), horizon)
                for i in range(p["count"]))
 
@@ -292,13 +294,13 @@ def test_kg_sweep_verdicts_match_the_accumulators(tmp_path):
 
 
 def test_minpair_sweep_verdicts_match_the_accumulators(tmp_path):
-    p = {"count": 8, "seed": 3, "nat_max": 3, "depth": 5, "axioms": 60}
+    p = {"count": 8, "seed": 3, "nat_max": 3, "axioms": 60}
     fact, = run_scenario(Scenario("x", {}, (Experiment("e", "minpair_sweep", p),)),
                          tmp_path).facts
     rows = _csv_rows(tmp_path / "x_e.csv")
     for i in range(p["count"]):
         pair = [row for row in rows if row["pair"] == str(i)]
-        phi, psi = random_functional_pair(random.Random(f"3:{i}"), 5, 60, 8)
+        phi, psi = random_functional_pair(random.Random(f"3:{i}"), MINPAIR_DEPTH, 60, 8)
         assert all(row["ok"] == "yes" for row in pair) == _minpair_ok(phi, psi, 3, 8)
     assert fact.ok == _minpair_sweep_ok(None, p)
     assert (fact.failed_at is None) == fact.ok
