@@ -23,6 +23,12 @@ there only for what is materialised per vector (the failing vectors a
 report lists, the oracle blocks a box spells out): the walk itself needs no
 guard, though `sweep` still refuses cap spaces past it.  `sweep_runs`, one
 run per cap vector, is the brute-force reference the walk is tested against.
+
+An engine step asks an adversary one thing: the least string it has
+enumerated above a prefix (`Enumerator.least_extension`), a lookup in a
+table built once per snapshot.  A scenario run walks each config once, and
+its sweep, extract and trichotomy reports all read that walk
+(`scenario.Context.swept`).
 """
 
 from __future__ import annotations
@@ -40,6 +46,9 @@ from .errors import GuardExceeded, RandlabError
 from .staged import Enumerator, StagedOpenSet, by_stage
 
 SWEEP_GUARD = 1 << 24
+# Caps are drawn, listed and written as integers; past 2^64 their decimal
+# form outgrows what a report or an error message should hold.
+CAP_BOUND_BITS = 64
 
 
 class Outcome(Enum):
@@ -81,12 +90,18 @@ class FireworksConfig(NamedTuple):
         if target_length < 1:
             raise RandlabError(f"target_length {target_length} must be positive")
         defaults = cap_bounds is None
+        if defaults and adversaries and k + len(adversaries) > CAP_BOUND_BITS:
+            # Refused before the bounds are built: a large k makes them huge.
+            raise RandlabError(f"k {k} gives default cap bounds up to 2^{k + len(adversaries)}, "
+                               f"over 2^{CAP_BOUND_BITS}")
         bounds = default_cap_bounds(len(adversaries), k) if defaults else tuple(cap_bounds)
         if len(bounds) != len(adversaries):
             raise RandlabError("one cap bound per adversary required")
         for n in bounds:
             if n < 2 or n & (n - 1):
                 raise RandlabError(f"cap bound {n} must be a power of two, at least 2")
+            if n > 1 << CAP_BOUND_BITS:
+                raise RandlabError(f"cap bound 2^{n.bit_length() - 1} exceeds 2^{CAP_BOUND_BITS}")
         for w in adversaries:
             if w.horizon > stage_budget:
                 raise RandlabError(
@@ -173,13 +188,12 @@ class _Strategy:
     def refuted(self, stage: int) -> bool:
         if self.guess_prefix is None:
             raise RandlabError(f"strategy {self.index} asked for refutation before guessing")
-        return any(t.extends(self.guess_prefix) for t in self.enum.at(stage))
+        return self.enum.least_extension(self.guess_prefix, stage) is not None
 
     def answer(self, stage: int) -> Optional[BitString]:
         if self.wait_prefix is None:
             raise RandlabError(f"strategy {self.index} asked for an answer before committing")
-        hits = [t for t in self.enum.at(stage) if t.extends(self.wait_prefix)]
-        return min(hits, key=lambda t: (len(t), t.bits)) if hits else None
+        return self.enum.least_extension(self.wait_prefix, stage)
 
 
 def run_fireworks(cfg: FireworksConfig, caps: Sequence[int], *, keep_trace: bool = False) -> FireworksRun:

@@ -251,11 +251,25 @@ def load_scenario(path) -> Scenario:
 
 
 class Context:
+    """One `run_scenario`: its objects, its output directory, the facts so
+    far, and one walk per fireworks config, which every fireworks report of
+    the run reads and which dies with the run."""
+
     def __init__(self, scenario: Scenario, out_dir: Path) -> None:
         self.scenario = scenario
         self.objects = ObjectTable(scenario.objects)
         self.out_dir = out_dir
         self.result = ScenarioResult()
+        self._sweeps: Dict[FireworksConfig, Sweep] = {}
+
+    def swept(self, cfg: FireworksConfig) -> Sweep:
+        """The walk over `cfg`'s cap space, made the first time a report
+        asks.  A config's enumerators are the object table's, keyed by
+        identity, so a config read twice is one key."""
+        found = self._sweeps.get(cfg)
+        if found is None:
+            found = self._sweeps[cfg] = sweep(cfg)
+        return found
 
     def write(self, exp: Experiment, suffix: str, text: str) -> str:
         fname = f"{self.scenario.name}_{exp.name}{suffix}"
@@ -338,7 +352,7 @@ def _failing_vectors(sw: Sweep) -> List[tuple]:
 
 def _run_fireworks_sweep(ctx: Context, exp: Experiment) -> RunFact:
     cfg = _fireworks_config(ctx, _Keys(exp.params, exp.name))
-    sw = sweep(cfg)
+    sw = ctx.swept(cfg)
     rows = _failing_vectors(sw)
     residue_bound = sum(Fraction(1, n) for n in cfg.cap_bounds)
     within = sw.probability.as_fraction() <= residue_bound
@@ -365,7 +379,7 @@ def _axis_pattern(outcomes: Sequence[Outcome]) -> Tuple[bool, Optional[int]]:
 def _run_fireworks_trichotomy(ctx: Context, exp: Experiment) -> RunFact:
     cfg = _fireworks_config(ctx, _Keys(exp.params, exp.name))
     table = {caps: leaf.run.outcomes
-             for leaf in sweep(cfg).leaves for caps in itertools.product(*leaf.box)}
+             for leaf in ctx.swept(cfg).leaves for caps in itertools.product(*leaf.box)}
     rows = []
     ranges = [range(1, n + 1) for n in cfg.cap_bounds]
     for e, axis_caps in enumerate(ranges):
@@ -380,7 +394,7 @@ def _run_fireworks_trichotomy(ctx: Context, exp: Experiment) -> RunFact:
 
 def _run_fireworks_extract(ctx: Context, exp: Experiment) -> RunFact:
     cfg = _fireworks_config(ctx, _Keys(exp.params, exp.name))
-    sw = sweep(cfg)
+    sw = ctx.swept(cfg)
     union = EMPTY_SET
     rows = []
     for e, fs in enumerate(sw.failure_sets()):

@@ -83,6 +83,21 @@ def _sorted_axiom_snapshots(events: Sequence[Tuple[int, tuple]]) -> List[tuple]:
     return [tuple(ax for ax, since in ordered if since <= i) for i in range(len(events) + 1)]
 
 
+def _least_above(snapshot: frozenset) -> Dict[str, BitString]:
+    """Bits of each prefix of a snapshot's strings -> the length-lex least
+    string above it.  In length-lex order the first string to reach a
+    prefix is its least; the prefixes of a reached one are reached too."""
+    table: Dict[str, BitString] = {}
+    for t in sorted(snapshot, key=length_lex):
+        bits = t.bits
+        for n in range(len(bits), -1, -1):
+            prefix = bits[:n]
+            if prefix in table:
+                break
+            table[prefix] = t
+    return table
+
+
 def _check_int(value: object, what: str) -> None:
     # bool is an int subclass, and int() would truncate a float or read a string.
     if isinstance(value, bool) or not isinstance(value, int):
@@ -158,6 +173,11 @@ class Enumerator(_Schedule):
         super().__init__(events, horizon, _bits, length_lex, _cumulative_sets)
 
     at = _Schedule._at
+
+    def least_extension(self, sigma: StrLike, stage: int) -> Optional[BitString]:
+        """The length-lex least string enumerated by `stage` that extends
+        `sigma`, or None; one lookup in a table built once per snapshot."""
+        return self._per_snapshot(_least_above, stage).get(_bits(sigma).bits)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({len(self.events)} events, horizon={self.horizon})"

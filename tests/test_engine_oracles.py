@@ -2,7 +2,8 @@
 
 `reference_run_fireworks` is the fireworks engine as it was when it
 answered a commitment in two places (from the waiting branch and at once)
-and kept a `satisfied_at` beside `answer_stage`.
+and kept a `satisfied_at` beside `answer_stage`; it scans an adversary's
+enumerated set at each step, as `reference_least_extension` does.
 `reference_random_enumerator` and `reference_confined_open` are the two
 draw loops `random_open_set` merged.
 Each copy is the oracle its replacement must match exactly.
@@ -49,6 +50,12 @@ class _ReferenceStrategy:
             raise RandlabError(f"strategy {self.index} asked for an answer before committing")
         hits = [t for t in self.enum.at(stage) if t.extends(self.wait_prefix)]
         return min(hits, key=lambda t: (len(t), t.bits)) if hits else None
+
+
+def reference_least_extension(enum: Enumerator, sigma: BitString, stage: int) -> Optional[BitString]:
+    """The scan `_Strategy.answer` made before `Enumerator.least_extension`."""
+    hits = [t for t in enum.at(stage) if t.extends(sigma)]
+    return min(hits, key=lambda t: (len(t), t.bits)) if hits else None
 
 
 def reference_run_fireworks(cfg: FireworksConfig, caps: Sequence[int], *, keep_trace: bool = False) -> FireworksRun:
@@ -176,6 +183,25 @@ def test_run_fireworks_matches_the_reference_engine(cfg_caps):
     for keep_trace in (True, False):
         assert (run_fireworks(cfg, caps, keep_trace=keep_trace)
                 == reference_run_fireworks(cfg, caps, keep_trace=keep_trace))
+
+
+# Every string up to one bit past the longest the adversaries enumerate.
+SIGMAS = [EMPTY] + [BitString(format(v, f"0{n}b")) for n in range(1, 7) for v in range(1 << n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(ladders | random_adversaries)
+def test_least_extension_matches_the_scan(enum):
+    # The adversaries' first events come at stage 1 or later, so stages -1
+    # and 0 read the empty snapshot; the last two stages are past the horizon.
+    assert enum.horizon >= 2
+    for stage in range(-1, enum.horizon + 3):
+        for sigma in SIGMAS:
+            want = reference_least_extension(enum, sigma, stage)
+            assert enum.least_extension(sigma, stage) == want, (sigma, stage)
+            assert enum.least_extension(sigma.bits, stage) == want, (sigma, stage)
+    assert enum.least_extension(EMPTY, -1) is None
+    assert enum.least_extension("^", enum.horizon + 2) == min(enum.at(enum.horizon), default=None)
 
 
 @settings(max_examples=60, deadline=None)

@@ -25,8 +25,9 @@ from randlab.fireworks import (FailureSets, FireworksConfig, Outcome,
                                _leaves, caps_from_seed, check_requirement,
                                default_cap_bounds, oracle_block_caps,
                                run_fireworks, sweep, sweep_runs)
-from randlab.scenario import (ObjectTable, SCENARIO_DIR, load_scenario,
-                              run_scenario)
+from randlab import staged
+from randlab.scenario import (Context, Experiment, ObjectTable, SCENARIO_DIR, Scenario,
+                              load_scenario, run_scenario)
 from randlab.staged import Enumerator, StagedOpenSet, by_stage
 
 SILENT = Enumerator([], horizon=0)
@@ -179,6 +180,21 @@ def test_config_validation():
         run_fireworks(cfg, (1, 1))
 
 
+def test_cap_bounds_above_2_to_the_64_are_refused():
+    FireworksConfig.build([SILENT], k=0, target_length=4, stage_budget=8,
+                          cap_bounds=(1 << 64,))
+    with pytest.raises(RandlabError, match=r"^cap bound 2\^65 exceeds 2\^64$"):
+        FireworksConfig.build([SILENT], k=0, target_length=4, stage_budget=8,
+                              cap_bounds=(1 << 65,))
+    # Default bounds run 2^(k+1) .. 2^(k+count): the largest names k.
+    assert FireworksConfig.build([SILENT, SILENT], k=62, target_length=4,
+                                 stage_budget=8).cap_bounds[-1] == 1 << 64
+    with pytest.raises(RandlabError, match=r"^k 63 gives default cap bounds up to 2\^65, over 2\^64$"):
+        FireworksConfig.build([SILENT, SILENT], k=63, target_length=4, stage_budget=8)
+    with pytest.raises(RandlabError, match=r"^k 100000 gives default cap bounds up to 2\^100001"):
+        FireworksConfig.build([SILENT], k=100000, target_length=4, stage_budget=8)
+
+
 def test_sweep_guard():
     cfg = FireworksConfig.build([SILENT, SILENT], k=0, target_length=4,
                                 stage_budget=8, cap_bounds=(1 << 13, 1 << 13))
@@ -301,9 +317,10 @@ def test_sweep_matches_the_per_vector_references_on_generated_adversaries(pairs,
 
 
 def test_bundled_scenarios_make_one_engine_run_per_box_and_report(tmp_path, monkeypatch):
-    # Counts of runs do not depend on machine speed: sweep, extract and the
-    # trichotomy each run every leaf box once, a probe runs one.  The bank
-    # has 12 leaves, the duet 3 and the small ladder 4 (one per cap).
+    # Counts of runs do not depend on machine speed: a scenario run walks
+    # each config once, running every leaf box once, and that one walk feeds
+    # its sweep, extract and trichotomy reports; a probe runs one more.  The
+    # bank has 12 leaves, the duet 3 and the small ladder 4 (one per cap).
     calls = []
     original = randlab.fireworks.run_fireworks
 
@@ -319,7 +336,100 @@ def test_bundled_scenarios_make_one_engine_run_per_box_and_report(tmp_path, monk
         result = run_scenario(load_scenario(SCENARIO_DIR / f"{name}.json"), tmp_path / name)
         assert result.ok
         counts[name] = len(calls)
-    assert counts == {"fireworks_bank": 25, "fireworks_duet": 6, "fireworks_small": 13}
+    assert counts == {"fireworks_bank": 13, "fireworks_duet": 3, "fireworks_small": 5}
+
+
+def test_bundled_scenarios_build_each_least_extension_table_once(tmp_path, monkeypatch):
+    # An engine step reads its adversary through `least_extension`, never
+    # through `at`, and a snapshot's table is built the first time a step
+    # asks it: every later run and report of the scenario reads it again.
+    asked, built = [], []
+    per_snapshot, least_above = staged._Schedule._per_snapshot, staged._least_above
+
+    def counted_per_snapshot(self, build, stage):
+        # The snapshot a stage reads: the one after its last event.
+        asked.append((self, sum(s <= stage for s, _ in self.events)))
+        return per_snapshot(self, build, stage)
+
+    def counted_least_above(snapshot):
+        built.append(asked[-1])
+        return least_above(snapshot)
+
+    def no_at(self, stage):
+        raise AssertionError(f"Enumerator.at({stage}) called")
+
+    monkeypatch.setattr(staged._Schedule, "_per_snapshot", counted_per_snapshot)
+    monkeypatch.setattr(staged, "_least_above", counted_least_above)
+    monkeypatch.setattr(Enumerator, "at", no_at)
+    for name in ("fireworks_bank", "fireworks_duet", "fireworks_small"):
+        built.clear()
+        assert run_scenario(load_scenario(SCENARIO_DIR / f"{name}.json"), tmp_path / name).ok
+        assert built, name
+        assert len(built) == len(set(built)), name
+
+
+def counted_sweeps(monkeypatch):
+    """The configs `sweep` walks from now on, one entry per walk."""
+    walked = []
+    original = randlab.scenario.sweep
+
+    def counted(cfg):
+        walked.append(cfg)
+        return original(cfg)
+
+    monkeypatch.setattr(randlab.scenario, "sweep", counted)
+    return walked
+
+
+MEMO_OBJECTS = {"enumerators": {"a": {"events": [[1, ["1"]], [2, ["01"]]], "horizon": 3},
+                                "b": {"events": [[1, ["1"]]], "horizon": 3}}}
+
+
+def memo_scenario(*configs):
+    """A sweep, trichotomy and extract report on each config, interleaved."""
+    kinds = ("fireworks_sweep", "fireworks_trichotomy", "fireworks_extract")
+    exps = tuple(Experiment(f"{kind}_{i}", kind, dict(cfg, k=1, target_length=8, stage_budget=12))
+                 for kind in kinds for i, cfg in enumerate(configs))
+    return Scenario("memo", MEMO_OBJECTS, exps)
+
+
+def test_a_scenario_run_walks_each_config_once(tmp_path, monkeypatch):
+    walked = counted_sweeps(monkeypatch)
+    ab = {"adversaries": ["a", "b"], "cap_bounds": [4, 2]}
+    # Read twice, a config is one key: its enumerators are the run's objects.
+    assert run_scenario(memo_scenario(ab, {"adversaries": ["a"], "cap_bounds": [4]}, ab),
+                        tmp_path / "one").ok
+    assert [len(cfg.adversaries) for cfg in walked] == [2, 1]
+    # Configs that differ only in their cap bounds are two walks.
+    walked.clear()
+    assert run_scenario(memo_scenario({"adversaries": ["a"], "cap_bounds": [4]},
+                                      {"adversaries": ["a"], "cap_bounds": [8]}),
+                        tmp_path / "two").ok
+    assert [cfg.cap_bounds for cfg in walked] == [(4,), (8,)]
+
+
+def test_two_runs_share_no_walk(tmp_path, monkeypatch):
+    # Each `run_scenario` has its own Context; two of them walk one config
+    # (one object, the same enumerators) once each.
+    walked = counted_sweeps(monkeypatch)
+    first, second = (Context(Scenario("memo", MEMO_OBJECTS, ()), tmp_path) for _ in range(2))
+    a = first.objects.get("enumerators", "a", "test")
+    cfg = FireworksConfig.build([a], k=1, target_length=8, stage_budget=12, cap_bounds=(4,))
+    for ctx in (first, first, second, second):
+        ctx.swept(cfg)
+    assert walked == [cfg, cfg]
+
+
+def test_a_walk_the_guard_refuses_is_not_kept(tmp_path, monkeypatch):
+    walked = counted_sweeps(monkeypatch)
+    ctx = Context(Scenario("guard", MEMO_OBJECTS, ()), tmp_path)
+    a = ctx.objects.get("enumerators", "a", "test")
+    cfg = FireworksConfig.build([a, a], k=1, target_length=8, stage_budget=12,
+                                cap_bounds=(1 << 13, 1 << 12))
+    for _ in range(2):
+        with pytest.raises(GuardExceeded, match="cap sweep over 33554432 vectors refused"):
+            ctx.swept(cfg)
+    assert len(walked) == 2
 
 
 def test_negative_k_is_refused():

@@ -428,6 +428,8 @@ FIREWORKS = {"adversaries": ["w"], "k": 1, "cap_bounds": [2], "target_length": 4
     # Only the empty string: no bit to decode, yet the run would resolve a cell.
     (_with_experiment(kind="w2r", seed=5, payloads=["^", "^"]), "e: the payload stream has no bits"),
     (_with_experiment(kind="minpair_sweep", count=1, seed=1, depth=6), "e: unknown keys ['depth']"),
+    (_with_experiment(kind="fireworks_sweep", **dict(FIREWORKS, cap_bounds=[2**65])),
+     "e: cap bound 2^65 exceeds 2^64"),
 ])
 def test_malformed_scenario_exits_2_naming_its_location(tmp_path, capsys, doc, message):
     code = main(["run", str(write_doc(tmp_path, doc))])
@@ -492,6 +494,14 @@ FIREWORKS_ARGS = ["--k", "1", "--target-length", "4", "--stage-budget", "12"]
     (["minpair", "analyze", "--seed", "1", "--count", "0"],
      "analyze: 'count' must be a positive integer, got 0"),
     (["w2r", "encode", "--seed", "5", "--payloads", "^"], "encode: the payload stream has no bits"),
+    # Default cap bounds this large once crashed turning a cap to text.
+    *((["fireworks", mode, *extra, "--adversary", "1@1;01@2", "--k", "100000",
+        "--target-length", "8", "--stage-budget", "10"],
+       f"{mode}: k 100000 gives default cap bounds up to 2^100001, over 2^64")
+      for mode, extra in (("sweep", []), ("trichotomy", []), ("extract", []),
+                          ("run", ["--seed", "1"]))),
+    (["fireworks", "sweep", "--adversary", "1@1", "--cap-bounds", "36893488147419103232",
+      *FIREWORKS_ARGS], "sweep: cap bound 2^65 exceeds 2^64"),
 ])
 def test_cli_malformed_arguments_exit_2(capsys, argv, message):
     try:
