@@ -4,7 +4,10 @@ Every subcommand except `kg encode`/`kg decode` assembles a one-off
 in-memory scenario and runs it through the same handlers the scenario
 runner uses, so CLI output and scenario reports never drift apart.
 Reports go to --out when given, otherwise to a temporary directory, and
-are echoed to stdout either way.
+are echoed to stdout either way, from the text the run wrote.
+
+An invocation builds the parser of the one subcommand it names (see
+`SUBCOMMANDS`); help, version and a missing or unknown command get all six.
 """
 
 from __future__ import annotations
@@ -55,9 +58,9 @@ def _given(args, *names: str) -> Dict[str, object]:
 
 
 def _emit(result, out_given: bool) -> int:
-    for path in result.files:
+    for path, text in zip(result.files, result.texts):
         sys.stdout.write(f"== {path.name} ==\n")
-        sys.stdout.write(path.read_text())
+        sys.stdout.write(text)
     for fact in result.facts:
         status = "ok" if fact.ok else f"FAILED at {fact.failed_at}"
         sys.stdout.write(f"experiment {fact.name}: {status}\n")
@@ -156,33 +159,29 @@ def _cmd_minpair(args) -> int:
                        args.out)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="randlab",
-                                     description="finite-stage randomness laboratory")
-    parser.add_argument("--version", action="version", version=f"randlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _run_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("scenario")
+    p.add_argument("--out", help="directory for report files")
+    p.set_defaults(func=_cmd_run)
 
-    p_run = sub.add_parser("run", help="run a scenario file")
-    p_run.add_argument("scenario")
-    p_run.add_argument("--out", help="directory for report files")
-    p_run.set_defaults(func=_cmd_run)
 
-    p_fw = sub.add_parser("fireworks", help="guess-with-cap construction")
-    p_fw.add_argument("mode", choices=["run", "sweep", "trichotomy", "extract"])
-    p_fw.add_argument("--adversary", action="append", required=True,
-                      metavar="SPEC", help="events as STRINGS@STAGE;... e.g. 0@1;00@2")
-    p_fw.add_argument("--k", type=int, required=True)
-    p_fw.add_argument("--target-length", type=int, required=True)
-    p_fw.add_argument("--stage-budget", type=int, required=True)
-    p_fw.add_argument("--cap-bounds", type=_csv_ints, help="comma-separated powers of two")
-    p_fw.add_argument("--caps", type=_csv_ints, help="explicit cap vector for mode=run")
-    p_fw.add_argument("--seed", type=int, help="draw caps from this seed for mode=run")
-    p_fw.add_argument("--trace", action="store_true")
-    p_fw.add_argument("--out")
-    p_fw.set_defaults(func=_cmd_fireworks)
+def _fireworks_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("mode", choices=["run", "sweep", "trichotomy", "extract"])
+    p.add_argument("--adversary", action="append", required=True,
+                   metavar="SPEC", help="events as STRINGS@STAGE;... e.g. 0@1;00@2")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--target-length", type=int, required=True)
+    p.add_argument("--stage-budget", type=int, required=True)
+    p.add_argument("--cap-bounds", type=_csv_ints, help="comma-separated powers of two")
+    p.add_argument("--caps", type=_csv_ints, help="explicit cap vector for mode=run")
+    p.add_argument("--seed", type=int, help="draw caps from this seed for mode=run")
+    p.add_argument("--trace", action="store_true")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_fireworks)
 
-    p_tests = sub.add_parser("tests", help="test-object conversions")
-    t_sub = p_tests.add_subparsers(dest="tests_command", required=True)
+
+def _tests_options(p: argparse.ArgumentParser) -> None:
+    t_sub = p.add_subparsers(dest="tests_command", required=True)
     p_conv = t_sub.add_parser("convert", help="seeded conversion sweep")
     p_conv.add_argument("--direction", choices=["d2u", "u2d"], required=True)
     p_conv.add_argument("--seed", type=int, required=True)
@@ -193,41 +192,74 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--out")
     p_conv.set_defaults(func=_cmd_tests_convert)
 
-    p_kg = sub.add_parser("kg", help="codeword embedding into a seeded class")
-    p_kg.add_argument("mode", choices=["encode", "decode"])
-    p_kg.add_argument("--seed", type=int, required=True)
-    p_kg.add_argument("--payload", type=BitString, help="bits to encode (mode=encode)")
-    p_kg.add_argument("--codeword", type=BitString, help="bits to decode (mode=decode)")
-    p_kg.add_argument("--stem", type=BitString, default="^")
-    p_kg.add_argument("--depth", type=int, default=24)
-    p_kg.add_argument("--horizon", type=int, default=8)
-    p_kg.set_defaults(func=_cmd_kg)
 
-    p_w2r = sub.add_parser("w2r", help="layered coding into a seeded class")
-    p_w2r.add_argument("mode", choices=["encode", "hit"])
-    p_w2r.add_argument("--seed", type=int, required=True)
-    p_w2r.add_argument("--payloads", help="comma-separated payloads (encode)")
-    p_w2r.add_argument("--positions", type=_csv_ints, help="dense-open offsets (hit)")
-    p_w2r.add_argument("--patterns", help="dense-open patterns (hit)")
-    p_w2r.add_argument("--depth", type=int)
-    p_w2r.add_argument("--horizon", type=int)
-    p_w2r.add_argument("--out")
-    p_w2r.set_defaults(func=_cmd_w2r)
+def _kg_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("mode", choices=["encode", "decode"])
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--payload", type=BitString, help="bits to encode (mode=encode)")
+    p.add_argument("--codeword", type=BitString, help="bits to decode (mode=decode)")
+    p.add_argument("--stem", type=BitString, default="^")
+    p.add_argument("--depth", type=int, default=24)
+    p.add_argument("--horizon", type=int, default=8)
+    p.set_defaults(func=_cmd_kg)
 
-    p_mp = sub.add_parser("minpair", help="selector analysis over functional pairs")
-    p_mp.add_argument("mode", choices=["analyze"])
-    p_mp.add_argument("--seed", type=int, required=True)
-    p_mp.add_argument("--count", type=int, default=5)
-    p_mp.add_argument("--nat-max", type=int)
-    p_mp.add_argument("--horizon", type=int)
-    p_mp.add_argument("--out")
-    p_mp.set_defaults(func=_cmd_minpair)
 
+def _w2r_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("mode", choices=["encode", "hit"])
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--payloads", help="comma-separated payloads (encode)")
+    p.add_argument("--positions", type=_csv_ints, help="dense-open offsets (hit)")
+    p.add_argument("--patterns", help="dense-open patterns (hit)")
+    p.add_argument("--depth", type=int)
+    p.add_argument("--horizon", type=int)
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_w2r)
+
+
+def _minpair_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("mode", choices=["analyze"])
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--count", type=int, default=5)
+    p.add_argument("--nat-max", type=int)
+    p.add_argument("--horizon", type=int)
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_minpair)
+
+
+# Each subcommand, in help order: its help line and what adds its options.
+SUBCOMMANDS = {
+    "run": ("run a scenario file", _run_options),
+    "fireworks": ("guess-with-cap construction", _fireworks_options),
+    "tests": ("test-object conversions", _tests_options),
+    "kg": ("codeword embedding into a seeded class", _kg_options),
+    "w2r": ("layered coding into a seeded class", _w2r_options),
+    "minpair": ("selector analysis over functional pairs", _minpair_options),
+}
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser for `argv`: with only the subcommand `argv[0]` names, or
+    with all of them when it names none (help, version, no or an unknown
+    command).  One subcommand's parser still shows every name in its usage."""
+    parser = argparse.ArgumentParser(prog="randlab",
+                                     description="finite-stage randomness laboratory")
+    parser.add_argument("--version", action="version", version=f"randlab {__version__}")
+    if argv and argv[0] in SUBCOMMANDS:
+        names = [argv[0]]
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(SUBCOMMANDS) + "}")
+    else:
+        names = list(SUBCOMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, add_options = SUBCOMMANDS[name]
+        add_options(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     if getattr(args, "mode", None) == "hit":
         if not (args.positions and args.patterns):

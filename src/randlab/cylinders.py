@@ -176,9 +176,9 @@ def _diff_leaf(a: Node, b: Node) -> Optional[Node]:
     return None
 
 
-def _collect(root: Node) -> List[BitString]:
-    """The generators below `root`, in lexicographic order."""
-    out: List[BitString] = []
+def _collect(root: Node) -> List[str]:
+    """The generators below `root`, as bits, in lexicographic order."""
+    out: List[str] = []
     path: List[str] = []
     # (node, its depth, the bit that leads to it); path[:depth] spells it.
     stack = [(root, 0, "")]
@@ -188,7 +188,7 @@ def _collect(root: Node) -> List[BitString]:
             del path[depth - 1:]
             path.append(bit)
         if node is True:
-            out.append(BitString("".join(path)))
+            out.append("".join(path))
         elif node is not False:
             stack.append((node.one, depth + 1, "1"))
             stack.append((node.zero, depth + 1, "0"))
@@ -250,7 +250,12 @@ class CylinderSet:
 
         Extracted afresh on each read, in time linear in the trie, so the
         many intermediate sets whose strings nobody reads never pay for it."""
-        return tuple(_collect(self._tree))
+        return tuple(map(BitString, self.bits))
+
+    @property
+    def bits(self) -> List[str]:
+        """The bits of `strings`, in the same order ("" for the empty string)."""
+        return _collect(self._tree)
 
     def is_empty(self) -> bool:
         return self._tree is False

@@ -146,19 +146,21 @@ def find_family(phi: TuringFunctional, stem: BitString, stage: int) -> Optional[
 
 
 class FApprox(NamedTuple):
-    """Stagewise trace of the guarded-image map at one stem."""
+    """Stagewise trace of the guarded-image map at one stem, as its change
+    points: (stage, chosen index) where the choice moves, the first at the
+    family's found stage.  Before that stage, and with no family, the value
+    is the stem itself; from a change point on it is the chosen extension."""
 
     stem: BitString
     family: Optional[PairFamily]
-    values: Tuple[BitString, ...]          # value at each stage 0..horizon
-    chosen_index: Tuple[Optional[int], ...]
+    changes: Tuple[Tuple[int, int], ...]
 
     def mind_changes(self) -> int:
-        changes = 0
-        for a, b in zip(self.values, self.values[1:]):
-            if a != b:
-                changes += 1
-        return changes
+        """Stages whose value differs from the stage before (stage 0 has none)."""
+        values = [self.stem] + [self.family.pairs[j][0] for _, j in self.changes]
+        if self.changes and self.changes[0][0] == 0:
+            del values[0]
+        return sum(a != b for a, b in zip(values, values[1:]))
 
 
 def f_approx(phi: TuringFunctional, psi: TuringFunctional, stem: BitString, horizon: int) -> FApprox:
@@ -168,26 +170,25 @@ def f_approx(phi: TuringFunctional, psi: TuringFunctional, stem: BitString, hori
 
     Disjointness of the candidate preimages makes the pigeonhole exact: at
     every stage some candidate qualifies, and the chosen index only climbs.
+    The preimages, hence the choice, change only at the events of psi, so
+    only those stages are queried and the cost does not grow with the horizon.
     """
     n = to_nat(stem)
     cap = Dyadic.half_pow(n)
     family = find_family(phi, stem, horizon)
     if family is None:
-        return FApprox(stem, None, (stem,) * (horizon + 1), (None,) * (horizon + 1))
+        return FApprox(stem, None, ())
     found = family.found_stage
-    values: List[BitString] = [stem] * found
-    chosen: List[Optional[int]] = [None] * found
-    # The preimages, hence the choice, change only at the events of psi.
-    starts = [found] + [s for s in psi.change_stages(horizon) if s > found]
+    changes: List[Tuple[int, int]] = []
     idx = 0
-    for start, end in zip(starts, starts[1:] + [horizon + 1]):
+    for start in [found] + [s for s in psi.change_stages(horizon) if s > found]:
         while idx < family.size() and psi.preimage(family.pairs[idx][1], start).measure() > cap:
             idx += 1
         if idx >= family.size():
             raise RandlabError("pigeonhole failed: some preimages overlap")
-        values += [family.pairs[idx][0]] * (end - start)
-        chosen += [idx] * (end - start)
-    return FApprox(stem, family, tuple(values), tuple(chosen))
+        if not changes or changes[-1][1] != idx:
+            changes.append((start, idx))
+    return FApprox(stem, family, tuple(changes))
 
 
 def induced_demuth_level(phi: TuringFunctional, psi: TuringFunctional, stem: BitString, horizon: int) -> Tuple[VersionedOpenSet, FApprox]:
@@ -199,13 +200,11 @@ def induced_demuth_level(phi: TuringFunctional, psi: TuringFunctional, stem: Bit
     """
     trace = f_approx(phi, psi, stem, horizon)
     versions: List[Tuple[int, StagedOpenSet]] = []
-    if trace.family is not None:
-        # One index is chosen per stage, so a switch stage brings exactly one.
-        switches = first_seen((s, [j]) for s, j in enumerate(trace.chosen_index) if j is not None)
-        for start, (j,) in switches:
-            tau_j = trace.family.pairs[j][1]
-            events = first_seen((s, psi.preimage(tau_j, s).strings) for s in psi.change_stages(horizon))
-            versions.append((start, StagedOpenSet(events, horizon)))
+    # The index only climbs, so each change point switches to a new pair.
+    for start, j in trace.changes:
+        tau_j = trace.family.pairs[j][1]
+        events = first_seen((s, psi.preimage(tau_j, s).strings) for s in psi.change_stages(horizon))
+        versions.append((start, StagedOpenSet(events, horizon)))
     return VersionedOpenSet(versions), trace
 
 
@@ -302,9 +301,9 @@ def classify_case(phi: TuringFunctional, psi: TuringFunctional, g_prefix: BitStr
         analysis = isolated_path_analysis(output_tree(phi, stem, horizon), n)
         return CaseReport(stem, n, "width-bounded", trace, analysis,
                           None, None, None, phi_g, psi_x)
-    j = trace.chosen_index[-1]
-    if j is None:
+    if not trace.changes:
         raise RandlabError(f"a family at stem {stem} but no chosen pair at stage {horizon}")
+    j = trace.changes[-1][1]
     tau = trace.family.pairs[j][1]
     pre = psi.preimage(tau, horizon)
     inside = pre.contains_prefix_of(x)

@@ -27,6 +27,17 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
 
 
 def render_field(v: object) -> str:
+    # The exact types a report cell holds first; bool is not int here.
+    t = type(v)
+    if t is int or t is str:
+        return str(v)
+    if t is tuple or t is list:
+        return "|".join([render_field(x) for x in v])
+    if t is BitString:
+        return v.bits or "^"
+    if t is CylinderSet:
+        return "|".join([b or "^" for b in v.bits])
+    # Subclasses (NamedTuples, enums) and the rest.
     if isinstance(v, bool):
         return "yes" if v else "no"
     if isinstance(v, (BitString, Dyadic)):

@@ -51,6 +51,7 @@ class Scenario(NamedTuple):
 class ScenarioResult:
     def __init__(self) -> None:
         self.files: List[Path] = []
+        self.texts: List[str] = []  # what was written to each file
         self.facts: List[RunFact] = []
 
     @property
@@ -276,6 +277,7 @@ class Context:
         path = self.out_dir / fname
         path.write_text(text)
         self.result.files.append(path)
+        self.result.texts.append(text)
         return fname
 
     def report(self, exp: Experiment, suffix: str, header: Sequence[str],
@@ -343,11 +345,13 @@ def _run_fireworks_run(ctx: Context, exp: Experiment) -> RunFact:
 
 
 def _failing_vectors(sw: Sweep) -> List[tuple]:
-    """(caps, outcomes, x prefix) of each failing vector, in cap order: the
-    failing leaves spelt out; no two vectors share caps, so the sort
-    compares nothing past them."""
-    return sorted((caps, [o.value for o in leaf.run.outcomes], leaf.run.x_prefix)
-                  for leaf in sw.leaves if leaf.run.failed for caps in itertools.product(*leaf.box))
+    """(caps, outcomes cell, x prefix cell) of each failing vector, in cap
+    order: each failing leaf's cells rendered once, then its vectors spelt
+    out; no two vectors share caps, so the sort compares nothing past them."""
+    cells = [(leaf.box, render_field([o.value for o in leaf.run.outcomes]),
+              render_field(leaf.run.x_prefix)) for leaf in sw.leaves if leaf.run.failed]
+    return sorted((caps, outcomes, x) for box, outcomes, x in cells
+                  for caps in itertools.product(*box))
 
 
 def _run_fireworks_sweep(ctx: Context, exp: Experiment) -> RunFact:

@@ -5,7 +5,9 @@ answered a commitment in two places (from the waiting branch and at once)
 and kept a `satisfied_at` beside `answer_stage`; it scans an adversary's
 enumerated set at each step, as `reference_least_extension` does.
 `reference_random_enumerator` and `reference_confined_open` are the two
-draw loops `random_open_set` merged.
+draw loops `random_open_set` merged.  `reference_f_approx` is the
+guarded-image selector as it was when it kept one value and one chosen
+index per stage; `per_stage` spells a change-point trace out the same way.
 Each copy is the oracle its replacement must match exactly.
 """
 
@@ -17,12 +19,14 @@ from hypothesis import strategies as st
 from test_fireworks import ladders, random_adversaries
 
 import randlab.fireworks
-from randlab.bitstring import EMPTY, BitString
+from randlab.bitstring import EMPTY, BitString, from_nat, to_nat
+from randlab.dyadic import Dyadic
 from randlab.errors import RandlabError
 from randlab.fireworks import (FireworksConfig, FireworksRun, Outcome, StrategyRecord,
                                _leaves, run_fireworks)
-from randlab.generators import random_bits, random_open_set
-from randlab.staged import Enumerator, StagedOpenSet, by_stage
+from randlab.generators import random_bits, random_functional_pair, random_open_set
+from randlab.minpair import FApprox, f_approx, find_family
+from randlab.staged import Enumerator, StagedOpenSet, TuringFunctional, by_stage
 
 
 class _ReferenceStrategy:
@@ -238,3 +242,78 @@ def test_random_open_set_draws_as_the_two_reference_loops():
         _same_draws(lambda rng: random_open_set(rng, horizon, count, max_len, base),
                     lambda rng: reference_confined_open(rng, base, horizon, count, max_len),
                     seed)
+
+
+def reference_f_approx(phi, psi, stem, horizon):
+    """(family, value per stage, chosen index per stage) for stages 0..horizon."""
+    n = to_nat(stem)
+    cap = Dyadic.half_pow(n)
+    family = find_family(phi, stem, horizon)
+    if family is None:
+        return None, (stem,) * (horizon + 1), (None,) * (horizon + 1)
+    found = family.found_stage
+    values = [stem] * found
+    chosen = [None] * found
+    # The preimages, hence the choice, change only at the events of psi.
+    starts = [found] + [s for s in psi.change_stages(horizon) if s > found]
+    idx = 0
+    for start, end in zip(starts, starts[1:] + [horizon + 1]):
+        while idx < family.size() and psi.preimage(family.pairs[idx][1], start).measure() > cap:
+            idx += 1
+        if idx >= family.size():
+            raise RandlabError("pigeonhole failed: some preimages overlap")
+        values += [family.pairs[idx][0]] * (end - start)
+        chosen += [idx] * (end - start)
+    return family, tuple(values), tuple(chosen)
+
+
+def reference_mind_changes(values):
+    return sum(1 for a, b in zip(values, values[1:]) if a != b)
+
+
+def per_stage(trace: FApprox, horizon: int):
+    """(value per stage, chosen index per stage) of a trace, stages 0..horizon."""
+    values, chosen = [], []
+    points = list(trace.changes)
+    value, index = trace.stem, None
+    for stage in range(horizon + 1):
+        if points and points[0][0] == stage:
+            index = points.pop(0)[1]
+            value = trace.family.pairs[index][0]
+        values.append(value)
+        chosen.append(index)
+    assert not points, "a change point past the horizon"
+    return tuple(values), tuple(chosen)
+
+
+def _same_as_per_stage(phi, psi, horizon, stems):
+    for stem in stems:
+        trace = f_approx(phi, psi, stem, horizon)
+        family, values, chosen = reference_f_approx(phi, psi, stem, horizon)
+        assert trace.family == family
+        assert per_stage(trace, horizon) == (values, chosen)
+        assert trace.mind_changes() == reference_mind_changes(values)
+        # Change points only: strictly later stages, each a new index.
+        assert all(a[0] < b[0] and a[1] != b[1] for a, b in zip(trace.changes, trace.changes[1:]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=0, max_value=12),
+       st.integers(min_value=1, max_value=80))
+def test_f_approx_change_points_match_the_per_stage_body(seed, horizon, axioms):
+    phi, psi = random_functional_pair(random.Random(seed), 5, axioms, horizon)
+    _same_as_per_stage(phi, psi, horizon, [from_nat(n) for n in range(4)])
+
+
+def test_f_approx_counts_a_family_found_at_stage_zero_and_later_alike():
+    # Found at stage 0: no change there; found at stage 3: the stem -> pair
+    # move counts; a later switch counts in both.
+    phi0 = TuringFunctional([(0, [("00", "0"), ("01", "11")])], horizon=6)
+    phi3 = TuringFunctional([(3, [("00", "0"), ("01", "11")])], horizon=6)
+    psi = TuringFunctional([(0, [("00", "0")]), (5, [("01", "0"), ("10", "0")])], horizon=6)
+    for phi, found, changes in ((phi0, 0, 1), (phi3, 3, 2)):
+        trace = f_approx(phi, psi, BitString("0"), 6)
+        assert trace.family.found_stage == found
+        assert trace.changes == ((found, 0), (5, 1))
+        assert trace.mind_changes() == changes
+        _same_as_per_stage(phi, psi, 6, [BitString("0")])

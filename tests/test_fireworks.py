@@ -26,6 +26,7 @@ from randlab.fireworks import (FailureSets, FireworksConfig, Outcome,
                                default_cap_bounds, oracle_block_caps,
                                run_fireworks, sweep, sweep_runs)
 from randlab import staged
+from randlab.reports import render_field
 from randlab.scenario import (Context, Experiment, ObjectTable, SCENARIO_DIR, Scenario,
                               load_scenario, run_scenario)
 from randlab.staged import Enumerator, StagedOpenSet, by_stage
@@ -261,8 +262,11 @@ def assert_sweep_matches_references(cfg):
     runs = list(sweep_runs(cfg))
     assert sw.total == len(runs)
     assert sw.probability == exact_failure_probability(cfg)
-    assert randlab.scenario._failing_vectors(sw) == [
-        (r.caps, [o.value for o in r.outcomes], r.x_prefix) for r in runs if r.failed]
+    # The rows as the report renders them, cell by cell, against each
+    # failing vector's own run.
+    assert [tuple(map(render_field, row)) for row in randlab.scenario._failing_vectors(sw)] == [
+        (render_field(r.caps), render_field([o.value for o in r.outcomes]), render_field(r.x_prefix))
+        for r in runs if r.failed]
     bits = sum(cfg.block_lengths)
     for i, run in enumerate(runs):
         oracle = BitString(format(i, f"0{bits}b") if bits else "")

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_engine_oracles import per_stage
 from test_staged import axioms, schedules
 
 from randlab.bitstring import BitString, from_nat, to_nat
@@ -12,7 +13,7 @@ from randlab.demuth import DemuthTest, verify_demuth
 from randlab.dyadic import Dyadic
 from randlab.errors import GuardExceeded, RandlabError
 from randlab.generators import random_functional_pair
-from randlab.minpair import (FAMILY_GUARD, FApprox, PairFamily, classify_case, f_approx,
+from randlab.minpair import (FAMILY_GUARD, PairFamily, classify_case, f_approx,
                              find_family, induced_demuth_level,
                              isolated_path_analysis, output_tree,
                              _candidate_pool, _choose, _max_antichain)
@@ -77,8 +78,8 @@ def test_f_approx_holds_a_small_preimage():
     stem = BitString("0")
     trace = f_approx(phi, psi, stem, 4)
     assert trace.family is not None
-    assert trace.chosen_index == (0,) * 5
-    assert trace.values == (BitString("00"),) * 5
+    assert trace.changes == ((0, 0),)
+    assert per_stage(trace, 4) == ((BitString("00"),) * 5, (0,) * 5)
     assert trace.mind_changes() == 0
 
 
@@ -86,9 +87,11 @@ def test_f_approx_before_family_is_stem():
     phi = TuringFunctional([(3, [("00", "0"), ("01", "1")])], horizon=4)
     psi = TuringFunctional([], horizon=4)
     trace = f_approx(phi, psi, BitString("0"), 4)
-    assert trace.values[:3] == (BitString("0"),) * 3
-    assert trace.chosen_index[:3] == (None,) * 3
-    assert trace.values[3] == BitString("00")
+    values, chosen = per_stage(trace, 4)
+    assert values[:3] == (BitString("0"),) * 3
+    assert chosen[:3] == (None,) * 3
+    assert values[3] == BitString("00")
+    assert trace.changes == ((3, 0),)
 
 
 def test_selector_switches_when_preimage_swells():
@@ -102,12 +105,12 @@ def test_selector_switches_when_preimage_swells():
         (2, [("01", "0"), ("10", "0")]),
     ], horizon=4)
     trace = f_approx(phi, psi, BitString("0"), 4)
-    assert trace.chosen_index[0] == 0
-    assert trace.chosen_index[2] == 1
-    assert trace.values[2] == BitString("01")
+    assert trace.changes == ((0, 0), (2, 1))
+    values, chosen = per_stage(trace, 4)
+    assert values[2] == BitString("01")
     assert trace.mind_changes() == 1
     # The selector never goes back.
-    assert trace.chosen_index[4] == 1
+    assert chosen == (0, 0, 1, 1, 1)
 
 
 def test_induced_level_versions_mirror_switches():
@@ -290,13 +293,14 @@ def old_f_approx(phi, psi, stem, horizon):
             idx += 1
         values.append(family.pairs[idx][0])
         chosen.append(idx)
-    return FApprox(stem, family, tuple(values), tuple(chosen))
+    return family, tuple(values), tuple(chosen)
 
 
 def old_version_events(psi, trace, horizon):
     out = []
     if trace.family is not None:
-        switches = first_seen((s, [j]) for s, j in enumerate(trace.chosen_index) if j is not None)
+        chosen = per_stage(trace, horizon)[1]
+        switches = first_seen((s, [j]) for s, j in enumerate(chosen) if j is not None)
         for start, (j,) in switches:
             tau_j = trace.family.pairs[j][1]
             events = first_seen((s, psi.preimage(tau_j, s).strings) for s in range(horizon + 1))
@@ -321,7 +325,7 @@ def _agrees_with_the_old_path(phi, psi, horizon, stems):
         for stage in (horizon // 2, horizon):
             assert find_family(phi, stem, stage) == old_find_family(phi, stem, stage)
         trace = f_approx(phi, psi, stem, horizon)
-        assert trace == old_f_approx(phi, psi, stem, horizon)
+        assert (trace.family, *per_stage(trace, horizon)) == old_f_approx(phi, psi, stem, horizon)
         vos, again = induced_demuth_level(phi, psi, stem, horizon)
         assert again == trace
         assert ([(start, v.events) for start, v in vos.versions]

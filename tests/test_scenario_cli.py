@@ -1,5 +1,6 @@
 """Scenario loading, the runner, and the command line front end."""
 
+import argparse
 import itertools
 import json
 import os
@@ -469,7 +470,7 @@ def test_every_handler_refuses_a_stray_key(tmp_path, kind):
 FIREWORKS_ARGS = ["--k", "1", "--target-length", "4", "--stage-budget", "12"]
 
 
-@pytest.mark.parametrize("argv, message", [
+MALFORMED_ARGUMENTS = [
     (["fireworks", "sweep", "--adversary", "1@x", *FIREWORKS_ARGS], "bad adversary '1@x'"),
     (["fireworks", "sweep", "--adversary", "1@1#z", *FIREWORKS_ARGS], "bad adversary '1@1#z'"),
     (["fireworks", "sweep", "--adversary", "1", *FIREWORKS_ARGS], "bad adversary '1'"),
@@ -502,7 +503,10 @@ FIREWORKS_ARGS = ["--k", "1", "--target-length", "4", "--stage-budget", "12"]
                           ("run", ["--seed", "1"]))),
     (["fireworks", "sweep", "--adversary", "1@1", "--cap-bounds", "36893488147419103232",
       *FIREWORKS_ARGS], "sweep: cap bound 2^65 exceeds 2^64"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, message", MALFORMED_ARGUMENTS)
 def test_cli_malformed_arguments_exit_2(capsys, argv, message):
     try:
         code = main(argv)
@@ -511,6 +515,96 @@ def test_cli_malformed_arguments_exit_2(capsys, argv, message):
     err = capsys.readouterr().err
     assert code == 2, err
     assert message in err
+
+
+def _full_parser(argv=()):
+    """The parser with all six subcommands, whatever `argv` names."""
+    parser = argparse.ArgumentParser(prog="randlab",
+                                     description="finite-stage randomness laboratory")
+    parser.add_argument("--version", action="version", version=f"randlab {randlab.__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_options) in cli.SUBCOMMANDS.items():
+        add_options(sub.add_parser(name, help=help_text))
+    return parser
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    return (code, *capsys.readouterr())
+
+
+PARITY_ARGV = [
+    ["--help"], ["--version"], [], ["nosuch"], ["nosuch", "--help"], ["--out", "x", "run"],
+    *([name, "--help"] for name in ("run", "fireworks", "tests", "kg", "w2r", "minpair")),
+    ["tests", "convert", "--help"], ["tests"], ["run"],
+    ["kg", "encode", "--seed", "1"], ["kg", "decode", "--seed", "1"],
+    ["w2r", "hit", "--seed", "1"], ["w2r", "encode", "--seed", "1"],
+    ["kg", "encode", "--seed", "1", "--payload", "01", "--depth", "12"],
+    ["fireworks", "sweep", "--adversary", "1@1;01@2", *FIREWORKS_ARGS, "--cap-bounds", "4"],
+    *(argv for argv, _ in MALFORMED_ARGUMENTS),
+]
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV)
+def test_cli_output_matches_the_full_parser(monkeypatch, capsys, argv):
+    # One subcommand's parser prints what the six-subcommand parser prints,
+    # byte for byte, on stdout and stderr, with the same exit code.
+    got = _outcome(argv, capsys)
+    monkeypatch.setattr(cli, "build_parser", _full_parser)
+    assert got == _outcome(argv, capsys)
+
+
+def test_the_parser_without_a_command_is_the_full_one():
+    assert cli.build_parser().format_help() == _full_parser().format_help()
+    assert cli.build_parser(["nosuch"]).format_usage() == _full_parser().format_usage()
+    assert list(cli.SUBCOMMANDS) == ["run", "fireworks", "tests", "kg", "w2r", "minpair"]
+
+
+def _subparsers_built(monkeypatch):
+    built = []
+    original = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return original(self, name, **kwargs)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    return built
+
+
+def test_a_run_builds_one_subparser_and_reads_no_report_back(monkeypatch, tmp_path, capsys):
+    built = _subparsers_built(monkeypatch)
+    reads = []
+    original_read = Path.read_text
+
+    def read_text(self, *args, **kwargs):
+        reads.append(self)
+        return original_read(self, *args, **kwargs)
+    monkeypatch.setattr(Path, "read_text", read_text)
+    assert main(["run", str(SCENARIO_DIR / "fireworks_small.json"), "--out", str(tmp_path)]) == 0
+    assert built == ["run"]
+    assert [p for p in reads if tmp_path in p.parents] == []
+    # The echo is each written file, headed by its name.
+    out = capsys.readouterr().out
+    written = sorted(tmp_path.iterdir())
+    assert out.count("\n== ") + out.startswith("== ") == len(written) == 7
+    for path in written:
+        assert f"== {path.name} ==\n{original_read(path)}" in out
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert built[1:] == ["run", "fireworks", "tests", "convert", "kg", "w2r", "minpair"]
+
+
+def test_cli_minpair_at_horizon_2_to_the_70_exits_0_at_once():
+    # One list entry per stage once ended here in a MemoryError traceback.
+    env = dict(os.environ, PYTHONPATH=str(Path(randlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "randlab.cli", "minpair", "analyze",
+                           "--seed", "1", "--count", "1", "--horizon", str(2 ** 70)],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "" and "experiment analyze: ok" in proc.stdout
 
 
 @pytest.mark.parametrize("argv, params", [
