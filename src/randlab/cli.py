@@ -58,14 +58,14 @@ def _given(args, *names: str) -> Dict[str, object]:
 
 
 def _emit(result, out_given: bool) -> int:
-    for path, text in zip(result.files, result.texts):
+    for path, text in result.written:
         sys.stdout.write(f"== {path.name} ==\n")
         sys.stdout.write(text)
     for fact in result.facts:
         status = "ok" if fact.ok else f"FAILED at {fact.failed_at}"
         sys.stdout.write(f"experiment {fact.name}: {status}\n")
     if out_given:
-        sys.stdout.write(f"wrote {len(result.files)} file(s)\n")
+        sys.stdout.write(f"wrote {len(result.written)} file(s)\n")
     return 0 if result.ok else 1
 
 

@@ -37,13 +37,11 @@ def render_field(v: object) -> str:
         return v.bits or "^"
     if t is CylinderSet:
         return "|".join([b or "^" for b in v.bits])
-    # Subclasses (NamedTuples, enums) and the rest.
+    # bool, Dyadic, tuple/list subclasses (NamedTuples), None, enums and the rest.
     if isinstance(v, bool):
         return "yes" if v else "no"
-    if isinstance(v, (BitString, Dyadic)):
+    if isinstance(v, Dyadic):
         return str(v)
-    if isinstance(v, CylinderSet):
-        return "|".join(str(s) for s in v.strings)
     if isinstance(v, (tuple, list)):
         return "|".join(render_field(x) for x in v)
     if v is None:

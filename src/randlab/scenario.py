@@ -49,9 +49,12 @@ class Scenario(NamedTuple):
 
 
 class ScenarioResult:
+    """The facts of one run and one (path, text) record per report it
+    wrote.  The text of every report stays held until the result is
+    dropped, so the CLI can echo it without reading the file back."""
+
     def __init__(self) -> None:
-        self.files: List[Path] = []
-        self.texts: List[str] = []  # what was written to each file
+        self.written: List[Tuple[Path, str]] = []
         self.facts: List[RunFact] = []
 
     @property
@@ -276,8 +279,7 @@ class Context:
         fname = f"{self.scenario.name}_{exp.name}{suffix}"
         path = self.out_dir / fname
         path.write_text(text)
-        self.result.files.append(path)
-        self.result.texts.append(text)
+        self.result.written.append((path, text))
         return fname
 
     def report(self, exp: Experiment, suffix: str, header: Sequence[str],

@@ -107,7 +107,7 @@ def test_report_names_carry_scenario_and_experiment(tmp_path):
     scen = load_scenario(SCENARIO_DIR / "fireworks_small.json")
     result = run_scenario(scen, tmp_path)
     assert result.ok
-    names = sorted(p.name for p in result.files)
+    names = sorted(p.name for p, _ in result.written)
     assert all(n.startswith("fireworks_small_") for n in names)
     assert sorted(p.name for p in tmp_path.iterdir()) == names
 
@@ -116,9 +116,9 @@ def test_rerun_is_byte_identical(tmp_path):
     scen = load_scenario(SCENARIO_DIR / "fireworks_small.json")
     first = run_scenario(scen, tmp_path / "a")
     second = run_scenario(scen, tmp_path / "b")
-    for one, two in zip(first.files, second.files):
+    for (one, text), (two, _) in zip(first.written, second.written):
         assert one.name == two.name
-        assert one.read_bytes() == two.read_bytes()
+        assert one.read_bytes() == two.read_bytes() == text.encode()
 
 
 def test_bundled_scenarios_all_load_and_have_goldens():
