@@ -3,6 +3,9 @@
 Every subcommand except `kg encode`/`kg decode` assembles a one-off
 in-memory scenario and runs it through the same handlers the scenario
 runner uses, so CLI output and scenario reports never drift apart.
+`fireworks`, `tests convert`, `w2r` and `minpair` are one command: the
+experiment kind the subcommand and mode name, given each of that kind's
+`EXPERIMENT_KEYS` the user gave an option for.
 Reports go to --out when given, otherwise to a temporary directory, and
 are echoed to stdout either way, from the text the run wrote.
 
@@ -23,7 +26,7 @@ from .bitstring import BitString
 from .errors import RandlabError, ScenarioError
 from .coding import kg_decode, kg_encode
 from .generators import random_pi01_tree
-from .scenario import Experiment, Scenario, load_scenario, run_scenario
+from .scenario import EXPERIMENT_KEYS, Experiment, Scenario, load_scenario, run_scenario
 
 
 def _parse_adversary(spec: str) -> Dict[str, object]:
@@ -52,11 +55,6 @@ def _csv_strs(text: str) -> List[str]:
     return [x for x in text.split(",") if x]
 
 
-def _given(args, *names: str) -> Dict[str, object]:
-    """The named options the user gave; the scenario reader holds their defaults."""
-    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-
-
 def _emit(result, out_given: bool) -> int:
     for path, text in result.written:
         sys.stdout.write(f"== {path.name} ==\n")
@@ -78,52 +76,37 @@ def _run_inline(name: str, objects: Dict[str, Dict[str, object]],
     return _emit(run_scenario(scen, out), True)
 
 
-def _fireworks_objects(args) -> Dict[str, Dict[str, object]]:
-    advs = {f"w{i}": _parse_adversary(spec) for i, spec in enumerate(args.adversary)}
-    return {"enumerators": advs}
-
-
-def _fireworks_params(args) -> Dict[str, object]:
-    params: Dict[str, object] = {
-        "adversaries": [f"w{i}" for i in range(len(args.adversary))],
-        "k": args.k,
-        "target_length": args.target_length,
-        "stage_budget": args.stage_budget,
-    }
-    if args.cap_bounds:
-        params["cap_bounds"] = args.cap_bounds
-    return params
-
-
 def _cmd_run(args) -> int:
     scen = load_scenario(args.scenario)
     return _run_inline(scen.name, scen.objects, scen.experiments, args.out or None)
 
 
-def _cmd_fireworks(args) -> int:
-    objects = _fireworks_objects(args)
-    params = _fireworks_params(args)
-    if args.mode == "run":
-        if args.caps:
-            params["caps"] = args.caps
-        elif args.seed is not None:
-            params["seed"] = args.seed
-        else:
+# (subcommand, mode) -> the kind of the one experiment it runs, named after the mode.
+_EXPERIMENT_KINDS = {
+    **{("fireworks", mode): f"fireworks_{mode}" for mode in ("run", "sweep", "trichotomy", "extract")},
+    ("tests", "convert"): "convert_sweep", ("w2r", "encode"): "w2r",
+    ("w2r", "hit"): "w2r_hitting", ("minpair", "analyze"): "minpair_sweep",
+}
+
+
+def _cmd_experiment(args) -> int:
+    """The experiment given each key of its kind that the user gave as an
+    option; the scenario reader holds the defaults of the others."""
+    kind = _EXPERIMENT_KINDS[args.command, args.mode]
+    given = dict(vars(args))
+    objects = {}
+    if args.command == "fireworks":
+        objects["enumerators"] = {f"w{i}": _parse_adversary(spec)
+                                  for i, spec in enumerate(args.adversary)}
+        # An empty --caps or --cap-bounds counts as not given; --caps wins over --seed.
+        given.update(adversaries=list(objects["enumerators"]), caps=args.caps or None,
+                     cap_bounds=args.cap_bounds or None)
+        if given["caps"]:
+            given["seed"] = None
+        elif args.mode == "run" and args.seed is None:
             raise ScenarioError("fireworks run needs --caps or --seed")
-        params["trace"] = bool(args.trace)
-        kind = "fireworks_run"
-    else:
-        kind = {"sweep": "fireworks_sweep",
-                "trichotomy": "fireworks_trichotomy",
-                "extract": "fireworks_extract"}[args.mode]
+    params = {key: given[key] for key, *_ in EXPERIMENT_KEYS[kind] if given.get(key) is not None}
     return _run_inline("cli", objects, [Experiment(args.mode, kind, params)], args.out)
-
-
-def _cmd_tests_convert(args) -> int:
-    params = {"direction": args.direction, "count": args.count, "seed": args.seed,
-              **_given(args, "levels", "bound", "horizon")}
-    return _run_inline("cli", {}, [Experiment("convert", "convert_sweep", params)],
-                       args.out)
 
 
 def _cmd_kg(args) -> int:
@@ -140,23 +123,6 @@ def _cmd_kg(args) -> int:
         return 1
     sys.stdout.write(f"payload {payload}\n")
     return 0
-
-
-def _cmd_w2r(args) -> int:
-    params = {"seed": args.seed, **_given(args, "depth", "horizon")}
-    if args.mode == "hit":
-        params.update(positions=args.positions, patterns=_csv_strs(args.patterns))
-        exp = Experiment("hit", "w2r_hitting", params)
-    else:
-        params["payloads"] = _csv_strs(args.payloads)
-        exp = Experiment(args.mode, "w2r", params)
-    return _run_inline("cli", {}, [exp], args.out)
-
-
-def _cmd_minpair(args) -> int:
-    params = {"count": args.count, "seed": args.seed, **_given(args, "nat_max", "horizon")}
-    return _run_inline("cli", {}, [Experiment("analyze", "minpair_sweep", params)],
-                       args.out)
 
 
 def _run_options(p: argparse.ArgumentParser) -> None:
@@ -177,7 +143,7 @@ def _fireworks_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="draw caps from this seed for mode=run")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_fireworks)
+    p.set_defaults(func=_cmd_experiment)
 
 
 def _tests_options(p: argparse.ArgumentParser) -> None:
@@ -190,7 +156,7 @@ def _tests_options(p: argparse.ArgumentParser) -> None:
     p_conv.add_argument("--bound", type=int)
     p_conv.add_argument("--horizon", type=int)
     p_conv.add_argument("--out")
-    p_conv.set_defaults(func=_cmd_tests_convert)
+    p_conv.set_defaults(func=_cmd_experiment, mode="convert")
 
 
 def _kg_options(p: argparse.ArgumentParser) -> None:
@@ -207,13 +173,13 @@ def _kg_options(p: argparse.ArgumentParser) -> None:
 def _w2r_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("mode", choices=["encode", "hit"])
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--payloads", help="comma-separated payloads (encode)")
+    p.add_argument("--payloads", type=_csv_strs, help="comma-separated payloads (encode)")
     p.add_argument("--positions", type=_csv_ints, help="dense-open offsets (hit)")
-    p.add_argument("--patterns", help="dense-open patterns (hit)")
+    p.add_argument("--patterns", type=_csv_strs, help="dense-open patterns (hit)")
     p.add_argument("--depth", type=int)
     p.add_argument("--horizon", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_w2r)
+    p.set_defaults(func=_cmd_experiment)
 
 
 def _minpair_options(p: argparse.ArgumentParser) -> None:
@@ -223,7 +189,7 @@ def _minpair_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nat-max", type=int)
     p.add_argument("--horizon", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_minpair)
+    p.set_defaults(func=_cmd_experiment)
 
 
 # Each subcommand, in help order: its help line and what adds its options.

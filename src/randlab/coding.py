@@ -167,9 +167,10 @@ class OpenFamily(_OpenFamilyFields):
         if not self.levels:
             raise SchemeError("a family needs at least one level")
         horizon = max(l.horizon for l in self.levels)
-        for k in range(len(self.levels) - 1):
-            for s in range(horizon + 1):
-                if not self.levels[k + 1].open_at(s).is_subset(self.levels[k].open_at(s)):
+        for k, (outer, inner) in enumerate(zip(self.levels, self.levels[1:])):
+            # Between two change stages of either level, both read alike.
+            for s in sorted({*outer.change_stages(horizon), *inner.change_stages(horizon)}):
+                if not inner.open_at(s).is_subset(outer.open_at(s)):
                     raise SchemeError(f"family levels {k},{k + 1} not nested at stage {s}")
 
     def __len__(self) -> int:

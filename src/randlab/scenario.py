@@ -6,9 +6,13 @@ seeded generator material) and writes one or two report files each.
 Identical scenario plus seed gives byte-identical reports; every file name
 is derived from the scenario and experiment names only.
 
-Every JSON object is read by one `_Keys` reader, which checks each value
-against its kind; a missing, mistyped or unread key and a reference to an
-unknown object are each a `ScenarioError` naming its location (exit 2).
+The keys of each object kind (`_OBJECTS`) and of each experiment kind
+(`EXPERIMENT_KEYS`) are stated once, `(key, kind)` if required and
+`(key, kind, default)` if not.  One `_Keys` reader checks a whole JSON
+object against its entry, in order, then refuses any other key; the
+object's builder or the experiment's handler gets the checked values as
+keyword arguments.  A missing, mistyped or unknown key and a reference to
+an unknown object are each a `ScenarioError` naming its location (exit 2).
 """
 
 from __future__ import annotations
@@ -143,49 +147,53 @@ class _Keys:
             raise _err(self.where, f"'{key}' must not be an empty list")
         return value
 
+    def read(self, entries: Sequence[tuple]) -> Dict[str, object]:
+        """The value of each entry, (key, kind) if required or (key, kind,
+        default) if not, checked in order; then no other key may be left."""
+        values = {entry[0]: self.take(*entry) for entry in entries}
+        self.done()
+        return values
+
     def done(self) -> None:
         if self.left:
             raise _err(self.where, f"unknown keys {sorted(self.left)}")
 
 
-def _schedule(build: Callable, events_kind: str) -> Callable[[_Keys, "ObjectTable"], object]:
-    """The builder of a schedule `build(events, horizon)`, its events of kind `events_kind`."""
-    return lambda keys, table: build(keys.take("events", events_kind), keys.take("horizon", "int"))
+def _plain(build: Callable) -> Callable[..., object]:
+    """The builder of an object that names no other: `build(**values)`."""
+    return lambda table, where, **values: build(**values)
 
 
-def _tree(keys: _Keys, table: "ObjectTable") -> Pi01Tree:
-    return Pi01Tree(keys.take("depth", "int"), keys.take("events", "events", []),
-                    keys.take("horizon", "int"))
+def _demuth_test(table: "ObjectTable", where: str, horizon: int, version_bounds: List[int],
+                 levels: list) -> DemuthTest:
+    return DemuthTest(tuple(VersionedOpenSet([(stage, table.get("open_sets", ref, where))
+                                              for stage, ref in level]) for level in levels),
+                      tuple(version_bounds), horizon)
 
 
-def _demuth_test(keys: _Keys, table: "ObjectTable") -> DemuthTest:
-    horizon = keys.take("horizon", "int")
-    bounds = keys.take("version_bounds", "ints")
-    levels = tuple(VersionedOpenSet([(stage, table.get("open_sets", ref, keys.where))
-                                     for stage, ref in level])
-                   for level in keys.take("levels", "version_levels"))
-    return DemuthTest(levels, tuple(bounds), horizon)
+def _diff_test(table: "ObjectTable", where: str, horizon: int, pair_bounds: List[int],
+               levels: list) -> DiffUnionTest:
+    return DiffUnionTest(tuple(tuple(DiffPair(table.get("open_sets", u, where),
+                                              table.get("open_sets", v, where))
+                                     for u, v in level) for level in levels),
+                         tuple(pair_bounds), horizon)
 
 
-def _diff_test(keys: _Keys, table: "ObjectTable") -> DiffUnionTest:
-    horizon = keys.take("horizon", "int")
-    bounds = keys.take("pair_bounds", "ints")
-    levels = tuple(tuple(DiffPair(table.get("open_sets", u, keys.where),
-                                  table.get("open_sets", v, keys.where))
-                         for u, v in level)
-                   for level in keys.take("levels", "pair_levels"))
-    return DiffUnionTest(levels, tuple(bounds), horizon)
+_SCHEDULE_KEYS = (("events", "events"), ("horizon", "int"))
 
-
-# kind -> (one object's name in errors, builder); built in this order, so a
-# test can name the open sets built before it.
-_OBJECTS: Dict[str, Tuple[str, Callable[[_Keys, "ObjectTable"], object]]] = {
-    "enumerators": ("enumerator", _schedule(Enumerator, "events")),
-    "open_sets": ("open set", _schedule(StagedOpenSet, "events")),
-    "functionals": ("functional", _schedule(TuringFunctional, "axiom_events")),
-    "trees": ("tree", _tree),
-    "demuth_tests": ("test", _demuth_test),
-    "diff_tests": ("test", _diff_test),
+# kind -> (one object's name in errors, its keys, builder); built in this
+# order, so a test can name the open sets built before it.
+_OBJECTS: Dict[str, Tuple[str, tuple, Callable[..., object]]] = {
+    "enumerators": ("enumerator", _SCHEDULE_KEYS, _plain(Enumerator)),
+    "open_sets": ("open set", _SCHEDULE_KEYS, _plain(StagedOpenSet)),
+    "functionals": ("functional", (("events", "axiom_events"), ("horizon", "int")),
+                    _plain(TuringFunctional)),
+    "trees": ("tree", (("depth", "int"), ("events", "events", ()), ("horizon", "int")),
+              _plain(Pi01Tree)),
+    "demuth_tests": ("test", (("horizon", "int"), ("version_bounds", "ints"),
+                              ("levels", "version_levels")), _demuth_test),
+    "diff_tests": ("test", (("horizon", "int"), ("pair_bounds", "ints"),
+                            ("levels", "pair_levels")), _diff_test),
 }
 
 
@@ -198,17 +206,17 @@ class ObjectTable:
             if kind not in _OBJECTS:
                 raise _err("objects", f"unknown object kind '{kind}'")
         self._built: Dict[str, Dict[str, object]] = {}
-        for kind, (_, build) in _OBJECTS.items():
+        for kind, (_, entries, build) in _OBJECTS.items():
             built = self._built[kind] = {}
             for name, spec in sorted(keys.take(kind, "object", {}).items()):
-                spec_keys = _Keys(spec, f"objects.{kind}.{name}")
+                where = f"objects.{kind}.{name}"
+                values = _Keys(spec, where).read(entries)
                 try:
-                    built[name] = build(spec_keys, self)
+                    built[name] = build(self, where, **values)
                 except ScenarioError:
                     raise
                 except RandlabError as e:
-                    raise _err(spec_keys.where, str(e))
-                spec_keys.done()
+                    raise _err(where, str(e))
 
     def get(self, kind: str, name: str, where: str):
         """The object of `kind` called `name`; `where` locates the reference."""
@@ -236,13 +244,10 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}")
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: top level must be an object")
-    doc = _Keys(raw, str(path))
-    name = doc.take("name", "str")
-    objects = doc.take("objects", "object", {})
-    entries = doc.take("experiments", "list", [])
-    doc.done()
+    doc = _Keys(raw, str(path)).read((("name", "str"), ("objects", "object", {}),
+                                      ("experiments", "list", [])))
     experiments: List[Experiment] = []
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(doc["experiments"]):
         keys = _Keys(entry, f"experiments[{i}]")
         ename = keys.take("name", "str")
         kind = keys.take("kind", "str")
@@ -251,7 +256,7 @@ def load_scenario(path) -> Scenario:
         if kind not in HANDLERS:
             raise _err(keys.where, f"unknown experiment kind '{kind}'")
         experiments.append(Experiment(ename, kind, keys.left))
-    return Scenario(name, objects, tuple(experiments))
+    return Scenario(doc["name"], doc["objects"], tuple(experiments))
 
 
 class Context:
@@ -311,35 +316,29 @@ def _fact(exp: Experiment, *reports: Tuple[str, Optional[str]]) -> RunFact:
     return RunFact(exp.name, exp.kind, failed, tuple(fname for fname, _ in reports))
 
 
-def _fireworks_config(ctx: Context, keys: _Keys) -> FireworksConfig:
-    """The config read off `keys`, which must hold no other key."""
-    names = keys.take("adversaries", "names")
-    k, target, budget = (keys.take(key, "int") for key in ("k", "target_length", "stage_budget"))
-    bounds = keys.take("cap_bounds", "ints", None)
-    keys.done()
-    advs = [ctx.objects.get("enumerators", n, keys.where) for n in names]
-    return FireworksConfig.build(advs, k, target, budget, bounds)
+def _fireworks_config(ctx: Context, exp: Experiment, adversaries: List[str], k: int,
+                      target_length: int, stage_budget: int,
+                      cap_bounds: Optional[List[int]]) -> FireworksConfig:
+    advs = [ctx.objects.get("enumerators", n, exp.name) for n in adversaries]
+    return FireworksConfig.build(advs, k, target_length, stage_budget, cap_bounds)
 
 
-def _run_fireworks_run(ctx: Context, exp: Experiment) -> RunFact:
-    keys = _Keys(exp.params, exp.name)
-    caps = keys.take("caps", "ints", None)
-    seed = keys.take("seed", "int", None)
-    keep_trace = keys.take("trace", "bool", False)
-    cfg = _fireworks_config(ctx, keys)
+def _run_fireworks_run(ctx: Context, exp: Experiment, caps: Optional[List[int]],
+                       seed: Optional[int], trace: bool, **config) -> RunFact:
+    cfg = _fireworks_config(ctx, exp, **config)
     if caps is not None and seed is not None:
         raise _err(exp.name, "give 'caps' or 'seed', not both")
     if caps is None:
         if seed is None:
             raise _err(exp.name, "need either caps or seed")
         caps = caps_from_seed(seed, cfg.cap_bounds)
-    run = run_fireworks(cfg, tuple(caps), keep_trace=keep_trace)
+    run = run_fireworks(cfg, tuple(caps), keep_trace=trace)
     rows = [(r.index, r.cap, r.outcome.value, r.guesses_made, r.final_guess,
              r.active_stage, r.answer_stage, r.failure_proven)
             for r in run.records]
     reports = [ctx.report(exp, ".csv", ["strategy", "cap", "outcome", "guesses", "final_guess",
                                         "active_stage", "answer_stage", "failure_proven"], rows)]
-    if keep_trace:
+    if trace:
         body = "\n".join(run.trace) + ("\n" if run.trace else "")
         head = f"caps={render_field(tuple(caps))} x={run.x_prefix} stages={run.stages_used}\n"
         reports.append((ctx.write(exp, ".txt", head + body), None))
@@ -356,8 +355,8 @@ def _failing_vectors(sw: Sweep) -> List[tuple]:
                   for caps in itertools.product(*box))
 
 
-def _run_fireworks_sweep(ctx: Context, exp: Experiment) -> RunFact:
-    cfg = _fireworks_config(ctx, _Keys(exp.params, exp.name))
+def _run_fireworks_sweep(ctx: Context, exp: Experiment, **config) -> RunFact:
+    cfg = _fireworks_config(ctx, exp, **config)
     sw = ctx.swept(cfg)
     rows = _failing_vectors(sw)
     residue_bound = sum(Fraction(1, n) for n in cfg.cap_bounds)
@@ -365,7 +364,7 @@ def _run_fireworks_sweep(ctx: Context, exp: Experiment) -> RunFact:
     summary = ctx.report(
         exp, ".csv", ["adversaries", "k", "cap_bounds", "total_vectors", "failing_vectors",
                       "failure_probability", "residue_bound", "within_bound"],
-        [(exp.params["adversaries"], cfg.k, cfg.cap_bounds, sw.total, len(rows),
+        [(config["adversaries"], cfg.k, cfg.cap_bounds, sw.total, len(rows),
           sw.probability, residue_bound, within)], within_bound=True)
     return _fact(exp, summary,
                  ctx.report(exp, "_failures.csv", ["caps", "outcomes", "x_prefix"], rows))
@@ -382,8 +381,8 @@ def _axis_pattern(outcomes: Sequence[Outcome]) -> Tuple[bool, Optional[int]]:
     return False, None
 
 
-def _run_fireworks_trichotomy(ctx: Context, exp: Experiment) -> RunFact:
-    cfg = _fireworks_config(ctx, _Keys(exp.params, exp.name))
+def _run_fireworks_trichotomy(ctx: Context, exp: Experiment, **config) -> RunFact:
+    cfg = _fireworks_config(ctx, exp, **config)
     table = {caps: leaf.run.outcomes
              for leaf in ctx.swept(cfg).leaves for caps in itertools.product(*leaf.box)}
     rows = []
@@ -398,8 +397,8 @@ def _run_fireworks_trichotomy(ctx: Context, exp: Experiment) -> RunFact:
                                                "pattern_ok"], rows, pattern_ok=True))
 
 
-def _run_fireworks_extract(ctx: Context, exp: Experiment) -> RunFact:
-    cfg = _fireworks_config(ctx, _Keys(exp.params, exp.name))
+def _run_fireworks_extract(ctx: Context, exp: Experiment, **config) -> RunFact:
+    cfg = _fireworks_config(ctx, exp, **config)
     sw = ctx.swept(cfg)
     union = EMPTY_SET
     rows = []
@@ -454,25 +453,15 @@ _CONVERSIONS = {
 }
 
 
-def _run_convert(ctx: Context, exp: Experiment) -> RunFact:
-    keys = _Keys(exp.params, exp.name)
-    kind, rows_of, header, want, audit = _CONVERSIONS[keys.take("direction", "direction")]
-    test_name = keys.take("test", "str")
-    keys.done()
-    test = ctx.objects.get(kind, test_name, exp.name)
+def _run_convert(ctx: Context, exp: Experiment, direction: str, test: str) -> RunFact:
+    kind, rows_of, header, want, audit = _CONVERSIONS[direction]
+    test = ctx.objects.get(kind, test, exp.name)
     fname, failed = ctx.report(exp, ".csv", header, rows_of(test), **want)
     return _fact(exp, (fname, failed or audit(test)))
 
 
-def _run_convert_sweep(ctx: Context, exp: Experiment) -> RunFact:
-    keys = _Keys(exp.params, exp.name)
-    direction = keys.take("direction", "direction")
-    count = keys.take("count", "positive")
-    seed = keys.take("seed", "int")
-    levels = keys.take("levels", "nat", 4)
-    bound = keys.take("bound", "positive", 4)
-    horizon = keys.take("horizon", "nat", 8)
-    keys.done()
+def _run_convert_sweep(ctx: Context, exp: Experiment, direction: str, count: int, seed: int,
+                       levels: int, bound: int, horizon: int) -> RunFact:
     _, rows_of, header, want, audit = _CONVERSIONS[direction]
     make = random_demuth_test if direction == "d2u" else random_diffunion_test
     rows = []
@@ -487,14 +476,12 @@ def _strings_up_to(length: int) -> List[BitString]:
     return [s for n in range(length + 1) for s in BitString.all_strings(n)]
 
 
-def _run_kg_roundtrip(ctx: Context, exp: Experiment) -> RunFact:
-    keys = _Keys(exp.params, exp.name)
-    tree = ctx.objects.get("trees", keys.take("tree", "str"), exp.name)
-    stem = BitString(keys.take("stem", "bits", "^"))
-    raw = keys.take("payloads", "payloads")
-    keys.done()
-    payloads = (_strings_up_to(raw["all_up_to"]) if isinstance(raw, dict)
-                else [BitString(p) for p in raw])
+def _run_kg_roundtrip(ctx: Context, exp: Experiment, tree: str, stem: str,
+                      payloads: object) -> RunFact:
+    tree = ctx.objects.get("trees", tree, exp.name)
+    stem = BitString(stem)
+    payloads = (_strings_up_to(payloads["all_up_to"]) if isinstance(payloads, dict)
+                else [BitString(p) for p in payloads])
     rows = []
     for p in payloads:
         code = kg_encode(p, stem, tree)
@@ -504,14 +491,9 @@ def _run_kg_roundtrip(ctx: Context, exp: Experiment) -> RunFact:
                                                "viable"], rows, roundtrip=True, viable=True))
 
 
-def _run_kg_sweep(ctx: Context, exp: Experiment) -> RunFact:
-    keys = _Keys(exp.params, exp.name)
-    count = keys.take("count", "positive")
-    seed = keys.take("seed", "int")
-    depth = keys.take("depth", "int", 24)
-    horizon = keys.take("horizon", "nat", 8)
-    payloads = _strings_up_to(keys.take("payload_len", "nat", 4))
-    keys.done()
+def _run_kg_sweep(ctx: Context, exp: Experiment, count: int, seed: int, depth: int,
+                  horizon: int, payload_len: int) -> RunFact:
+    payloads = _strings_up_to(payload_len)
     rows = []
     for i in range(count):
         rng = random.Random(f"{seed}:{i}")
@@ -526,13 +508,9 @@ def _run_kg_sweep(ctx: Context, exp: Experiment) -> RunFact:
                                                "failures"], rows, failures=0))
 
 
-def _run_w2r(ctx: Context, exp: Experiment) -> RunFact:
-    keys = _Keys(exp.params, exp.name)
-    seed = keys.take("seed", "int")
-    payloads = [BitString(p) for p in keys.take("payloads", "bit_list")]
-    depth = keys.take("depth", "int", 24)
-    horizon = keys.take("horizon", "nat", 8)
-    keys.done()
+def _run_w2r(ctx: Context, exp: Experiment, seed: int, payloads: List[str], depth: int,
+             horizon: int) -> RunFact:
+    payloads = [BitString(p) for p in payloads]
     bits = "".join(p.bits for p in payloads)
     if not bits:
         # Nothing to decode: the run would check no bit, yet resolve its cell.
@@ -564,14 +542,8 @@ def _run_w2r(ctx: Context, exp: Experiment) -> RunFact:
                                                     "claimed_at", "agree"], pos_rows))
 
 
-def _run_w2r_hitting(ctx: Context, exp: Experiment) -> RunFact:
-    keys = _Keys(exp.params, exp.name)
-    seed = keys.take("seed", "int")
-    positions = keys.take("positions", "nats")
-    patterns = keys.take("patterns", "bit_list")
-    depth = keys.take("depth", "int", 220)
-    horizon = keys.take("horizon", "nat", 8)
-    keys.done()
+def _run_w2r_hitting(ctx: Context, exp: Experiment, seed: int, positions: List[int],
+                     patterns: List[str], depth: int, horizon: int) -> RunFact:
     if len(positions) != len(patterns):
         raise _err(exp.name, "positions and patterns must pair up")
     # Shared-subtree tries; materializing these opens as string lists would
@@ -614,14 +586,8 @@ def _minpair_rows(phi, psi, nat_max: int, horizon: int) -> List[tuple]:
 _MINPAIR_DEPTH = 6  # the depth of the labeled tree each drawn functional grows
 
 
-def _run_minpair_sweep(ctx: Context, exp: Experiment) -> RunFact:
-    keys = _Keys(exp.params, exp.name)
-    count = keys.take("count", "positive")
-    seed = keys.take("seed", "int")
-    nat_max = keys.take("nat_max", "nat", 3)
-    horizon = keys.take("horizon", "nat", 8)
-    axioms = keys.take("axioms", "nat", 120)
-    keys.done()
+def _run_minpair_sweep(ctx: Context, exp: Experiment, count: int, seed: int, nat_max: int,
+                       horizon: int, axioms: int) -> RunFact:
     rows = []
     for i in range(count):
         rng = random.Random(f"{seed}:{i}")
@@ -632,16 +598,10 @@ def _run_minpair_sweep(ctx: Context, exp: Experiment) -> RunFact:
                                                "versions", "final_measure", "ok"], rows, ok=True))
 
 
-def _run_minpair_case(ctx: Context, exp: Experiment) -> RunFact:
-    keys = _Keys(exp.params, exp.name)
-    phi = ctx.objects.get("functionals", keys.take("phi", "str"), exp.name)
-    psi = ctx.objects.get("functionals", keys.take("psi", "str"), exp.name)
-    g_prefix = BitString(keys.take("g", "bits"))
-    x = BitString(keys.take("x", "bits"))
-    stem_length = keys.take("stem_length", "int")
-    horizon = keys.take("horizon", "int")
-    keys.done()
-    rep = classify_case(phi, psi, g_prefix, x, stem_length, horizon)
+def _run_minpair_case(ctx: Context, exp: Experiment, phi: str, psi: str, g: str, x: str,
+                      stem_length: int, horizon: int) -> RunFact:
+    phi, psi = (ctx.objects.get("functionals", name, exp.name) for name in (phi, psi))
+    rep = classify_case(phi, psi, BitString(g), BitString(x), stem_length, horizon)
     lines = [
         f"stem {rep.stem} (nat {rep.n}): case {rep.case}\n",
         f"phi on g: {rep.phi_on_g}\n",
@@ -663,11 +623,38 @@ def _run_minpair_case(ctx: Context, exp: Experiment) -> RunFact:
 
 
 def _run_interaction(ctx: Context, exp: Experiment) -> RunFact:
-    _Keys(exp.params, exp.name).done()
     return _fact(exp, (ctx.write(exp, ".txt", interaction_text(ctx.result.facts)), None))
 
 
-HANDLERS: Dict[str, Callable[[Context, Experiment], RunFact]] = {
+_FIREWORKS_KEYS = (("adversaries", "names"), ("k", "int"), ("target_length", "int"),
+                   ("stage_budget", "int"), ("cap_bounds", "ints", None))
+
+# kind -> the keys of its experiments, in the order they are checked; the
+# handler of the kind gets their values as keyword arguments.
+EXPERIMENT_KEYS: Dict[str, tuple] = {
+    "fireworks_run": (("caps", "ints", None), ("seed", "int", None), ("trace", "bool", False),
+                      *_FIREWORKS_KEYS),
+    "fireworks_sweep": _FIREWORKS_KEYS,
+    "fireworks_trichotomy": _FIREWORKS_KEYS,
+    "fireworks_extract": _FIREWORKS_KEYS,
+    "convert": (("direction", "direction"), ("test", "str")),
+    "convert_sweep": (("direction", "direction"), ("count", "positive"), ("seed", "int"),
+                      ("levels", "nat", 4), ("bound", "positive", 4), ("horizon", "nat", 8)),
+    "kg_roundtrip": (("tree", "str"), ("stem", "bits", "^"), ("payloads", "payloads")),
+    "kg_sweep": (("count", "positive"), ("seed", "int"), ("depth", "int", 24),
+                 ("horizon", "nat", 8), ("payload_len", "nat", 4)),
+    "w2r": (("seed", "int"), ("payloads", "bit_list"), ("depth", "int", 24),
+            ("horizon", "nat", 8)),
+    "w2r_hitting": (("seed", "int"), ("positions", "nats"), ("patterns", "bit_list"),
+                    ("depth", "int", 220), ("horizon", "nat", 8)),
+    "minpair_sweep": (("count", "positive"), ("seed", "int"), ("nat_max", "nat", 3),
+                      ("horizon", "nat", 8), ("axioms", "nat", 120)),
+    "minpair_case": (("phi", "str"), ("psi", "str"), ("g", "bits"), ("x", "bits"),
+                     ("stem_length", "int"), ("horizon", "int")),
+    "interaction": (),
+}
+
+HANDLERS: Dict[str, Callable[..., RunFact]] = {
     "fireworks_run": _run_fireworks_run,
     "fireworks_sweep": _run_fireworks_sweep,
     "fireworks_trichotomy": _run_fireworks_trichotomy,
@@ -689,8 +676,9 @@ def run_scenario(scenario: Scenario, out_dir) -> ScenarioResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     ctx = Context(scenario, out_dir)
     for exp in scenario.experiments:
+        values = _Keys(exp.params, exp.name).read(EXPERIMENT_KEYS[exp.kind])
         try:
-            fact = HANDLERS[exp.kind](ctx, exp)
+            fact = HANDLERS[exp.kind](ctx, exp, **values)
         except ScenarioError:
             raise
         except RandlabError as e:

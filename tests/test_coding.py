@@ -5,6 +5,7 @@ every walk below is written out by hand next to its assertion.
 """
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from randlab.coding import (OpenFamily, W2RScheme, _density_witness, encode_bits
                             stabilization_stage, w2r_encode)
 from randlab.errors import (DensityError, DepthExhausted, RandlabError,
                             SchemeError)
-from randlab.generators import (build_working_w2r, random_pi01_tree)
+from randlab.generators import build_working_w2r, nested_family, random_pi01_tree
 from randlab.staged import Pi01Tree, StagedOpenSet, by_stage
 
 
@@ -243,6 +244,61 @@ def test_open_family_nesting_enforced():
         OpenFamily((small, big))
     with pytest.raises(SchemeError):
         OpenFamily(())
+
+
+def open_family_reference(levels):
+    """The nesting check `OpenFamily` made before it read only change
+    stages: every stage up to the largest horizon.  The error it would
+    raise, or None."""
+    horizon = max(l.horizon for l in levels)
+    for k in range(len(levels) - 1):
+        for s in range(horizon + 1):
+            if not levels[k + 1].open_at(s).is_subset(levels[k].open_at(s)):
+                return f"family levels {k},{k + 1} not nested at stage {s}"
+    return None
+
+
+def _family_outcome(levels):
+    try:
+        OpenFamily(tuple(levels))
+    except SchemeError as e:
+        return str(e)
+    return None
+
+
+@st.composite
+def staged_levels(draw):
+    """One to three staged open sets with horizons up to 12, over short strings."""
+    levels = []
+    for _ in range(draw(st.integers(1, 3))):
+        stages = draw(st.lists(st.integers(0, 12), max_size=4, unique=True))
+        events = [(stage, draw(st.lists(st.text(alphabet="01", max_size=2), max_size=3)))
+                  for stage in sorted(stages)]
+        horizon = draw(st.integers(max(stages, default=0), 12))
+        levels.append(StagedOpenSet(events, horizon))
+    return levels
+
+
+@settings(max_examples=150, deadline=None)
+@given(staged_levels())
+def test_open_family_refuses_what_the_per_stage_loop_refuses(levels):
+    assert _family_outcome(levels) == open_family_reference(levels)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_nested_families_pass_both_checks(seed):
+    levels = nested_family(random.Random(seed), 3, seed % 13).levels
+    assert _family_outcome(levels) is None and open_family_reference(levels) is None
+
+
+def test_open_family_at_horizon_2_to_the_70_reads_only_change_stages():
+    start = time.perf_counter()
+    nested_family(random.Random(1), 3, 2 ** 70)
+    assert time.perf_counter() - start < 1
+    outer = StagedOpenSet([(0, ["0"])], horizon=2 ** 70)
+    inner = StagedOpenSet([(3, ["1"])], horizon=2 ** 70)
+    with pytest.raises(SchemeError, match=r"^family levels 0,1 not nested at stage 3$"):
+        OpenFamily((outer, inner))
 
 
 def test_g_lsc_approximates_from_below():

@@ -617,6 +617,17 @@ def test_cli_minpair_at_horizon_2_to_the_70_exits_0_at_once():
     (["w2r", "hit", "--seed", "1", "--positions", "8", "--patterns", "1", "--depth", "30"],
      {"seed": 1, "depth": 30, "positions": [8], "patterns": ["1"]}),
     (["minpair", "analyze", "--seed", "1", "--horizon", "4"], {"count": 5, "seed": 1, "horizon": 4}),
+    (["minpair", "analyze", "--seed", "1", "--nat-max", "2"], {"count": 5, "seed": 1, "nat_max": 2}),
+    (["w2r", "hit", "--seed", "1", "--positions", "8,9", "--patterns", "1,01"],
+     {"seed": 1, "positions": [8, 9], "patterns": ["1", "01"]}),
+    (["tests", "convert", "--direction", "d2u", "--seed", "2"],
+     {"direction": "d2u", "count": 10, "seed": 2}),
+    # --caps wins over --seed, and an empty --cap-bounds is not given.
+    (["fireworks", "run", "--adversary", "1@1", "--caps", "1", "--seed", "3", *FIREWORKS_ARGS],
+     {"adversaries": ["w0"], "k": 1, "target_length": 4, "stage_budget": 12, "caps": [1],
+      "trace": False}),
+    (["fireworks", "sweep", "--adversary", "1@1", "--cap-bounds", ",", *FIREWORKS_ARGS],
+     {"adversaries": ["w0"], "k": 1, "target_length": 4, "stage_budget": 12}),
 ])
 def test_cli_passes_the_reader_only_the_options_given(monkeypatch, argv, params):
     # The scenario reader holds every default but count's.
@@ -625,6 +636,15 @@ def test_cli_passes_the_reader_only_the_options_given(monkeypatch, argv, params)
                         lambda name, objects, experiments, out: seen.extend(experiments) or 0)
     assert main(argv) == 0
     assert [exp.params for exp in seen] == [params]
+
+
+def test_cli_tests_without_its_command_names_the_missing_argument(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["tests"])
+    assert stop.value.code == 2
+    assert capsys.readouterr() == ("", "usage: randlab tests [-h] {convert} ...\n"
+                                       "randlab tests: error: the following arguments are "
+                                       "required: tests_command\n")
 
 
 def _reports(out_dir):
