@@ -18,7 +18,7 @@ from .errors import (
     DensityError,
     ScenarioError,
 )
-from .staged import Enumerator, StagedOpenSet, TuringFunctional, Pi01Tree
+from .staged import Enumerator, StagedOpenSet, TuringFunctional, Pi01Tree, ValuedOpenSet
 from .demuth import (
     VersionedOpenSet,
     DemuthTest,
@@ -98,7 +98,7 @@ __all__ = [
     "uniform_suffix_set",
     "RandlabError", "InconsistentFunctional", "GuardExceeded",
     "DepthExhausted", "SchemeError", "DensityError", "ScenarioError",
-    "Enumerator", "StagedOpenSet", "TuringFunctional", "Pi01Tree",
+    "Enumerator", "StagedOpenSet", "TuringFunctional", "Pi01Tree", "ValuedOpenSet",
     "VersionedOpenSet", "DemuthTest", "DiffPair", "DiffUnionTest",
     "LevelReport", "TestReport", "verify_demuth", "verify_diffunion",
     "demuth_to_diffunion", "diffunion_to_demuth", "solovay_membership_profile",

@@ -12,12 +12,15 @@ Each node carries a structural hash computed from its children's, so
 hashes do not depend on addresses or on PYTHONHASHSEED.
 
 Union, intersection and difference are memoized apply walks over pairs of
-nodes, linear in the distinct pairs they meet; complement, shifting and
-exact measure are walks over distinct nodes.  Every walk keeps an explicit
-stack, so trie depth is bounded by memory, not by the recursion limit, and
-no operation ever enumerates points.  The canonical antichain (no
-generator a prefix of another, no sibling pair s0/s1 left unmerged) is
-read off the trie on demand.
+nodes, linear in the distinct pairs they meet; complement and shifting are
+walks over distinct nodes.  Exact measure is computed once per node: a
+node keeps its measure for its life (Bryant's computed results, shared
+like the nodes), so measuring a set walks only the nodes no earlier
+measure reached.  Every walk keeps an explicit stack, so trie depth is
+bounded by memory, not by the recursion limit, and no operation ever
+enumerates points.  The canonical antichain (no generator a prefix of
+another, no sibling pair s0/s1 left unmerged) is read off the trie on
+demand.
 """
 
 from __future__ import annotations
@@ -32,9 +35,12 @@ from .dyadic import Dyadic
 
 
 class _Node:
-    """An interior trie node.  Build only through `_pair`."""
+    """An interior trie node.  Build only through `_pair`.
 
-    __slots__ = ("zero", "one", "hash", "__weakref__")
+    Its children never change, so neither does its measure: `_measure`
+    stores it in `measure` the first time it is asked, for the node's life."""
+
+    __slots__ = ("zero", "one", "hash", "measure", "__weakref__")
 
     def __init__(self, zero: "Node", one: "Node") -> None:
         self.zero = zero
@@ -42,6 +48,7 @@ class _Node:
         # Leaves hash as the bools they are: 1 and 0.
         self.hash = hash((zero if zero is True or zero is False else zero.hash,
                           one if one is True or one is False else one.hash))
+        self.measure: Optional[Tuple[int, int]] = None  # kept by `_measure` once it is asked
 
 
 # Trie node: True (full), False (empty), or an interior _Node.
@@ -195,27 +202,40 @@ def _collect(root: Node) -> List[str]:
     return out
 
 
-def _measure(root: Node) -> Dyadic:
-    memo: Dict[Node, Dyadic] = {True: Dyadic(1), False: Dyadic(0)}
+_FULL_MEASURE = Dyadic(1)
+_EMPTY_MEASURE = Dyadic(0)
+
+
+def _measure(root: _Node) -> Tuple[int, int]:
+    """The measure below `root` as (num, exp), num / 2^exp in lowest terms.
+
+    Each node keeps its measure once computed, so a walk visits only the
+    nodes no earlier walk measured.  Nodes keep integers, not a `Dyadic`, so
+    a measure makes one `Dyadic` however many nodes earlier sets measured.
+    """
     stack = [root]
     while stack:
         node = stack[-1]
-        if node in memo:
+        if node.measure is not None:  # pushed twice before it was measured
             stack.pop()
             continue
-        m0 = memo.get(node.zero)
-        m1 = memo.get(node.one)
+        zero, one = node.zero, node.one
+        m0 = (1, 0) if zero is True else (0, 0) if zero is False else zero.measure
+        m1 = (1, 0) if one is True else (0, 0) if one is False else one.measure
         if m0 is None or m1 is None:
             if m0 is None:
-                stack.append(node.zero)
+                stack.append(zero)
             if m1 is None:
-                stack.append(node.one)
+                stack.append(one)
             continue
         stack.pop()
-        # (m0 + m1) / 2, normalized once.
-        e = max(m0.exp, m1.exp)
-        memo[node] = Dyadic((m0.num << (e - m0.exp)) + (m1.num << (e - m1.exp)), e + 1)
-    return memo[root]
+        # (m0 + m1) / 2 in lowest terms; below an interior node it is positive.
+        (n0, e0), (n1, e1) = m0, m1
+        e = e0 if e0 > e1 else e1
+        num = (n0 << (e - e0)) + (n1 << (e - e1))
+        shift = min((num & -num).bit_length() - 1, e + 1)
+        node.measure = (num >> shift, e + 1 - shift)
+    return root.measure
 
 
 def _descend(node: Node, bits: str) -> Node:
@@ -264,7 +284,10 @@ class CylinderSet:
         return self._tree is True
 
     def measure(self) -> Dyadic:
-        return _measure(self._tree)
+        tree = self._tree
+        if tree is True or tree is False:
+            return _FULL_MEASURE if tree else _EMPTY_MEASURE
+        return Dyadic(*_measure(tree))
 
     def __or__(self, other: "CylinderSet") -> "CylinderSet":
         return CylinderSet(_apply(_union_leaf, self._tree, other._tree))

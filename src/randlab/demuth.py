@@ -10,45 +10,47 @@ The two conversions preserve the denoted sets in the directions the theory
 promises: version lists can be re-read as difference pairs exactly, and
 difference pairs can be tracked by a version list whose revision count and
 final measure stay within explicit budgets.
+
+A versioned level is a schedule of its versions (`staged._Schedule`).  The
+converse conversion states each version by its value at the change stages
+of the U_k (`staged.ValuedOpenSet`), so a version computes its tracked
+union only at the stages it is read, and counts the quanta a measure
+exceeds in integers.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from fractions import Fraction
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from functools import partial
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .bitstring import BitString
 from .cylinders import EMPTY_SET, CylinderSet
 from .dyadic import Dyadic
 from .errors import RandlabError
-from .staged import StagedOpenSet, _check_int, first_seen
+from .staged import StagedOpenSet, ValuedOpenSet, _check_int, _dated, _Schedule
 
 
-class VersionedOpenSet:
+class VersionedOpenSet(_Schedule):
     """An open set under bounded revision: (declaration_stage, set) entries.
 
-    Declaration stages are strictly increasing.  Every entry is a staged
-    open set in its own right and keeps enumerating after being superseded;
-    only its declaration is frozen.
+    A schedule of its versions: declaration stages are strictly increasing,
+    and the snapshot a stage reads is the version live there.  Every entry
+    is a staged open set in its own right (enumerated, or stated by value
+    as a `ValuedOpenSet`) and keeps growing after being superseded; only
+    its declaration is frozen.
     """
 
-    __slots__ = ("versions", "_stages")
+    __slots__ = ("versions",)
 
-    def __init__(self, versions: Sequence[Tuple[int, StagedOpenSet]]) -> None:
-        self.versions = tuple(versions)
-        self._stages = [stage for stage, _ in self.versions]
-        for last, stage in zip([-1] + self._stages, self._stages):
-            _check_int(stage, "version stage")
-            if stage <= last:
-                raise RandlabError(f"version stages must increase, got {stage} after {last}")
+    def __init__(self, versions: Iterable[Tuple[int, StagedOpenSet]]) -> None:
+        self.versions = _dated(versions, what="version stage")
+        # No version is live before the first declaration.
+        super().__init__(self.versions, None, (None, *(version for _, version in self.versions)))
 
     def version_count(self) -> int:
         return len(self.versions)
 
-    def live_at(self, stage: int) -> Optional[StagedOpenSet]:
-        i = bisect_right(self._stages, stage)
-        return self.versions[i - 1][1] if i else None
+    live_at = _Schedule._at
 
     def open_at(self, stage: int) -> CylinderSet:
         live = self.live_at(stage)
@@ -173,12 +175,15 @@ def demuth_to_diffunion(test: DemuthTest) -> DiffUnionTest:
     return DiffUnionTest(tuple(levels), tuple(max(b, l.version_count()) for b, l in zip(test.version_bounds, test.levels)), test.horizon)
 
 
-def _multiples_exceeded(measure: Dyadic, quantum: Fraction) -> int:
-    """How many positive multiples of `quantum` the measure strictly exceeds."""
-    t = measure.as_fraction() / quantum
-    if t <= 0:
-        return 0
-    return (t.numerator - 1) // t.denominator
+def _multiples_exceeded(measure: Dyadic, c: int, n: int) -> int:
+    """How many positive multiples of 2^-(n+1) / c the measure strictly exceeds.
+
+    Over that quantum the measure num / 2^exp reads t = a / 2^exp with
+    a = num * c * 2^(n+1); a positive t exceeds ceil(t) - 1 multiples,
+    which is (a - 1) >> exp.
+    """
+    a = (measure.num * c) << (n + 1)
+    return (a - 1) >> measure.exp if a > 0 else 0
 
 
 def _sweep(sets: Sequence[StagedOpenSet], horizon: int) -> Iterator[Tuple[int, List[int], List[CylinderSet]]]:
@@ -192,6 +197,15 @@ def _sweep(sets: Sequence[StagedOpenSet], horizon: int) -> Iterator[Tuple[int, L
         for k in changed:
             now[k] = sets[k].open_at(s)
         yield s, changed, list(now)
+
+
+def _tracked(u_now: Sequence[CylinderSet], v_snap: Sequence[CylinderSet]) -> CylinderSet:
+    """One version's value where the U_k read `u_now`: the union of the
+    U_k minus the V_k snapshots it subtracts."""
+    acc = EMPTY_SET
+    for u, v in zip(u_now, v_snap):
+        acc = acc | (u - v)
+    return acc
 
 
 def diffunion_to_demuth(test: DiffUnionTest) -> DemuthTest:
@@ -209,7 +223,10 @@ def diffunion_to_demuth(test: DiffUnionTest) -> DemuthTest:
 
     A tracked union can change only where some U_k changes and a crossing
     happen only where some V_k does, so both are read only at the change
-    stages of their schedules (`_sweep`).
+    stages of their schedules (`_sweep`).  Each version is a
+    `ValuedOpenSet` of its tracked union at the U change stages, computed
+    only where the version is read: an audit at the horizon computes one
+    union per version.
     """
     if not test.levels:
         raise RandlabError("no input levels to convert")
@@ -223,19 +240,7 @@ def diffunion_to_demuth(test: DiffUnionTest) -> DemuthTest:
                 f"input level {n + 1} breaks its measure bound; refusing to convert"
             )
         c = max(1, len(pairs))
-        quantum = Fraction(1, c * (1 << (n + 1)))
-        u_rows = list(_sweep([pair.u for pair in pairs], test.horizon))
-
-        def version_from_snapshot(v_snap: List[CylinderSet]) -> StagedOpenSet:
-            def tracked(u_now: List[CylinderSet]) -> CylinderSet:
-                acc = EMPTY_SET
-                for u, v in zip(u_now, v_snap):
-                    acc = acc | (u - v)
-                return acc
-
-            events = first_seen((s, tracked(u_now).strings) for s, _, u_now in u_rows)
-            return StagedOpenSet(events, test.horizon)
-
+        u_rows = [(s, u_now) for s, _, u_now in _sweep([pair.u for pair in pairs], test.horizon)]
         # Declaration stage -> the V snapshots its version subtracts; a
         # crossing at stage 0 replaces the first version, which subtracts none.
         snapshots = {0: [EMPTY_SET] * len(pairs)}
@@ -243,14 +248,17 @@ def diffunion_to_demuth(test: DiffUnionTest) -> DemuthTest:
         for s, changed, v_now in _sweep([pair.v for pair in pairs], test.horizon):
             crossed = False
             for k in changed:
-                now = _multiples_exceeded(v_now[k].measure(), quantum)
+                now = _multiples_exceeded(v_now[k].measure(), c, n)
                 if now > exceeded[k]:
                     exceeded[k] = now
                     crossed = True
             if crossed:
                 snapshots[s] = v_now
-        out_levels.append(VersionedOpenSet([(s, version_from_snapshot(v_snap))
-                                            for s, v_snap in snapshots.items()]))
+        # Each value binds this level's rows and its own V snapshots.
+        out_levels.append(VersionedOpenSet([
+            (s, ValuedOpenSet([(row, partial(_tracked, u_now, v_snap)) for row, u_now in u_rows],
+                              test.horizon))
+            for s, v_snap in snapshots.items()]))
         out_bounds.append(c * c * (1 << (n + 1)))
     return DemuthTest(tuple(out_levels), tuple(out_bounds), test.horizon)
 

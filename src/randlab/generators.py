@@ -24,7 +24,7 @@ from .coding import (OpenFamily, W2REncoding, W2RScheme, extend_into_open, w2r_e
 _GROWTH_MAX = 2              # output bits a functional's label gains per level
 _REMOVAL_LEN_MAX = 8         # tree removals are shorter than this
 _REMOVAL_TRIES = 24          # removals drawn per tree
-_MIN_MEASURE = Dyadic(1, 1)  # floor on the measure of a tree's class
+_MAX_REMOVED = Dyadic(1, 1)  # cap on a tree's removed measure: its class keeps the rest
 _KEEP_ONE_IN = 2             # thinning keeps about one string in this many
 _DELAY_MAX = 2               # and delays each kept one by at most this many stages
 _FAMILY_TOP = 6              # strings drawn for the top level of a nested family
@@ -93,7 +93,8 @@ def random_pi01_tree(rng: random.Random, depth: int = 24, horizon: int = 8) -> P
 
     Removals stay shorter than `_REMOVAL_LEN_MAX`, so viable stems of any
     greater length sit in untouched cylinders; the rejection loop keeps
-    the class at least `_MIN_MEASURE` (half the space) big.
+    the removed measure at most `_MAX_REMOVED`, so the class keeps half
+    the space.
     """
     if _REMOVAL_LEN_MAX >= depth:
         raise RandlabError("removals must be shorter than the tree depth")
@@ -104,7 +105,7 @@ def random_pi01_tree(rng: random.Random, depth: int = 24, horizon: int = 8) -> P
     for _ in range(_REMOVAL_TRIES):
         s = random_bits(rng, 1 + rng.randrange(_REMOVAL_LEN_MAX))
         grown = removed | CylinderSet.cylinder(s)
-        if Dyadic.one() - grown.measure() < _MIN_MEASURE:
+        if grown.measure() > _MAX_REMOVED:
             continue
         removed = grown
         kept.append((rng.randrange(horizon + 1), s))

@@ -17,12 +17,13 @@ structure exactly and reports where each branch's isolation sets in.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .bitstring import BitString, to_nat
 from .dyadic import Dyadic
 from .errors import GuardExceeded, RandlabError
-from .staged import Enumerator, StagedOpenSet, TuringFunctional, first_seen
+from .staged import Enumerator, TuringFunctional, ValuedOpenSet, first_seen
 from .demuth import VersionedOpenSet
 
 FAMILY_GUARD = 64
@@ -194,17 +195,19 @@ def f_approx(phi: TuringFunctional, psi: TuringFunctional, stem: BitString, hori
 def induced_demuth_level(phi: TuringFunctional, psi: TuringFunctional, stem: BitString, horizon: int) -> Tuple[VersionedOpenSet, FApprox]:
     """One bounded-revision level mirroring the selector's switches.
 
-    Each version is the staged preimage of the currently selected output;
-    there are at most 2^Nat(stem) versions and the last one's final measure
-    is at most 2^-Nat(stem) by the selection rule.
+    Each version is the staged preimage of the currently selected output,
+    stated by its value at psi's change stages and read from psi's own
+    per-snapshot preimages only where the version is read; there are at
+    most 2^Nat(stem) versions and the last one's final measure is at most
+    2^-Nat(stem) by the selection rule.
     """
     trace = f_approx(phi, psi, stem, horizon)
-    versions: List[Tuple[int, StagedOpenSet]] = []
+    stages = psi.change_stages(horizon)
+    versions: List[Tuple[int, ValuedOpenSet]] = []
     # The index only climbs, so each change point switches to a new pair.
     for start, j in trace.changes:
         tau_j = trace.family.pairs[j][1]
-        events = first_seen((s, psi.preimage(tau_j, s).strings) for s in psi.change_stages(horizon))
-        versions.append((start, StagedOpenSet(events, horizon)))
+        versions.append((start, ValuedOpenSet([(s, partial(psi.preimage, tau_j, s)) for s in stages], horizon)))
     return VersionedOpenSet(versions), trace
 
 

@@ -1,14 +1,18 @@
 """Stage-indexed stand-ins for effectively presented objects.
 
-Everything here is a finite script: a cumulative schedule of dated events
-with a horizon.  One private `_Schedule` checks the stages (integers,
-non-negative, strictly increasing, horizon at or past the last event) and
-accumulates one frozen snapshot per event at construction, so every stage
-query is a `bisect` on the event stages that returns a stored snapshot.
-Enumerations and axiom sets are schedules.  A staged open set is an
-enumeration of its generators that also answers the open set they
-generate; a co-enumerated tree is the staged open set of its removals with
-a depth bound.  What a query derives from a snapshot is built once per
+Everything here is a finite script: dated events with a horizon.  One
+private `_Schedule` checks the stages (integers, non-negative, strictly
+increasing, horizon at or past the last event) and holds one snapshot per
+event, so every stage query is a `bisect` on the event stages that returns
+a stored snapshot.  Enumerations and axiom sets are schedules whose
+snapshots accumulate their events at construction; each distinct axiom is
+converted and keyed once.  A staged open set is an enumeration of its
+generators that also answers the open set they generate; a co-enumerated
+tree is the staged open set of its removals with a depth bound.  A
+`ValuedOpenSet` states a staged open set by its value at each change stage
+instead: its snapshots are deferred values, each computed the first time a
+stage that reads it is asked, so a set read only at its horizon computes
+one value.  What a query derives from a snapshot is built once per
 snapshot (`_per_snapshot`).  Monotonicity in the stage index is therefore
 structural, and the only invariants left to check are functional
 consistency and depth bounds on tree removals.
@@ -17,6 +21,7 @@ consistency and depth bounds on tree removals.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from .bitstring import EMPTY, BitString, length_lex
@@ -52,14 +57,22 @@ def _bits(s: StrLike) -> BitString:
     return s if isinstance(s, BitString) else BitString(s)
 
 
-def _axiom(pair: Tuple[StrLike, StrLike]) -> Tuple[BitString, BitString]:
+Axiom = Tuple[BitString, BitString]
+# Length-lex on sigma, then on tau: the order of the (sigma, tau) tuples,
+# compared and hashed in C; equal keys are equal axioms.
+AxiomKey = Tuple[int, str, int, str]
+
+
+def _axiom(seen: Dict[tuple, Tuple[AxiomKey, Axiom]], pair: Tuple[StrLike, StrLike]) -> Tuple[AxiomKey, Axiom]:
+    """The pair's sort key and the pair as bit strings, made once per
+    distinct pair in `seen`."""
     sigma, tau = pair
-    return _bits(sigma), _bits(tau)
-
-
-def _axiom_key(axiom: Tuple[BitString, BitString]) -> Tuple[int, str, int, str]:
-    # Length-lex on sigma, then on tau: the order of the (sigma, tau) tuples.
-    return length_lex(axiom[0]) + length_lex(axiom[1])
+    raw = (sigma, tau)  # scenario JSON gives each pair as a list, which cannot be a key
+    found = seen.get(raw)
+    if found is None:
+        axiom = (_bits(sigma), _bits(tau))
+        found = seen[raw] = (length_lex(axiom[0]) + length_lex(axiom[1]), axiom)
+    return found
 
 
 def _cumulative_sets(events: Sequence[Tuple[int, tuple]]) -> List[frozenset]:
@@ -70,17 +83,6 @@ def _cumulative_sets(events: Sequence[Tuple[int, tuple]]) -> List[frozenset]:
         acc.update(items)
         snapshots.append(frozenset(acc))
     return snapshots
-
-
-def _sorted_axiom_snapshots(events: Sequence[Tuple[int, tuple]]) -> List[tuple]:
-    """The distinct axioms sorted once; snapshot i keeps, in that order, the
-    ones events 0..i-1 grant."""
-    first: Dict[Tuple[BitString, BitString], int] = {}
-    for i, (_, items) in enumerate(events, 1):
-        for axiom in items:
-            first.setdefault(axiom, i)
-    ordered = sorted(first.items(), key=lambda item: _axiom_key(item[0]))
-    return [tuple(ax for ax, since in ordered if since <= i) for i in range(len(events) + 1)]
 
 
 def _least_above(snapshot: frozenset) -> Dict[str, BitString]:
@@ -104,40 +106,51 @@ def _check_int(value: object, what: str) -> None:
         raise RandlabError(f"{what} {value!r} must be an integer")
 
 
-class _Schedule:
-    """Strictly increasing dated events with a horizon.
+def _same(items: object) -> object:
+    return items
 
-    `events` holds each event's items normalised and sorted on `key`, a
-    length-lex sort key compared in C (no Python `__lt__` per comparison);
-    `snapshots` turns the events into one frozen snapshot per event, the
-    one after event i holding everything events 0..i enumerate, plus
-    snapshot 0, the empty one every stage before the first event reads.
+
+def _dated(events: Iterable[Tuple[int, object]], payload: Callable = _same, what: str = "stage") -> tuple:
+    """The (stage, payload(items)) events, each stage checked as it is read:
+    an integer, non-negative, and past the stage before."""
+    out: List[Tuple[int, object]] = []
+    for stage, items in events:
+        _check_int(stage, what)
+        if isinstance(items, str):
+            raise RandlabError(f"items at {what} {stage} must be a list, got the string {items!r}")
+        if stage < 0:
+            raise RandlabError(f"negative {what} {stage}")
+        if out and stage <= out[-1][0]:
+            raise RandlabError(f"{what}s must be strictly increasing, got {stage} after {out[-1][0]}")
+        out.append((stage, payload(items)))
+    return tuple(out)
+
+
+def _strings(items: Iterable[StrLike]) -> Tuple[BitString, ...]:
+    # Sorted on a length-lex key compared in C (no Python `__lt__` per comparison).
+    return tuple(sorted(map(_bits, items), key=length_lex))
+
+
+class _Schedule:
+    """Checked dated events with a horizon at or past the last of them.
+
+    `snapshots` holds one snapshot per event, the one after event i
+    standing for everything events 0..i give, plus snapshot 0, the one
+    every stage before the first event reads.  A query at a stage reads the
+    snapshot of the last event by then, found by a `bisect`.
     """
 
-    __slots__ = ("events", "horizon", "_stages", "_snapshots", "_built")
+    __slots__ = ("horizon", "_stages", "_snapshots", "_built")
 
-    def __init__(self, events: Iterable[Tuple[int, Iterable]], horizon: Optional[int],
-                 item: Callable, key: Callable, snapshots: Callable) -> None:
-        out = []
-        stages: List[int] = []
-        for stage, items in events:
-            _check_int(stage, "stage")
-            if isinstance(items, str):
-                raise RandlabError(f"items at stage {stage} must be a list, got the string {items!r}")
-            if stage < 0:
-                raise RandlabError(f"negative stage {stage}")
-            if stages and stage <= stages[-1]:
-                raise RandlabError(f"stages must be strictly increasing, got {stage} after {stages[-1]}")
-            out.append((stage, tuple(sorted(map(item, items), key=key))))
-            stages.append(stage)
-        last = stages[-1] if stages else 0
+    def __init__(self, dated: Sequence[Tuple[int, object]], horizon: Optional[int],
+                 snapshots: Sequence) -> None:
+        self._stages = [stage for stage, _ in dated]
+        last = self._stages[-1] if dated else 0
         self.horizon = last if horizon is None else horizon
         _check_int(self.horizon, "horizon")
         if self.horizon < last:
             raise RandlabError(f"horizon {self.horizon} precedes last event at {last}")
-        self.events = tuple(out)
-        self._stages = stages
-        self._snapshots = tuple(snapshots(out))
+        self._snapshots = tuple(snapshots)
         self._built: Dict[Tuple[Callable, int], object] = {}
 
     def _at(self, stage: int):
@@ -167,10 +180,11 @@ class Enumerator(_Schedule):
     the final set, stages before the first event return nothing.
     """
 
-    __slots__ = ()
+    __slots__ = ("events",)
 
     def __init__(self, events: Iterable[Tuple[int, Iterable[StrLike]]], horizon: Optional[int] = None) -> None:
-        super().__init__(events, horizon, _bits, length_lex, _cumulative_sets)
+        self.events = _dated(events, _strings)
+        super().__init__(self.events, horizon, _cumulative_sets(self.events))
 
     at = _Schedule._at
 
@@ -194,6 +208,38 @@ class StagedOpenSet(Enumerator):
 
     def final(self) -> CylinderSet:
         return self.open_at(self.horizon)
+
+
+def _force(value: Callable[[], CylinderSet]) -> CylinderSet:
+    return value()
+
+
+class ValuedOpenSet(_Schedule):
+    """A staged open set stated by its value at each of its change stages.
+
+    Each value is a callable of no arguments, called the first time a stage
+    that reads it is asked and kept (`_per_snapshot`): a set read only at
+    its horizon computes one value.  The values must grow with the stage, as
+    a staged open set's do.  `events`, derived on demand, dates each
+    generator by the first value that holds it (`first_seen`).
+    """
+
+    __slots__ = ()
+
+    def __init__(self, values: Iterable[Tuple[int, Callable[[], CylinderSet]]],
+                 horizon: Optional[int] = None) -> None:
+        dated = _dated(values)
+        # Before the first value the set reads as empty: CylinderSet() is.
+        super().__init__(dated, horizon, (CylinderSet, *(value for _, value in dated)))
+
+    def open_at(self, stage: int) -> CylinderSet:
+        return self._per_snapshot(_force, stage)
+
+    final = StagedOpenSet.final
+
+    @property
+    def events(self) -> tuple:
+        return Enumerator(first_seen((s, self.open_at(s).strings) for s in self._stages), self.horizon).events
 
 
 def _check_consistent(axioms: Iterable[Tuple[BitString, BitString]]) -> None:
@@ -251,10 +297,20 @@ class TuringFunctional(_Schedule):
     built once per snapshot the first time one of its stages is asked.
     """
 
-    __slots__ = ()
+    __slots__ = ("events",)
 
     def __init__(self, events: Iterable[Tuple[int, Iterable[Tuple[StrLike, StrLike]]]], horizon: Optional[int] = None) -> None:
-        super().__init__(events, horizon, _axiom, _axiom_key, _sorted_axiom_snapshots)
+        seen: Dict[tuple, Tuple[AxiomKey, Axiom]] = {}
+        dated = _dated(events, lambda items: sorted([_axiom(seen, pair) for pair in items], key=itemgetter(0)))
+        # Each distinct axiom with the first event granting it, in key order.
+        first: Dict[AxiomKey, Tuple[int, Axiom]] = {}
+        for i, (_, items) in enumerate(dated, 1):
+            for key, axiom in items:
+                first.setdefault(key, (i, axiom))
+        ordered = [first[key] for key in sorted(first)]
+        self.events = tuple([(stage, tuple([axiom for _, axiom in items])) for stage, items in dated])
+        snapshots = [tuple([ax for since, ax in ordered if since <= i]) for i in range(len(dated) + 1)]
+        super().__init__(self.events, horizon, snapshots)
         _check_consistent(self._snapshots[-1])
 
     axioms_at = _Schedule._at

@@ -379,3 +379,70 @@ def test_hash_does_not_depend_on_the_hash_seed():
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
     assert len(set(ast.literal_eval(outputs[0]))) == 4
+
+
+# Measure once per node: a node keeps its measure, so a measure computes
+# the nodes no earlier measure reached and leaves every kept measure as it was.
+
+def _interior(node):
+    """The distinct interior nodes below (and at) `node`."""
+    seen, todo = {}, [node]
+    while todo:
+        nd = todo.pop()
+        if nd is True or nd is False or id(nd) in seen:
+            continue
+        seen[id(nd)] = nd
+        todo += [nd.zero, nd.one]
+    return list(seen.values())
+
+
+def _measured_once(cs, want, monkeypatch):
+    """Measure `cs`; return how many of its nodes that measure computed,
+    checking that every measure kept before is the very same object after
+    and that the call made one Dyadic."""
+    nodes = _interior(cs._tree)
+    kept = [(node, node.measure) for node in nodes if node.measure is not None]
+    built = []
+    dyadic = cylinders.Dyadic
+    monkeypatch.setattr(cylinders, "Dyadic", lambda *args: built.append(args) or dyadic(*args))
+    assert cs.measure() == want
+    monkeypatch.setattr(cylinders, "Dyadic", dyadic)
+    assert len(built) == 1
+    assert all(node.measure is measure for node, measure in kept)
+    assert all(node.measure is not None for node in nodes)
+    return len(nodes) - len(kept)
+
+
+def test_measure_computes_only_nodes_no_earlier_measure_reached(monkeypatch):
+    gc.collect()
+    a = CylinderSet.normalize(["0010110", "011", "1101", "111001"])
+    b = uniform_suffix_set("1001", 5)
+    union = a | b
+    want = [brute_measure(cs.strings, 9) for cs in (a, b, union)]
+    assert _measured_once(a, want[0], monkeypatch) == len(_interior(a._tree))
+    # Measured twice, or through another set with the same root: no work.
+    assert _measured_once(a, want[0], monkeypatch) == 0
+    assert _measured_once(CylinderSet(a._tree), want[0], monkeypatch) == 0
+    shared = {id(node) for node in _interior(a._tree)}
+    assert _measured_once(b, want[1], monkeypatch) == len({id(n) for n in _interior(b._tree)} - shared)
+    # A | B after A and B: only the nodes neither of them has.
+    shared.update(id(node) for node in _interior(b._tree))
+    fresh = {id(node) for node in _interior(union._tree)} - shared
+    assert fresh and _measured_once(union, want[2], monkeypatch) == len(fresh)
+
+
+@settings(max_examples=150)
+@given(st.lists(gen_strings, min_size=1, max_size=5), st.data())
+def test_kept_measures_match_brute_force_across_node_lives(families, data):
+    # Sets are built, measured and dropped in a drawn order, so later sets
+    # meet nodes measured before, nodes never measured, and nodes rebuilt
+    # after every set holding them died.
+    for gens in families:
+        live = [CylinderSet.normalize(gens)]
+        live.append(live[0] | CylinderSet.normalize(data.draw(gen_strings)))
+        live.append(live[-1] - CylinderSet.normalize(data.draw(gen_strings)))
+        for cs in data.draw(st.permutations(live)):
+            assert cs.measure() == brute_measure(cs.strings, DEPTH)
+        if data.draw(st.booleans()):
+            del live
+            gc.collect()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_staged import schedules
 
+from randlab import demuth
 from randlab.bitstring import BitString
 from randlab.cylinders import CylinderSet, EMPTY_SET
 from randlab.demuth import (DemuthTest, DiffPair, DiffUnionTest,
@@ -14,6 +15,7 @@ from randlab.demuth import (DemuthTest, DiffPair, DiffUnionTest,
                             verify_demuth, verify_diffunion)
 from randlab.dyadic import Dyadic
 from randlab.errors import RandlabError
+from randlab.scenario import _convert_u2d_rows
 from randlab.generators import (random_demuth_test, random_diffunion_test,
                                 random_open_set, thinned_delayed)
 from randlab.staged import StagedOpenSet, first_seen
@@ -173,6 +175,25 @@ def test_membership_profile():
         solovay_membership_profile(BitString("0"), object())
 
 
+# The crossing count as it was before it was integer arithmetic: the
+# measure over the quantum as a Fraction.  It is the oracle for
+# `_multiples_exceeded`.
+
+def fraction_multiples_exceeded(measure, quantum):
+    t = measure.as_fraction() / quantum
+    if t <= 0:
+        return 0
+    return (t.numerator - 1) // t.denominator
+
+
+@given(st.integers(min_value=0, max_value=1 << 40), st.integers(min_value=0, max_value=48),
+       st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=12))
+def test_multiples_exceeded_matches_the_fraction_form(num, exp, c, n):
+    measure = Dyadic(num, exp)
+    assert (_multiples_exceeded(measure, c, n)
+            == fraction_multiples_exceeded(measure, Fraction(1, c * (1 << (n + 1)))))
+
+
 # The converse conversion as it was before it visited only change stages:
 # every tracked union and every crossing test at every stage 0..horizon.
 # It is the oracle for `diffunion_to_demuth`.
@@ -203,7 +224,7 @@ def per_stage_diffunion_to_demuth(test):
         for s in range(test.horizon + 1):
             crossed = False
             for k, pair in enumerate(pairs):
-                now = _multiples_exceeded(pair.v.open_at(s).measure(), quantum)
+                now = fraction_multiples_exceeded(pair.v.open_at(s).measure(), quantum)
                 if now > exceeded[k]:
                     exceeded[k] = now
                     crossed = True
@@ -284,3 +305,33 @@ def test_converse_reads_each_pair_only_at_its_change_stages():
             assert len(o.reads) <= len(changes) + 1
             skipped += len(set(range(test.horizon + 1)) - allowed)
     assert skipped > 100
+
+
+
+def test_u2d_audit_computes_one_tracked_union_per_version(monkeypatch):
+    # Each version is a ValuedOpenSet of its tracked union at the U change
+    # stages.  Building the versions computes no union, and the u2d report,
+    # which reads every version at the horizon, computes one per version;
+    # the per-stage loops computed one per U change stage.
+    unions = []
+    tracked = demuth._tracked
+
+    def counted(u_now, v_snap):
+        unions.append(v_snap)
+        return tracked(u_now, v_snap)
+
+    monkeypatch.setattr(demuth, "_tracked", counted)
+    total = 0
+    for i in range(20):
+        rng = random.Random(f"u2d-count:{i}")
+        test = random_diffunion_test(rng, levels=2 + rng.randrange(3), pair_bound=1 + rng.randrange(3),
+                                     horizon=4 + rng.randrange(8))
+        back = diffunion_to_demuth(test)
+        assert not unions
+        # A level with no pairs tracks the empty union, which is no union at all.
+        versions = sum(level.version_count() for n, level in enumerate(back.levels) if test.levels[n + 1])
+        _convert_u2d_rows(test)
+        assert len(unions) == versions
+        total += versions
+        del unions[:]
+    assert total > 20

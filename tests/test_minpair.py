@@ -9,6 +9,7 @@ from test_engine_oracles import per_stage
 from test_staged import axioms, schedules
 
 from randlab.bitstring import BitString, from_nat, to_nat
+from randlab.cylinders import CylinderSet
 from randlab.demuth import DemuthTest, verify_demuth
 from randlab.dyadic import Dyadic
 from randlab.errors import GuardExceeded, RandlabError
@@ -441,3 +442,29 @@ def test_sparse_schedule_reads_each_snapshot_once(monkeypatch, query, reads):
     query()
     assert counts and max(counts.values()) <= reads
     assert {snapshot for *_, snapshot in counts} <= {1, 2}
+
+
+def test_induced_level_reads_no_generator_strings(monkeypatch):
+    # Each version is its preimage under psi stated by value, read from
+    # psi's per-snapshot preimages: neither building the level nor reading
+    # it at any stage spells out a set's generators.
+    cases = []
+    for seed in range(12):
+        phi, psi = random_functional_pair(random.Random(f"induced-strings:{seed}"), 4, 30, 6)
+        for n in range(3):
+            stem = from_nat(n)
+            vos, trace = induced_demuth_level(phi, psi, stem, 6)
+            want = [[psi.preimage(trace.family.pairs[j][1], s) for s in range(8)] for _, j in trace.changes]
+            cases.append((phi, psi, stem, want))
+    assert sum(len(want) for *_, want in cases) > 20
+
+    def refuse(cs):
+        raise AssertionError("CylinderSet.strings read")
+
+    monkeypatch.setattr(CylinderSet, "strings", property(refuse))
+    for phi, psi, stem, want in cases:
+        vos, trace = induced_demuth_level(phi, psi, stem, 6)
+        for (start, version), values in zip(vos.versions, want):
+            assert [version.open_at(s) for s in range(8)] == values
+            assert vos.open_at(start) == values[start]
+        vos.open_at(6)

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import pathlib
 import random
@@ -14,7 +15,7 @@ from randlab.bitstring import EMPTY, BitString
 from randlab.cylinders import CylinderSet, EMPTY_SET, FULL_SET
 from randlab.demuth import VersionedOpenSet
 from randlab.errors import InconsistentFunctional, RandlabError
-from randlab.generators import random_functional
+from randlab.generators import random_functional, random_functional_pair
 from randlab.staged import (Enumerator, Pi01Tree, StagedOpenSet, TuringFunctional, by_stage,
                             first_seen)
 
@@ -536,3 +537,104 @@ def test_preimage_answers_each_snapshot_and_tau_once(monkeypatch):
     snapshots = {bisect_right(phi._stages, stage) for stage in stages}
     assert len(snapshots) < len(stages)
     assert 0 < len(builds) <= len(snapshots) * len(taus)
+
+
+# The functional's constructor as it was before it converted and keyed each
+# distinct axiom once: every item converted and keyed in its event's sort,
+# and the distinct axioms keyed again for the snapshots.  It is the oracle
+# for `TuringFunctional.__init__`.
+
+def _old_axiom_key(axiom):
+    return (len(axiom[0]), axiom[0].bits, len(axiom[1]), axiom[1].bits)
+
+
+def old_functional(events):
+    """(events, snapshots) as the old constructor stored them."""
+    norm = tuple((stage, tuple(sorted(((BitString(s), BitString(t)) for s, t in items), key=_old_axiom_key)))
+                 for stage, items in events)
+    first = {}
+    for i, (_, items) in enumerate(norm, 1):
+        for axiom in items:
+            first.setdefault(axiom, i)
+    ordered = sorted(first.items(), key=lambda item: _old_axiom_key(item[0]))
+    return norm, [tuple(ax for ax, since in ordered if since <= i) for i in range(len(norm) + 1)]
+
+
+def _agrees_with_the_old_constructor(events, horizon):
+    phi = TuringFunctional(events, horizon)
+    norm, snapshots = old_functional(events)
+    assert phi.events == norm
+    stages = [s for s, _ in norm]
+    taus = {EMPTY, BitString("0"), BitString("1")}
+    taus.update(ax_t.prefix(i) for _, ax_t in snapshots[-1] for i in range(len(ax_t) + 1))
+    probes = {EMPTY, BitString("0"), BitString("11")}
+    probes.update(ax_s + tail for ax_s, _ in snapshots[-1] for tail in ("", "0", "1"))
+    for stage in query_stages(phi.horizon):
+        assert phi.axioms_at(stage) == snapshots[bisect_right(stages, stage)]
+        for sigma in probes:
+            assert phi.apply(sigma, stage) == old_apply(norm, sigma, stage)
+        for tau in taus:
+            assert phi.preimage(tau, stage) == old_preimage(norm, tau, stage)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_functional_matches_the_old_constructor_on_seeded_pairs(seed):
+    rng = random.Random(f"functional-init:{seed}")
+    for phi in random_functional_pair(rng, 5, 40, 8):
+        # The same axioms as text pairs, as list pairs (how scenario JSON
+        # gives them), and as bit strings.
+        for form in (lambda s, t: (s.bits, t.bits), lambda s, t: [s.bits, t.bits], lambda s, t: (s, t)):
+            events = [(stage, [form(s, t) for s, t in items]) for stage, items in phi.events]
+            _agrees_with_the_old_constructor(events, phi.horizon)
+
+
+@given(schedules(axioms), st.lists(st.sampled_from(["text", "list", "bits"]), min_size=1))
+def test_functional_matches_the_old_constructor_on_schedules(sched, forms):
+    # Repeated axioms, within an event and across events, in mixed forms.
+    events, horizon = sched
+    shape = {"text": lambda s, t: (s, t), "list": lambda s, t: [s, t],
+             "bits": lambda s, t: (BitString(s), BitString(t))}
+    mixed, i = [], 0
+    for stage, items in events:
+        out = []
+        for s, t in items:
+            out.append(shape[forms[i % len(forms)]](s, t))
+            i += 1
+        mixed.append((stage, out))
+    _agrees_with_the_old_constructor(mixed, horizon)
+
+
+@given(schedules(bit_strings))
+def test_valued_open_set_matches_the_open_set_of_its_first_seen_events(sched):
+    # State a staged open set by its value at each change stage, every value
+    # deferred: reading it at the horizon computes the last value only, each
+    # value is computed once, and the events are those first_seen dates.
+    events, horizon = sched
+    plain = StagedOpenSet(events, horizon)
+    stages = plain.change_stages(horizon)
+    computed = []
+
+    def value(stage):
+        computed.append(stage)
+        return plain.open_at(stage)
+
+    valued = staged.ValuedOpenSet([(s, functools.partial(value, s)) for s in stages], horizon)
+    assert not computed
+    assert valued.final() == plain.final()
+    assert computed == stages[-1:]
+    for stage in query_stages(horizon):
+        assert valued.open_at(stage) == plain.open_at(stage)
+    assert sorted(computed) == stages
+    assert valued.events == Enumerator(first_seen((s, plain.open_at(s).strings) for s in stages),
+                                       horizon).events
+    assert valued.change_stages(horizon) == stages
+    # Deriving the events recomputes no value.
+    assert sorted(computed) == stages
+
+
+def test_valued_open_set_checks_its_stages():
+    with pytest.raises(RandlabError, match="stages must be strictly increasing, got 1 after 1"):
+        staged.ValuedOpenSet([(1, CylinderSet), (1, CylinderSet)])
+    with pytest.raises(RandlabError, match="horizon 2 precedes last event at 3"):
+        staged.ValuedOpenSet([(3, CylinderSet)], 2)
+    assert staged.ValuedOpenSet([], 4).final() == EMPTY_SET
