@@ -13,20 +13,22 @@ after coding one (index, payload) pair it intersects the class with a
 member of a monotone family of clopen complements, chosen by a least-index
 search that is only approximable from below.  An encoding grows one layer
 at a time, so a caller steering each next payload extends the encoding it
-already has.  The staged decoder replays the parse once per approximation
+already has.  The staged decoder replays the parse per approximation
 stage t and lets later stages fill in only the positions earlier stages
 never claimed; positions at or beyond the point where every relevant index
 search has stabilized then decode correctly, so errors are confined below
-that point.  Only the index searches read t: the replays share one walk
-per path of (family, index) choices, and from the scheme's settle stage on
-every schedule sits at its final snapshot, so later replays repeat it.
+that point.  Only the index searches read t, and they move only at the
+scheme's change stages: each layer keeps its index trajectory as (stage,
+index) change points, and the decoder replays once per change stage over
+one shared walk per path of (family, index) choices.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .bitstring import EMPTY, BitString, decode_pair, encode_pair, self_delimit
+from .bitstring import (EMPTY, BitString, decode_pair, encode_pair, read_self_delimited,
+                        self_delimit)
 from .cylinders import CylinderSet
 from .errors import DensityError, DepthExhausted, SchemeError
 from .staged import Pi01Tree, StagedOpenSet, _check_int
@@ -86,32 +88,6 @@ def kg_encode(payload: BitString, sigma: BitString, tree: Pi01Tree, stage: Optio
     return encode_bits(self_delimit(payload), sigma, tree, s)
 
 
-class _CodecReader:
-    """Incremental state of the unary-length codec."""
-
-    __slots__ = ("count", "seen_zero", "payload")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.seen_zero = False
-        self.payload: List[int] = []
-
-    def push(self, bit: int) -> None:
-        if not self.seen_zero:
-            if bit:
-                self.count += 1
-            else:
-                self.seen_zero = True
-        else:
-            self.payload.append(bit)
-
-    def complete(self) -> bool:
-        return self.seen_zero and len(self.payload) == self.count
-
-    def value(self) -> BitString:
-        return BitString(self.payload)
-
-
 def kg_decode_prefix(x: BitString, sigma: BitString, tree: Pi01Tree, stage: Optional[int] = None) -> Optional[Tuple[BitString, BitString]]:
     """Replay the walk along `x` from `sigma` until one codec block closes.
 
@@ -123,8 +99,8 @@ def kg_decode_prefix(x: BitString, sigma: BitString, tree: Pi01Tree, stage: Opti
     cur = BitString(sigma)
     if not x.extends(cur):
         return None
-    reader = _CodecReader()
-    while not reader.complete():
+    block = EMPTY  # the codec block read so far
+    while (parsed := read_self_delimited(block)) is None:
         try:
             length, left = _extreme(cur, tree, s, 0)
         except DepthExhausted:
@@ -133,13 +109,13 @@ def kg_decode_prefix(x: BitString, sigma: BitString, tree: Pi01Tree, stage: Opti
             return None
         step = x.prefix(length)
         if step == left:
-            reader.push(0)
+            block = block.append(0)
         elif step == _extreme(cur, tree, s, 1)[1]:
-            reader.push(1)
+            block = block.append(1)
         else:
             return None
         cur = step
-    return reader.value(), cur
+    return parsed[0], cur
 
 
 def kg_decode(codeword: BitString, sigma: BitString, tree: Pi01Tree, stage: Optional[int] = None) -> Optional[BitString]:
@@ -218,11 +194,20 @@ class W2RScheme(_W2RSchemeFields):
             raise SchemeError(f"no family with index {e}")
         return self.families[e]
 
+    def _schedules(self) -> List[StagedOpenSet]:
+        return [self.base] + [level for family in self.families for level in family.levels]
+
     def settle_stage(self) -> int:
         """Least stage at which the base and every family level sit at their
         final snapshots, and so does every class restricted by them."""
-        return max([self.base.horizon] + [level.horizon for family in self.families
-                                          for level in family.levels])
+        return max(schedule.horizon for schedule in self._schedules())
+
+    def change_stages(self) -> List[int]:
+        """Stage 0 and every event stage of the base and the family levels,
+        ascending: from one to the next, every class restricted by them, and
+        so every index search over such a class, reads alike."""
+        settle = self.settle_stage()
+        return sorted({t for schedule in self._schedules() for t in schedule.change_stages(settle)})
 
 
 class LayerRecord(NamedTuple):
@@ -230,7 +215,8 @@ class LayerRecord(NamedTuple):
     payload: BitString
     codeword: BitString
     g_value: int
-    g_trajectory: Tuple[int, ...]
+    # (stage, index) where the index search moves, the first at stage 0.
+    g_trajectory: Tuple[Tuple[int, int], ...]
 
 
 class W2REncoding(NamedTuple):
@@ -249,16 +235,19 @@ def w2r_extend(enc: W2REncoding, payload: BitString, scheme: W2RScheme) -> W2REn
     tree = enc.classes[-1]
     cur = encode_bits(self_delimit(encode_pair(e, payload)), enc.codeword, tree, scheme.horizon)
     family = scheme.family(e)
-    # The decoder's index searches move until the settle stage, not the walk's.
-    trajectory = tuple(
-        _finite_or_fail(g_lsc(family, cur, tree, t), e, cur, t)
-        for t in range(scheme.settle_stage() + 1)
-    )
-    g = trajectory[-1]
+    # The decoder's index searches move until the settle stage, not the walk's,
+    # and only at the scheme's change stages.
+    trajectory: List[Tuple[int, int]] = []
+    for t in scheme.change_stages():
+        g = g_lsc(family, cur, tree, t)
+        if g is None:
+            raise SchemeError(f"index search for family {e} diverges above {cur} at stage {t}")
+        if not trajectory or trajectory[-1][1] != g:
+            trajectory.append((t, g))
     tree = tree.restrict(family.levels[g])
     if not tree.viable(cur, scheme.horizon):
         raise SchemeError(f"class emptied above {cur} after layer {n}")
-    return W2REncoding(cur, enc.layers + (LayerRecord(e, payload, cur, g, trajectory),),
+    return W2REncoding(cur, enc.layers + (LayerRecord(e, payload, cur, g, tuple(trajectory)),),
                        enc.classes + (tree,))
 
 
@@ -272,26 +261,14 @@ def w2r_encode(payloads: Sequence[BitString], scheme: W2RScheme) -> W2REncoding:
     return enc
 
 
-def _finite_or_fail(value: Optional[int], e: int, sigma: BitString, stage: int) -> int:
-    if value is None:
-        raise SchemeError(f"index search for family {e} diverges above {sigma} at stage {stage}")
-    return value
-
-
 def stabilization_stage(enc: W2REncoding) -> int:
-    """Least stage from which every layer's index search sits at its limit."""
-    stable = 0
-    for layer in enc.layers:
-        final = layer.g_value
-        t = len(layer.g_trajectory) - 1
-        while t > 0 and layer.g_trajectory[t - 1] == final:
-            t -= 1
-        stable = max(stable, t)
-    return stable
+    """Least stage from which every layer's index search sits at its limit:
+    the last change point of any layer."""
+    return max((layer.g_trajectory[-1][0] for layer in enc.layers), default=0)
 
 
 class SubProcedureRecord(NamedTuple):
-    t: int
+    t: int  # the first stage of the run of stages that replay alike
     layers: Tuple[Tuple[int, BitString], ...]  # decoded (index, payload) pairs
     consumed: BitString
     merged: BitString  # concatenated payloads
@@ -299,7 +276,7 @@ class SubProcedureRecord(NamedTuple):
 
 class GammaResult(NamedTuple):
     positions: Dict[int, Tuple[int, int]]  # position -> (bit, defining t)
-    subs: Tuple[SubProcedureRecord, ...]
+    subs: Tuple[SubProcedureRecord, ...]  # one per run of stages that replay alike
 
     def output_prefix(self) -> BitString:
         """Defined positions read off as a string, stopping at the first hole."""
@@ -367,23 +344,24 @@ def gamma_decode(x: BitString, t_max: int, scheme: W2RScheme) -> GammaResult:
     index search a true parse depends on has stabilized below t, later
     positions are written by correct replays only.
 
-    The replays share their work: every path of (family, index) choices is
-    walked and its class restricted once, and a replay runs only the index
-    searches.  Past the scheme's settle stage the index searches no longer
-    move, so each later replay is the settle-stage record at its own t.
-    Positions claimed so far always form a prefix, so each stage writes only
-    beyond it.
+    Only the index searches read t, and they read alike from one change
+    stage of the scheme to the next: one replay per change stage up to
+    `t_max`, one record per run of stages that replay alike, and one walk
+    per path of (family, index) choices.  Positions claimed so far form a
+    prefix, so stages a..b-1 replaying the merged payloads zeta claim each
+    position i past it up to min(b-1, |zeta|-1), at stage max(i, a).
     """
-    settle = scheme.settle_stage()
     walks: _Walks = {(): (scheme.base, _parse_step(x, EMPTY, scheme.base, scheme))}
     positions: Dict[int, Tuple[int, int]] = {}
     subs: List[SubProcedureRecord] = []
-    for t in range(t_max + 1):
-        rec = subs[settle]._replace(t=t) if t > settle else _replay(x, t, scheme, walks)
-        subs.append(rec)
+    starts = [t for t in scheme.change_stages() if t <= t_max]
+    for a, b in zip(starts, starts[1:] + [t_max + 1]):
+        rec = _replay(x, a, scheme, walks)
+        if not subs or subs[-1][1:] != rec[1:]:
+            subs.append(rec)
         zeta = rec.merged
-        for i in range(len(positions), min(t, len(zeta) - 1) + 1):
-            positions[i] = (zeta[i], t)
+        for i in range(len(positions), min(b - 1, len(zeta) - 1) + 1):
+            positions[i] = (zeta[i], max(i, a))
     return GammaResult(positions, tuple(subs))
 
 

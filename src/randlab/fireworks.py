@@ -65,7 +65,7 @@ class Requirement(Enum):
 
 
 def default_cap_bounds(count: int, k: int) -> Tuple[int, ...]:
-    """Cap ranges 2^(e+k+1); their inverse sum is below 2^-k."""
+    """Cap ranges 2^(e+k+1); their inverses sum to 2^-k (1 - 2^-count) < 2^-k."""
     return tuple(1 << (e + k + 1) for e in range(count))
 
 
@@ -108,12 +108,7 @@ class FireworksConfig(NamedTuple):
                     f"adversary horizon {w.horizon} exceeds stage budget {stage_budget}; "
                     "outcomes at the horizon would be unsound"
                 )
-        cfg = FireworksConfig(adversaries, k, bounds, target_length, stage_budget)
-        if defaults:
-            total = sum(Dyadic(1, 0).as_fraction() / n for n in bounds)
-            if total > Dyadic.half_pow(k).as_fraction():
-                raise RandlabError(f"default cap bounds {bounds} sum {total} over 2^-{k}")
-        return cfg
+        return FireworksConfig(adversaries, k, bounds, target_length, stage_budget)
 
     @property
     def block_lengths(self) -> Tuple[int, ...]:

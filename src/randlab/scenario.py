@@ -29,9 +29,10 @@ from .cylinders import EMPTY_SET, uniform_suffix_set
 from .demuth import (DemuthTest, DiffPair, DiffUnionTest, VersionedOpenSet,
                      demuth_to_diffunion, diffunion_to_demuth, verify_demuth)
 from .dyadic import Dyadic
-from .errors import RandlabError, ScenarioError
+from .errors import GuardExceeded, RandlabError, ScenarioError
 from .fireworks import FireworksConfig, Outcome, Sweep, caps_from_seed, run_fireworks, sweep
-from .coding import gamma_decode, kg_decode, kg_encode, stabilization_stage
+from .coding import (GammaResult, W2REncoding, W2RScheme, gamma_decode, kg_decode, kg_encode,
+                     stabilization_stage)
 from .generators import (build_working_w2r, hitting_run, random_demuth_test,
                          random_diffunion_test, random_functional_pair,
                          random_pi01_tree)
@@ -508,6 +509,28 @@ def _run_kg_sweep(ctx: Context, exp: Experiment, count: int, seed: int, depth: i
                                                "failures"], rows, failures=0))
 
 
+# The `g_trajectory` cell spells each layer's index at every stage up to the
+# settle stage, the one per-stage output left; a longer cell is refused.
+TRAJECTORY_GUARD = 1 << 20
+
+
+def _per_stage(changes: Sequence[Tuple[int, int]], settle: int) -> List[int]:
+    """The index at each stage 0..settle, from its (stage, index) change points."""
+    if settle + 1 > TRAJECTORY_GUARD:
+        raise GuardExceeded(f"g_trajectory cell over {settle + 1} stages refused "
+                            f"(limit {TRAJECTORY_GUARD})")
+    cell: List[int] = []
+    for (t, g), end in zip(changes, [t for t, _ in changes[1:]] + [settle + 1]):
+        cell += [g] * (end - t)
+    return cell
+
+
+def _gamma(scheme: W2RScheme, enc: W2REncoding, stream: BitString) -> GammaResult:
+    # Past the settle stage every replay of a true codeword parses its layers,
+    # so by this stage every position of the payload stream is claimed.
+    return gamma_decode(enc.codeword, scheme.settle_stage() + len(stream), scheme)
+
+
 def _run_w2r(ctx: Context, exp: Experiment, seed: int, payloads: List[str], depth: int,
              horizon: int) -> RunFact:
     payloads = [BitString(p) for p in payloads]
@@ -518,11 +541,10 @@ def _run_w2r(ctx: Context, exp: Experiment, seed: int, payloads: List[str], dept
     stream = BitString(bits)
     scheme, enc = build_working_w2r(seed, payloads, depth, horizon)
     stab = stabilization_stage(enc)
-    t_max = max(scheme.horizon, stab) + len(stream)
-    res = gamma_decode(enc.codeword, t_max, scheme)
+    res = _gamma(scheme, enc, stream)
     decoded = res.output_prefix()
-    layer_rows = [(lay.family_index, lay.payload, lay.g_value, lay.g_trajectory)
-                  for lay in enc.layers]
+    layer_rows = [(lay.family_index, lay.payload, lay.g_value,
+                   _per_stage(lay.g_trajectory, scheme.settle_stage())) for lay in enc.layers]
     pos_rows = []
     early_disagreements = 0
     for i in range(len(stream)):
@@ -552,8 +574,7 @@ def _run_w2r_hitting(ctx: Context, exp: Experiment, seed: int, positions: List[i
              for pos, p in zip(positions, patterns)]
     scheme, payloads, steps, enc = hitting_run(seed, opens, depth, horizon)
     stream = BitString("".join(p.bits for p in payloads))
-    t_max = max(scheme.horizon, len(stream)) + horizon
-    decoded = gamma_decode(enc.codeword, t_max, scheme).output_prefix()
+    decoded = _gamma(scheme, enc, stream).output_prefix()
     rows = [(i, pos, BitString(pat), *steps[i], payloads[i], opens[i].contains_prefix_of(decoded))
             for i, (pos, pat) in enumerate(zip(positions, patterns))]
     return _fact(exp, ctx.report(exp, ".csv", ["step", "position", "pattern", "n", "steering",

@@ -324,8 +324,15 @@ def test_w2r_encode_layers_and_classes():
     assert [l.payload for l in enc.layers] == payloads
     assert len(enc.classes) == 3
     assert enc.classes[-1].viable(enc.codeword, scheme.horizon)
+    # Each layer's index trajectory is its (stage, index) change points: the
+    # first at stage 0, the stages rising, each index differing from the last.
+    assert [l.g_trajectory for l in enc.layers] == [((0, 0), (1, 1), (2, 2)), ((0, 0), (6, 2))]
     for layer in enc.layers:
-        assert layer.g_trajectory[-1] == layer.g_value
+        stages = [t for t, _ in layer.g_trajectory]
+        indices = [g for _, g in layer.g_trajectory]
+        assert stages[0] == 0 and stages == sorted(set(stages))
+        assert all(a != b for a, b in zip(indices, indices[1:]))
+        assert layer.g_trajectory[-1][1] == layer.g_value
     with pytest.raises(SchemeError):
         w2r_encode(payloads + [BitString("1")], scheme)
 
@@ -334,8 +341,11 @@ def test_stabilization_confines_errors():
     payloads = [BitString("101"), BitString("01")]
     scheme, enc = build_working_w2r(5, payloads)
     stab = stabilization_stage(enc)
+    assert stab == max(layer.g_trajectory[-1][0] for layer in enc.layers) == 6
     for layer in enc.layers:
-        assert all(g == layer.g_value for g in layer.g_trajectory[stab:])
+        # The index in force at stab is the limit, and it moves no more later.
+        assert [g for t, g in layer.g_trajectory if t <= stab][-1] == layer.g_value
+        assert all(t <= stab for t, _ in layer.g_trajectory)
     stream = BitString("10101")
     res = gamma_decode(enc.codeword, max(scheme.horizon, stab) + len(stream), scheme)
     assert res.output_prefix() == stream

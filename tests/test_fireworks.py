@@ -44,9 +44,17 @@ def ladder(stages=4):
 def test_default_cap_bounds():
     assert default_cap_bounds(3, 2) == (8, 16, 32)
     assert default_cap_bounds(1, 0) == (2,)
-    # Inverse sum stays under 2^-k, which build() asserts for defaults.
-    FireworksConfig.build([SILENT, SILENT, SILENT], k=2,
-                          target_length=8, stage_budget=8)
+    cfg = FireworksConfig.build([SILENT, SILENT, SILENT], k=2, target_length=8, stage_budget=8)
+    assert cfg.cap_bounds == (8, 16, 32)
+
+
+@given(st.integers(0, 40), st.integers(0, 40))
+def test_default_cap_bounds_inverse_sum_stays_under_2_to_the_minus_k(count, k):
+    # sum over e < m of 2^-(e+k+1) = 2^-k (1 - 2^-m) < 2^-k, so `build` needs
+    # no check of the sum for its defaults.
+    total = sum(Fraction(1, n) for n in default_cap_bounds(count, k))
+    assert total == Fraction(1, 2 ** k) * (1 - Fraction(1, 2 ** count))
+    assert total < Fraction(1, 2 ** k)
 
 
 def test_silent_adversary_always_passive():

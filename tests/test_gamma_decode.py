@@ -1,26 +1,34 @@
 """The staged decoder and the layered encoder against their slow references.
 
-`gamma_decode` walks each path of (family, index) choices once and copies
-the settle-stage record past the settle stage; `reference_replay` is the
-per-stage replay it replaced, kept here as the oracle.  `hitting_run`
-extends one running encoding by a layer per open; `hitting_reference`
-re-encodes every payload from scratch before each open instead.
+`gamma_decode` walks each path of (family, index) choices once and replays
+once per change stage of the scheme, keeping one record per run of stages
+that replay alike; `reference_gamma` replays every stage from scratch, the
+way it once did.  `w2r_encode` keeps each layer's index trajectory as
+change points; `reference_extend` is the per-stage index search it
+replaced.  Both references are the oracles here.  `hitting_run` extends
+one running encoding by a layer per open; `hitting_reference` re-encodes
+every payload from scratch before each open instead.
 """
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randlab import coding, generators
-from randlab.bitstring import EMPTY, BitString, decode_pair
-from randlab.coding import (GammaResult, SubProcedureRecord, W2RScheme,
-                            extend_into_open, g_lsc, gamma_decode, kg_decode_prefix,
+from randlab.bitstring import EMPTY, BitString, decode_pair, encode_pair, self_delimit
+from randlab.coding import (GammaResult, LayerRecord, OpenFamily, SubProcedureRecord,
+                            W2REncoding, W2RScheme, encode_bits, extend_into_open, g_lsc,
+                            gamma_decode, kg_decode_prefix, stabilization_stage,
                             w2r_encode)
 from randlab.cylinders import CylinderSet, uniform_suffix_set
 from randlab.errors import DensityError, GuardExceeded, RandlabError, SchemeError
-from randlab.generators import (hitting_run, nested_family, random_bits,
+from randlab.generators import (build_working_w2r, hitting_run, nested_family, random_bits,
                                 random_pi01_tree)
+from randlab.scenario import _per_stage
+from randlab.staged import Pi01Tree, StagedOpenSet
 
 SCHEMES = 300
 
@@ -72,6 +80,36 @@ def reference_gamma(x, t_max, scheme, paths=None):
     return GammaResult(positions, tuple(subs))
 
 
+def reference_extend(enc, payload, scheme):
+    """The per-stage body w2r_extend replaced: each index search runs at
+    every stage up to the settle stage, and the trajectory keeps them all."""
+    n = len(enc.layers)
+    if n >= len(scheme.star_indices):
+        raise SchemeError("more payloads than configured star indices")
+    e = scheme.star_indices[n]
+    tree = enc.classes[-1]
+    cur = encode_bits(self_delimit(encode_pair(e, payload)), enc.codeword, tree, scheme.horizon)
+    family = scheme.family(e)
+    trajectory = []
+    for t in range(scheme.settle_stage() + 1):
+        g = g_lsc(family, cur, tree, t)
+        if g is None:
+            raise SchemeError(f"index search for family {e} diverges above {cur} at stage {t}")
+        trajectory.append(g)
+    tree = tree.restrict(family.levels[g])
+    if not tree.viable(cur, scheme.horizon):
+        raise SchemeError(f"class emptied above {cur} after layer {n}")
+    return W2REncoding(cur, enc.layers + (LayerRecord(e, payload, cur, g, tuple(trajectory)),),
+                       enc.classes + (tree,))
+
+
+def reference_encode(payloads, scheme):
+    enc = W2REncoding(EMPTY, (), (scheme.base,))
+    for payload in payloads:
+        enc = reference_extend(enc, payload, scheme)
+    return enc
+
+
 def g_lsc_reference(family, sigma, tree, stage):
     # The cylinder-difference form g_lsc replaced.
     blocked = tree.removed_open(stage)
@@ -99,14 +137,35 @@ def outcome(decode, *args):
         return type(err)
 
 
+def run_of(subs, t):
+    """The record of the run of stages that contains stage t."""
+    return [rec for rec in subs if rec.t <= t][-1]
+
+
 def assert_same_result(got, want):
     if isinstance(want, type):
         assert got is want
         return
     assert got.positions == want.positions
-    assert len(got.subs) == len(want.subs)
-    for a, b in zip(got.subs, want.subs):
-        assert (a.t, a.layers, a.consumed, a.merged) == (b.t, b.layers, b.consumed, b.merged)
+    # One record per run of stages that replay alike, dated by its first stage,
+    # and each per-stage record reads as the record of its run.
+    firsts = [b for i, b in enumerate(want.subs) if i == 0 or b[1:] != want.subs[i - 1][1:]]
+    assert got.subs == tuple(firsts)
+    for b in want.subs:
+        assert run_of(got.subs, b.t)[1:] == b[1:]
+
+
+def assert_same_encoding(got, want, scheme):
+    """`want` from the per-stage reference: the same encoding, each layer's
+    change points spelling its per-stage trajectory."""
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert got.codeword == want.codeword
+    assert [tuple(c.events) for c in got.classes] == [tuple(c.events) for c in want.classes]
+    for a, b in zip(got.layers, want.layers, strict=True):
+        assert a._replace(g_trajectory=None) == b._replace(g_trajectory=None)
+        assert tuple(_per_stage(a.g_trajectory, scheme.settle_stage())) == b.g_trajectory
 
 
 def test_gamma_decode_matches_per_stage_replays():
@@ -133,6 +192,105 @@ def test_gamma_decode_matches_per_stage_replays():
                                outcome(reference_gamma, x, t_max, scheme))
     # Every kind of input and both sides of the settle stage were exercised.
     assert min(kinds.values()) >= 100 and below >= 50 and above >= 200, (kinds, below, above)
+
+
+def sample_inputs(rng, scheme):
+    """Payloads, and inputs to decode: a random string, plus the codeword and a
+    prefix of it when the scheme accepts the payloads."""
+    payloads = [random_bits(rng, rng.randrange(4)) for _ in range(1 + rng.randrange(3))]
+    xs = [random_bits(rng, rng.randrange(48))]
+    try:
+        word = w2r_encode(payloads, scheme).codeword
+    except RandlabError:
+        return payloads, xs
+    return payloads, xs + [word, word.prefix(rng.randrange(len(word) + 1))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 12), st.integers(0, 12))
+def test_change_points_match_the_per_stage_references(seed, horizon, extra):
+    rng = random.Random(seed)
+    scheme = random_scheme(rng, horizon)
+    payloads, xs = sample_inputs(rng, scheme)
+    got = outcome(w2r_encode, payloads, scheme)
+    want = outcome(reference_encode, payloads, scheme)
+    assert_same_encoding(got, want, scheme)
+    t_max = scheme.settle_stage() + extra - 6  # on both sides of the settle stage
+    for x in xs:
+        assert_same_result(outcome(gamma_decode, x, t_max, scheme),
+                           outcome(reference_gamma, x, t_max, scheme))
+
+
+def test_encoders_fail_at_the_same_stage():
+    # The first stage whose index search finds no level is a change stage,
+    # since the search reads alike between two of them.
+    failed = 0
+    for i in range(SCHEMES):
+        rng = random.Random(f"gamma:{i}")
+        scheme = random_scheme(rng, i % 10)
+        payloads, _ = sample_inputs(rng, scheme)
+        try:
+            reference_encode(payloads, scheme)
+        except RandlabError as err:
+            with pytest.raises(type(err)) as ours:
+                w2r_encode(payloads, scheme)
+            assert str(ours.value) == str(err)
+            failed += "diverges" in str(err)
+    assert failed >= 100, failed
+
+
+def same_events(scheme, horizon):
+    """`scheme` with its base, its family levels and its walk stage moved to
+    `horizon`, every event kept."""
+    families = tuple(OpenFamily(tuple(StagedOpenSet(level.events, horizon) for level in f.levels))
+                     for f in scheme.families)
+    return W2RScheme(Pi01Tree(scheme.base.depth, scheme.base.events, horizon), families,
+                     scheme.star_indices, horizon)
+
+
+def counting(monkeypatch, name):
+    """The arguments of every call of `coding.<name>` from here on."""
+    calls = []
+    real = getattr(coding, name)
+    monkeypatch.setattr(coding, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_work_does_not_grow_with_the_horizon(seed, monkeypatch):
+    payloads = [BitString("101"), BitString("01")]
+    small, _ = build_working_w2r(seed, payloads)
+    large = same_events(small, 2 ** 40)
+    assert large.change_stages() == small.change_stages()
+    searches = counting(monkeypatch, "g_lsc")
+    replays = counting(monkeypatch, "_replay")
+    counts = []
+    for scheme in (small, large):
+        searches.clear()
+        enc = w2r_encode(payloads, scheme)
+        encode_searches = len(searches)
+        replays.clear()
+        res = gamma_decode(enc.codeword, scheme.settle_stage() + 5, scheme)
+        assert res.output_prefix() == BitString("10101")
+        counts.append((encode_searches, len(replays), enc.layers))
+    assert counts[0] == counts[1]
+    assert 0 < counts[0][1] <= len(small.change_stages())
+
+
+@pytest.mark.parametrize("seed, horizon", [(s, h) for s in range(3) for h in (2, 8, 12)])
+def test_one_stage_budget_serves_both_runners(seed, horizon):
+    # The runners decode up to settle_stage + |stream|.  For generated schemes
+    # that is the `w2r` runner's old budget, and it claims every position the
+    # `w2r_hitting` runner's old budget claimed: those of the true codeword.
+    payloads = [BitString("101"), BitString("01")]
+    stream = BitString("10101")
+    scheme, enc = build_working_w2r(seed, payloads, horizon=horizon)
+    budget = scheme.settle_stage() + len(stream)
+    assert budget == max(scheme.horizon, stabilization_stage(enc)) + len(stream)
+    got = gamma_decode(enc.codeword, budget, scheme)
+    hitting = gamma_decode(enc.codeword, max(scheme.horizon, len(stream)) + horizon, scheme)
+    assert got.positions == hitting.positions
+    assert got.output_prefix() == stream
 
 
 def test_g_lsc_matches_the_cylinder_difference():
@@ -220,18 +378,6 @@ def criterion_7_run():
     return scheme, enc.codeword, max(scheme.horizon, stream_len) + scheme.horizon
 
 
-def counting_walks(monkeypatch):
-    calls = []
-    real = coding.kg_decode_prefix
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(coding, "kg_decode_prefix", counted)
-    return calls
-
-
 # kg_decode_prefix calls of one gamma_decode on the acceptance criterion 7
 # configuration; the per-stage replays of reference_gamma make 142.
 CRITERION_7_WALKS = 7
@@ -241,7 +387,7 @@ def test_gamma_decode_walks_each_index_path_once(monkeypatch):
     scheme, x, t_max = criterion_7_run()
     paths = set()
     want = reference_gamma(x, t_max, scheme, paths)
-    calls = counting_walks(monkeypatch)
+    calls = counting(monkeypatch, "kg_decode_prefix")
     got = gamma_decode(x, t_max, scheme)
     assert_same_result(got, want)
     assert len(calls) == len(paths) == CRITERION_7_WALKS
@@ -250,14 +396,14 @@ def test_gamma_decode_walks_each_index_path_once(monkeypatch):
 def test_gamma_decode_walks_do_not_grow_past_the_settle_stage(monkeypatch):
     scheme, x, t_max = criterion_7_run()
     assert t_max > scheme.settle_stage()
-    calls = counting_walks(monkeypatch)
+    calls = counting(monkeypatch, "kg_decode_prefix")
     short = gamma_decode(x, t_max, scheme)
     walks = len(calls)
     calls.clear()
     long = gamma_decode(x, 2 * t_max, scheme)
     assert len(calls) == walks
     assert long.positions == short.positions
-    assert long.subs[:t_max + 1] == short.subs
+    assert long.subs == short.subs
 
 
 def test_true_codewords_decode_from_the_settle_stage_on():
@@ -280,6 +426,7 @@ def test_true_codewords_decode_from_the_settle_stage_on():
         layers = tuple(zip(scheme.star_indices, payloads))
         stream = BitString("".join(p.bits for p in payloads))
         result = gamma_decode(enc.codeword, settle + len(stream) + scheme.horizon, scheme)
-        assert all(rec.layers == layers and rec.merged == stream for rec in result.subs[settle:]), i
+        run = result.subs.index(run_of(result.subs, settle))
+        assert all(rec.layers == layers and rec.merged == stream for rec in result.subs[run:]), i
         assert result.output_prefix() == stream, i
     assert accepted >= 100 and late >= 50, (accepted, late)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -597,14 +598,41 @@ def test_a_run_builds_one_subparser_and_reads_no_report_back(monkeypatch, tmp_pa
     assert built[1:] == ["run", "fireworks", "tests", "convert", "kg", "w2r", "minpair"]
 
 
+def run_fresh(argv, timeout):
+    """`randlab` in a fresh interpreter, with its exit code, output and time."""
+    env = dict(os.environ, PYTHONPATH=str(Path(randlab.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "randlab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+    return proc, time.perf_counter() - start
+
+
 def test_cli_minpair_at_horizon_2_to_the_70_exits_0_at_once():
     # One list entry per stage once ended here in a MemoryError traceback.
-    env = dict(os.environ, PYTHONPATH=str(Path(randlab.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "randlab.cli", "minpair", "analyze",
-                           "--seed", "1", "--count", "1", "--horizon", str(2 ** 70)],
-                          capture_output=True, text=True, env=env, timeout=10)
+    proc, _ = run_fresh(["minpair", "analyze", "--seed", "1", "--count", "1",
+                         "--horizon", str(2 ** 70)], timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "" and "experiment analyze: ok" in proc.stdout
+
+
+def test_cli_w2r_encode_at_horizon_2_to_the_70_refuses_the_trajectory_cell():
+    # Everything but the per-stage `g_trajectory` cell follows change stages.
+    proc, took = run_fresh(["w2r", "encode", "--seed", "5", "--payloads", "101",
+                            "--horizon", str(2 ** 70)], timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (f"error: encode: g_trajectory cell over {2 ** 70 + 1} stages "
+                           "refused (limit 1048576)\n")
+    assert "Traceback" not in proc.stdout and took < 5
+
+
+def test_cli_w2r_hit_at_horizon_2_to_the_70_exits_0():
+    proc, took = run_fresh(["w2r", "hit", "--seed", "9", "--positions", "8,12",
+                            "--patterns", "1,01", "--horizon", str(2 ** 70)], timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "" and "experiment hit: ok" in proc.stdout
+    summary = proc.stdout.split("== cli_hit_summary.csv ==\n")[1].splitlines()
+    assert summary[:2] == ["codeword_length,decoded,stream_match", "41,00000000100001,yes"]
+    assert took < 5
 
 
 @pytest.mark.parametrize("argv, params", [
