@@ -4,8 +4,8 @@ Every subcommand except `kg encode`/`kg decode` assembles a one-off
 in-memory scenario and runs it through the same handlers the scenario
 runner uses, so CLI output and scenario reports never drift apart.
 `fireworks`, `tests convert`, `w2r` and `minpair` are one command: the
-experiment kind the subcommand and mode name, given each of that kind's
-`EXPERIMENT_KEYS` the user gave an option for.
+experiment kind the subcommand and mode name, given every option the user
+gave for a key of the subcommand's `EXPERIMENT_KEYS`, for its kind to check.
 Reports go to --out when given, otherwise to a temporary directory, and
 are echoed to stdout either way, from the text the run wrote.
 
@@ -90,8 +90,8 @@ _EXPERIMENT_KINDS = {
 
 
 def _cmd_experiment(args) -> int:
-    """The experiment given each key of its kind that the user gave as an
-    option; the scenario reader holds the defaults of the others."""
+    """The experiment given each key of the subcommand's kinds that the user
+    gave as an option; the reader holds the defaults and refuses the rest."""
     kind = _EXPERIMENT_KINDS[args.command, args.mode]
     given = dict(vars(args))
     objects = {}
@@ -105,7 +105,9 @@ def _cmd_experiment(args) -> int:
             given["seed"] = None
         elif args.mode == "run" and args.seed is None:
             raise ScenarioError("fireworks run needs --caps or --seed")
-    params = {key: given[key] for key, *_ in EXPERIMENT_KEYS[kind] if given.get(key) is not None}
+    keys = {key for (command, _), read in _EXPERIMENT_KINDS.items() if command == args.command
+            for key, *_ in EXPERIMENT_KEYS[read]}
+    params = {key: given[key] for key in sorted(keys) if given.get(key) is not None}
     return _run_inline("cli", objects, [Experiment(args.mode, kind, params)], args.out)
 
 
@@ -141,7 +143,7 @@ def _fireworks_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cap-bounds", type=_csv_ints, help="comma-separated powers of two")
     p.add_argument("--caps", type=_csv_ints, help="explicit cap vector for mode=run")
     p.add_argument("--seed", type=int, help="draw caps from this seed for mode=run")
-    p.add_argument("--trace", action="store_true")
+    p.add_argument("--trace", action="store_true", default=None)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_experiment)
 

@@ -434,20 +434,39 @@ EMPTY_SET = CylinderSet(False)
 FULL_SET = CylinderSet(True)
 
 
+def interval_set(lo: int, hi: int, width: int, tail: CylinderSet = FULL_SET) -> CylinderSet:
+    """All sequences whose first `width` bits, read as a binary number, lie
+    in lo..hi, followed by a sequence in `tail`.
+
+    Built up from the last of the `width` bits: after k of them, `inside`
+    holds the k-bit values from lo's last k bits to hi's, `ge` those from
+    lo's and `le` those up to hi's.  That is 4 nodes a bit, so the trie has
+    O(width) nodes above `tail` whatever the range holds.
+    """
+    if width < 0 or not 0 <= lo <= hi < 1 << width:
+        raise ValueError(f"range {lo}..{hi} does not fit in {width} bits")
+    full = ge = le = inside = tail._tree
+    for k in range(width):
+        l, h = lo >> k & 1, hi >> k & 1
+        inside = (False if l > h else _pair(ge, le) if l < h
+                  else _pair(False, inside) if l else _pair(inside, False))
+        ge = _pair(False, ge) if l else _pair(ge, full)
+        le = _pair(full, le) if h else _pair(le, False)
+        full = _pair(full, full)
+    return CylinderSet(inside)
+
+
 def uniform_suffix_set(pattern: Union[BitString, str], position: int) -> CylinderSet:
     """All sequences carrying `pattern` right after `position` free bits.
 
-    Both branches at each free level share one subtree, so the trie has
-    O(position + |pattern|) nodes and boolean algebra, shifting, membership,
-    and measure stay cheap.  Reading .strings off the result still expands
-    all 2^position generators; avoid that for large offsets.
+    The trie has O(position + |pattern|) nodes (`interval_set`), so boolean
+    algebra, shifting, membership, and measure stay cheap.  Reading .strings
+    off the result still expands all 2^position generators; avoid that for
+    large offsets.
     """
     if position < 0:
         raise ValueError("suffix position must be nonnegative")
-    node = _chain(BitString(pattern).bits)
-    for _ in range(position):
-        node = _pair(node, node)
-    return CylinderSet(node)
+    return interval_set(0, (1 << position) - 1, position, CylinderSet.cylinder(pattern))
 
 
 def brute_measure(strings: Iterable[BitString], depth: int) -> Dyadic:

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 from .bitstring import BitString
 from .cylinders import EMPTY_SET, CylinderSet
 from .dyadic import Dyadic
-from .errors import RandlabError
+from .errors import GuardExceeded, RandlabError
 from .staged import StagedOpenSet, ValuedOpenSet, _check_int, _dated, _Schedule
 
 
@@ -110,10 +110,8 @@ class DiffUnionTest(_DiffUnionTestFields):
             raise RandlabError("one pair bound per level required")
 
     def level_set_at(self, n: int, stage: int) -> CylinderSet:
-        acc = EMPTY_SET
-        for pair in self.levels[n]:
-            acc = acc | (pair.u.open_at(stage) - pair.v.open_at(stage))
-        return acc
+        pairs = self.levels[n]
+        return _tracked([p.u.open_at(stage) for p in pairs], [p.v.open_at(stage) for p in pairs])
 
     def level_final(self, n: int) -> CylinderSet:
         return self.level_set_at(n, self.horizon)
@@ -154,25 +152,29 @@ def verify_diffunion(test: DiffUnionTest) -> TestReport:
     return _audit(test, map(len, test.levels), test.pair_bounds)
 
 
+PAIR_GUARD = 1 << 16
+
+
 def demuth_to_diffunion(test: DemuthTest) -> DiffUnionTest:
     """Re-read each version list as difference pairs, exactly.
 
     Pair k is (k-th version, k-th version) when a (k+1)-th version exists
     and (k-th version, empty) when it does not, so every superseded pair
     cancels and the union of differences is precisely the final version.
-    The pair list is padded to the declared version bound.
+    The pair list is padded to the declared version bound, at most
+    `PAIR_GUARD`, by pairs of one shared empty set.
     """
+    empty = StagedOpenSet([], test.horizon)
     levels = []
     for n, level in enumerate(test.levels):
-        pairs: List[DiffPair] = []
         count = level.version_count()
         width = max(test.version_bounds[n], count)
-        for k in range(width):
-            u = level.versions[k][1] if k < count else StagedOpenSet([], test.horizon)
-            v = u if k + 1 < count else StagedOpenSet([], test.horizon)
-            pairs.append(DiffPair(u, v))
-        levels.append(tuple(pairs))
-    return DiffUnionTest(tuple(levels), tuple(max(b, l.version_count()) for b, l in zip(test.version_bounds, test.levels)), test.horizon)
+        if width > PAIR_GUARD:
+            raise GuardExceeded(f"level {n} padded to {width} pairs refused (limit {PAIR_GUARD})")
+        versions = [version for _, version in level.versions] + [empty] * (width - count)
+        levels.append(tuple(DiffPair(u, u if k + 1 < count else empty)
+                            for k, u in enumerate(versions)))
+    return DiffUnionTest(tuple(levels), tuple(map(len, levels)), test.horizon)
 
 
 def _multiples_exceeded(measure: Dyadic, c: int, n: int) -> int:

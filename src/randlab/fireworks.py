@@ -18,11 +18,11 @@ strategy, and splits a box only where `guesses < cap` is undecided on it,
 so it makes one run per behaviour and its leaf boxes tile the cap space.
 It folds the leaves into what the reports read: the leaf boxes, the exact
 failure probability as a dyadic rational, and each strategy's commitments
-and answers on the oracle side as aligned dyadic blocks.  `SWEEP_GUARD` is
-there only for what is materialised per vector (the failing vectors a
-report lists, the oracle blocks a box spells out): the walk itself needs no
-guard, though `sweep` still refuses cap spaces past it.  `sweep_runs`, one
-run per cap vector, is the brute-force reference the walk is tested against.
+and answers on the oracle side, one trie per box.  `SWEEP_GUARD` is there
+only for what the reports spell out per vector (failing vectors, the
+trichotomy table, failure set antichains): the walk itself needs no guard,
+though `sweep` still refuses cap spaces past it.  `sweep_runs`, one run per
+cap vector, is the brute-force reference the walk is tested against.
 
 An engine step asks an adversary one thing: the least string it has
 enumerated above a prefix (`Enumerator.least_extension`), a lookup in a
@@ -37,13 +37,14 @@ import itertools
 import math
 import random
 from enum import Enum
+from functools import partial, reduce
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bitstring import EMPTY, BitString
-from .cylinders import CylinderSet
+from .cylinders import EMPTY_SET, FULL_SET, CylinderSet, interval_set
 from .dyadic import Dyadic
 from .errors import GuardExceeded, RandlabError
-from .staged import Enumerator, StagedOpenSet, by_stage
+from .staged import Enumerator, ValuedOpenSet
 
 SWEEP_GUARD = 1 << 24
 # Caps are drawn, listed and written as integers; past 2^64 their decimal
@@ -117,7 +118,6 @@ class FireworksConfig(NamedTuple):
 
 class StrategyRecord(NamedTuple):
     index: int
-    cap: int
     outcome: Outcome
     guesses_made: int
     final_guess: Optional[BitString]
@@ -237,11 +237,14 @@ def run_fireworks(cfg: FireworksConfig, caps: Sequence[int], *, keep_trace: bool
         # A commitment is first asked for its answer at the stage it is made.
         if waiting is not None:
             tau = waiting.answer(stage)
-            if tau is not None:
-                waiting.answer_stage = stage
-                x = tau
-                note(f"s={stage} e={waiting.index} commitment answered by {tau}")
-                waiting = None
+            if tau is None:
+                # Only at the adversary's next event can an answer come.
+                stage = waiting.enum.next_change(stage, cfg.stage_budget)
+                continue
+            waiting.answer_stage = stage
+            x = tau
+            note(f"s={stage} e={waiting.index} commitment answered by {tau}")
+            waiting = None
         stage += 1
 
     records = []
@@ -257,7 +260,7 @@ def run_fireworks(cfg: FireworksConfig, caps: Sequence[int], *, keep_trace: bool
         else:
             outcome = Outcome.UNRESOLVED
         records.append(StrategyRecord(
-            st.index, st.cap, outcome, st.guesses,
+            st.index, outcome, st.guesses,
             st.wait_prefix if st.wait_prefix is not None else st.guess_prefix,
             st.active_stage, st.answer_stage, proven,
         ))
@@ -301,13 +304,6 @@ def sweep_runs(cfg: FireworksConfig):
     _cap_space(cfg)
     for caps in itertools.product(*(range(1, n + 1) for n in cfg.cap_bounds)):
         yield run_fireworks(cfg, caps)
-
-
-def _with_caps(run: FireworksRun, caps: Tuple[int, ...]) -> FireworksRun:
-    records = tuple(StrategyRecord(r.index, c, r.outcome, r.guesses_made, r.final_guess,
-                                   r.active_stage, r.answer_stage, r.failure_proven)
-                    for r, c in zip(run.records, caps))
-    return FireworksRun(run.x_prefix, caps, records, run.stages_used, run.halted_by, run.trace)
 
 
 class Leaf(NamedTuple):
@@ -373,47 +369,35 @@ def _leaves(cfg: FireworksConfig) -> List[Leaf]:
         caps.extend(_Cap(lo, hi, caps, pending) for lo, hi in pending.pop())
         run = run_fireworks(cfg, caps)
         box = tuple(range(c.lo, c.hi + 1) for c in caps)
-        leaves.append(Leaf(box, _with_caps(run, tuple(r.start for r in box))))
+        leaves.append(Leaf(box, run._replace(caps=tuple(r.start for r in box))))
     leaves.sort(key=lambda leaf: leaf.run.caps)
     return leaves
 
 
-def _aligned_blocks(lo: int, hi: int, width: int) -> List[str]:
-    """lo..hi as the fewest aligned dyadic blocks of `width`-bit values,
-    each given by its prefix; lo..hi must not be all of them."""
-    out = []
-    while lo <= hi:
-        size = (lo & -lo).bit_length() - 1 if lo else width
-        while lo + (1 << size) - 1 > hi:
-            size -= 1
-        out.append(format(lo >> size, f"0{width - size}b"))
-        lo += 1 << size
+def _box_set(box: Tuple[range, ...], cfg: FireworksConfig) -> CylinderSet:
+    """The oracles of a box's vectors, as one trie: block e holds cap - 1 in
+    its block length, so each cap range is an interval of block values."""
+    out = FULL_SET
+    for r, width in reversed(list(zip(box, cfg.block_lengths))):
+        out = interval_set(r.start - 1, r.stop - 2, width, out)
     return out
 
 
-def _box_oracles(box: Tuple[range, ...], cfg: FireworksConfig) -> List[BitString]:
-    """The oracles of a box's vectors as cylinders.
-
-    Block e holds cap - 1 in its block length, so the cap range of the last
-    strategy not free over its whole range is a few aligned blocks; the
-    blocks after it are free and the ones before it are spelt out.
-    """
-    last = max((e for e, (r, n) in enumerate(zip(box, cfg.cap_bounds)) if len(r) < n),
-               default=-1)
-    prefixes = [""]
-    for e in range(last + 1):
-        r, width = box[e], cfg.block_lengths[e]
-        blocks = (_aligned_blocks(r.start - 1, r.stop - 2, width) if e == last
-                  else [format(cap - 1, f"0{width}b") for cap in r])
-        prefixes = [p + b for p in prefixes for b in blocks]
-    return [BitString(p) for p in prefixes]
+def _staged_union(dated: Sequence[Tuple[int, CylinderSet]], horizon: int) -> ValuedOpenSet:
+    """Valued at each stage `dated` names as the union of the sets dated by
+    then, each union made the first time a stage reads it."""
+    stages = sorted({t for t, _ in dated})
+    return ValuedOpenSet([(t, partial(reduce, CylinderSet.__or__, [o for s, o in dated if s <= t],
+                                      EMPTY_SET)) for t in stages], horizon)
 
 
 class FailureSets(NamedTuple):
-    """Oracle-side view of one strategy: who commits, who gets answered."""
+    """Oracle-side view of one strategy: who commits, who gets answered.
+    The residue measure is at most 1 / cap bound, and the union of residues
+    has exactly the sweep's failure probability."""
 
-    committed: StagedOpenSet   # oracles driving the strategy into a commitment
-    answered: StagedOpenSet    # the subset whose commitment is answered
+    committed: ValuedOpenSet   # oracles driving the strategy into a commitment
+    answered: ValuedOpenSet    # the subset whose commitment is answered
 
     def residue(self) -> CylinderSet:
         return self.committed.final() - self.answered.final()
@@ -423,28 +407,15 @@ class Sweep(NamedTuple):
     """What the reports read off one walk over the cap space.
 
     `leaves` tile the `total` vectors, in order of least vector;
-    `probability` is the share of vectors whose run fails.  `committed[e]`
-    and `answered[e]` date the oracle cylinders whose runs have strategy e
-    commit, or its commitment answered.
+    `probability` is the share of vectors whose run fails.  Each side of
+    `failure_sets[e]` is valued at a stage as the union of the oracles of
+    the boxes whose runs have strategy e commit, or answered, by then.
     """
 
     total: int
     leaves: Tuple[Leaf, ...]
     probability: Dyadic
-    committed: Tuple[Tuple[Tuple[int, BitString], ...], ...]
-    answered: Tuple[Tuple[Tuple[int, BitString], ...], ...]
-    stage_budget: int
-
-    def failure_sets(self) -> Tuple[FailureSets, ...]:
-        """Commitment and answer cylinders per strategy, each a staged open
-        set dating an oracle's cylinder by the stage its event became visible.
-        The residue measure per strategy is at most 1 / cap_bound, and the
-        union of residues has exactly the sweep's failure probability.
-        """
-        return tuple(
-            FailureSets(StagedOpenSet(by_stage(c), self.stage_budget),
-                        StagedOpenSet(by_stage(a), self.stage_budget))
-            for c, a in zip(self.committed, self.answered))
+    failure_sets: Tuple[FailureSets, ...]
 
 
 def sweep(cfg: FireworksConfig) -> Sweep:
@@ -458,16 +429,15 @@ def sweep(cfg: FireworksConfig) -> Sweep:
     if 1 << bits != total:
         raise RandlabError(f"cap space {total} is not a power of two")
     leaves = _leaves(cfg)
-    committed: List[List[Tuple[int, BitString]]] = [[] for _ in cfg.adversaries]
-    answered: List[List[Tuple[int, BitString]]] = [[] for _ in cfg.adversaries]
+    # Per strategy, its (commit stage, box set) and (answer stage, box set) pairs.
+    dated: List[Tuple[list, list]] = [([], []) for _ in cfg.adversaries]
     for leaf in leaves:
         records = [rec for rec in leaf.run.records if rec.active_stage is not None]
-        oracles = _box_oracles(leaf.box, cfg) if records else []
+        oracles = _box_set(leaf.box, cfg) if records else EMPTY_SET
         for rec in records:
-            committed[rec.index].extend((rec.active_stage, o) for o in oracles)
-            if rec.answer_stage is not None:
-                answered[rec.index].extend((rec.answer_stage, o) for o in oracles)
+            for side, stage in zip(dated[rec.index], (rec.active_stage, rec.answer_stage)):
+                if stage is not None:
+                    side.append((stage, oracles))
     failing = sum(leaf.volume for leaf in leaves if leaf.run.failed)
-    return Sweep(total, tuple(leaves), Dyadic(failing, bits),
-                 tuple(map(tuple, committed)), tuple(map(tuple, answered)),
-                 cfg.stage_budget)
+    sets = tuple(FailureSets(*(_staged_union(side, cfg.stage_budget) for side in sides)) for sides in dated)
+    return Sweep(total, tuple(leaves), Dyadic(failing, bits), sets)

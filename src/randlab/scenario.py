@@ -334,7 +334,7 @@ def _run_fireworks_run(ctx: Context, exp: Experiment, caps: Optional[List[int]],
             raise _err(exp.name, "need either caps or seed")
         caps = caps_from_seed(seed, cfg.cap_bounds)
     run = run_fireworks(cfg, tuple(caps), keep_trace=trace)
-    rows = [(r.index, r.cap, r.outcome.value, r.guesses_made, r.final_guess,
+    rows = [(r.index, run.caps[r.index], r.outcome.value, r.guesses_made, r.final_guess,
              r.active_stage, r.answer_stage, r.failure_proven)
             for r in run.records]
     reports = [ctx.report(exp, ".csv", ["strategy", "cap", "outcome", "guesses", "final_guess",
@@ -403,7 +403,7 @@ def _run_fireworks_extract(ctx: Context, exp: Experiment, **config) -> RunFact:
     sw = ctx.swept(cfg)
     union = EMPTY_SET
     rows = []
-    for e, fs in enumerate(sw.failure_sets()):
+    for e, fs in enumerate(sw.failure_sets):
         residue = fs.residue()
         union = union | residue
         bound = Dyadic(1, cfg.cap_bounds[e].bit_length() - 1)

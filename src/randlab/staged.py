@@ -172,6 +172,11 @@ class _Schedule:
             return []
         return sorted({0, *self._stages[:bisect_right(self._stages, upto)]})
 
+    def next_change(self, stage: int, limit: int) -> int:
+        """The first event stage past `stage`, or `limit` if none comes before it."""
+        i = bisect_right(self._stages, stage)
+        return min(self._stages[i], limit) if i < len(self._stages) else limit
+
 
 class Enumerator(_Schedule):
     """A monotone stage -> finite-string-set schedule with a horizon.

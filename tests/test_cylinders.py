@@ -14,6 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,7 @@ import randlab
 from randlab import cylinders
 from randlab.bitstring import BitString
 from randlab.coding import shifted_core
-from randlab.cylinders import (CylinderSet, EMPTY_SET, FULL_SET, brute_measure,
+from randlab.cylinders import (CylinderSet, EMPTY_SET, FULL_SET, brute_measure, interval_set,
                                uniform_suffix_set)
 from randlab.dyadic import Dyadic
 from randlab.staged import Pi01Tree
@@ -151,6 +152,32 @@ def test_uniform_suffix_set_matches_enumeration(pattern, position):
         [head + BitString(pattern) for head in BitString.all_strings(position)])
     assert fast == slow
     assert fast.measure() == slow.measure()
+
+
+@st.composite
+def intervals(draw):
+    width = draw(st.integers(0, 6))
+    lo = draw(st.integers(0, (1 << width) - 1))
+    return lo, draw(st.integers(lo, (1 << width) - 1)), width
+
+
+@given(intervals(), gen_strings)
+def test_interval_set_matches_enumeration(interval, tail):
+    lo, hi, width = interval
+    tail = CylinderSet.normalize(tail)
+    values = [format(v, f"0{width}b") if width else "" for v in range(lo, hi + 1)]
+    slow = CylinderSet.normalize([v + t.bits for v in values for t in tail.strings])
+    assert interval_set(lo, hi, width, tail) == slow
+    if tail.is_full():
+        assert interval_set(lo, hi, width) == slow
+
+
+def test_interval_set_refuses_a_range_outside_its_width():
+    for lo, hi, width in ((2, 1, 2), (0, 4, 2), (-1, 0, 2), (0, 0, -1)):
+        with pytest.raises(ValueError, match="does not fit"):
+            interval_set(lo, hi, width)
+    # 2^64 values in 64 nodes, a few of them shared.
+    assert interval_set(1, (1 << 64) - 2, 64).measure() == Dyadic((1 << 64) - 2, 64)
 
 
 def test_uniform_suffix_set_large_offset_is_cheap():

@@ -14,7 +14,7 @@ from randlab.demuth import (DemuthTest, DiffPair, DiffUnionTest,
                             diffunion_to_demuth, solovay_membership_profile,
                             verify_demuth, verify_diffunion)
 from randlab.dyadic import Dyadic
-from randlab.errors import RandlabError
+from randlab.errors import GuardExceeded, RandlabError
 from randlab.scenario import _convert_u2d_rows
 from randlab.generators import (random_demuth_test, random_diffunion_test,
                                 random_open_set, thinned_delayed)
@@ -312,15 +312,26 @@ def test_u2d_audit_computes_one_tracked_union_per_version(monkeypatch):
     # Each version is a ValuedOpenSet of its tracked union at the U change
     # stages.  Building the versions computes no union, and the u2d report,
     # which reads every version at the horizon, computes one per version;
-    # the per-stage loops computed one per U change stage.
+    # the per-stage loops computed one per U change stage.  The unions that
+    # read the input's own levels (`level_set_at`) are not counted.
     unions = []
-    tracked = demuth._tracked
+    reading_input = []
+    tracked, level_set_at = demuth._tracked, DiffUnionTest.level_set_at
 
     def counted(u_now, v_snap):
-        unions.append(v_snap)
+        if not reading_input:
+            unions.append(v_snap)
         return tracked(u_now, v_snap)
 
+    def input_level(self, n, stage):
+        reading_input.append(n)
+        try:
+            return level_set_at(self, n, stage)
+        finally:
+            reading_input.pop()
+
     monkeypatch.setattr(demuth, "_tracked", counted)
+    monkeypatch.setattr(DiffUnionTest, "level_set_at", input_level)
     total = 0
     for i in range(20):
         rng = random.Random(f"u2d-count:{i}")
@@ -335,3 +346,13 @@ def test_u2d_audit_computes_one_tracked_union_per_version(monkeypatch):
         total += versions
         del unions[:]
     assert total > 20
+
+
+def test_d2u_refuses_a_level_padded_past_the_guard():
+    # One pair per declared version; a bound of 10^11 once built 2 * 10^11 empty sets.
+    test = DemuthTest((VersionedOpenSet([(0, StagedOpenSet([], 4))]),), (demuth.PAIR_GUARD + 1,), 4)
+    with pytest.raises(GuardExceeded, match=f"level 0 padded to {demuth.PAIR_GUARD + 1} pairs "
+                                            f"refused \\(limit {demuth.PAIR_GUARD}\\)"):
+        demuth_to_diffunion(test)
+    out = demuth_to_diffunion(test._replace(version_bounds=(3,)))
+    assert out.pair_bounds == (3,) and len({pair.v for pair in out.levels[0]}) == 1

@@ -1,9 +1,10 @@
 """Differential tests against verbatim copies of replaced code.
 
 `reference_run_fireworks` is the fireworks engine as it was when it
-answered a commitment in two places (from the waiting branch and at once)
-and kept a `satisfied_at` beside `answer_stage`; it scans an adversary's
-enumerated set at each step, as `reference_least_extension` does.
+answered a commitment in two places (from the waiting branch and at once),
+kept a `satisfied_at` beside `answer_stage`, and waited for an answer one
+stage at a time; it scans an adversary's enumerated set at each step, as
+`reference_least_extension` does.
 `reference_random_enumerator` and `reference_confined_open` are the two
 draw loops `random_open_set` merged.  `reference_f_approx` is the
 guarded-image selector as it was when it kept one value and one chosen
@@ -148,7 +149,7 @@ def reference_run_fireworks(cfg: FireworksConfig, caps: Sequence[int], *, keep_t
         else:
             outcome = Outcome.UNRESOLVED
         records.append(StrategyRecord(
-            st.index, st.cap, outcome, st.guesses,
+            st.index, outcome, st.guesses,
             st.wait_prefix if st.wait_prefix is not None else st.guess_prefix,
             st.active_stage, st.answer_stage, proven,
         ))

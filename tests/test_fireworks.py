@@ -5,6 +5,7 @@ expected outcome below was derived by walking the scheduler loop by hand
 before being frozen into an assertion.
 """
 
+import bisect
 import itertools
 import re
 import time
@@ -21,7 +22,7 @@ from randlab.cylinders import CylinderSet
 from randlab.dyadic import Dyadic
 from randlab.errors import GuardExceeded, RandlabError
 from randlab.fireworks import (FailureSets, FireworksConfig, Outcome,
-                               Requirement, _aligned_blocks, _cap_space, _Cap,
+                               Requirement, _box_set, _cap_space, _Cap,
                                _leaves, caps_from_seed, check_requirement,
                                default_cap_bounds, oracle_block_caps,
                                run_fireworks, sweep, sweep_runs)
@@ -94,7 +95,7 @@ def test_one_shot_commitment_fails_only_at_cap_one():
 def test_one_shot_failure_sets():
     w = Enumerator([(1, ["1"])], horizon=1)
     cfg = FireworksConfig.build([w], k=1, target_length=3, stage_budget=6)
-    (fs,) = sweep(cfg).failure_sets()
+    (fs,) = sweep(cfg).failure_sets
     # Only the cap-1 oracle block 00 commits, and nothing answers it.
     assert fs.committed.final() == CylinderSet.cylinder("00")
     assert fs.answered.final().is_empty()
@@ -116,7 +117,7 @@ def test_ladder_axis_is_sharp():
 
 def test_ladder_residue_is_the_failing_block():
     cfg = FireworksConfig.build([ladder()], k=1, target_length=64, stage_budget=40)
-    (fs,) = sweep(cfg).failure_sets()
+    (fs,) = sweep(cfg).failure_sets
     # All four caps commit; only cap 4 (oracle block 11) goes unanswered.
     assert fs.committed.final().is_full()
     assert fs.residue() == CylinderSet.cylinder("11")
@@ -147,7 +148,7 @@ def test_duet_trichotomy_and_silent_immunity():
 def test_extract_union_matches_sweep_probability():
     cfg = FireworksConfig.build([ladder(), SILENT], k=1, target_length=64,
                                 stage_budget=40, cap_bounds=(4, 4))
-    sets = sweep(cfg).failure_sets()
+    sets = sweep(cfg).failure_sets
     union = CylinderSet.normalize([])
     for e, fs in enumerate(sets):
         residue = fs.residue()
@@ -279,7 +280,7 @@ def assert_sweep_matches_references(cfg):
     for i, run in enumerate(runs):
         oracle = BitString(format(i, f"0{bits}b") if bits else "")
         assert oracle_block_caps(oracle, cfg.cap_bounds) == run.caps
-    got, want = sw.failure_sets(), extract_failure_sets(cfg)
+    got, want = sw.failure_sets, extract_failure_sets(cfg)
     assert len(got) == len(want) == len(cfg.adversaries)
     for g, w in zip(got, want):
         for side in ("committed", "answered"):
@@ -360,7 +361,7 @@ def test_bundled_scenarios_build_each_least_extension_table_once(tmp_path, monke
 
     def counted_per_snapshot(self, build, stage):
         # The snapshot a stage reads: the one after its last event.
-        asked.append((self, sum(s <= stage for s, _ in self.events)))
+        asked.append((self, bisect.bisect_right(self._stages, stage)))
         return per_snapshot(self, build, stage)
 
     def counted_least_above(snapshot):
@@ -466,8 +467,7 @@ def assert_leaves_tile_the_sweep(cfg):
     assert sum(leaf.volume for leaf in leaves) == total == len(owner)
     for run in sweep_runs(cfg):
         leaf = owner[run.caps]
-        assert run == leaf.run._replace(caps=run.caps, records=tuple(
-            r._replace(cap=c) for r, c in zip(leaf.run.records, run.caps)))
+        assert run == leaf.run._replace(caps=run.caps)
 
 
 @pytest.mark.parametrize("cfg", bundled_fireworks_configs(),
@@ -518,6 +518,29 @@ def test_box_walk_scales_with_behaviours_not_vectors(monkeypatch):
                    for ra, rb in zip(a.box, b.box)), "leaf boxes overlap"
 
 
+def test_failure_sets_spell_out_no_oracle(monkeypatch):
+    # A box's oracles are one trie of intervals, so at any cap bound `sweep`
+    # and the residue measures construct only the bit strings of the walk.
+    built = []
+    init = BitString.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(BitString, "__init__", counted)
+    for l in (4, 6, 8):
+        n = 1 << l
+        walked, cfg = bank_config(n), bank_config(n)
+        del built[:]
+        _leaves(walked)
+        walk = len(built)
+        del built[:]
+        measures = [fs.residue().measure() for fs in sweep(cfg).failure_sets]
+        assert len(built) == walk, n
+        assert measures == [Dyadic(n - 1, 2 * l), Dyadic((n - 1) ** 2, 3 * l), Dyadic(1, l)]
+
+
 def test_undecided_range_check_raises():
     cap = _Cap(2, 5, [], [])
     assert cap >= 1 and cap <= 8 and not cap >= 6 and not cap <= 1
@@ -538,3 +561,52 @@ def test_aligned_blocks_cover_exactly_the_range():
                            for b in blocks if format(v, f"0{width}b").startswith(b)]
                 assert covered == list(range(lo, hi + 1)), (width, lo, hi)
                 assert len(blocks) <= 2 * width
+
+
+def _aligned_blocks(lo, hi, width):
+    """lo..hi as the fewest aligned dyadic blocks of `width`-bit values,
+    each given by its prefix; lo..hi must not be all of them."""
+    out = []
+    while lo <= hi:
+        size = (lo & -lo).bit_length() - 1 if lo else width
+        while lo + (1 << size) - 1 > hi:
+            size -= 1
+        out.append(format(lo >> size, f"0{width - size}b"))
+        lo += 1 << size
+    return out
+
+
+def box_oracles(box, cfg):
+    """The oracles of a box's vectors as `_box_set` made them before it
+    built one trie: the narrow blocks before the last spelt out value by
+    value, the last one as aligned blocks (`_aligned_blocks`), the ones
+    after it free."""
+    last = max((e for e, (r, n) in enumerate(zip(box, cfg.cap_bounds)) if len(r) < n),
+               default=-1)
+    prefixes = [""]
+    for e in range(last + 1):
+        r, width = box[e], cfg.block_lengths[e]
+        blocks = (_aligned_blocks(r.start - 1, r.stop - 2, width) if e == last
+                  else [format(cap - 1, f"0{width}b") for cap in r])
+        prefixes = [p + b for p in prefixes for b in blocks]
+    return [BitString(p) for p in prefixes]
+
+
+@st.composite
+def boxes(draw):
+    """A config of up to four cap bounds and a box of cap ranges within them."""
+    bounds = draw(st.lists(st.sampled_from((2, 4, 8, 16)), min_size=1, max_size=4))
+    cfg = FireworksConfig.build([SILENT] * len(bounds), k=1, target_length=4, stage_budget=8,
+                                cap_bounds=bounds)
+    box = []
+    for n in bounds:
+        lo = draw(st.integers(1, n))
+        box.append(range(lo, draw(st.integers(lo, n)) + 1))
+    return tuple(box), cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxes())
+def test_box_set_is_the_spelt_out_box_oracles(box_cfg):
+    box, cfg = box_cfg
+    assert _box_set(box, cfg) == CylinderSet.normalize(box_oracles(box, cfg))

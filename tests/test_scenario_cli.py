@@ -635,6 +635,31 @@ def test_cli_w2r_hit_at_horizon_2_to_the_70_exits_0():
     assert took < 5
 
 
+FIREWORKS_2_TO_THE_70 = ["--adversary", "1@1", "--k", "0", "--target-length", "3",
+                         "--stage-budget", str(2 ** 70)]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # A run waiting on a commitment once stepped one stage at a time to its budget.
+    (["fireworks", "run", *FIREWORKS_2_TO_THE_70, "--caps", "1"], 0, ""),
+    (["fireworks", "sweep", *FIREWORKS_2_TO_THE_70], 0, ""),
+    # Padding every level to its version bound once built two sets per pair.
+    (["tests", "convert", "--direction", "d2u", "--seed", "1", "--count", "1",
+      "--bound", "100000000000"],
+     2, "error: convert: level 0 padded to 100000000000 pairs refused (limit 65536)\n"),
+    # Options the mode does not read were once dropped without a word.
+    (["fireworks", "sweep", "--adversary", "1@1", "--k", "0", "--target-length", "3",
+      "--stage-budget", "8", "--caps", "2", "--seed", "4", "--trace"],
+     2, "error: sweep: unknown keys ['caps', 'trace']\n"),
+    (["w2r", "encode", "--seed", "1", "--payloads", "1", "--positions", "3", "--patterns", "1"],
+     2, "error: encode: unknown keys ['patterns', 'positions']\n"),
+])
+def test_cli_exits_at_once(argv, code, message):
+    proc, took = run_fresh(argv, timeout=30)
+    assert (proc.returncode, proc.stderr) == (code, message)
+    assert "Traceback" not in proc.stdout and took < 5
+
+
 @pytest.mark.parametrize("argv, params", [
     (["tests", "convert", "--direction", "u2d", "--seed", "1"],
      {"direction": "u2d", "count": 10, "seed": 1}),
@@ -652,8 +677,10 @@ def test_cli_w2r_hit_at_horizon_2_to_the_70_exits_0():
      {"direction": "d2u", "count": 10, "seed": 2}),
     # --caps wins over --seed, and an empty --cap-bounds is not given.
     (["fireworks", "run", "--adversary", "1@1", "--caps", "1", "--seed", "3", *FIREWORKS_ARGS],
-     {"adversaries": ["w0"], "k": 1, "target_length": 4, "stage_budget": 12, "caps": [1],
-      "trace": False}),
+     {"adversaries": ["w0"], "k": 1, "target_length": 4, "stage_budget": 12, "caps": [1]}),
+    (["fireworks", "run", "--adversary", "1@1", "--seed", "3", "--trace", *FIREWORKS_ARGS],
+     {"adversaries": ["w0"], "k": 1, "target_length": 4, "stage_budget": 12, "seed": 3,
+      "trace": True}),
     (["fireworks", "sweep", "--adversary", "1@1", "--cap-bounds", ",", *FIREWORKS_ARGS],
      {"adversaries": ["w0"], "k": 1, "target_length": 4, "stage_budget": 12}),
 ])

@@ -103,7 +103,7 @@ def _extract_ok(objects, p):
     sw = sweep(cfg)
     union = EMPTY_SET
     ok = True
-    for e, fs in enumerate(sw.failure_sets()):
+    for e, fs in enumerate(sw.failure_sets):
         residue = fs.residue()
         union = union | residue
         ok = ok and residue.measure() <= Dyadic(1, cfg.cap_bounds[e].bit_length() - 1)
