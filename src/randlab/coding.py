@@ -99,8 +99,11 @@ def kg_decode_prefix(x: BitString, sigma: BitString, tree: Pi01Tree, stage: Opti
     cur = BitString(sigma)
     if not x.extends(cur):
         return None
-    block = EMPTY  # the codec block read so far
-    while (parsed := read_self_delimited(block)) is None:
+    # The codec block read so far: n ones, a 0, then n bits.  It closes at
+    # 2n + 1 bits, n being the index of its first 0; it is parsed once, then.
+    block: List[str] = []
+    n: Optional[int] = None
+    while n is None or len(block) <= 2 * n:
         try:
             length, left = _extreme(cur, tree, s, 0)
         except DepthExhausted:
@@ -109,13 +112,14 @@ def kg_decode_prefix(x: BitString, sigma: BitString, tree: Pi01Tree, stage: Opti
             return None
         step = x.prefix(length)
         if step == left:
-            block = block.append(0)
+            n = len(block) if n is None else n
+            block.append("0")
         elif step == _extreme(cur, tree, s, 1)[1]:
-            block = block.append(1)
+            block.append("1")
         else:
             return None
         cur = step
-    return parsed[0], cur
+    return read_self_delimited(BitString("".join(block)))[0], cur
 
 
 def kg_decode(codeword: BitString, sigma: BitString, tree: Pi01Tree, stage: Optional[int] = None) -> Optional[BitString]:

@@ -475,11 +475,9 @@ def brute_measure(strings: Iterable[BitString], depth: int) -> Dyadic:
     Deliberately naive; unit tests use it as an independent check against
     the trie arithmetic.  Every generator must be at most `depth` long.
     """
-    gens = [BitString(s) for s in strings]
+    gens = tuple(BitString(s).bits for s in strings)
     if any(len(g) > depth for g in gens):
         raise ValueError("brute_measure needs depth >= generator lengths")
-    count = 0
-    for leaf in BitString.all_strings(depth):
-        if any(g.is_prefix_of(leaf) for g in gens):
-            count += 1
-    return Dyadic(count, depth)
+    # The points as plain strings; depth 0 has the one empty point.
+    points = (format(i, "b").zfill(depth) for i in range(1 << depth)) if depth else ("",)
+    return Dyadic(sum(point.startswith(gens) for point in points), depth)

@@ -1,0 +1,379 @@
+"""Test oracles and helpers that more than one test module reads or that
+were stated twice, each once, beside the other bodies copied with them.
+
+A copied body names the commit it was taken from.  Test modules import from
+here, never from one another.  pytest does not rewrite asserts here, and
+`python -O` strips them, so these bodies raise instead."""
+
+import itertools
+import re
+from typing import Optional, Tuple
+
+from hypothesis import strategies as st
+
+from randlab import coding
+from randlab.bitstring import EMPTY, BitString, from_nat, read_self_delimited, to_nat
+from randlab.coding import _extreme, kg_decode, kg_encode
+from randlab.cylinders import EMPTY_SET, CylinderSet, uniform_suffix_set
+from randlab.demuth import DemuthTest, verify_demuth
+from randlab.dyadic import Dyadic
+from randlab.errors import DepthExhausted
+from randlab.fireworks import sweep
+from randlab.generators import hitting_run
+from randlab.minpair import FApprox, PairFamily, induced_demuth_level
+from randlab.staged import Enumerator, Pi01Tree, first_seen
+
+
+# Schedules for hypothesis: (events, horizon) pairs over bit strings or
+# over consistent axioms (tests/test_staged.py since ac5efa5).
+
+bit_strings = st.text(alphabet="01", max_size=5)
+
+
+@st.composite
+def schedules(draw, items):
+    """(events, horizon) with strictly increasing stages, empty and repeated
+    items allowed, and the horizon at or past the last event."""
+    stages = sorted(draw(st.sets(st.integers(min_value=0, max_value=12), max_size=5)))
+    events = [(s, draw(st.lists(items, max_size=4))) for s in stages]
+    horizon = (stages[-1] if stages else 0) + draw(st.integers(min_value=0, max_value=3))
+    return events, horizon
+
+
+def _flip(s):
+    return "".join("1" if c == "0" else "0" for c in s)
+
+
+# tau a prefix of sigma's complement: comparable stems get comparable outputs.
+axioms = st.tuples(bit_strings, st.integers(min_value=0, max_value=5)).map(
+    lambda p: (p[0], _flip(p[0])[:p[1]]))
+
+
+# Fireworks adversaries for hypothesis (tests/test_fireworks.py since 57e4e8e).
+
+def ladder(stages=4):
+    # Rung j refutes the guess standing at stage j but conflicts with the
+    # all-zero working prefix, so only the next rung can answer it.
+    return Enumerator([(j, ["0" * (j - 1) + "1"]) for j in range(1, stages + 1)],
+                      horizon=stages + 1)
+
+
+ladders = st.integers(1, 5).map(ladder)
+random_adversaries = st.dictionaries(
+    st.integers(1, 8),
+    st.lists(st.text(alphabet="01", min_size=1, max_size=4), min_size=1, max_size=3),
+    max_size=4,
+).map(lambda events: Enumerator(sorted(events.items()), horizon=9))
+
+
+# The paper's claims on one instance, as tests and scenario verdicts both
+# check them (tests/test_verdicts.py since 2769956).
+
+# Along one cap axis (tests/test_fireworks.py) a strategy succeeds
+# actively, fails actively at most once, then succeeds passively.
+AXIS = re.compile(r"^(ActiveSuccess )*(ActiveFailure )?(PassiveSuccess )*$")
+
+
+def axis_ok(outcomes):
+    return AXIS.match("".join(o.value + " " for o in outcomes)) is not None
+
+
+def cap_axes(bounds):
+    """(e, the cap vectors along axis e) for each axis e and each fixing of
+    the other caps within `bounds`."""
+    ranges = [range(1, n + 1) for n in bounds]
+    for e, axis in enumerate(ranges):
+        for fixed in itertools.product(*ranges[:e], *ranges[e + 1:]):
+            yield e, [fixed[:e] + (cap,) + fixed[e:] for cap in axis]
+
+
+def extract_ok(cfg):
+    """Each strategy's residue has measure at most 1/(its cap bound), and
+    the residues' union has the failure probability as its measure."""
+    sw = sweep(cfg)
+    union = EMPTY_SET
+    ok = True
+    for e, fs in enumerate(sw.failure_sets):
+        residue = fs.residue()
+        union = union | residue
+        ok = ok and residue.measure() <= Dyadic(1, cfg.cap_bounds[e].bit_length() - 1)
+    return ok and union.measure() == sw.probability
+
+
+def kg_tree_ok(tree, payloads, stem, horizon):
+    """Each payload's KG codeword decodes back to it and stays in the class."""
+    ok = True
+    for p in payloads:
+        code = kg_encode(p, stem, tree)
+        ok = ok and kg_decode(code, stem, tree, horizon) == p and tree.viable(code, horizon)
+    return ok
+
+
+def minpair_ok(phi, psi, nat_max, horizon):
+    """Level n of the induced Demuth test changes its mind, and its version,
+    at most 2^n times, and the levels 0..nat_max form a Demuth test."""
+    ok = True
+    levels = []
+    for n in range(nat_max + 1):
+        vos, trace = induced_demuth_level(phi, psi, from_nat(n), horizon)
+        bound = 1 << n
+        ok = ok and trace.mind_changes() <= bound and vos.version_count() <= bound
+        levels.append(vos)
+    assembled = DemuthTest(tuple(levels), tuple(1 << n for n in range(nat_max + 1)), horizon)
+    return ok and verify_demuth(assembled).ok
+
+
+# Shared inputs and a call counter (tests/test_gamma_decode.py, 01c8b5d, 7f70a3c).
+
+def strings_up_to(length):
+    return [s for n in range(length + 1) for s in BitString.all_strings(n)]
+
+
+def criterion_7_run():
+    """Acceptance criterion 7's steered run: (opens, scheme, codeword, budget)."""
+    opens = [uniform_suffix_set(pattern, position)
+             for position, pattern in [(8, "11"), (12, "01"), (16, "10"), (20, "1")]]
+    scheme, payloads, _, enc = hitting_run(9, opens, depth=220)
+    stream_len = sum(len(p) for p in payloads)
+    return opens, scheme, enc.codeword, max(scheme.horizon, stream_len) + scheme.horizon
+
+
+def counting(monkeypatch, name, *modules):
+    """The positional arguments of every call of `name`, looked up in each of
+    `modules` (`coding` when none is given), from here on."""
+    calls = []
+    for module in modules or (coding,):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, **kwargs:
+                            calls.append(args) or real(*args, **kwargs))
+    return calls
+
+
+# The stage queries of src/randlab/staged.py and demuth.py at ea774f5,
+# before the cumulative schedule: each one replays the normalised events
+# from stage 0.  A staged open set at a stage is
+# `CylinderSet.normalize(old_at(events, stage))`, the stage clamped to
+# -1..horizon.
+
+def old_at(events, stage):
+    acc = set()
+    for s, strings in events:
+        if s > stage:
+            break
+        acc.update(strings)
+    return frozenset(acc)
+
+
+def old_axioms_at(events, stage):
+    acc = []
+    for s, pairs in events:
+        if s > stage:
+            break
+        acc.extend(pairs)
+    return tuple(sorted(set(acc)))
+
+
+def old_apply(events, sigma, stage):
+    sigma = BitString(sigma)
+    best = EMPTY
+    for ax_s, ax_t in old_axioms_at(events, stage):
+        if ax_s.is_prefix_of(sigma) and len(ax_t) > len(best):
+            best = ax_t
+    return best
+
+
+def old_preimage(events, tau, stage):
+    tau = BitString(tau)
+    if len(tau) == 0:
+        return CylinderSet(True)
+    return CylinderSet.normalize([ax_s for ax_s, ax_t in old_axioms_at(events, stage) if ax_t.extends(tau)])
+
+
+def old_restrict_events(events, extra_events):
+    merged = {}
+    for stage, strings in events:
+        merged.setdefault(stage, set()).update(strings)
+    for stage, strings in extra_events:
+        merged.setdefault(stage, set()).update(strings)
+    return sorted((stage, sorted(strs)) for stage, strs in merged.items())
+
+
+def old_live_at(versions, stage):
+    live = None
+    for s, v in versions:
+        if s > stage:
+            break
+        live = v
+    return live
+
+
+# The "fresh since the last stage" loops that `first_seen` replaced, at
+# ea774f5: diffunion_to_demuth and induced_demuth_level ran the same loop
+# over generator snapshots, output_tree its own over prefix closures.
+
+def old_fresh(snapshots):
+    events = []
+    seen = set()
+    for s, strings in snapshots:
+        fresh = [g for g in strings if g not in seen]
+        seen.update(strings)
+        if fresh:
+            events.append((s, fresh))
+    return events
+
+
+def old_fresh_output_tree(snapshots):
+    events = {}
+    seen = set()
+    for s, closure in snapshots:
+        fresh = set(closure) - seen
+        if fresh:
+            events[s] = fresh
+            seen |= set(closure)
+    return sorted((s, sorted(v)) for s, v in events.items())
+
+
+# The minpair path of src/randlab/minpair.py at 464b36d, before the
+# event-wise queries: pools rebuilt and preimages read at every stage, a
+# recursive antichain, and `apply` replayed from the events.
+
+def old_max_antichain(strings):
+    present = set(strings)
+    nodes = set(present)
+    for s in present:
+        for i in range(len(s)):
+            nodes.add(s.prefix(i))
+
+    def grow(node):
+        child_total = sum(grow(c) for c in (node.append(0), node.append(1)) if c in nodes)
+        return max(1 if node in present else 0, child_total)
+
+    return grow(BitString()) if nodes else 0
+
+
+def old_candidate_pool(phi, stem, stage):
+    pool = []
+    for ax_s, _ in phi.axioms_at(stage):
+        if ax_s.extends(stem) and ax_s != stem:
+            out = old_apply(phi.events, ax_s, stage)
+            if len(out):
+                pool.append((ax_s, out))
+    return sorted(set(pool))
+
+
+def old_choose(pool, want):
+    """The greedy pick of `want` pairs with incomparable outputs from
+    `pool`, completability checked by a fresh antichain over the unscanned
+    rest for every candidate; None when the pool has no such antichain."""
+    if old_max_antichain([out for _, out in pool]) < want:
+        return None
+    chosen, used_outputs = [], []
+    for i, (cand_s, cand_t) in enumerate(pool):
+        if any(cand_t.comparable(u) for u in used_outputs):
+            continue
+        rest = [out for _, out in pool[i + 1:]
+                if not any(out.comparable(u) for u in used_outputs + [cand_t])]
+        if 1 + len(used_outputs) + old_max_antichain(rest) >= want:
+            chosen.append((cand_s, cand_t))
+            used_outputs.append(cand_t)
+            if len(chosen) == want:
+                break
+    return chosen
+
+
+def old_find_family(phi, stem, stage):
+    n = to_nat(stem)
+    for s in range(stage + 1):
+        chosen = old_choose(old_candidate_pool(phi, stem, s), 1 << n)
+        if chosen is not None:
+            return PairFamily(stem, n, tuple(chosen), s)
+    return None
+
+
+def old_f_approx(phi, psi, stem, horizon):
+    """(family, value per stage, chosen index per stage) for stages 0..horizon."""
+    cap = Dyadic.half_pow(to_nat(stem))
+    family = old_find_family(phi, stem, horizon)
+    values, chosen = [], []
+    idx = 0
+    for s in range(horizon + 1):
+        if family is None or s < family.found_stage:
+            values.append(stem)
+            chosen.append(None)
+            continue
+        while idx < family.size():
+            if psi.preimage(family.pairs[idx][1], s).measure() <= cap:
+                break
+            idx += 1
+        values.append(family.pairs[idx][0])
+        chosen.append(idx)
+    return family, tuple(values), tuple(chosen)
+
+
+def per_stage(trace: FApprox, horizon: int):
+    """(value per stage, chosen index per stage) of a change-point trace,
+    stages 0..horizon, as `old_f_approx` gives them (tests since 105e220)."""
+    values, chosen = [], []
+    points = list(trace.changes)
+    value, index = trace.stem, None
+    for stage in range(horizon + 1):
+        if points and points[0][0] == stage:
+            index = points.pop(0)[1]
+            value = trace.family.pairs[index][0]
+        values.append(value)
+        chosen.append(index)
+    if points:
+        raise AssertionError(f"change points past the horizon {horizon}: {points}")
+    return tuple(values), tuple(chosen)
+
+
+def old_version_events(psi, trace, horizon):
+    out = []
+    if trace.family is not None:
+        chosen = per_stage(trace, horizon)[1]
+        switches = first_seen((s, [j]) for s, j in enumerate(chosen) if j is not None)
+        for start, (j,) in switches:
+            tau_j = trace.family.pairs[j][1]
+            events = first_seen((s, psi.preimage(tau_j, s).strings) for s in range(horizon + 1))
+            out.append((start, Enumerator(events, horizon).events))
+    return out
+
+
+def old_output_tree(phi, stem, horizon):
+    def closure(s):
+        outs = {old_apply(phi.events, stem, s)}
+        for ax_s, _ in phi.axioms_at(s):
+            if ax_s.comparable(stem):
+                longer = ax_s if ax_s.extends(stem) else stem
+                outs.add(old_apply(phi.events, longer, s))
+        return {out.prefix(i) for out in outs for i in range(len(out) + 1)}
+
+    return Enumerator(first_seen((s, closure(s)) for s in range(horizon + 1)), horizon)
+
+
+# The KG decoder of src/randlab/coding.py at 4204744: it re-parsed the
+# codec block from bit 0 after every bit, and `append` copied the block.
+
+def reparsing_kg_decode_prefix(x: BitString, sigma: BitString, tree: Pi01Tree,
+                               stage: Optional[int] = None) -> Optional[Tuple[BitString, BitString]]:
+    s = tree.horizon if stage is None else stage
+    cur = BitString(sigma)
+    if not x.extends(cur):
+        return None
+    block = EMPTY  # the codec block read so far
+    while (parsed := read_self_delimited(block)) is None:
+        try:
+            length, left = _extreme(cur, tree, s, 0)
+        except DepthExhausted:
+            return None
+        if length > len(x):
+            return None
+        step = x.prefix(length)
+        if step == left:
+            block = block.append(0)
+        elif step == _extreme(cur, tree, s, 1)[1]:
+            block = block.append(1)
+        else:
+            return None
+        cur = step
+    return parsed[0], cur

@@ -9,17 +9,16 @@ import random
 import time
 from fractions import Fraction
 
-from randlab import (BitString, CylinderSet, DemuthTest, Dyadic,
-                     FireworksConfig, Outcome, brute_measure,
-                     from_nat, kg_decode, kg_encode, run_fireworks, sweep,
-                     uniform_suffix_set, verify_demuth)
+from oracles import axis_ok, cap_axes, criterion_7_run, kg_tree_ok, minpair_ok, strings_up_to
+
+from randlab import (BitString, CylinderSet, Dyadic, FireworksConfig, brute_measure,
+                     run_fireworks, sweep)
 from randlab.coding import gamma_decode, stabilization_stage
 from randlab.demuth import demuth_to_diffunion, diffunion_to_demuth
-from randlab.generators import (build_working_w2r, hitting_run, random_bits,
+from randlab.generators import (build_working_w2r, random_bits,
                                 random_cylinder_set, random_demuth_test,
                                 random_diffunion_test, random_functional_pair,
                                 random_pi01_tree)
-from randlab.minpair import induced_demuth_level
 from randlab.scenario import (GOLDEN_DIR, ObjectTable, bundled_scenarios,
                               load_scenario, run_scenario)
 
@@ -71,42 +70,9 @@ def test_criterion_02_outcome_trichotomy():
             continue
         cfg = FireworksConfig.build(advs, p["k"], p["target_length"],
                                     p["stage_budget"], bounds)
-
-        def axis_ok(outcomes):
-            fails = [i for i, o in enumerate(outcomes)
-                     if o is Outcome.ACTIVE_FAILURE]
-            if len(fails) > 1:
-                return False
-            cut = fails[0] if fails else None
-            for i, o in enumerate(outcomes):
-                if cut is not None and i < cut and o is not Outcome.ACTIVE_SUCCESS:
-                    return False
-                if cut is not None and i > cut and o is not Outcome.PASSIVE_SUCCESS:
-                    return False
-                if cut is None and o not in (Outcome.ACTIVE_SUCCESS,
-                                             Outcome.PASSIVE_SUCCESS):
-                    return False
-            return True
-
-        def fixings(axes):
-            if not axes:
-                yield ()
-                return
-            for head in axes[0]:
-                for tail in fixings(axes[1:]):
-                    yield (head,) + tail
-
-        for e in range(len(bounds)):
-            others = [range(1, bounds[i] + 1)
-                      for i in range(len(bounds)) if i != e]
-            for fixed in fixings(others):
-                axis = []
-                for cap in range(1, bounds[e] + 1):
-                    caps = fixed[:e] + (cap,) + fixed[e:]
-                    axis.append(run_fireworks(cfg, caps).outcomes[e])
-                checked += 1
-                if not axis_ok(axis):
-                    violations += 1
+        for e, vectors in cap_axes(bounds):
+            checked += 1
+            violations += not axis_ok([run_fireworks(cfg, caps).outcomes[e] for caps in vectors])
     ok = checked > 0 and violations == 0
     assert _report(2, ok, f"axes={checked} violations={violations}")
 
@@ -151,23 +117,14 @@ def test_criterion_04_converse_conversion_bounds():
 def test_criterion_05_kg_round_trip():
     start = time.perf_counter()
     stem = BitString("^")
-    payloads = [BitString("^")]
-    for length in range(1, 6):
-        payloads.extend(BitString(format(v, f"0{length}b"))
-                        for v in range(1 << length))
+    payloads = strings_up_to(5)
     failures = 0
     for i in range(50):
         rng = random.Random(f"acc5:{i}")
         tree = random_pi01_tree(rng, depth=24, horizon=8)
-        if tree.class_measure(tree.horizon) < Dyadic(1, 1):
+        if (tree.class_measure(tree.horizon) < Dyadic(1, 1)
+                or not kg_tree_ok(tree, payloads, stem, tree.horizon)):
             failures += 1
-            continue
-        for xi in payloads:
-            code = kg_encode(xi, stem, tree)
-            if not tree.viable(code, tree.horizon):
-                failures += 1
-            if kg_decode(code, stem, tree, tree.horizon) != xi:
-                failures += 1
     elapsed = time.perf_counter() - start
     ok = failures == 0 and elapsed < 10.0
     assert _report(5, ok,
@@ -204,17 +161,8 @@ def test_criterion_06_gamma_error_confinement():
 
 
 def test_criterion_07_dense_open_hitting():
-    opens = [uniform_suffix_set(pattern, position)
-             for position, pattern in
-             [(8, "11"), (12, "01"), (16, "10"), (20, "1")]]
-    scheme, payloads, _, enc = hitting_run(9, opens, depth=220)
-    stream = BitString("^")
-    for p in payloads:
-        stream = stream + p
-    res = gamma_decode(enc.codeword,
-                       max(scheme.horizon, len(stream)) + scheme.horizon,
-                       scheme)
-    decoded = res.output_prefix()
+    opens, scheme, codeword, t_max = criterion_7_run()
+    decoded = gamma_decode(codeword, t_max, scheme).output_prefix()
     hits = sum(1 for u in opens if u.contains_prefix_of(decoded))
     ok = hits == len(opens)
     assert _report(7, ok, f"hits={hits}/4 decoded={decoded}")
@@ -224,18 +172,7 @@ def test_criterion_08_mind_change_bound():
     bad = 0
     for i in range(100):
         rng = random.Random(f"acc8:{i}")
-        phi, psi = random_functional_pair(rng)
-        levels = []
-        for n in range(5):
-            stem = from_nat(n)
-            vos, trace = induced_demuth_level(phi, psi, stem, 8)
-            if trace.mind_changes() > 1 << n:
-                bad += 1
-            levels.append(vos)
-        assembled = DemuthTest(tuple(levels),
-                               tuple(1 << n for n in range(5)), 8)
-        if not verify_demuth(assembled).ok:
-            bad += 1
+        bad += not minpair_ok(*random_functional_pair(rng), 4, 8)
     ok = bad == 0
     assert _report(8, ok, f"violations={bad}")
 

@@ -6,12 +6,13 @@ every walk below is written out by hand next to its assertion.
 
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import counting, kg_tree_ok, reparsing_kg_decode_prefix
 
-from randlab import coding
 from randlab.bitstring import EMPTY, BitString, self_delimit
 from randlab.cylinders import CylinderSet, EMPTY_SET, uniform_suffix_set
 from randlab.coding import (OpenFamily, W2RScheme, _density_witness, encode_bits,
@@ -19,9 +20,8 @@ from randlab.coding import (OpenFamily, W2RScheme, _density_witness, encode_bits
                             kg_decode_prefix,
                             kg_encode, kucera_depth, shifted_core,
                             stabilization_stage, w2r_encode)
-from randlab.errors import (DensityError, DepthExhausted, RandlabError,
-                            SchemeError)
-from randlab.generators import build_working_w2r, nested_family, random_pi01_tree
+from randlab.errors import DensityError, DepthExhausted, SchemeError
+from randlab.generators import build_working_w2r, nested_family, random_bits, random_pi01_tree
 from randlab.staged import Pi01Tree, StagedOpenSet, by_stage
 
 
@@ -114,10 +114,7 @@ def test_kg_round_trip_seeded_trees():
     for i in range(12):
         rng = random.Random(f"kg:{i}")
         tree = random_pi01_tree(rng, depth=24, horizon=8)
-        for payload in (BitString("^"), BitString("0"), BitString("101")):
-            word = kg_encode(payload, EMPTY, tree)
-            assert kg_decode(word, EMPTY, tree) == payload
-            assert tree.viable(word, tree.horizon)
+        assert kg_tree_ok(tree, [BitString("^"), BitString("0"), BitString("101")], EMPTY, tree.horizon)
 
 
 # The walks as they were before the step tables: every step asks
@@ -200,6 +197,49 @@ def test_kg_walks_match_the_unmemoized_walks(seed, depth, calls):
                     == kg_decode_prefix_reference(x, sigma, tree, probe))
 
 
+def kg_inputs(rng, tree, stage):
+    """(kind, sigma, x): a codeword with a tail, truncated, or with one bit
+    past sigma flipped; or the walk up to where the tree runs out of depth."""
+    sigma, bits = random_bits(rng, rng.randrange(3)), self_delimit(random_bits(rng, rng.randrange(8)))
+    word = sigma
+    for k in range(1, len(bits) + 1):
+        try:
+            word = encode_bits(bits.prefix(k), sigma, tree, stage)
+        except DepthExhausted:
+            return [("exhausted", sigma, word + random_bits(rng, 8))]
+    i = rng.randrange(len(sigma), len(word))
+    return [("codeword", sigma, word + random_bits(rng, rng.randrange(4))),
+            ("truncated", sigma, word.prefix(rng.randrange(len(sigma), len(word)))),
+            ("stray", sigma, word.prefix(i).append(1 - word[i]) + word[i + 1:])]
+
+
+def test_kg_decode_prefix_matches_the_reparsing_body():
+    # On seeded trees; each kind of None comes up: too short, off the
+    # survivors, and out of depth, also past the codec block's first 0.
+    nones = Counter()
+    for seed in range(40):
+        rng = random.Random(f"kg-decode:{seed}")
+        tree = random_pi01_tree(rng, depth=rng.choice((9, 12, 24)), horizon=8)
+        for stage in (rng.randrange(-1, 10) for _ in range(4)):
+            for kind, sigma, x in kg_inputs(rng, tree, stage):
+                got = kg_decode_prefix(x, sigma, tree, stage)
+                assert got == reparsing_kg_decode_prefix(x, sigma, tree, stage), (seed, kind, x)
+                nones[kind] += got is None
+    assert nones["codeword"] == 0 and all(nones[k] for k in ("truncated", "stray", "exhausted"))
+
+
+def test_kg_decode_prefix_parses_its_block_once(monkeypatch):
+    # A work-count gate: the codec block is parsed when it closes, not after
+    # every bit, and a walk that never closes it parses nothing.
+    tree = crossbar(depth=80)
+    payload = BitString("1011" * 6)
+    word = kg_encode(payload, EMPTY, tree)
+    calls = counting(monkeypatch, "read_self_delimited")
+    assert kg_decode_prefix(word, EMPTY, tree) == (payload, word)
+    assert kg_decode_prefix(word.prefix(len(word) - 1), EMPTY, tree) is None
+    assert calls == [(self_delimit(payload),)]
+
+
 def test_kg_walks_hit_every_outcome():
     # The differential test above reaches each kind of result.
     tree = Pi01Tree(3, [(0, ["00"])], horizon=1)
@@ -215,10 +255,7 @@ def test_kg_walks_hit_every_outcome():
 def test_kg_sweep_asks_kucera_depth_once_per_stem(monkeypatch):
     # A work-count gate on one kg_sweep instance: 31 payloads encoded and
     # decoded over one tree walk the same codec stems again and again.
-    calls = []
-    real = coding.kucera_depth
-    monkeypatch.setattr(coding, "kucera_depth",
-                        lambda sigma, tree, stage: calls.append((sigma.bits, stage)) or real(sigma, tree, stage))
+    calls = counting(monkeypatch, "kucera_depth")
     tree = random_pi01_tree(random.Random("0:0"), depth=24, horizon=8)
     for n in range(5):
         for payload in BitString.all_strings(n):

@@ -1,8 +1,13 @@
-"""Clopen-set algebra checked point by point at depth 8.
+"""Clopen-set algebra against deliberately dumb oracles; the trie
+implementation must agree exactly.
 
-The oracle is deliberately dumb: a point of Cantor space is approximated by
-a string of DEPTH bits, and every operation is recomputed by scanning all
-2^DEPTH of them.  The trie implementation must agree exactly.
+Point enumeration approximates a point of Cantor space by a string of DEPTH
+bits and recomputes an operation over all 2^DEPTH of them (`slow_points`,
+`brute_measure`): the boolean, complement, subset, shift and membership
+tests, and the measures of `test_interned_trie_matches_tuple_trie` and the
+measure-once test.  The antichain sum reads a measure as the sum of 2^-|g|
+over a set's checked prefix-free generators (`antichain_measure`): the
+node-lives test.
 """
 
 import ast
@@ -71,11 +76,6 @@ def test_complement_pointwise(a):
     assert slow_points(a.complement()) == everything - slow_points(a)
 
 
-@given(clopens)
-def test_measure_against_brute_force(a):
-    assert a.measure() == brute_measure(a.strings, DEPTH)
-
-
 @given(clopens, clopens)
 def test_inclusion_exclusion(a, b):
     assert (a | b).measure() + (a & b).measure() == a.measure() + b.measure()
@@ -127,6 +127,10 @@ def test_extremes():
     assert CylinderSet.normalize([]) == EMPTY_SET
     assert CylinderSet.normalize(["^"]) == FULL_SET
     assert CylinderSet.normalize(["0", "1"]) == FULL_SET
+    # Depth 0 has the one empty point; no generators cover no point.
+    assert (brute_measure([], 0), brute_measure(["^"], 0), brute_measure([], 3)) == (0, 1, 0)
+    with pytest.raises(ValueError, match="depth >= generator lengths"):
+        brute_measure(["0"], 0)
 
 
 def test_sibling_merge_cascades():
@@ -412,7 +416,7 @@ def test_hash_does_not_depend_on_the_hash_seed():
 # the nodes no earlier measure reached and leaves every kept measure as it was.
 
 def _interior(node):
-    """The distinct interior nodes below (and at) `node`."""
+    """The distinct interior nodes below (and at) `node`, by id."""
     seen, todo = {}, [node]
     while todo:
         nd = todo.pop()
@@ -420,42 +424,52 @@ def _interior(node):
             continue
         seen[id(nd)] = nd
         todo += [nd.zero, nd.one]
-    return list(seen.values())
+    return seen
 
 
 def _measured_once(cs, want, monkeypatch):
-    """Measure `cs`; return how many of its nodes that measure computed,
-    checking that every measure kept before is the very same object after
-    and that the call made one Dyadic."""
+    """Measure `cs`; return the ids of the nodes that measure computed: those
+    whose measure slot was empty before.  Check that every measure kept
+    before is the very same object after and that the call made one Dyadic."""
     nodes = _interior(cs._tree)
-    kept = [(node, node.measure) for node in nodes if node.measure is not None]
+    kept = {key: node.measure for key, node in nodes.items() if node.measure is not None}
     built = []
     dyadic = cylinders.Dyadic
     monkeypatch.setattr(cylinders, "Dyadic", lambda *args: built.append(args) or dyadic(*args))
     assert cs.measure() == want
     monkeypatch.setattr(cylinders, "Dyadic", dyadic)
     assert len(built) == 1
-    assert all(node.measure is measure for node, measure in kept)
-    assert all(node.measure is not None for node in nodes)
-    return len(nodes) - len(kept)
+    assert all(nodes[key].measure is measure for key, measure in kept.items())
+    assert all(node.measure is not None for node in nodes.values())
+    return nodes.keys() - kept.keys()
 
 
 def test_measure_computes_only_nodes_no_earlier_measure_reached(monkeypatch):
-    gc.collect()
+    # Nodes are hash-consed, so a node an earlier test left alive may keep
+    # its measure: a call computes only the nodes whose slot is empty.
     a = CylinderSet.normalize(["0010110", "011", "1101", "111001"])
     b = uniform_suffix_set("1001", 5)
     union = a | b
     want = [brute_measure(cs.strings, 9) for cs in (a, b, union)]
-    assert _measured_once(a, want[0], monkeypatch) == len(_interior(a._tree))
+    _measured_once(a, want[0], monkeypatch)
     # Measured twice, or through another set with the same root: no work.
-    assert _measured_once(a, want[0], monkeypatch) == 0
-    assert _measured_once(CylinderSet(a._tree), want[0], monkeypatch) == 0
-    shared = {id(node) for node in _interior(a._tree)}
-    assert _measured_once(b, want[1], monkeypatch) == len({id(n) for n in _interior(b._tree)} - shared)
-    # A | B after A and B: only the nodes neither of them has.
-    shared.update(id(node) for node in _interior(b._tree))
-    fresh = {id(node) for node in _interior(union._tree)} - shared
-    assert fresh and _measured_once(union, want[2], monkeypatch) == len(fresh)
+    assert _measured_once(a, want[0], monkeypatch) == set()
+    assert _measured_once(CylinderSet(a._tree), want[0], monkeypatch) == set()
+    # B after A: none of the nodes they share.
+    assert _measured_once(b, want[1], monkeypatch).isdisjoint(_interior(a._tree))
+    # A | B after A and B: only nodes neither of them has.
+    fresh = _interior(union._tree).keys() - _interior(a._tree).keys() - _interior(b._tree).keys()
+    assert fresh and _measured_once(union, want[2], monkeypatch) <= fresh
+
+
+def antichain_measure(cs):
+    """The measure of `cs` as the sum of 2^-|g| over its generators, checked
+    prefix-free: exact, and blind to the measures the trie keeps."""
+    bits = sorted(cs.bits)
+    # Sorted, a string's extensions come right after it.
+    assert not any(h.startswith(g) for g, h in zip(bits, bits[1:])), bits
+    depth = max(map(len, bits), default=0)
+    return Dyadic(sum(1 << (depth - len(g)) for g in bits), depth)
 
 
 @settings(max_examples=150)
@@ -465,11 +479,16 @@ def test_kept_measures_match_brute_force_across_node_lives(families, data):
     # meet nodes measured before, nodes never measured, and nodes rebuilt
     # after every set holding them died.
     for gens in families:
+        before = len(cylinders._UNIQUE)
         live = [CylinderSet.normalize(gens)]
         live.append(live[0] | CylinderSet.normalize(data.draw(gen_strings)))
         live.append(live[-1] - CylinderSet.normalize(data.draw(gen_strings)))
-        for cs in data.draw(st.permutations(live)):
-            assert cs.measure() == brute_measure(cs.strings, DEPTH)
+        # Draw the order, not the sets: hypothesis keeps what it draws alive.
+        for i in data.draw(st.permutations(range(len(live)))):
+            assert live[i].measure() == antichain_measure(live[i])
         if data.draw(st.booleans()):
             del live
-            gc.collect()
+            # Refcounting frees a dropped trie at once (it holds no cycle),
+            # so every node these sets built is gone: the unique table, which
+            # only this test adds to meanwhile, is no larger than before.
+            assert len(cylinders._UNIQUE) <= before

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_staged import schedules
+from oracles import schedules
 
 from randlab import demuth
 from randlab.bitstring import BitString

@@ -3,13 +3,14 @@
 `reference_run_fireworks` is the fireworks engine as it was when it
 answered a commitment in two places (from the waiting branch and at once),
 kept a `satisfied_at` beside `answer_stage`, and waited for an answer one
-stage at a time; it scans an adversary's enumerated set at each step, as
-`reference_least_extension` does.
+stage at a time; its answers are `reference_least_extension`, a scan of the
+adversary's enumerated set.
 `reference_random_enumerator` and `reference_confined_open` are the two
-draw loops `random_open_set` merged.  `reference_f_approx` is the
-guarded-image selector as it was when it kept one value and one chosen
-index per stage; `per_stage` spells a change-point trace out the same way.
-Each copy is the oracle its replacement must match exactly.
+draw loops `random_open_set` merged.  `f_approx`'s change points, spelt
+out per stage by `oracles.per_stage`, must match `oracles.old_f_approx`,
+the guarded-image selector as it was when it kept one value and one
+chosen index per stage.  Each copy is the oracle its replacement must
+match exactly.
 """
 
 import random
@@ -17,16 +18,15 @@ from typing import List, Optional, Sequence
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_fireworks import ladders, random_adversaries
+from oracles import ladders, old_f_approx, per_stage, random_adversaries, strings_up_to
 
 import randlab.fireworks
-from randlab.bitstring import EMPTY, BitString, from_nat, to_nat
-from randlab.dyadic import Dyadic
+from randlab.bitstring import EMPTY, BitString, from_nat
 from randlab.errors import RandlabError
 from randlab.fireworks import (FireworksConfig, FireworksRun, Outcome, StrategyRecord,
                                _leaves, run_fireworks)
 from randlab.generators import random_bits, random_functional_pair, random_open_set
-from randlab.minpair import FApprox, f_approx, find_family
+from randlab.minpair import f_approx
 from randlab.staged import Enumerator, StagedOpenSet, TuringFunctional, by_stage
 
 
@@ -53,8 +53,7 @@ class _ReferenceStrategy:
     def answer(self, stage: int) -> Optional[BitString]:
         if self.wait_prefix is None:
             raise RandlabError(f"strategy {self.index} asked for an answer before committing")
-        hits = [t for t in self.enum.at(stage) if t.extends(self.wait_prefix)]
-        return min(hits, key=lambda t: (len(t), t.bits)) if hits else None
+        return reference_least_extension(self.enum, self.wait_prefix, stage)
 
 
 def reference_least_extension(enum: Enumerator, sigma: BitString, stage: int) -> Optional[BitString]:
@@ -191,7 +190,7 @@ def test_run_fireworks_matches_the_reference_engine(cfg_caps):
 
 
 # Every string up to one bit past the longest the adversaries enumerate.
-SIGMAS = [EMPTY] + [BitString(format(v, f"0{n}b")) for n in range(1, 7) for v in range(1 << n)]
+SIGMAS = strings_up_to(6)
 
 
 @settings(max_examples=100, deadline=None)
@@ -245,55 +244,13 @@ def test_random_open_set_draws_as_the_two_reference_loops():
                     seed)
 
 
-def reference_f_approx(phi, psi, stem, horizon):
-    """(family, value per stage, chosen index per stage) for stages 0..horizon."""
-    n = to_nat(stem)
-    cap = Dyadic.half_pow(n)
-    family = find_family(phi, stem, horizon)
-    if family is None:
-        return None, (stem,) * (horizon + 1), (None,) * (horizon + 1)
-    found = family.found_stage
-    values = [stem] * found
-    chosen = [None] * found
-    # The preimages, hence the choice, change only at the events of psi.
-    starts = [found] + [s for s in psi.change_stages(horizon) if s > found]
-    idx = 0
-    for start, end in zip(starts, starts[1:] + [horizon + 1]):
-        while idx < family.size() and psi.preimage(family.pairs[idx][1], start).measure() > cap:
-            idx += 1
-        if idx >= family.size():
-            raise RandlabError("pigeonhole failed: some preimages overlap")
-        values += [family.pairs[idx][0]] * (end - start)
-        chosen += [idx] * (end - start)
-    return family, tuple(values), tuple(chosen)
-
-
-def reference_mind_changes(values):
-    return sum(1 for a, b in zip(values, values[1:]) if a != b)
-
-
-def per_stage(trace: FApprox, horizon: int):
-    """(value per stage, chosen index per stage) of a trace, stages 0..horizon."""
-    values, chosen = [], []
-    points = list(trace.changes)
-    value, index = trace.stem, None
-    for stage in range(horizon + 1):
-        if points and points[0][0] == stage:
-            index = points.pop(0)[1]
-            value = trace.family.pairs[index][0]
-        values.append(value)
-        chosen.append(index)
-    assert not points, "a change point past the horizon"
-    return tuple(values), tuple(chosen)
-
-
 def _same_as_per_stage(phi, psi, horizon, stems):
     for stem in stems:
         trace = f_approx(phi, psi, stem, horizon)
-        family, values, chosen = reference_f_approx(phi, psi, stem, horizon)
+        family, values, chosen = old_f_approx(phi, psi, stem, horizon)
         assert trace.family == family
         assert per_stage(trace, horizon) == (values, chosen)
-        assert trace.mind_changes() == reference_mind_changes(values)
+        assert trace.mind_changes() == sum(a != b for a, b in zip(values, values[1:]))
         # Change points only: strictly later stages, each a new index.
         assert all(a[0] < b[0] and a[1] != b[1] for a, b in zip(trace.changes, trace.changes[1:]))
 

@@ -7,13 +7,13 @@ before being frozen into an assertion.
 
 import bisect
 import itertools
-import re
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import axis_ok, cap_axes, counting, extract_ok, ladder, ladders, random_adversaries
 
 import randlab.fireworks
 import randlab.scenario
@@ -33,13 +33,6 @@ from randlab.scenario import (Context, Experiment, ObjectTable, SCENARIO_DIR, Sc
 from randlab.staged import Enumerator, StagedOpenSet, by_stage
 
 SILENT = Enumerator([], horizon=0)
-
-
-def ladder(stages=4):
-    # Rung j refutes the guess standing at stage j but conflicts with the
-    # all-zero working prefix, so only the next rung can answer it.
-    return Enumerator([(j, ["0" * (j - 1) + "1"]) for j in range(1, stages + 1)],
-                      horizon=stages + 1)
 
 
 def test_default_cap_bounds():
@@ -124,21 +117,13 @@ def test_ladder_residue_is_the_failing_block():
     assert fs.residue().measure() == sweep(cfg).probability
 
 
-AXIS = re.compile(r"^(ActiveSuccess )*(ActiveFailure )?(PassiveSuccess )*$")
-
-
-def axis_ok(outcomes):
-    return AXIS.match("".join(o.value + " " for o in outcomes)) is not None
-
-
 def test_duet_trichotomy_and_silent_immunity():
     cfg = FireworksConfig.build([ladder(), SILENT], k=1, target_length=64,
                                 stage_budget=40, cap_bounds=(4, 4))
     table = {run.caps: run.outcomes for run in sweep_runs(cfg)}
     assert len(table) == 16
-    for fixed in range(1, 5):
-        assert axis_ok([table[(c, fixed)][0] for c in range(1, 5)])
-        assert axis_ok([table[(fixed, c)][1] for c in range(1, 5)])
+    for e, vectors in cap_axes((4, 4)):
+        assert axis_ok([table[caps][e] for caps in vectors]), vectors
     for outcomes in table.values():
         assert outcomes[1] is Outcome.PASSIVE_SUCCESS
     failing = sum(1 for o in table.values() if Outcome.ACTIVE_FAILURE in o)
@@ -148,13 +133,7 @@ def test_duet_trichotomy_and_silent_immunity():
 def test_extract_union_matches_sweep_probability():
     cfg = FireworksConfig.build([ladder(), SILENT], k=1, target_length=64,
                                 stage_budget=40, cap_bounds=(4, 4))
-    sets = sweep(cfg).failure_sets
-    union = CylinderSet.normalize([])
-    for e, fs in enumerate(sets):
-        residue = fs.residue()
-        assert residue.measure() <= Fraction(1, cfg.cap_bounds[e])
-        union = union | residue
-    assert union.measure() == sweep(cfg).probability
+    assert extract_ok(cfg)
 
 
 def test_oracle_block_caps():
@@ -310,22 +289,17 @@ def test_sweep_matches_the_per_vector_references_on_bundled_configs(cfg):
     assert_sweep_matches_references(cfg)
 
 
-ladders = st.integers(1, 5).map(ladder)
-random_adversaries = st.dictionaries(
-    st.integers(1, 8),
-    st.lists(st.text(alphabet="01", min_size=1, max_size=4), min_size=1, max_size=3),
-    max_size=4,
-).map(lambda events: Enumerator(sorted(events.items()), horizon=9))
+# One to three generated adversaries, each with cap bound 2, 4 or 8.
+generated_configs = st.builds(
+    lambda pairs, target: FireworksConfig.build([a for a, _ in pairs], k=1, target_length=target,
+                                                stage_budget=40, cap_bounds=[n for _, n in pairs]),
+    st.lists(st.tuples(ladders | random_adversaries, st.sampled_from((2, 4, 8))), min_size=1, max_size=3),
+    st.integers(1, 24))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(ladders | random_adversaries, st.sampled_from((2, 4, 8))),
-                min_size=1, max_size=3),
-       st.integers(1, 24))
-def test_sweep_matches_the_per_vector_references_on_generated_adversaries(pairs, target):
-    advs, bounds = zip(*pairs)
-    cfg = FireworksConfig.build(advs, k=1, target_length=target, stage_budget=40,
-                                cap_bounds=bounds)
+@given(generated_configs)
+def test_sweep_matches_the_per_vector_references_on_generated_adversaries(cfg):
     assert_sweep_matches_references(cfg)
 
 
@@ -334,15 +308,7 @@ def test_bundled_scenarios_make_one_engine_run_per_box_and_report(tmp_path, monk
     # each config once, running every leaf box once, and that one walk feeds
     # its sweep, extract and trichotomy reports; a probe runs one more.  The
     # bank has 12 leaves, the duet 3 and the small ladder 4 (one per cap).
-    calls = []
-    original = randlab.fireworks.run_fireworks
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(randlab.fireworks, "run_fireworks", counted)
-    monkeypatch.setattr(randlab.scenario, "run_fireworks", counted)
+    calls = counting(monkeypatch, "run_fireworks", randlab.fireworks, randlab.scenario)
     counts = {}
     for name in ("fireworks_bank", "fireworks_duet", "fireworks_small"):
         calls.clear()
@@ -381,19 +347,6 @@ def test_bundled_scenarios_build_each_least_extension_table_once(tmp_path, monke
         assert len(built) == len(set(built)), name
 
 
-def counted_sweeps(monkeypatch):
-    """The configs `sweep` walks from now on, one entry per walk."""
-    walked = []
-    original = randlab.scenario.sweep
-
-    def counted(cfg):
-        walked.append(cfg)
-        return original(cfg)
-
-    monkeypatch.setattr(randlab.scenario, "sweep", counted)
-    return walked
-
-
 MEMO_OBJECTS = {"enumerators": {"a": {"events": [[1, ["1"]], [2, ["01"]]], "horizon": 3},
                                 "b": {"events": [[1, ["1"]]], "horizon": 3}}}
 
@@ -407,34 +360,34 @@ def memo_scenario(*configs):
 
 
 def test_a_scenario_run_walks_each_config_once(tmp_path, monkeypatch):
-    walked = counted_sweeps(monkeypatch)
+    walked = counting(monkeypatch, "sweep", randlab.scenario)
     ab = {"adversaries": ["a", "b"], "cap_bounds": [4, 2]}
     # Read twice, a config is one key: its enumerators are the run's objects.
     assert run_scenario(memo_scenario(ab, {"adversaries": ["a"], "cap_bounds": [4]}, ab),
                         tmp_path / "one").ok
-    assert [len(cfg.adversaries) for cfg in walked] == [2, 1]
+    assert [len(cfg.adversaries) for cfg, in walked] == [2, 1]
     # Configs that differ only in their cap bounds are two walks.
     walked.clear()
     assert run_scenario(memo_scenario({"adversaries": ["a"], "cap_bounds": [4]},
                                       {"adversaries": ["a"], "cap_bounds": [8]}),
                         tmp_path / "two").ok
-    assert [cfg.cap_bounds for cfg in walked] == [(4,), (8,)]
+    assert [cfg.cap_bounds for cfg, in walked] == [(4,), (8,)]
 
 
 def test_two_runs_share_no_walk(tmp_path, monkeypatch):
     # Each `run_scenario` has its own Context; two of them walk one config
     # (one object, the same enumerators) once each.
-    walked = counted_sweeps(monkeypatch)
+    walked = counting(monkeypatch, "sweep", randlab.scenario)
     first, second = (Context(Scenario("memo", MEMO_OBJECTS, ()), tmp_path) for _ in range(2))
     a = first.objects.get("enumerators", "a", "test")
     cfg = FireworksConfig.build([a], k=1, target_length=8, stage_budget=12, cap_bounds=(4,))
     for ctx in (first, first, second, second):
         ctx.swept(cfg)
-    assert walked == [cfg, cfg]
+    assert walked == [(cfg,), (cfg,)]
 
 
 def test_a_walk_the_guard_refuses_is_not_kept(tmp_path, monkeypatch):
-    walked = counted_sweeps(monkeypatch)
+    walked = counting(monkeypatch, "sweep", randlab.scenario)
     ctx = Context(Scenario("guard", MEMO_OBJECTS, ()), tmp_path)
     a = ctx.objects.get("enumerators", "a", "test")
     cfg = FireworksConfig.build([a, a], k=1, target_length=8, stage_budget=12,
@@ -477,13 +430,8 @@ def test_leaves_tile_the_cap_space_on_bundled_configs(cfg):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(ladders | random_adversaries, st.sampled_from((2, 4, 8))),
-                min_size=1, max_size=3),
-       st.integers(1, 24))
-def test_leaves_tile_the_cap_space_on_generated_adversaries(pairs, target):
-    advs, bounds = zip(*pairs)
-    cfg = FireworksConfig.build(advs, k=1, target_length=target, stage_budget=40,
-                                cap_bounds=bounds)
+@given(generated_configs)
+def test_leaves_tile_the_cap_space_on_generated_adversaries(cfg):
     assert_leaves_tile_the_sweep(cfg)
 
 

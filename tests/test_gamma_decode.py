@@ -16,8 +16,9 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import counting, criterion_7_run
 
-from randlab import coding, generators
+from randlab import generators
 from randlab.bitstring import EMPTY, BitString, decode_pair, encode_pair, self_delimit
 from randlab.coding import (GammaResult, LayerRecord, OpenFamily, SubProcedureRecord,
                             W2REncoding, W2RScheme, encode_bits, extend_into_open, g_lsc,
@@ -175,15 +176,8 @@ def test_gamma_decode_matches_per_stage_replays():
         rng = random.Random(f"gamma:{i}")
         scheme = random_scheme(rng, i % 10)
         settle = scheme.settle_stage()
-        payloads = [random_bits(rng, rng.randrange(4)) for _ in range(1 + rng.randrange(3))]
-        xs = [("random", random_bits(rng, rng.randrange(48)))]
-        try:
-            word = w2r_encode(payloads, scheme).codeword
-        except RandlabError:
-            word = None
-        if word is not None:
-            xs += [("codeword", word), ("truncated", word.prefix(rng.randrange(len(word) + 1)))]
-        for kind, x in xs:
+        _, xs = sample_inputs(rng, scheme)
+        for kind, x in zip(("random", "codeword", "truncated"), xs):
             t_max = rng.randrange(settle) if settle and rng.randrange(2) else settle + 1 + rng.randrange(12)
             below += t_max < settle
             above += t_max > settle
@@ -246,14 +240,6 @@ def same_events(scheme, horizon):
                      for f in scheme.families)
     return W2RScheme(Pi01Tree(scheme.base.depth, scheme.base.events, horizon), families,
                      scheme.star_indices, horizon)
-
-
-def counting(monkeypatch, name):
-    """The arguments of every call of `coding.<name>` from here on."""
-    calls = []
-    real = getattr(coding, name)
-    monkeypatch.setattr(coding, name, lambda *args: calls.append(args) or real(*args))
-    return calls
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -370,21 +356,13 @@ def test_hitting_run_density_error_matches_re_encoding(monkeypatch):
     assert compare_hitting(0, opens, monkeypatch) is DensityError
 
 
-def criterion_7_run():
-    opens = [uniform_suffix_set(pattern, position)
-             for position, pattern in [(8, "11"), (12, "01"), (16, "10"), (20, "1")]]
-    scheme, payloads, _, enc = hitting_run(9, opens, depth=220)
-    stream_len = sum(len(p) for p in payloads)
-    return scheme, enc.codeword, max(scheme.horizon, stream_len) + scheme.horizon
-
-
 # kg_decode_prefix calls of one gamma_decode on the acceptance criterion 7
 # configuration; the per-stage replays of reference_gamma make 142.
 CRITERION_7_WALKS = 7
 
 
 def test_gamma_decode_walks_each_index_path_once(monkeypatch):
-    scheme, x, t_max = criterion_7_run()
+    _, scheme, x, t_max = criterion_7_run()
     paths = set()
     want = reference_gamma(x, t_max, scheme, paths)
     calls = counting(monkeypatch, "kg_decode_prefix")
@@ -394,7 +372,7 @@ def test_gamma_decode_walks_each_index_path_once(monkeypatch):
 
 
 def test_gamma_decode_walks_do_not_grow_past_the_settle_stage(monkeypatch):
-    scheme, x, t_max = criterion_7_run()
+    _, scheme, x, t_max = criterion_7_run()
     assert t_max > scheme.settle_stage()
     calls = counting(monkeypatch, "kg_decode_prefix")
     short = gamma_decode(x, t_max, scheme)

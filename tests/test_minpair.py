@@ -5,20 +5,19 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_engine_oracles import per_stage
-from test_staged import axioms, schedules
+from oracles import (axioms, minpair_ok, old_apply, old_choose, old_f_approx, old_find_family,
+                     old_max_antichain, old_output_tree, old_version_events, per_stage,
+                     schedules)
 
 from randlab.bitstring import BitString, from_nat, to_nat
 from randlab.cylinders import CylinderSet
-from randlab.demuth import DemuthTest, verify_demuth
-from randlab.dyadic import Dyadic
 from randlab.errors import GuardExceeded, RandlabError
 from randlab.generators import random_functional_pair
 from randlab.minpair import (FAMILY_GUARD, PairFamily, classify_case, f_approx,
                              find_family, induced_demuth_level,
                              isolated_path_analysis, output_tree,
                              _candidate_pool, _choose, _max_antichain)
-from randlab.staged import Enumerator, TuringFunctional, first_seen
+from randlab.staged import Enumerator, TuringFunctional
 
 
 def test_max_antichain_small_cases():
@@ -141,17 +140,7 @@ def test_induced_level_no_family_is_empty():
 
 def test_mind_change_bound_seeded():
     for i in range(30):
-        rng = random.Random(f"mp:{i}")
-        phi, psi = random_functional_pair(rng)
-        levels = []
-        for n in range(4):
-            stem = from_nat(n)
-            vos, trace = induced_demuth_level(phi, psi, stem, 8)
-            assert trace.mind_changes() <= 1 << n
-            assert vos.version_count() <= 1 << n
-            levels.append(vos)
-        assembled = DemuthTest(tuple(levels), tuple(1 << n for n in range(4)), 8)
-        assert verify_demuth(assembled).ok
+        assert minpair_ok(*random_functional_pair(random.Random(f"mp:{i}")), 3, 8), i
 
 
 def test_output_tree_is_prefix_closed_and_dated():
@@ -220,107 +209,6 @@ def test_find_family_on_a_deep_output():
     assert _max_antichain([BitString("0" * 5000), BitString("1" * 4000), BitString("01")]) == 3
 
 
-# The minpair path as it was before the event-wise queries: an `apply` that
-# scans every axiom, pools rebuilt and preimages read at every stage, and a
-# recursive antichain.  They are the oracles for the fast path.
-
-def old_apply(phi, sigma, stage):
-    best = BitString()
-    for ax_s, ax_t in phi.axioms_at(stage):
-        if ax_s.is_prefix_of(sigma) and len(ax_t) > len(best):
-            best = ax_t
-    return best
-
-
-def old_max_antichain(strings):
-    present = set(strings)
-    nodes = set(present)
-    for s in present:
-        for i in range(len(s)):
-            nodes.add(s.prefix(i))
-
-    def grow(node):
-        child_total = sum(grow(c) for c in (node.append(0), node.append(1)) if c in nodes)
-        return max(1 if node in present else 0, child_total)
-
-    return grow(BitString()) if nodes else 0
-
-
-def old_candidate_pool(phi, stem, stage):
-    pool = []
-    for ax_s, _ in phi.axioms_at(stage):
-        if ax_s.extends(stem) and ax_s != stem:
-            out = old_apply(phi, ax_s, stage)
-            if len(out):
-                pool.append((ax_s, out))
-    return sorted(set(pool))
-
-
-def old_find_family(phi, stem, stage):
-    n = to_nat(stem)
-    want = 1 << n
-    for s in range(stage + 1):
-        pool = old_candidate_pool(phi, stem, s)
-        if old_max_antichain([out for _, out in pool]) < want:
-            continue
-        chosen, used_outputs = [], []
-        for i, (cand_s, cand_t) in enumerate(pool):
-            if any(cand_t.comparable(u) for u in used_outputs):
-                continue
-            rest = [out for _, out in pool[i + 1:]
-                    if not any(out.comparable(u) for u in used_outputs + [cand_t])]
-            if 1 + len(used_outputs) + old_max_antichain(rest) >= want:
-                chosen.append((cand_s, cand_t))
-                used_outputs.append(cand_t)
-                if len(chosen) == want:
-                    break
-        return PairFamily(stem, n, tuple(chosen), s)
-    return None
-
-
-def old_f_approx(phi, psi, stem, horizon):
-    cap = Dyadic.half_pow(to_nat(stem))
-    family = old_find_family(phi, stem, horizon)
-    values, chosen = [], []
-    idx = 0
-    for s in range(horizon + 1):
-        if family is None or s < family.found_stage:
-            values.append(stem)
-            chosen.append(None)
-            continue
-        while idx < family.size():
-            if psi.preimage(family.pairs[idx][1], s).measure() <= cap:
-                break
-            idx += 1
-        values.append(family.pairs[idx][0])
-        chosen.append(idx)
-    return family, tuple(values), tuple(chosen)
-
-
-def old_version_events(psi, trace, horizon):
-    out = []
-    if trace.family is not None:
-        chosen = per_stage(trace, horizon)[1]
-        switches = first_seen((s, [j]) for s, j in enumerate(chosen) if j is not None)
-        for start, (j,) in switches:
-            tau_j = trace.family.pairs[j][1]
-            events = first_seen((s, psi.preimage(tau_j, s).strings) for s in range(horizon + 1))
-            out.append((start, Enumerator(events, horizon).events))
-    return out
-
-
-def old_output_tree(phi, stem, horizon):
-    def closure(s):
-        outs = {old_apply(phi, stem, s)}
-        for ax_s, _ in phi.axioms_at(s):
-            if ax_s.comparable(stem):
-                longer = ax_s if ax_s.extends(stem) else stem
-                outs.add(old_apply(phi, longer, s))
-        return {out.prefix(i) for out in outs for i in range(len(out) + 1)}
-
-    return Enumerator(first_seen((s, closure(s)) for s in range(horizon + 1)), horizon)
-
-
 def _agrees_with_the_old_path(phi, psi, horizon, stems):
     for stem in stems:
         for stage in (horizon // 2, horizon):
@@ -334,7 +222,7 @@ def _agrees_with_the_old_path(phi, psi, horizon, stems):
         assert output_tree(phi, stem, horizon).events == old_output_tree(phi, stem, horizon).events
         for stage in range(horizon + 1):
             for probe in (stem, stem.append(0), stem.append(1) + stem):
-                assert phi.apply(probe, stage) == old_apply(phi, probe, stage)
+                assert phi.apply(probe, stage) == old_apply(phi.events, probe, stage)
 
 
 @settings(max_examples=40, deadline=None)
@@ -358,31 +246,14 @@ def test_max_antichain_matches_the_recursive_walk(strings):
     assert _max_antichain(strings) == old_max_antichain(strings)
 
 
-# The greedy as it was before the width table: completability checked by a
-# fresh antichain over the unscanned suffix of the pool for every candidate.
-# It is the oracle for `_choose`.
-
-def suffix_greedy(pool, want):
-    if _max_antichain([out for _, out in pool]) < want:
-        return None
-    chosen, used_outputs = [], []
-    for i, (cand_s, cand_t) in enumerate(pool):
-        if any(cand_t.comparable(u) for u in used_outputs):
-            continue
-        rest = [out for _, out in pool[i + 1:]
-                if not any(out.comparable(u) for u in used_outputs + [cand_t])]
-        if 1 + len(used_outputs) + _max_antichain(rest) >= want:
-            chosen.append((cand_s, cand_t))
-            used_outputs.append(cand_t)
-            if len(chosen) == want:
-                break
-    return chosen
-
+# The family search as it was before the width table: the greedy
+# `old_choose` over the pool at each change stage.  It is the oracle for
+# `_choose` and `find_family`.
 
 def suffix_find_family(phi, stem, stage):
     n = to_nat(stem)
     for s in phi.change_stages(stage):
-        chosen = suffix_greedy(_candidate_pool(phi, stem, s), 1 << n)
+        chosen = old_choose(_candidate_pool(phi, stem, s), 1 << n)
         if chosen is not None:
             return PairFamily(stem, n, tuple(chosen), s)
     return None
@@ -396,7 +267,7 @@ pool_entries = st.tuples(st.text(alphabet="01", max_size=4).map(BitString),
 @given(st.lists(pool_entries, max_size=14), st.integers(min_value=1, max_value=8))
 def test_choose_matches_the_suffix_greedy_on_any_pool(pool, want):
     # Any order and repeated outputs, not only length-lex pools.
-    assert _choose(pool, want) == suffix_greedy(pool, want)
+    assert _choose(pool, want) == old_choose(pool, want)
 
 
 @settings(max_examples=40, deadline=None)

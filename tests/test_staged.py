@@ -9,6 +9,9 @@ from bisect import bisect_right
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import (axioms, bit_strings, old_apply, old_at, old_axioms_at, old_fresh,
+                     old_fresh_output_tree, old_live_at, old_preimage, old_restrict_events,
+                     schedules)
 
 from randlab import staged
 from randlab.bitstring import EMPTY, BitString
@@ -232,133 +235,13 @@ def test_by_stage_and_first_seen():
     assert by_stage([]) == first_seen([]) == []
 
 
-# The stage queries as they were before the cumulative schedule: each one
-# replays the events from stage 0.  They are the oracles for the lookups.
-
-def old_at(events, stage):
-    acc = set()
-    for s, strings in events:
-        if s > stage:
-            break
-        acc.update(strings)
-    return frozenset(acc)
-
-
-def old_axioms_at(events, stage):
-    acc = []
-    for s, pairs in events:
-        if s > stage:
-            break
-        acc.extend(pairs)
-    return tuple(sorted(set(acc)))
-
-
-def old_apply(events, sigma, stage):
-    sigma = BitString(sigma)
-    best = EMPTY
-    for ax_s, ax_t in old_axioms_at(events, stage):
-        if ax_s.is_prefix_of(sigma) and len(ax_t) > len(best):
-            best = ax_t
-    return best
-
-
-def old_preimage(events, tau, stage):
-    tau = BitString(tau)
-    if len(tau) == 0:
-        return CylinderSet(True)
-    return CylinderSet.normalize([ax_s for ax_s, ax_t in old_axioms_at(events, stage) if ax_t.extends(tau)])
-
-
-def old_removed_open(events, horizon, stage):
-    stage = min(max(stage, -1), horizon)
-    acc = set()
-    for s, strings in events:
-        if s > stage:
-            break
-        acc.update(strings)
-    return CylinderSet.normalize(acc)
-
-
-def old_restrict_events(events, extra_events):
-    merged = {}
-    for stage, strings in events:
-        merged.setdefault(stage, set()).update(strings)
-    for stage, strings in extra_events:
-        merged.setdefault(stage, set()).update(strings)
-    return sorted((stage, sorted(strs)) for stage, strs in merged.items())
-
-
-def old_live_at(versions, stage):
-    live = None
-    for s, v in versions:
-        if s > stage:
-            break
-        live = v
-    return live
-
-
-# The three hand-written "fresh since the last stage" loops that first_seen
-# replaced: diffunion_to_demuth's and induced_demuth_level's (same shape,
-# over CylinderSet.strings) and output_tree's (over prefix closures).
-
-def old_fresh_demuth(snapshots):
-    events = []
-    seen = set()
-    for s, strings in snapshots:
-        fresh = [g for g in strings if g not in seen]
-        seen.update(strings)
-        if fresh:
-            events.append((s, fresh))
-    return events
-
-
-def old_fresh_minpair(snapshots):
-    events = []
-    recorded = set()
-    for s, strings in snapshots:
-        gens = [g for g in strings if g not in recorded]
-        recorded.update(gens)
-        if gens:
-            events.append((s, gens))
-    return events
-
-
-def old_fresh_output_tree(snapshots):
-    events = {}
-    seen = set()
-    for s, closure in snapshots:
-        fresh = set(closure) - seen
-        if fresh:
-            events[s] = fresh
-            seen |= set(closure)
-    return sorted((s, sorted(v)) for s, v in events.items())
-
-
-bit_strings = st.text(alphabet="01", max_size=5)
-
-
-@st.composite
-def schedules(draw, items):
-    """(events, horizon) with strictly increasing stages, empty and repeated
-    items allowed, and the horizon at or past the last event."""
-    stages = sorted(draw(st.sets(st.integers(min_value=0, max_value=12), max_size=5)))
-    events = [(s, draw(st.lists(items, max_size=4))) for s in stages]
-    horizon = (stages[-1] if stages else 0) + draw(st.integers(min_value=0, max_value=3))
-    return events, horizon
-
-
 def query_stages(horizon):
     # Negative, before the first event, on and between events, past the horizon.
     return range(-3, horizon + 4)
 
 
-def _flip(s):
-    return "".join("1" if c == "0" else "0" for c in s)
-
-
-# tau a prefix of sigma's complement: comparable stems get comparable outputs.
-axioms = st.tuples(bit_strings, st.integers(min_value=0, max_value=5)).map(
-    lambda p: (p[0], _flip(p[0])[:p[1]]))
+def replayed_open(events, horizon, stage):
+    return CylinderSet.normalize(old_at(events, min(max(stage, -1), horizon)))
 
 
 @given(schedules(bit_strings))
@@ -369,7 +252,7 @@ def test_enumerator_and_open_set_match_replay(sched):
     norm = e.events
     for stage in query_stages(horizon):
         assert e.at(stage) == old_at(norm, stage)
-        assert o.open_at(stage) == CylinderSet.normalize(old_at(norm, min(max(stage, -1), horizon)))
+        assert o.open_at(stage) == replayed_open(norm, horizon, stage)
     assert e.at(horizon) == old_at(norm, horizon)
 
 
@@ -396,8 +279,8 @@ def test_tree_and_restrict_match_replay(base, more):
     assert cut.events == tuple(ev for ev in Enumerator(merged).events if ev[1])
     assert cut.horizon == max(horizon, extra_horizon)
     for stage in query_stages(max(horizon, extra_horizon)):
-        assert t.removed_open(stage) == old_removed_open(t.events, horizon, stage)
-        assert cut.removed_open(stage) == old_removed_open(merged, cut.horizon, stage)
+        assert t.removed_open(stage) == replayed_open(t.events, horizon, stage)
+        assert cut.removed_open(stage) == replayed_open(merged, cut.horizon, stage)
 
 
 @given(st.sets(st.integers(min_value=0, max_value=12), max_size=5))
@@ -416,8 +299,7 @@ def test_first_seen_matches_the_fresh_since_loops(sched):
     # generator can drop out when its sibling arrives and the two merge.
     gens = [(s, o.open_at(s).strings) for s in range(horizon + 1)]
     new = Enumerator(first_seen(gens), horizon).events
-    assert new == Enumerator(old_fresh_demuth(gens), horizon).events
-    assert new == Enumerator(old_fresh_minpair(gens), horizon).events
+    assert new == Enumerator(old_fresh(gens), horizon).events
     closures = [(s, {g.prefix(i) for g in strings for i in range(len(g) + 1)}) for s, strings in gens]
     assert (Enumerator(first_seen(closures), horizon).events
             == Enumerator(old_fresh_output_tree(closures), horizon).events)

@@ -2,8 +2,10 @@
 hand-kept `ok = ok and ...` accumulators the handlers used to carry.
 
 The oracles below are those accumulator expressions, copied verbatim apart
-from reading their inputs off the experiment's parameters.  They recompute
-every engine result, so they are independent of the report rows.
+from reading their inputs off the experiment's parameters; the ones other
+tests also check (`extract_ok`, `kg_tree_ok`, `minpair_ok`, and the walk
+over cap axes) are in `tests/oracles.py`.  They recompute every engine
+result, so they are independent of the report rows.
 """
 
 import csv
@@ -12,19 +14,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import cap_axes, extract_ok, kg_tree_ok, minpair_ok, strings_up_to
 
 from randlab import scenario
-from randlab.bitstring import BitString, from_nat
-from randlab.coding import gamma_decode, kg_decode, kg_encode, stabilization_stage
-from randlab.cylinders import EMPTY_SET, uniform_suffix_set
+from randlab.bitstring import BitString
+from randlab.coding import gamma_decode, stabilization_stage
+from randlab.cylinders import uniform_suffix_set
 from randlab.demuth import (DemuthTest, demuth_to_diffunion, diffunion_to_demuth,
                             verify_demuth, verify_diffunion)
-from randlab.dyadic import Dyadic
 from randlab.fireworks import FireworksConfig, sweep
 from randlab.generators import (build_working_w2r, hitting_run, random_demuth_test,
                                 random_diffunion_test, random_functional_pair,
                                 random_pi01_tree)
-from randlab.minpair import induced_demuth_level
 from randlab.scenario import (Experiment, ObjectTable, Scenario, _axis_pattern, _failed_cell,
                               bundled_scenarios, load_scenario, run_scenario)
 
@@ -50,30 +51,6 @@ def _u2d_ok(test):
     return ok
 
 
-def _kg_tree_ok(tree, payloads, stem, horizon):
-    ok = True
-    for p in payloads:
-        code = kg_encode(p, stem, tree)
-        ok = ok and kg_decode(code, stem, tree, horizon) == p and tree.viable(code, horizon)
-    return ok
-
-
-def _minpair_ok(phi, psi, nat_max, horizon):
-    ok = True
-    levels = []
-    for n in range(nat_max + 1):
-        vos, trace = induced_demuth_level(phi, psi, from_nat(n), horizon)
-        bound = 1 << n
-        ok = ok and trace.mind_changes() <= bound and vos.version_count() <= bound
-        levels.append(vos)
-    assembled = DemuthTest(tuple(levels), tuple(1 << n for n in range(nat_max + 1)), horizon)
-    return ok and verify_demuth(assembled).ok
-
-
-def _strings_up_to(length):
-    return [s for n in range(length + 1) for s in BitString.all_strings(n)]
-
-
 def _config(objects, p):
     advs = [objects.get("enumerators", n, "oracle") for n in p["adversaries"]]
     return FireworksConfig.build(advs, p["k"], p["target_length"], p["stage_budget"],
@@ -89,25 +66,8 @@ def _trichotomy_ok(objects, p):
     cfg = _config(objects, p)
     table = {caps: leaf.run.outcomes
              for leaf in sweep(cfg).leaves for caps in itertools.product(*leaf.box)}
-    ok = True
-    ranges = [range(1, n + 1) for n in cfg.cap_bounds]
-    for e, axis_caps in enumerate(ranges):
-        for fixed in itertools.product(*ranges[:e], *ranges[e + 1:]):
-            axis = [table[fixed[:e] + (cap,) + fixed[e:]][e] for cap in axis_caps]
-            ok = ok and _axis_pattern(axis)[0]
-    return ok
-
-
-def _extract_ok(objects, p):
-    cfg = _config(objects, p)
-    sw = sweep(cfg)
-    union = EMPTY_SET
-    ok = True
-    for e, fs in enumerate(sw.failure_sets):
-        residue = fs.residue()
-        union = union | residue
-        ok = ok and residue.measure() <= Dyadic(1, cfg.cap_bounds[e].bit_length() - 1)
-    return ok and union.measure() == sw.probability
+    return all(_axis_pattern([table[caps][e] for caps in vectors])[0]
+               for e, vectors in cap_axes(cfg.cap_bounds))
 
 
 def _convert_ok(objects, p):
@@ -131,15 +91,15 @@ def _convert_sweep_ok(objects, p):
 def _kg_roundtrip_ok(objects, p):
     tree = objects.get("trees", p["tree"], "oracle")
     raw = p["payloads"]
-    payloads = (_strings_up_to(raw["all_up_to"]) if isinstance(raw, dict)
+    payloads = (strings_up_to(raw["all_up_to"]) if isinstance(raw, dict)
                 else [BitString(x) for x in raw])
-    return _kg_tree_ok(tree, payloads, BitString(p.get("stem", "^")), tree.horizon)
+    return kg_tree_ok(tree, payloads, BitString(p.get("stem", "^")), tree.horizon)
 
 
 def _kg_sweep_ok(objects, p):
     horizon = p.get("horizon", 8)
-    payloads = _strings_up_to(p.get("payload_len", 4))
-    return all(_kg_tree_ok(random_pi01_tree(random.Random(f"{p['seed']}:{i}"),
+    payloads = strings_up_to(p.get("payload_len", 4))
+    return all(kg_tree_ok(random_pi01_tree(random.Random(f"{p['seed']}:{i}"),
                                             depth=p.get("depth", 24), horizon=horizon),
                            payloads, BitString("^"), horizon)
                for i in range(p["count"]))
@@ -173,7 +133,7 @@ def _w2r_hitting_ok(objects, p):
 
 def _minpair_sweep_ok(objects, p):
     horizon = p.get("horizon", 8)
-    return all(_minpair_ok(*random_functional_pair(random.Random(f"{p['seed']}:{i}"),
+    return all(minpair_ok(*random_functional_pair(random.Random(f"{p['seed']}:{i}"),
                                                    MINPAIR_DEPTH, p.get("axioms", 120),
                                                    horizon), p.get("nat_max", 3), horizon)
                for i in range(p["count"]))
@@ -183,7 +143,7 @@ ORACLES = {
     "fireworks_run": lambda objects, p: True,
     "fireworks_sweep": _sweep_ok,
     "fireworks_trichotomy": _trichotomy_ok,
-    "fireworks_extract": _extract_ok,
+    "fireworks_extract": lambda objects, p: extract_ok(_config(objects, p)),
     "convert": _convert_ok,
     "convert_sweep": _convert_sweep_ok,
     "kg_roundtrip": _kg_roundtrip_ok,
@@ -287,7 +247,7 @@ def test_kg_sweep_verdicts_match_the_accumulators(tmp_path):
     assert len(rows) == p["count"]
     for i, row in enumerate(rows):
         tree = random_pi01_tree(random.Random(f"5:{i}"), depth=12, horizon=4)
-        assert (row["failures"] == "0") == _kg_tree_ok(tree, _strings_up_to(3),
+        assert (row["failures"] == "0") == kg_tree_ok(tree, strings_up_to(3),
                                                        BitString("^"), 4), i
     assert fact.ok == _kg_sweep_ok(None, p)
     assert (fact.failed_at is None) == fact.ok
@@ -301,6 +261,6 @@ def test_minpair_sweep_verdicts_match_the_accumulators(tmp_path):
     for i in range(p["count"]):
         pair = [row for row in rows if row["pair"] == str(i)]
         phi, psi = random_functional_pair(random.Random(f"3:{i}"), MINPAIR_DEPTH, 60, 8)
-        assert all(row["ok"] == "yes" for row in pair) == _minpair_ok(phi, psi, 3, 8)
+        assert all(row["ok"] == "yes" for row in pair) == minpair_ok(phi, psi, 3, 8)
     assert fact.ok == _minpair_sweep_ok(None, p)
     assert (fact.failed_at is None) == fact.ok
