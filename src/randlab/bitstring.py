@@ -49,19 +49,21 @@ class BitString:
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return BitString(self._bits[i])
+            return _valid(self._bits[i])
         return 1 if self._bits[i] == "1" else 0
 
     def __add__(self, other: BitsLike) -> "BitString":
+        if isinstance(other, BitString):
+            return _valid(self._bits + other._bits)
         return BitString(self._bits + BitString(other)._bits)
 
     def append(self, bit: int) -> "BitString":
-        return BitString(self._bits + ("1" if bit else "0"))
+        return _valid(self._bits + ("1" if bit else "0"))
 
     def prefix(self, n: int) -> "BitString":
         if n > len(self._bits):
             raise ValueError(f"prefix length {n} exceeds |{self}|")
-        return BitString(self._bits[:n])
+        return _valid(self._bits[:n])
 
     def is_prefix_of(self, other: "BitString") -> bool:
         return other._bits.startswith(self._bits)
@@ -97,6 +99,14 @@ class BitString:
             return
         for v in range(1 << length):
             yield BitString(format(v, f"0{length}b"))
+
+
+def _valid(bits: str) -> BitString:
+    """A string of bits known to be 0s and 1s, taken unchecked: the results
+    of `prefix`, `append`, slicing and `+` of two strings are."""
+    out = object.__new__(BitString)
+    out._bits = bits
+    return out
 
 
 EMPTY = BitString("")

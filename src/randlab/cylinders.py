@@ -28,7 +28,7 @@ from __future__ import annotations
 import bisect
 import functools
 import weakref
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .bitstring import BitString
 from .dyadic import Dyadic
@@ -436,24 +436,77 @@ FULL_SET = CylinderSet(True)
 
 def interval_set(lo: int, hi: int, width: int, tail: CylinderSet = FULL_SET) -> CylinderSet:
     """All sequences whose first `width` bits, read as a binary number, lie
-    in lo..hi, followed by a sequence in `tail`.
+    in lo..hi, followed by a sequence in `tail`: the one-range case of
+    `intervals_set`, so the trie has O(width) nodes above `tail` whatever the
+    range holds."""
+    return intervals_set(width, [(lo, hi, tail)])
 
-    Built up from the last of the `width` bits: after k of them, `inside`
-    holds the k-bit values from lo's last k bits to hi's, `ge` those from
-    lo's and `le` those up to hi's.  That is 4 nodes a bit, so the trie has
-    O(width) nodes above `tail` whatever the range holds.
+
+def intervals_set(width: int, ranges: Sequence[Tuple[int, int, CylinderSet]]) -> CylinderSet:
+    """All sequences whose first `width` bits, read as a binary number, lie
+    in one of the sorted, disjoint ranges lo..hi, followed by a sequence in
+    that range's tail.
+
+    Built up from the last of the `width` bits.  After k of them, a block of
+    2^k values inside one range is that range's tail behind k free bits, a
+    block inside no range is empty, and only the blocks that a range's end
+    cuts need a node of their own: at most two per range a bit.  So the trie
+    has O(width * len(ranges)) nodes above the tails whatever the ranges
+    hold.  Ranges sharing a tail share its padded copies, and adjacent ones
+    are not cut apart.
     """
-    if width < 0 or not 0 <= lo <= hi < 1 << width:
-        raise ValueError(f"range {lo}..{hi} does not fit in {width} bits")
-    full = ge = le = inside = tail._tree
+    # The values where what follows changes (a range's tail, or nothing
+    # between ranges): a block with one of them strictly inside is cut, so
+    # adjacent ranges with one tail read as one.
+    cuts: List[int] = []
+    end, follows = 0, False  # the value after the ranges so far, and its tail
+    for lo, hi, tail in ranges:
+        if width < 0 or not 0 <= lo <= hi < 1 << width:
+            raise ValueError(f"range {lo}..{hi} does not fit in {width} bits")
+        if lo < end:
+            raise ValueError(f"range {lo}..{hi} is not after the range before it, which ends at {end - 1}")
+        if lo > end:
+            if follows is not False:
+                cuts.append(end)
+            follows = False
+        if tail._tree is not follows:
+            if lo:
+                cuts.append(lo)
+            follows = tail._tree
+        end = hi + 1
+    if width < 0:
+        raise ValueError(f"width {width} is negative")
+    if follows is not False and end < 1 << width:
+        cuts.append(end)
+    los = [lo for lo, _, _ in ranges]
+    # Tail node -> that tail behind 0, 1, 2, ... free bits, as far as asked.
+    padded: Dict[Node, List[Node]] = {}
+
+    def block(a: int, k: int, cut: Dict[int, Node]) -> Node:
+        """The node of block a (values a * 2^k up to the next block) after k bits."""
+        node = cut.get(a)
+        if node is not None:
+            return node
+        v = a << k
+        r = bisect.bisect_right(los, v) - 1
+        if r < 0 or ranges[r][1] < v:
+            return False
+        tail = ranges[r][2]._tree
+        chain = padded.setdefault(tail, [tail])
+        while len(chain) <= k:
+            chain.append(_pair(chain[-1], chain[-1]))
+        return chain[k]
+
+    cut: Dict[int, Node] = {}
     for k in range(width):
-        l, h = lo >> k & 1, hi >> k & 1
-        inside = (False if l > h else _pair(ge, le) if l < h
-                  else _pair(False, inside) if l else _pair(inside, False))
-        ge = _pair(False, ge) if l else _pair(ge, full)
-        le = _pair(full, le) if h else _pair(le, False)
-        full = _pair(full, full)
-    return CylinderSet(inside)
+        above: Dict[int, Node] = {}
+        for v in cuts:
+            if v & ((2 << k) - 1):
+                a = v >> (k + 1)
+                if a not in above:
+                    above[a] = _pair(block(2 * a, k, cut), block(2 * a + 1, k, cut))
+        cut = above
+    return CylinderSet(block(0, width, cut))
 
 
 def uniform_suffix_set(pattern: Union[BitString, str], position: int) -> CylinderSet:

@@ -13,16 +13,19 @@ differing in one cap coincide up to the first diverging decision.  That
 yields the sharp sweep picture: fixing all other caps, at most one value of
 a strategy's cap ends in an unanswered commitment, every smaller value ends
 answered, every larger one ends passively.  `sweep` turns this into the
-algorithm: it replays the engine on boxes of cap vectors, one range per
+algorithm: it runs the engine on boxes of cap vectors, one range per
 strategy, and splits a box only where `guesses < cap` is undecided on it,
 so it makes one run per behaviour and its leaf boxes tile the cap space.
-It folds the leaves into what the reports read: the leaf boxes, the exact
-failure probability as a dyadic rational, and each strategy's commitments
-and answers on the oracle side, one trie per box.  `SWEEP_GUARD` is there
-only for what the reports spell out per vector (failing vectors, the
-trichotomy table, failure set antichains): the walk itself needs no guard,
-though `sweep` still refuses cap spaces past it.  `sweep_runs`, one run per
-cap vector, is the brute-force reference the walk is tested against.
+The box split off resumes the run at the step that split it, so the walk
+costs the split tree, not the leaves times the run length.  It folds the
+leaves into what the reports read: the leaf boxes, the exact failure
+probability as a dyadic rational, and each strategy's commitments and
+answers on the oracle side, each value one trie built in one pass over
+the boxes dated by then.  `SWEEP_GUARD` is there only for what the reports
+spell out per vector (failing vectors, the trichotomy table, failure set
+antichains): the walk itself needs no guard, though `sweep` still refuses
+cap spaces past it.  `sweep_runs`, one run per cap vector, is the
+brute-force reference the walk is tested against.
 
 An engine step asks an adversary one thing: the least string it has
 enumerated above a prefix (`Enumerator.least_extension`), a lookup in a
@@ -37,11 +40,11 @@ import itertools
 import math
 import random
 from enum import Enum
-from functools import partial, reduce
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bitstring import EMPTY, BitString
-from .cylinders import EMPTY_SET, FULL_SET, CylinderSet, interval_set
+from .cylinders import EMPTY_SET, FULL_SET, CylinderSet, intervals_set
 from .dyadic import Dyadic
 from .errors import GuardExceeded, RandlabError
 from .staged import Enumerator, ValuedOpenSet
@@ -180,6 +183,13 @@ class _Strategy:
         self.answer_stage: Optional[int] = None
         self.wait_prefix: Optional[BitString] = None
 
+    def copy(self) -> "_Strategy":
+        """The strategy as it stands, to be run on by another engine."""
+        twin = _Strategy(self.index, self.cap, self.enum)
+        twin.guesses, twin.guess_prefix, twin.wait_prefix = self.guesses, self.guess_prefix, self.wait_prefix
+        twin.active_stage, twin.answer_stage = self.active_stage, self.answer_stage
+        return twin
+
     def refuted(self, stage: int) -> bool:
         if self.guess_prefix is None:
             raise RandlabError(f"strategy {self.index} asked for refutation before guessing")
@@ -191,6 +201,99 @@ class _Strategy:
         return self.enum.least_extension(self.wait_prefix, stage)
 
 
+class _Engine:
+    """One run of the construction, from stage 0 or resumed from `state`.
+
+    `run` keeps x, the stage and the round-robin counter in locals and
+    writes them back where a cap is read, so `state` there is the engine as
+    it stood at the start of that step."""
+
+    __slots__ = ("cfg", "caps", "strategies", "trace", "x", "stage", "rr")
+
+    def __init__(self, cfg: FireworksConfig, caps: Sequence, state: Optional[tuple] = None,
+                 keep_trace: bool = False) -> None:
+        self.cfg, self.caps = cfg, caps
+        self.trace: Optional[List[str]] = [] if keep_trace else None
+        if state is None:
+            self.x, self.stage, self.rr = EMPTY, 0, 0
+            self.strategies = [_Strategy(e, caps[e], w) for e, w in enumerate(cfg.adversaries)]
+        else:
+            # Each state is resumed once, so its strategies can be taken over.
+            self.x, self.stage, self.rr, self.strategies = state
+            for st, cap in zip(self.strategies, caps):
+                st.cap = cap
+
+    def state(self) -> tuple:
+        return self.x, self.stage, self.rr, [st.copy() for st in self.strategies]
+
+    def run(self) -> FireworksRun:
+        cfg, strategies, trace = self.cfg, self.strategies, self.trace
+        x, stage, rr = self.x, self.stage, self.rr
+        waiting: Optional[_Strategy] = None
+        while stage < cfg.stage_budget:
+            if waiting is None:
+                if len(x) >= cfg.target_length:
+                    break
+                if strategies:
+                    st = strategies[rr % len(strategies)]
+                    if st.answer_stage is None:
+                        if st.guess_prefix is None:
+                            st.guesses = 1
+                            st.guess_prefix = x
+                            if trace is not None:
+                                trace.append(f"s={stage} e={st.index} passive guess 1 on {x}")
+                        elif st.refuted(stage):
+                            # The step's start, which a split of st.cap keeps.
+                            self.x, self.stage, self.rr = x, stage, rr
+                            if st.guesses < st.cap:
+                                st.guesses += 1
+                                st.guess_prefix = x
+                                if trace is not None:
+                                    trace.append(f"s={stage} e={st.index} passive guess {st.guesses} on {x}")
+                            else:
+                                st.active_stage = stage
+                                st.wait_prefix = x
+                                if trace is not None:
+                                    trace.append(f"s={stage} e={st.index} commitment on {x}")
+                                waiting = st
+                    rr += 1
+                if waiting is None:
+                    x = x.append(0)
+            # A commitment is first asked for its answer at the stage it is made.
+            if waiting is not None:
+                tau = waiting.answer(stage)
+                if tau is None:
+                    # Only at the adversary's next event can an answer come.
+                    stage = waiting.enum.next_change(stage, cfg.stage_budget)
+                    continue
+                waiting.answer_stage = stage
+                x = tau
+                if trace is not None:
+                    trace.append(f"s={stage} e={waiting.index} commitment answered by {tau}")
+                waiting = None
+            stage += 1
+
+        records = []
+        for st in strategies:
+            proven = False
+            if st.answer_stage is not None:
+                outcome = Outcome.ACTIVE_SUCCESS
+            elif st.wait_prefix is not None:
+                outcome = Outcome.ACTIVE_FAILURE
+                proven = st.answer(st.enum.horizon) is None
+            elif st.guess_prefix is not None and not st.refuted(st.enum.horizon):
+                outcome = Outcome.PASSIVE_SUCCESS
+            else:
+                outcome = Outcome.UNRESOLVED
+            records.append(StrategyRecord(
+                st.index, outcome, st.guesses,
+                st.wait_prefix if st.wait_prefix is not None else st.guess_prefix,
+                st.active_stage, st.answer_stage, proven,
+            ))
+        halted_by = None if waiting is None else waiting.index
+        return FireworksRun(x, tuple(self.caps), tuple(records), stage, halted_by, tuple(trace or ()))
+
+
 def run_fireworks(cfg: FireworksConfig, caps: Sequence[int], *, keep_trace: bool = False) -> FireworksRun:
     """Deterministic run of the construction under explicit caps."""
     if len(caps) != len(cfg.adversaries):
@@ -198,74 +301,7 @@ def run_fireworks(cfg: FireworksConfig, caps: Sequence[int], *, keep_trace: bool
     for cap, bound in zip(caps, cfg.cap_bounds):
         if not 1 <= cap <= bound:
             raise RandlabError(f"cap {cap} outside 1..{bound}")
-
-    strategies = [_Strategy(e, caps[e], w) for e, w in enumerate(cfg.adversaries)]
-    x = EMPTY
-    trace: List[str] = []
-    waiting: Optional[_Strategy] = None
-    stage = 0
-    rr = 0
-
-    def note(msg: str) -> None:
-        if keep_trace:
-            trace.append(msg)
-
-    while stage < cfg.stage_budget:
-        if waiting is None:
-            if len(x) >= cfg.target_length:
-                break
-            if strategies:
-                st = strategies[rr % len(strategies)]
-                rr += 1
-                if st.answer_stage is None:
-                    if st.guess_prefix is None:
-                        st.guesses = 1
-                        st.guess_prefix = x
-                        note(f"s={stage} e={st.index} passive guess 1 on {x}")
-                    elif st.refuted(stage):
-                        if st.guesses < st.cap:
-                            st.guesses += 1
-                            st.guess_prefix = x
-                            note(f"s={stage} e={st.index} passive guess {st.guesses} on {x}")
-                        else:
-                            st.active_stage = stage
-                            st.wait_prefix = x
-                            note(f"s={stage} e={st.index} commitment on {x}")
-                            waiting = st
-            if waiting is None:
-                x = x.append(0)
-        # A commitment is first asked for its answer at the stage it is made.
-        if waiting is not None:
-            tau = waiting.answer(stage)
-            if tau is None:
-                # Only at the adversary's next event can an answer come.
-                stage = waiting.enum.next_change(stage, cfg.stage_budget)
-                continue
-            waiting.answer_stage = stage
-            x = tau
-            note(f"s={stage} e={waiting.index} commitment answered by {tau}")
-            waiting = None
-        stage += 1
-
-    records = []
-    for st in strategies:
-        proven = False
-        if st.answer_stage is not None:
-            outcome = Outcome.ACTIVE_SUCCESS
-        elif st.wait_prefix is not None:
-            outcome = Outcome.ACTIVE_FAILURE
-            proven = st.answer(st.enum.horizon) is None
-        elif st.guess_prefix is not None and not st.refuted(st.enum.horizon):
-            outcome = Outcome.PASSIVE_SUCCESS
-        else:
-            outcome = Outcome.UNRESOLVED
-        records.append(StrategyRecord(
-            st.index, outcome, st.guesses,
-            st.wait_prefix if st.wait_prefix is not None else st.guess_prefix,
-            st.active_stage, st.answer_stage, proven,
-        ))
-    halted_by = None if waiting is None else waiting.index
-    return FireworksRun(x, tuple(caps), tuple(records), stage, halted_by, tuple(trace))
+    return _Engine(cfg, caps, keep_trace=keep_trace).run()
 
 
 def check_requirement(w_final: Iterable[BitString], x: BitString, universe_depth: int) -> Requirement:
@@ -322,73 +358,100 @@ class Leaf(NamedTuple):
 
 
 class _Cap:
-    """A strategy's cap while the engine replays a box: some value in lo..hi.
+    """A strategy's cap while the walk runs the engine on a box: some value
+    in lo..hi.
 
     The engine reads a cap only through `guesses < cap`, which Python asks
     of the cap as `cap > guesses`.  Undecided on lo..hi, it splits the box
-    at `guesses`: this replay keeps guesses+1..hi, and `pending` receives the
-    whole box as it stands with this cap in lo..guesses.
+    at `guesses`: this run keeps guesses+1..hi, and `pending` receives the
+    whole box as it stands with this cap in lo..guesses, beside the state of
+    `engine` at the start of this step, where that box's run resumes.
     """
 
-    __slots__ = ("lo", "hi", "box", "pending")
+    __slots__ = ("lo", "hi", "pending", "engine")
 
-    def __init__(self, lo: int, hi: int, box: List["_Cap"], pending: list) -> None:
-        self.lo, self.hi, self.box, self.pending = lo, hi, box, pending
+    def __init__(self, lo: int, hi: int, pending: list) -> None:
+        self.lo, self.hi, self.pending = lo, hi, pending
+        self.engine: Optional[_Engine] = None
 
     def __gt__(self, guesses: int) -> bool:
         if self.lo <= guesses < self.hi:
-            self.pending.append(tuple((c.lo, guesses) if c is self else (c.lo, c.hi)
-                                      for c in self.box))
+            box = tuple((c.lo, guesses) if c is self else (c.lo, c.hi) for c in self.engine.caps)
+            self.pending.append((box, self.engine.state()))
             self.lo = guesses + 1
         return guesses < self.lo
 
-    # The engine's range check; both sides are decided on every box.
-    def __ge__(self, n: int) -> bool:
-        return self._decided(self.lo >= n, self.hi < n, ">=", n)
-
-    def __le__(self, n: int) -> bool:
-        return self._decided(self.hi <= n, self.lo > n, "<=", n)
-
-    def _decided(self, holds: bool, fails: bool, op: str, n: int) -> bool:
-        if holds == fails:
-            raise RandlabError(f"cap in {self.lo}..{self.hi} {op} {n} is undecided")
-        return holds
-
 
 def _leaves(cfg: FireworksConfig) -> List[Leaf]:
-    """Replay the engine once per leaf box; the leaves tile the cap space.
+    """Run the engine once per leaf box; the leaves tile the cap space.
 
     A depth-first walk over an explicit stack of boxes, each a (lo, hi)
-    pair per strategy.  It holds one entry per behaviour, never one per
-    vector, so it needs no guard.  Leaves come in order of least vector.
+    pair per strategy and the engine state its run resumes from: a box split
+    off a run shares every step before the split with it, so its run starts
+    at the step the split decided the other way.  The stack holds one entry
+    per behaviour, never one per vector, so it needs no guard.  Leaves come
+    in order of least vector.
     """
-    pending = [tuple((1, n) for n in cfg.cap_bounds)]
+    pending = [(tuple((1, n) for n in cfg.cap_bounds), None)]
     leaves = []
     while pending:
-        caps: List[_Cap] = []
-        caps.extend(_Cap(lo, hi, caps, pending) for lo, hi in pending.pop())
-        run = run_fireworks(cfg, caps)
+        bounds, state = pending.pop()
+        caps = [_Cap(lo, hi, pending) for lo, hi in bounds]
+        engine = _Engine(cfg, caps, state)
+        for cap in caps:
+            cap.engine = engine
+        run = engine.run()
         box = tuple(range(c.lo, c.hi + 1) for c in caps)
         leaves.append(Leaf(box, run._replace(caps=tuple(r.start for r in box))))
     leaves.sort(key=lambda leaf: leaf.run.caps)
     return leaves
 
 
-def _box_set(box: Tuple[range, ...], cfg: FireworksConfig) -> CylinderSet:
-    """The oracles of a box's vectors, as one trie: block e holds cap - 1 in
-    its block length, so each cap range is an interval of block values."""
-    out = FULL_SET
-    for r, width in reversed(list(zip(box, cfg.block_lengths))):
-        out = interval_set(r.start - 1, r.stop - 2, width, out)
-    return out
+def _oracle_set(boxes: Sequence[Tuple[range, ...]], widths: Sequence[int]) -> CylinderSet:
+    """The oracles of the vectors in some boxes, as one trie built in one pass.
+
+    Block j of an oracle holds cap - 1 in widths[j] bits, so a box is one
+    interval of values per block.  In block j, the ranges of the boxes that
+    reach it cut the block's values into segments, and a segment's tail is
+    the set that the boxes covering it make on the later blocks.  Going
+    down, the covering sets met in each block are found once; coming back
+    up, each one's trie is built once (`intervals_set`), from the last block
+    to the first.
+    """
+    if not boxes:
+        return EMPTY_SET
+    everyone = tuple(range(len(boxes)))
+    # Per block, each covering set (box indices) met there -> its segments,
+    # (lo, hi, the covering set of the next block).
+    levels: List[Dict[tuple, list]] = []
+    met = [everyone]
+    for j in range(len(widths)):
+        segments: Dict[tuple, list] = {}
+        for cover in met:
+            spans = [(boxes[i][j].start - 1, boxes[i][j].stop - 1) for i in cover]
+            cuts = sorted({v for span in spans for v in span})
+            segs = segments[cover] = []
+            for lo, end in zip(cuts, cuts[1:]):
+                inside = tuple(i for i, (a, b) in zip(cover, spans) if a <= lo < b)
+                if inside:
+                    segs.append((lo, end - 1, inside))
+        levels.append(segments)
+        met = list(dict.fromkeys(inside for segs in segments.values() for _, _, inside in segs))
+    made = dict.fromkeys(met, FULL_SET)
+    for width, segments in zip(reversed(widths), reversed(levels)):
+        tails = made
+        made = {cover: intervals_set(width, [(lo, hi, tails[inside]) for lo, hi, inside in segs])
+                for cover, segs in segments.items()}
+    return made[everyone]
 
 
-def _staged_union(dated: Sequence[Tuple[int, CylinderSet]], horizon: int) -> ValuedOpenSet:
-    """Valued at each stage `dated` names as the union of the sets dated by
-    then, each union made the first time a stage reads it."""
+def _staged_union(dated: Sequence[Tuple[int, Tuple[range, ...]]], widths: Sequence[int],
+                  horizon: int) -> ValuedOpenSet:
+    """Valued at each stage `dated` names as the oracles of the boxes dated
+    by then, each value built the first time a stage reads it."""
     stages = sorted({t for t, _ in dated})
-    return ValuedOpenSet([(t, partial(reduce, CylinderSet.__or__, [o for s, o in dated if s <= t],
-                                      EMPTY_SET)) for t in stages], horizon)
+    return ValuedOpenSet([(t, partial(_oracle_set, [box for s, box in dated if s <= t], widths))
+                          for t in stages], horizon)
 
 
 class FailureSets(NamedTuple):
@@ -429,15 +492,15 @@ def sweep(cfg: FireworksConfig) -> Sweep:
     if 1 << bits != total:
         raise RandlabError(f"cap space {total} is not a power of two")
     leaves = _leaves(cfg)
-    # Per strategy, its (commit stage, box set) and (answer stage, box set) pairs.
+    # Per strategy, its (commit stage, box) and (answer stage, box) pairs.
     dated: List[Tuple[list, list]] = [([], []) for _ in cfg.adversaries]
     for leaf in leaves:
-        records = [rec for rec in leaf.run.records if rec.active_stage is not None]
-        oracles = _box_set(leaf.box, cfg) if records else EMPTY_SET
-        for rec in records:
+        for rec in leaf.run.records:
             for side, stage in zip(dated[rec.index], (rec.active_stage, rec.answer_stage)):
                 if stage is not None:
-                    side.append((stage, oracles))
+                    side.append((stage, leaf.box))
     failing = sum(leaf.volume for leaf in leaves if leaf.run.failed)
-    sets = tuple(FailureSets(*(_staged_union(side, cfg.stage_budget) for side in sides)) for sides in dated)
+    widths = cfg.block_lengths
+    sets = tuple(FailureSets(*(_staged_union(side, widths, cfg.stage_budget) for side in sides))
+                 for sides in dated)
     return Sweep(total, tuple(leaves), Dyadic(failing, bits), sets)

@@ -7,21 +7,22 @@ here, never from one another.  pytest does not rewrite asserts here, and
 
 import itertools
 import re
-from typing import Optional, Tuple
+from functools import partial, reduce
+from typing import List, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
 from randlab import coding
 from randlab.bitstring import EMPTY, BitString, from_nat, read_self_delimited, to_nat
 from randlab.coding import _extreme, kg_decode, kg_encode
-from randlab.cylinders import EMPTY_SET, CylinderSet, uniform_suffix_set
+from randlab.cylinders import EMPTY_SET, FULL_SET, CylinderSet, interval_set, uniform_suffix_set
 from randlab.demuth import DemuthTest, verify_demuth
 from randlab.dyadic import Dyadic
-from randlab.errors import DepthExhausted
-from randlab.fireworks import sweep
+from randlab.errors import DepthExhausted, RandlabError
+from randlab.fireworks import FailureSets, FireworksConfig, Leaf, run_fireworks, sweep
 from randlab.generators import hitting_run
 from randlab.minpair import FApprox, PairFamily, induced_demuth_level
-from randlab.staged import Enumerator, Pi01Tree, first_seen
+from randlab.staged import Enumerator, Pi01Tree, ValuedOpenSet, first_seen
 
 
 # Schedules for hypothesis: (events, horizon) pairs over bit strings or
@@ -377,3 +378,84 @@ def reparsing_kg_decode_prefix(x: BitString, sigma: BitString, tree: Pi01Tree,
             return None
         cur = step
     return parsed[0], cur
+
+
+# The cap-box walk and failure sets of src/randlab/fireworks.py at 8d711aa:
+# the engine replayed each leaf box from stage 0, and each value of a
+# failure set folded one trie per box with `|`.
+
+class ReplayedCap:
+    """A strategy's cap while the engine replays a box: some value in lo..hi.
+
+    The engine reads a cap only through `guesses < cap`, which Python asks
+    of the cap as `cap > guesses`.  Undecided on lo..hi, it splits the box
+    at `guesses`: this replay keeps guesses+1..hi, and `pending` receives the
+    whole box as it stands with this cap in lo..guesses.
+    """
+
+    __slots__ = ("lo", "hi", "box", "pending")
+
+    def __init__(self, lo: int, hi: int, box: List["ReplayedCap"], pending: list) -> None:
+        self.lo, self.hi, self.box, self.pending = lo, hi, box, pending
+
+    def __gt__(self, guesses: int) -> bool:
+        if self.lo <= guesses < self.hi:
+            self.pending.append(tuple((c.lo, guesses) if c is self else (c.lo, c.hi)
+                                      for c in self.box))
+            self.lo = guesses + 1
+        return guesses < self.lo
+
+    # The engine's range check; both sides are decided on every box.
+    def __ge__(self, n: int) -> bool:
+        return self._decided(self.lo >= n, self.hi < n, ">=", n)
+
+    def __le__(self, n: int) -> bool:
+        return self._decided(self.hi <= n, self.lo > n, "<=", n)
+
+    def _decided(self, holds: bool, fails: bool, op: str, n: int) -> bool:
+        if holds == fails:
+            raise RandlabError(f"cap in {self.lo}..{self.hi} {op} {n} is undecided")
+        return holds
+
+
+def replayed_leaves(cfg: FireworksConfig, engine=run_fireworks) -> List[Leaf]:
+    """Replay `engine` once per leaf box, from stage 0; the leaves tile the
+    cap space and come in order of least vector."""
+    pending = [tuple((1, n) for n in cfg.cap_bounds)]
+    leaves = []
+    while pending:
+        caps: List[ReplayedCap] = []
+        caps.extend(ReplayedCap(lo, hi, caps, pending) for lo, hi in pending.pop())
+        run = engine(cfg, caps)
+        box = tuple(range(c.lo, c.hi + 1) for c in caps)
+        leaves.append(Leaf(box, run._replace(caps=tuple(r.start for r in box))))
+    leaves.sort(key=lambda leaf: leaf.run.caps)
+    return leaves
+
+
+def box_set(box: Tuple[range, ...], cfg: FireworksConfig) -> CylinderSet:
+    """The oracles of a box's vectors, as one trie: block e holds cap - 1 in
+    its block length, so each cap range is an interval of block values."""
+    out = FULL_SET
+    for r, width in reversed(list(zip(box, cfg.block_lengths))):
+        out = interval_set(r.start - 1, r.stop - 2, width, out)
+    return out
+
+
+def _folded_union(dated: Sequence[Tuple[int, CylinderSet]], horizon: int) -> ValuedOpenSet:
+    stages = sorted({t for t, _ in dated})
+    return ValuedOpenSet([(t, partial(reduce, CylinderSet.__or__, [o for s, o in dated if s <= t],
+                                      EMPTY_SET)) for t in stages], horizon)
+
+
+def folded_failure_sets(cfg: FireworksConfig, leaves: Sequence[Leaf]) -> Tuple[FailureSets, ...]:
+    """`Sweep.failure_sets` of a walk's leaves, each value a union of box tries."""
+    dated: List[Tuple[list, list]] = [([], []) for _ in cfg.adversaries]
+    for leaf in leaves:
+        records = [rec for rec in leaf.run.records if rec.active_stage is not None]
+        oracles = box_set(leaf.box, cfg) if records else EMPTY_SET
+        for rec in records:
+            for side, stage in zip(dated[rec.index], (rec.active_stage, rec.answer_stage)):
+                if stage is not None:
+                    side.append((stage, oracles))
+    return tuple(FailureSets(*(_folded_union(side, cfg.stage_budget) for side in sides)) for sides in dated)

@@ -117,3 +117,26 @@ def test_append_and_iter():
     s = BitString("01").append(1)
     assert s == BitString("011")
     assert list(s) == [0, 1, 1]
+
+
+@given(bits, bits, st.integers(0, 30), st.integers(-30, 30), st.integers(-30, 30),
+       st.integers(-3, 3).filter(bool), st.integers(0, 1))
+def test_fast_paths_equal_the_checked_constructor(a, b, n, i, j, step, bit):
+    # `prefix`, `append`, slicing and `+` of two strings take their bits
+    # unchecked; each result is what the checked constructor makes of them.
+    n = min(n, len(a))
+    for got, want in ((a.prefix(n), a.bits[:n]), (a.append(bit), a.bits + str(bit)),
+                      (a[i:j], a.bits[i:j]), (a[i:j:step], a.bits[i:j:step]),
+                      (a + b, a.bits + b.bits), (a + b.bits, a.bits + b.bits),
+                      (a + list(b), a.bits + b.bits)):
+        checked = BitString(want)
+        assert type(got) is BitString and got.bits == want
+        assert got == checked and hash(got) == hash(checked) and str(got) == str(checked)
+
+
+def test_text_from_outside_stays_checked():
+    for text in ("012", "0 1", "^0", "01\n"):
+        with pytest.raises(ValueError, match="not a bit string"):
+            BitString(text)
+    with pytest.raises(ValueError, match="not a bit string"):
+        BitString("01") + "012"

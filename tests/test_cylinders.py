@@ -28,7 +28,7 @@ from randlab import cylinders
 from randlab.bitstring import BitString
 from randlab.coding import shifted_core
 from randlab.cylinders import (CylinderSet, EMPTY_SET, FULL_SET, brute_measure, interval_set,
-                               uniform_suffix_set)
+                               intervals_set, uniform_suffix_set)
 from randlab.dyadic import Dyadic
 from randlab.staged import Pi01Tree
 
@@ -182,6 +182,34 @@ def test_interval_set_refuses_a_range_outside_its_width():
             interval_set(lo, hi, width)
     # 2^64 values in 64 nodes, a few of them shared.
     assert interval_set(1, (1 << 64) - 2, 64).measure() == Dyadic((1 << 64) - 2, 64)
+
+
+@st.composite
+def segment_lists(draw):
+    """A width and sorted, disjoint ranges of its values, some adjacent,
+    their tails drawn from a few sets so that some share one."""
+    width = draw(st.integers(0, 6))
+    cuts = sorted(draw(st.sets(st.integers(0, 1 << width), max_size=6)) | {0, 1 << width})
+    tails = draw(st.lists(clopens, min_size=1, max_size=3))
+    return width, [(lo, end - 1, draw(st.sampled_from(tails)))
+                   for lo, end in zip(cuts, cuts[1:]) if draw(st.booleans())]
+
+
+@given(segment_lists())
+def test_intervals_set_matches_its_spelt_out_values(width_ranges):
+    width, ranges = width_ranges
+    values = [(format(v, f"0{width}b") if width else "") + t.bits
+              for lo, hi, tail in ranges for v in range(lo, hi + 1) for t in tail.strings]
+    assert intervals_set(width, ranges) == CylinderSet.normalize(values)
+
+
+def test_intervals_set_refuses_ranges_out_of_order():
+    for ranges in ([(2, 4, FULL_SET), (4, 5, FULL_SET)], [(4, 5, FULL_SET), (0, 1, FULL_SET)]):
+        with pytest.raises(ValueError, match="is not after the range before it"):
+            intervals_set(3, ranges)
+    with pytest.raises(ValueError, match="width -1 is negative"):
+        intervals_set(-1, [])
+    assert intervals_set(3, []) == EMPTY_SET and intervals_set(0, []) == EMPTY_SET
 
 
 def test_uniform_suffix_set_large_offset_is_cheap():

@@ -18,9 +18,8 @@ from typing import List, Optional, Sequence
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ladders, old_f_approx, per_stage, random_adversaries, strings_up_to
+from oracles import ladders, old_f_approx, per_stage, random_adversaries, replayed_leaves, strings_up_to
 
-import randlab.fireworks
 from randlab.bitstring import EMPTY, BitString, from_nat
 from randlab.errors import RandlabError
 from randlab.fireworks import (FireworksConfig, FireworksRun, Outcome, StrategyRecord,
@@ -212,15 +211,10 @@ def test_least_extension_matches_the_scan(enum):
 @given(configs_and_caps())
 def test_box_walk_splits_alike_under_the_reference_engine(cfg_caps):
     # The walk reads caps only through the engine's `guesses < cap`, so the
-    # same comparisons in the same order give the same leaf boxes.
+    # same comparisons in the same order give the same leaf boxes: replaying
+    # each box under the reference engine makes the resumed walk's leaves.
     cfg, _ = cfg_caps
-    leaves = _leaves(cfg)
-    original = randlab.fireworks.run_fireworks
-    try:
-        randlab.fireworks.run_fireworks = reference_run_fireworks
-        assert _leaves(cfg) == leaves
-    finally:
-        randlab.fireworks.run_fireworks = original
+    assert replayed_leaves(cfg, reference_run_fireworks) == _leaves(cfg)
 
 
 def _same_draws(make_new, make_old, seed):

@@ -13,20 +13,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import axis_ok, cap_axes, counting, extract_ok, ladder, ladders, random_adversaries
+from oracles import (ReplayedCap, axis_ok, cap_axes, counting, extract_ok, folded_failure_sets,
+                     ladder, ladders, random_adversaries, replayed_leaves)
 
-import randlab.fireworks
 import randlab.scenario
 from randlab.bitstring import BitString
 from randlab.cylinders import CylinderSet
 from randlab.dyadic import Dyadic
 from randlab.errors import GuardExceeded, RandlabError
 from randlab.fireworks import (FailureSets, FireworksConfig, Outcome,
-                               Requirement, _box_set, _cap_space, _Cap,
-                               _leaves, caps_from_seed, check_requirement,
+                               Requirement, _cap_space, _Engine, _leaves,
+                               _oracle_set, caps_from_seed, check_requirement,
                                default_cap_bounds, oracle_block_caps,
                                run_fireworks, sweep, sweep_runs)
-from randlab import staged
+from randlab import cylinders, staged
 from randlab.reports import render_field
 from randlab.scenario import (Context, Experiment, ObjectTable, SCENARIO_DIR, Scenario,
                               load_scenario, run_scenario)
@@ -259,7 +259,11 @@ def assert_sweep_matches_references(cfg):
     for i, run in enumerate(runs):
         oracle = BitString(format(i, f"0{bits}b") if bits else "")
         assert oracle_block_caps(oracle, cfg.cap_bounds) == run.caps
-    got, want = sw.failure_sets, extract_failure_sets(cfg)
+    assert_same_failure_sets(sw.failure_sets, extract_failure_sets(cfg), cfg)
+
+
+def assert_same_failure_sets(got, want, cfg):
+    """Every stage value of both sides of every strategy's `FailureSets`."""
     assert len(got) == len(want) == len(cfg.adversaries)
     for g, w in zip(got, want):
         for side in ("committed", "answered"):
@@ -305,10 +309,11 @@ def test_sweep_matches_the_per_vector_references_on_generated_adversaries(cfg):
 
 def test_bundled_scenarios_make_one_engine_run_per_box_and_report(tmp_path, monkeypatch):
     # Counts of runs do not depend on machine speed: a scenario run walks
-    # each config once, running every leaf box once, and that one walk feeds
-    # its sweep, extract and trichotomy reports; a probe runs one more.  The
-    # bank has 12 leaves, the duet 3 and the small ladder 4 (one per cap).
-    calls = counting(monkeypatch, "run_fireworks", randlab.fireworks, randlab.scenario)
+    # each config once, running every leaf box once (started or resumed),
+    # and that one walk feeds its sweep, extract and trichotomy reports; a
+    # probe runs one more.  The bank has 12 leaves, the duet 3 and the small
+    # ladder 4 (one per cap).
+    calls = counting(monkeypatch, "run", _Engine)
     counts = {}
     for name in ("fireworks_bank", "fireworks_duet", "fireworks_small"):
         calls.clear()
@@ -423,6 +428,26 @@ def assert_leaves_tile_the_sweep(cfg):
         assert run == leaf.run._replace(caps=run.caps)
 
 
+def assert_walk_matches_the_replayed_walk(cfg):
+    # A resumed leaf run is the run that replaying its box from stage 0
+    # makes, and each failure set's value is the union of its boxes' tries.
+    leaves = _leaves(cfg)
+    assert leaves == replayed_leaves(cfg)
+    assert_same_failure_sets(sweep(cfg).failure_sets, folded_failure_sets(cfg, leaves), cfg)
+
+
+@pytest.mark.parametrize("cfg", bundled_fireworks_configs(),
+                         ids=["small", "duet", "bank"])
+def test_walk_matches_the_replayed_walk_on_bundled_configs(cfg):
+    assert_walk_matches_the_replayed_walk(cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_configs)
+def test_walk_matches_the_replayed_walk_on_generated_adversaries(cfg):
+    assert_walk_matches_the_replayed_walk(cfg)
+
+
 @pytest.mark.parametrize("cfg", bundled_fireworks_configs(),
                          ids=["small", "duet", "bank"])
 def test_leaves_tile_the_cap_space_on_bundled_configs(cfg):
@@ -443,14 +468,7 @@ def bank_config(bound):
 
 
 def test_box_walk_scales_with_behaviours_not_vectors(monkeypatch):
-    calls = []
-    original = randlab.fireworks.run_fireworks
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(randlab.fireworks, "run_fireworks", counted)
+    calls = counting(monkeypatch, "run", _Engine)  # leaf runs, started or resumed
     leaves = _leaves(bank_config(64))
     assert sum(leaf.volume for leaf in leaves if leaf.run.failed) == 12097  # of 2^18
     assert len(calls) == len(leaves) <= 16
@@ -464,6 +482,26 @@ def test_box_walk_scales_with_behaviours_not_vectors(monkeypatch):
     for a, b in itertools.combinations(leaves, 2):
         assert any(ra.stop <= rb.start or rb.stop <= ra.start
                    for ra, rb in zip(a.box, b.box)), "leaf boxes overlap"
+
+
+def test_sweep_work_follows_the_split_tree(monkeypatch):
+    # Counts that do not depend on machine speed.  A split box's run resumes
+    # at the step the split decided, so the walk makes 143 lookups, not the
+    # 179 of replaying every leaf from stage 0; a failure set's value is
+    # built in one pass over its boxes, so `sweep` and the residues pair
+    # 174 / 264 / 354 nodes, not the 772 / 1,164 / 1,556 of a union per box.
+    configs = {n: bank_config(n) for n in (16, 64, 256)}
+    lookups = counting(monkeypatch, "least_extension", Enumerator)
+    pairs = counting(monkeypatch, "_pair", cylinders)
+    sweep(configs[16])
+    assert len(lookups) <= 143
+    for n, most in ((16, 200), (64, 320), (256, 460)):
+        pairs.clear()
+        sw = sweep(configs[n])
+        for fs in sw.failure_sets:
+            fs.residue()
+        assert len(sw.leaves) == 12
+        assert len(pairs) <= most, n
 
 
 def test_failure_sets_spell_out_no_oracle(monkeypatch):
@@ -490,7 +528,7 @@ def test_failure_sets_spell_out_no_oracle(monkeypatch):
 
 
 def test_undecided_range_check_raises():
-    cap = _Cap(2, 5, [], [])
+    cap = ReplayedCap(2, 5, [], [])
     assert cap >= 1 and cap <= 8 and not cap >= 6 and not cap <= 1
     with pytest.raises(RandlabError, match=r"cap in 2..5 >= 3 is undecided"):
         cap >= 3
@@ -525,8 +563,8 @@ def _aligned_blocks(lo, hi, width):
 
 
 def box_oracles(box, cfg):
-    """The oracles of a box's vectors as `_box_set` made them before it
-    built one trie: the narrow blocks before the last spelt out value by
+    """The oracles of a box's vectors as `sweep` made them before it built
+    one trie per box: the narrow blocks before the last spelt out value by
     value, the last one as aligned blocks (`_aligned_blocks`), the ones
     after it free."""
     last = max((e for e, (r, n) in enumerate(zip(box, cfg.cap_bounds)) if len(r) < n),
@@ -557,4 +595,4 @@ def boxes(draw):
 @given(boxes())
 def test_box_set_is_the_spelt_out_box_oracles(box_cfg):
     box, cfg = box_cfg
-    assert _box_set(box, cfg) == CylinderSet.normalize(box_oracles(box, cfg))
+    assert _oracle_set((box,), cfg.block_lengths) == CylinderSet.normalize(box_oracles(box, cfg))
