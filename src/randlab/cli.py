@@ -236,9 +236,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not args.payloads:
             parser.error("w2r encode needs --payloads")
     if args.command == "kg":
-        if args.mode == "encode" and not args.payload:
+        if args.mode == "encode" and args.payload is None:
             parser.error("kg encode needs --payload")
-        if args.mode == "decode" and not args.codeword:
+        if args.mode == "decode" and args.codeword is None:
             parser.error("kg decode needs --codeword")
     try:
         return args.func(args)

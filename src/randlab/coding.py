@@ -146,11 +146,13 @@ class OpenFamily(_OpenFamilyFields):
     def __init__(self, *args: object, **kwargs: object) -> None:
         if not self.levels:
             raise SchemeError("a family needs at least one level")
-        horizon = max(l.horizon for l in self.levels)
         for k, (outer, inner) in enumerate(zip(self.levels, self.levels[1:])):
-            # Between two change stages of either level, both read alike.
-            for s in sorted({*outer.change_stages(horizon), *inner.change_stages(horizon)}):
-                if not inner.open_at(s).is_subset(outer.open_at(s)):
+            # The outer level only grows, so an inner string lies in it at
+            # every later stage once it does at the stage it is enumerated,
+            # and the first stage the levels fail to nest is such a stage.
+            for s, strings in inner.events:
+                covers = outer.open_at(s).contains_prefix_of
+                if not all(map(covers, strings)):
                     raise SchemeError(f"family levels {k},{k + 1} not nested at stage {s}")
 
     def __len__(self) -> int:

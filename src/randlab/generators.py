@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .bitstring import EMPTY, BitString
+from .bitstring import EMPTY, BitString, _valid
 from .cylinders import CylinderSet
 from .demuth import DemuthTest, DiffPair, DiffUnionTest, VersionedOpenSet
 from .dyadic import Dyadic
@@ -22,7 +22,7 @@ from .coding import (OpenFamily, W2REncoding, W2RScheme, extend_into_open, w2r_e
 
 # Fixed shapes of the seeded material; the goldens were made with these values.
 _GROWTH_MAX = 2              # output bits a functional's label gains per level
-_REMOVAL_LEN_MAX = 8         # tree removals are shorter than this
+_REMOVAL_LEN_MAX = 8         # tree removals are 1 to this many bits long
 _REMOVAL_TRIES = 24          # removals drawn per tree
 _MAX_REMOVED = Dyadic(1, 1)  # cap on a tree's removed measure: its class keeps the rest
 _KEEP_ONE_IN = 2             # thinning keeps about one string in this many
@@ -35,7 +35,7 @@ _ATTEMPTS = 64               # seeded schemes tried before a W2R run gives up
 
 
 def random_bits(rng: random.Random, length: int) -> BitString:
-    return BitString(rng.getrandbits(1) for _ in range(length))
+    return _valid("".join("1" if rng.getrandbits(1) else "0" for _ in range(length)))
 
 
 def random_cylinder_set(rng: random.Random, count: int, max_len: int) -> CylinderSet:
@@ -91,21 +91,28 @@ def random_functional(rng: random.Random, depth: int, axiom_count: int,
 def random_pi01_tree(rng: random.Random, depth: int = 24, horizon: int = 8) -> Pi01Tree:
     """Depth-bounded class with short removals and a floor on its measure.
 
-    Removals stay shorter than `_REMOVAL_LEN_MAX`, so viable stems of any
-    greater length sit in untouched cylinders; the rejection loop keeps
-    the removed measure at most `_MAX_REMOVED`, so the class keeps half
-    the space.
+    Removals are 1 to `_REMOVAL_LEN_MAX` bits long, and the depth guard
+    keeps them shorter than the tree, so viable stems of any greater length
+    sit in untouched cylinders; the rejection loop keeps the removed measure
+    at most `_MAX_REMOVED`, so the class keeps half the space.  The removed
+    set is a bitmask with one bit per string of length `_REMOVAL_LEN_MAX`: a
+    removal of length l sets the 2^(_REMOVAL_LEN_MAX - l) consecutive bits
+    of its extensions, and the removed measure is the mask's popcount over
+    2^_REMOVAL_LEN_MAX.
     """
     if _REMOVAL_LEN_MAX >= depth:
         raise RandlabError("removals must be shorter than the tree depth")
     if horizon < 0:
         raise RandlabError(f"horizon {horizon} must be non-negative")
-    removed = CylinderSet.normalize([])
+    # popcount / 2^_REMOVAL_LEN_MAX <= num / 2^exp, in integers.
+    cap = _MAX_REMOVED.num << _REMOVAL_LEN_MAX
+    removed = 0
     kept: List[Tuple[int, BitString]] = []
     for _ in range(_REMOVAL_TRIES):
         s = random_bits(rng, 1 + rng.randrange(_REMOVAL_LEN_MAX))
-        grown = removed | CylinderSet.cylinder(s)
-        if grown.measure() > _MAX_REMOVED:
+        width = _REMOVAL_LEN_MAX - len(s)
+        grown = removed | ((1 << (1 << width)) - 1) << (int(s.bits, 2) << width)
+        if grown.bit_count() << _MAX_REMOVED.exp > cap:
             continue
         removed = grown
         kept.append((rng.randrange(horizon + 1), s))

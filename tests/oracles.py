@@ -6,6 +6,7 @@ here, never from one another.  pytest does not rewrite asserts here, and
 `python -O` strips them, so these bodies raise instead."""
 
 import itertools
+import random
 import re
 from functools import partial, reduce
 from typing import List, Optional, Sequence, Tuple
@@ -20,9 +21,9 @@ from randlab.demuth import DemuthTest, verify_demuth
 from randlab.dyadic import Dyadic
 from randlab.errors import DepthExhausted, RandlabError
 from randlab.fireworks import FailureSets, FireworksConfig, Leaf, run_fireworks, sweep
-from randlab.generators import hitting_run
+from randlab.generators import _MAX_REMOVED, _REMOVAL_LEN_MAX, _REMOVAL_TRIES, hitting_run
 from randlab.minpair import FApprox, PairFamily, induced_demuth_level
-from randlab.staged import Enumerator, Pi01Tree, ValuedOpenSet, first_seen
+from randlab.staged import Enumerator, Pi01Tree, ValuedOpenSet, by_stage, first_seen
 
 
 # Schedules for hypothesis: (events, horizon) pairs over bit strings or
@@ -459,3 +460,28 @@ def folded_failure_sets(cfg: FireworksConfig, leaves: Sequence[Leaf]) -> Tuple[F
                 if stage is not None:
                     side.append((stage, oracles))
     return tuple(FailureSets(*(_folded_union(side, cfg.stage_budget) for side in sides)) for sides in dated)
+
+
+# The seeded builders of src/randlab/generators.py at 6289175: a string
+# drawn bit by bit through the checked constructor, and a tree whose
+# removal cap unions one trie per try and compares its measure with 1/2.
+
+def checked_random_bits(rng: random.Random, length: int) -> BitString:
+    return BitString(rng.getrandbits(1) for _ in range(length))
+
+
+def trie_capped_pi01_tree(rng: random.Random, depth: int = 24, horizon: int = 8) -> Pi01Tree:
+    if _REMOVAL_LEN_MAX >= depth:
+        raise RandlabError("removals must be shorter than the tree depth")
+    if horizon < 0:
+        raise RandlabError(f"horizon {horizon} must be non-negative")
+    removed = CylinderSet.normalize([])
+    kept: List[Tuple[int, BitString]] = []
+    for _ in range(_REMOVAL_TRIES):
+        s = checked_random_bits(rng, 1 + rng.randrange(_REMOVAL_LEN_MAX))
+        grown = removed | CylinderSet.cylinder(s)
+        if grown.measure() > _MAX_REMOVED:
+            continue
+        removed = grown
+        kept.append((rng.randrange(horizon + 1), s))
+    return Pi01Tree(depth, by_stage(kept), horizon)

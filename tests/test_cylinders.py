@@ -106,6 +106,12 @@ def test_contains_prefix_of_matches_points(a, x):
     assert a.contains_prefix_of(x) == (BitString(x) in slow_points(a))
 
 
+@given(clopens, st.text(alphabet="01", max_size=9))
+def test_contains_prefix_of_is_cylinder_inclusion(a, s):
+    # Generators are at most 6 bits long, so s falls both short of them and past them.
+    assert a.contains_prefix_of(s) == CylinderSet.cylinder(s).is_subset(a)
+
+
 @given(clopens, st.text(alphabet="01", max_size=5))
 def test_meets_cylinder(a, s):
     cyl = CylinderSet.cylinder(s) if s else FULL_SET

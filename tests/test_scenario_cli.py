@@ -224,6 +224,25 @@ def test_cli_kg_round_trip(capsys):
     assert "payload 101" in capsys.readouterr().out
 
 
+def test_cli_kg_empty_payload_and_codeword(capsys):
+    # The empty string is a payload and a codeword, not a missing option.
+    assert main(["kg", "encode", "--seed", "1", "--payload", "^"]) == 0
+    word = capsys.readouterr().out.splitlines()[0].split()[1]
+    assert word == "011"
+    assert main(["kg", "decode", "--seed", "1", "--codeword", word]) == 0
+    assert capsys.readouterr().out == "payload ^\n"
+    assert main(["kg", "decode", "--seed", "1", "--codeword", "^"]) == 1
+    assert capsys.readouterr().out == "decode failed\n"
+
+
+@pytest.mark.parametrize("mode, option", [("encode", "--payload"), ("decode", "--codeword")])
+def test_cli_kg_without_its_bits_exits_2(capsys, mode, option):
+    with pytest.raises(SystemExit) as stop:
+        main(["kg", mode, "--seed", "1"])
+    assert stop.value.code == 2
+    assert f"kg {mode} needs {option}" in capsys.readouterr().err
+
+
 def test_cli_hit_requires_position_arguments():
     with pytest.raises(SystemExit):
         main(["w2r", "hit", "--seed", "1"])
