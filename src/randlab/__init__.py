@@ -7,8 +7,7 @@ snapshots accumulated from their event lists.  No floats, no sampling noise.
 
 from .bitstring import BitString, EMPTY, to_nat, from_nat, self_delimit, read_self_delimited, encode_pair, decode_pair
 from .dyadic import Dyadic
-from .cylinders import (CylinderSet, EMPTY_SET, FULL_SET, brute_measure,
-                        uniform_suffix_set)
+from .cylinders import CylinderSet, EMPTY_SET, FULL_SET, uniform_suffix_set
 from .errors import (
     RandlabError,
     InconsistentFunctional,
@@ -43,7 +42,6 @@ from .fireworks import (
     oracle_block_caps,
     caps_from_seed,
     run_fireworks,
-    sweep_runs,
     Sweep,
     sweep,
     check_requirement,
@@ -94,8 +92,7 @@ __all__ = [
     "BitString", "EMPTY", "to_nat", "from_nat", "self_delimit",
     "read_self_delimited", "encode_pair", "decode_pair",
     "Dyadic",
-    "CylinderSet", "EMPTY_SET", "FULL_SET", "brute_measure",
-    "uniform_suffix_set",
+    "CylinderSet", "EMPTY_SET", "FULL_SET", "uniform_suffix_set",
     "RandlabError", "InconsistentFunctional", "GuardExceeded",
     "DepthExhausted", "SchemeError", "DensityError", "ScenarioError",
     "Enumerator", "StagedOpenSet", "TuringFunctional", "Pi01Tree", "ValuedOpenSet",
@@ -104,7 +101,7 @@ __all__ = [
     "demuth_to_diffunion", "diffunion_to_demuth", "solovay_membership_profile",
     "Outcome", "Requirement", "FireworksConfig", "FireworksRun",
     "StrategyRecord", "FailureSets", "default_cap_bounds", "oracle_block_caps",
-    "caps_from_seed", "run_fireworks", "sweep_runs",
+    "caps_from_seed", "run_fireworks",
     "Sweep", "sweep", "check_requirement",
     "kucera_depth", "kg_encode", "kg_decode", "kg_decode_prefix",
     "OpenFamily", "W2RScheme", "W2REncoding", "LayerRecord", "GammaResult",

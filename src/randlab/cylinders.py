@@ -434,14 +434,6 @@ EMPTY_SET = CylinderSet(False)
 FULL_SET = CylinderSet(True)
 
 
-def interval_set(lo: int, hi: int, width: int, tail: CylinderSet = FULL_SET) -> CylinderSet:
-    """All sequences whose first `width` bits, read as a binary number, lie
-    in lo..hi, followed by a sequence in `tail`: the one-range case of
-    `intervals_set`, so the trie has O(width) nodes above `tail` whatever the
-    range holds."""
-    return intervals_set(width, [(lo, hi, tail)])
-
-
 def intervals_set(width: int, ranges: Sequence[Tuple[int, int, CylinderSet]]) -> CylinderSet:
     """All sequences whose first `width` bits, read as a binary number, lie
     in one of the sorted, disjoint ranges lo..hi, followed by a sequence in
@@ -512,25 +504,11 @@ def intervals_set(width: int, ranges: Sequence[Tuple[int, int, CylinderSet]]) ->
 def uniform_suffix_set(pattern: Union[BitString, str], position: int) -> CylinderSet:
     """All sequences carrying `pattern` right after `position` free bits.
 
-    The trie has O(position + |pattern|) nodes (`interval_set`), so boolean
+    The trie has O(position + |pattern|) nodes (`intervals_set`), so boolean
     algebra, shifting, membership, and measure stay cheap.  Reading .strings
     off the result still expands all 2^position generators; avoid that for
     large offsets.
     """
     if position < 0:
         raise ValueError("suffix position must be nonnegative")
-    return interval_set(0, (1 << position) - 1, position, CylinderSet.cylinder(pattern))
-
-
-def brute_measure(strings: Iterable[BitString], depth: int) -> Dyadic:
-    """Reference measure by enumerating all points at `depth`.
-
-    Deliberately naive; unit tests use it as an independent check against
-    the trie arithmetic.  Every generator must be at most `depth` long.
-    """
-    gens = tuple(BitString(s).bits for s in strings)
-    if any(len(g) > depth for g in gens):
-        raise ValueError("brute_measure needs depth >= generator lengths")
-    # The points as plain strings; depth 0 has the one empty point.
-    points = (format(i, "b").zfill(depth) for i in range(1 << depth)) if depth else ("",)
-    return Dyadic(sum(point.startswith(gens) for point in points), depth)
+    return intervals_set(position, [(0, (1 << position) - 1, CylinderSet.cylinder(pattern))])

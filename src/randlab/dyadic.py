@@ -32,10 +32,6 @@ class Dyadic:
         self.exp = exp
 
     @staticmethod
-    def one() -> "Dyadic":
-        return Dyadic(1)
-
-    @staticmethod
     def half_pow(k: int) -> "Dyadic":
         """2**-k for k >= 0."""
         if k < 0:

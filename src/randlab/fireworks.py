@@ -21,11 +21,10 @@ costs the split tree, not the leaves times the run length.  It folds the
 leaves into what the reports read: the leaf boxes, the exact failure
 probability as a dyadic rational, and each strategy's commitments and
 answers on the oracle side, each value one trie built in one pass over
-the boxes dated by then.  `SWEEP_GUARD` is there only for what the reports
-spell out per vector (failing vectors, the trichotomy table, failure set
-antichains): the walk itself needs no guard, though `sweep` still refuses
-cap spaces past it.  `sweep_runs`, one run per cap vector, is the
-brute-force reference the walk is tested against.
+the boxes dated by then.  Neither the walk nor the failure sets grow with
+the vectors, so `sweep` walks any cap space `FireworksConfig.build`
+allows; only the reports that spell vectors out are guarded
+(`scenario.SWEEP_GUARD`).
 
 An engine step asks an adversary one thing: the least string it has
 enumerated above a prefix (`Enumerator.least_extension`), a lookup in a
@@ -36,7 +35,6 @@ its sweep, extract and trichotomy reports all read that walk
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from enum import Enum
@@ -46,10 +44,9 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 from .bitstring import EMPTY, BitString
 from .cylinders import EMPTY_SET, FULL_SET, CylinderSet, intervals_set
 from .dyadic import Dyadic
-from .errors import GuardExceeded, RandlabError
+from .errors import RandlabError
 from .staged import Enumerator, ValuedOpenSet
 
-SWEEP_GUARD = 1 << 24
 # Caps are drawn, listed and written as integers; past 2^64 their decimal
 # form outgrows what a report or an error message should hold.
 CAP_BOUND_BITS = 64
@@ -323,25 +320,6 @@ def check_requirement(w_final: Iterable[BitString], x: BitString, universe_depth
     return Requirement.UNMET
 
 
-def _cap_space(cfg: FireworksConfig) -> int:
-    total = 1
-    for n in cfg.cap_bounds:
-        total *= n
-        if total > SWEEP_GUARD:
-            raise GuardExceeded(f"cap sweep over {total} vectors refused (limit {SWEEP_GUARD})")
-    return total
-
-
-def sweep_runs(cfg: FireworksConfig):
-    """Yield a run per cap vector, in lexicographic cap order.
-
-    The brute-force reference for `sweep`, which makes one run per box.
-    """
-    _cap_space(cfg)
-    for caps in itertools.product(*(range(1, n + 1) for n in cfg.cap_bounds)):
-        yield run_fireworks(cfg, caps)
-
-
 class Leaf(NamedTuple):
     """A box of cap vectors, one range per strategy, that all make one run.
 
@@ -487,7 +465,7 @@ def sweep(cfg: FireworksConfig) -> Sweep:
     Lexicographic cap order is oracle order: the i-th vector is the one
     `oracle_block_caps` reads off i written in sum(block_lengths) bits.
     """
-    total = _cap_space(cfg)
+    total = math.prod(cfg.cap_bounds)
     bits = sum(cfg.block_lengths)
     if 1 << bits != total:
         raise RandlabError(f"cap space {total} is not a power of two")

@@ -274,17 +274,22 @@ class Context:
 
     def swept(self, cfg: FireworksConfig) -> Sweep:
         """The walk over `cfg`'s cap space, made the first time a report
-        asks.  A config's enumerators are the object table's, keyed by
-        identity, so a config read twice is one key."""
+        asks, and refused past `SWEEP_GUARD` vectors before it is made.  A
+        config's enumerators are the object table's, keyed by identity, so
+        a config read twice is one key."""
         found = self._sweeps.get(cfg)
         if found is None:
+            _cap_space(cfg)
             found = self._sweeps[cfg] = sweep(cfg)
         return found
 
     def write(self, exp: Experiment, suffix: str, text: str) -> str:
         fname = f"{self.scenario.name}_{exp.name}{suffix}"
         path = self.out_dir / fname
-        path.write_text(text)
+        try:
+            path.write_text(text)
+        except OSError as e:
+            raise ScenarioError(f"{path}: cannot write: {e}")
         self.result.written.append((path, text))
         return fname
 
@@ -509,6 +514,21 @@ def _run_kg_sweep(ctx: Context, exp: Experiment, count: int, seed: int, depth: i
                                                "failures"], rows, failures=0))
 
 
+# The fireworks reports spell out each vector of a config's cap space (the
+# failing vectors, the trichotomy's table, the failure sets' antichains);
+# a config with more vectors is refused before it is walked.
+SWEEP_GUARD = 1 << 24
+
+
+def _cap_space(cfg: FireworksConfig) -> int:
+    total = 1
+    for n in cfg.cap_bounds:
+        total *= n
+        if total > SWEEP_GUARD:
+            raise GuardExceeded(f"cap sweep over {total} vectors refused (limit {SWEEP_GUARD})")
+    return total
+
+
 # The `g_trajectory` cell spells each layer's index at every stage up to the
 # settle stage, the one per-stage output left; a longer cell is refused.
 TRAJECTORY_GUARD = 1 << 20
@@ -693,8 +713,17 @@ HANDLERS: Dict[str, Callable[..., RunFact]] = {
 
 
 def run_scenario(scenario: Scenario, out_dir) -> ScenarioResult:
+    # Report file names are `{scenario}_{experiment}{suffix}`, inside out_dir.
+    names = [("scenario", scenario.name), *(("experiment", e.name) for e in scenario.experiments)]
+    for what, name in names:
+        if any(c in name for c in "/\\\0"):
+            raise ScenarioError(f"{what} name {name!r} has a '/', '\\' or NUL; "
+                                "report file names have no directory component")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ScenarioError(f"{out_dir}: cannot create: {e}")
     ctx = Context(scenario, out_dir)
     for exp in scenario.experiments:
         values = _Keys(exp.params, exp.name).read(EXPERIMENT_KEYS[exp.kind])

@@ -9,20 +9,21 @@ import itertools
 import random
 import re
 from functools import partial, reduce
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
 from randlab import coding
 from randlab.bitstring import EMPTY, BitString, from_nat, read_self_delimited, to_nat
 from randlab.coding import _extreme, kg_decode, kg_encode
-from randlab.cylinders import EMPTY_SET, FULL_SET, CylinderSet, interval_set, uniform_suffix_set
+from randlab.cylinders import EMPTY_SET, FULL_SET, CylinderSet, intervals_set, uniform_suffix_set
 from randlab.demuth import DemuthTest, verify_demuth
 from randlab.dyadic import Dyadic
 from randlab.errors import DepthExhausted, RandlabError
 from randlab.fireworks import FailureSets, FireworksConfig, Leaf, run_fireworks, sweep
 from randlab.generators import _MAX_REMOVED, _REMOVAL_LEN_MAX, _REMOVAL_TRIES, hitting_run
 from randlab.minpair import FApprox, PairFamily, induced_demuth_level
+from randlab.scenario import _cap_space
 from randlab.staged import Enumerator, Pi01Tree, ValuedOpenSet, by_stage, first_seen
 
 
@@ -439,7 +440,7 @@ def box_set(box: Tuple[range, ...], cfg: FireworksConfig) -> CylinderSet:
     its block length, so each cap range is an interval of block values."""
     out = FULL_SET
     for r, width in reversed(list(zip(box, cfg.block_lengths))):
-        out = interval_set(r.start - 1, r.stop - 2, width, out)
+        out = intervals_set(width, [(r.start - 1, r.stop - 2, out)])
     return out
 
 
@@ -485,3 +486,32 @@ def trie_capped_pi01_tree(rng: random.Random, depth: int = 24, horizon: int = 8)
         removed = grown
         kept.append((rng.randrange(horizon + 1), s))
     return Pi01Tree(depth, by_stage(kept), horizon)
+
+
+# The brute-force references of src/randlab/fireworks.py and cylinders.py
+# at 536bd63: one engine run per cap vector, and a measure by enumerating
+# every point at a depth.  `_cap_space`, the guard that refuses a sweep
+# report over 2^24 vectors, is the runner's, in `randlab.scenario`.
+
+def sweep_runs(cfg: FireworksConfig):
+    """Yield a run per cap vector, in lexicographic cap order.
+
+    The brute-force reference for `sweep`, which makes one run per box.
+    """
+    _cap_space(cfg)
+    for caps in itertools.product(*(range(1, n + 1) for n in cfg.cap_bounds)):
+        yield run_fireworks(cfg, caps)
+
+
+def brute_measure(strings: Iterable[BitString], depth: int) -> Dyadic:
+    """Reference measure by enumerating all points at `depth`.
+
+    Deliberately naive; unit tests use it as an independent check against
+    the trie arithmetic.  Every generator must be at most `depth` long.
+    """
+    gens = tuple(BitString(s).bits for s in strings)
+    if any(len(g) > depth for g in gens):
+        raise ValueError("brute_measure needs depth >= generator lengths")
+    # The points as plain strings; depth 0 has the one empty point.
+    points = (format(i, "b").zfill(depth) for i in range(1 << depth)) if depth else ("",)
+    return Dyadic(sum(point.startswith(gens) for point in points), depth)

@@ -9,10 +9,10 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import axis_ok, cap_axes, criterion_7_run, kg_tree_ok, minpair_ok, strings_up_to
+from oracles import (axis_ok, brute_measure, cap_axes, criterion_7_run, kg_tree_ok, minpair_ok,
+                     strings_up_to)
 
-from randlab import (BitString, CylinderSet, Dyadic, FireworksConfig, brute_measure,
-                     run_fireworks, sweep)
+from randlab import BitString, CylinderSet, Dyadic, FireworksConfig, run_fireworks, sweep
 from randlab.coding import gamma_decode, stabilization_stage
 from randlab.demuth import demuth_to_diffunion, diffunion_to_demuth
 from randlab.generators import (build_working_w2r, random_bits,

@@ -22,13 +22,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import brute_measure
 
 import randlab
 from randlab import cylinders
 from randlab.bitstring import BitString
 from randlab.coding import shifted_core
-from randlab.cylinders import (CylinderSet, EMPTY_SET, FULL_SET, brute_measure, interval_set,
-                               intervals_set, uniform_suffix_set)
+from randlab.cylinders import CylinderSet, EMPTY_SET, FULL_SET, intervals_set, uniform_suffix_set
 from randlab.dyadic import Dyadic
 from randlab.staged import Pi01Tree
 
@@ -177,17 +177,15 @@ def test_interval_set_matches_enumeration(interval, tail):
     tail = CylinderSet.normalize(tail)
     values = [format(v, f"0{width}b") if width else "" for v in range(lo, hi + 1)]
     slow = CylinderSet.normalize([v + t.bits for v in values for t in tail.strings])
-    assert interval_set(lo, hi, width, tail) == slow
-    if tail.is_full():
-        assert interval_set(lo, hi, width) == slow
+    assert intervals_set(width, [(lo, hi, tail)]) == slow
 
 
 def test_interval_set_refuses_a_range_outside_its_width():
     for lo, hi, width in ((2, 1, 2), (0, 4, 2), (-1, 0, 2), (0, 0, -1)):
         with pytest.raises(ValueError, match="does not fit"):
-            interval_set(lo, hi, width)
+            intervals_set(width, [(lo, hi, FULL_SET)])
     # 2^64 values in 64 nodes, a few of them shared.
-    assert interval_set(1, (1 << 64) - 2, 64).measure() == Dyadic((1 << 64) - 2, 64)
+    assert intervals_set(64, [(1, (1 << 64) - 2, FULL_SET)]).measure() == Dyadic((1 << 64) - 2, 64)
 
 
 @st.composite

@@ -79,8 +79,6 @@ def test_half_pow():
 
 def test_zero_one():
     assert Dyadic(0) == 0
-    assert Dyadic.one() == 1
-    assert Dyadic(0) + Dyadic.one() == Dyadic(1)
 
 
 @given(dyadics)

@@ -6,6 +6,7 @@ before being frozen into an assertion.
 """
 
 import bisect
+import functools
 import itertools
 import time
 from fractions import Fraction
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (ReplayedCap, axis_ok, cap_axes, counting, extract_ok, folded_failure_sets,
-                     ladder, ladders, random_adversaries, replayed_leaves)
+                     ladder, ladders, random_adversaries, replayed_leaves, sweep_runs)
 
 import randlab.scenario
 from randlab.bitstring import BitString
@@ -22,14 +23,14 @@ from randlab.cylinders import CylinderSet
 from randlab.dyadic import Dyadic
 from randlab.errors import GuardExceeded, RandlabError
 from randlab.fireworks import (FailureSets, FireworksConfig, Outcome,
-                               Requirement, _cap_space, _Engine, _leaves,
+                               Requirement, _Engine, _leaves,
                                _oracle_set, caps_from_seed, check_requirement,
                                default_cap_bounds, oracle_block_caps,
-                               run_fireworks, sweep, sweep_runs)
+                               run_fireworks, sweep)
 from randlab import cylinders, staged
 from randlab.reports import render_field
 from randlab.scenario import (Context, Experiment, ObjectTable, SCENARIO_DIR, Scenario,
-                              load_scenario, run_scenario)
+                              _cap_space, load_scenario, run_scenario)
 from randlab.staged import Enumerator, StagedOpenSet, by_stage
 
 SILENT = Enumerator([], horizon=0)
@@ -182,13 +183,6 @@ def test_cap_bounds_above_2_to_the_64_are_refused():
         FireworksConfig.build([SILENT, SILENT], k=63, target_length=4, stage_budget=8)
     with pytest.raises(RandlabError, match=r"^k 100000 gives default cap bounds up to 2\^100001"):
         FireworksConfig.build([SILENT], k=100000, target_length=4, stage_budget=8)
-
-
-def test_sweep_guard():
-    cfg = FireworksConfig.build([SILENT, SILENT], k=0, target_length=4,
-                                stage_budget=8, cap_bounds=(1 << 13, 1 << 13))
-    with pytest.raises(GuardExceeded):
-        sweep(cfg).probability
 
 
 def test_check_requirement():
@@ -400,7 +394,7 @@ def test_a_walk_the_guard_refuses_is_not_kept(tmp_path, monkeypatch):
     for _ in range(2):
         with pytest.raises(GuardExceeded, match="cap sweep over 33554432 vectors refused"):
             ctx.swept(cfg)
-    assert len(walked) == 2
+    assert walked == []
 
 
 def test_negative_k_is_refused():
@@ -473,7 +467,7 @@ def test_box_walk_scales_with_behaviours_not_vectors(monkeypatch):
     assert sum(leaf.volume for leaf in leaves if leaf.run.failed) == 12097  # of 2^18
     assert len(calls) == len(leaves) <= 16
 
-    # 2^60 vectors: far past SWEEP_GUARD, which only bounds `sweep`.
+    # 2^60 vectors: far past SWEEP_GUARD, which bounds only the reports.
     start = time.perf_counter()
     leaves = _leaves(bank_config(1 << 20))
     assert time.perf_counter() - start < 1.0
@@ -482,6 +476,22 @@ def test_box_walk_scales_with_behaviours_not_vectors(monkeypatch):
     for a, b in itertools.combinations(leaves, 2):
         assert any(ra.stop <= rb.start or rb.stop <= ra.start
                    for ra, rb in zip(a.box, b.box)), "leaf boxes overlap"
+
+
+def test_sweep_walks_a_cap_space_past_the_guard():
+    # 2^60 vectors, 2^36 times SWEEP_GUARD: the guard is the reports', and
+    # `sweep` walks the 12 leaves and builds the failure sets exactly.
+    cfg = bank_config(1 << 20)
+    start = time.perf_counter()
+    sw = sweep(cfg)
+    residues = [fs.residue() for fs in sw.failure_sets]
+    union = functools.reduce(CylinderSet.__or__, residues)
+    assert union.measure() == sw.probability == Dyadic(3298531737601, 60)
+    assert time.perf_counter() - start < 1.0
+    assert (len(sw.leaves), sw.total) == (12, 1 << 60)
+    assert [r.measure() for r in residues] == [Dyadic(1048575, 40), Dyadic(1099509530625, 60),
+                                               Dyadic(1, 20)]
+    assert all(r.measure() <= Dyadic(1, 20) for r in residues)
 
 
 def test_sweep_work_follows_the_split_tree(monkeypatch):

@@ -10,8 +10,6 @@ import randlab
 PACKAGE = pathlib.Path(randlab.__file__).resolve().parent
 
 KEPT = {
-    "brute_measure": "brute-force oracle of the trie measure",
-    "sweep_runs": "brute-force oracle of the cap-box walk, one run per vector",
     "check_requirement": "states the paper's requirement a report could print",
     "IsolationAnalysis.all_isolated": "states the paper's isolation notion a report could print",
     "random_cylinder_set": "the random material of acceptance criterion 9",

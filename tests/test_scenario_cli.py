@@ -185,6 +185,51 @@ def test_cli_scenario_error_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+MIX = {"name": "mix", "kind": "interaction"}
+
+
+@pytest.mark.parametrize("scen_name, exp_name, refused", [
+    ("../escaped", "mix", "scenario name '../escaped'"),
+    ("nosuchdir/x", "mix", "scenario name 'nosuchdir/x'"),
+    ("back\\slash", "mix", "scenario name 'back\\\\slash'"),
+    ("nul\0", "mix", "scenario name 'nul\\x00'"),
+    ("s", "../escaped", "experiment name '../escaped'"),
+    ("s", "a/b", "experiment name 'a/b'"),
+])
+def test_a_name_with_a_directory_component_is_refused_before_any_write(tmp_path, scen_name,
+                                                                       exp_name, refused):
+    doc = {"name": scen_name, "experiments": [dict(MIX, name=exp_name)]}
+    # The file route and the in-memory route meet the same refusal.
+    for scen in (load_scenario(write_doc(tmp_path, doc)),
+                 Scenario(scen_name, {}, (Experiment(exp_name, "interaction", {}),))):
+        with pytest.raises(ScenarioError) as info:
+            run_scenario(scen, tmp_path / "runs" / "out")
+        assert str(info.value).startswith(f"{refused} has a '/', '\\' or NUL")
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "scen.json"]
+
+
+def test_a_report_that_cannot_be_written_names_its_path(tmp_path):
+    (tmp_path / "s_mix.txt").mkdir()
+    with pytest.raises(ScenarioError, match=r"s_mix\.txt: cannot write: "):
+        run_scenario(Scenario("s", {}, (Experiment("mix", "interaction", {}),)), tmp_path)
+
+
+@pytest.mark.parametrize("name, out, message", [
+    ("../escaped", "out", "scenario name '../escaped' has a '/'"),
+    ("nosuchdir/x", "out", "scenario name 'nosuchdir/x' has a '/'"),
+    ("s", "taken", "taken: cannot create: "),
+])
+def test_cli_report_paths_stay_in_out_or_exit_2(tmp_path, name, out, message):
+    write_doc(tmp_path, {"name": name, "experiments": [MIX]}, "S.json")
+    (tmp_path / "taken").write_text("a file, not a directory\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(randlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "randlab.cli", "run", "S.json", "--out", out],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: {message}") and "Traceback" not in proc.stderr
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["S.json", "taken"]
+
+
 def test_cli_library_error_exits_3(capsys):
     code = main(["kg", "encode", "--seed", "3", "--depth", "10",
                  "--payload", "1" * 30])
