@@ -3,9 +3,10 @@
 Every subcommand except `kg encode`/`kg decode` assembles a one-off
 in-memory scenario and runs it through the same handlers the scenario
 runner uses, so CLI output and scenario reports never drift apart.
-`fireworks`, `tests convert`, `w2r` and `minpair` are one command: the
-experiment kind the subcommand and mode name, given every option the user
-gave for a key of the subcommand's `EXPERIMENT_KEYS`, for its kind to check.
+`fireworks`, `tests convert`, `w2r` and `minpair` read their options off
+`EXPERIMENT_KEYS`, and the kind the mode names gets each option given as a
+key, so a missing required one is refused as a missing key (exit 2).
+`kg` bypasses the reader and takes the library's depth and horizon defaults.
 Reports go to --out when given, otherwise to a temporary directory, and
 are echoed to stdout either way, from the text the run wrote.
 
@@ -81,18 +82,41 @@ def _cmd_run(args) -> int:
     return _run_inline(scen.name, scen.objects, scen.experiments, args.out or None)
 
 
-# (subcommand, mode) -> the kind of the one experiment it runs, named after the mode.
-_EXPERIMENT_KINDS = {
-    **{("fireworks", mode): f"fireworks_{mode}" for mode in ("run", "sweep", "trichotomy", "extract")},
-    ("tests", "convert"): "convert_sweep", ("w2r", "encode"): "w2r",
-    ("w2r", "hit"): "w2r_hitting", ("minpair", "analyze"): "minpair_sweep",
+# Each experiment subcommand: its help line, mode -> the kind of the one
+# experiment it runs (named after the mode), the keys it offers as options,
+# in help order, with their help text, and the one default of its own the
+# CLI keeps, --count's; the reader holds every other.
+_EXPERIMENTS = {
+    "fireworks": ("guess-with-cap construction",
+                  {mode: f"fireworks_{mode}" for mode in ("run", "sweep", "trichotomy", "extract")},
+                  {"k": None, "target_length": None, "stage_budget": None,
+                   "cap_bounds": "comma-separated powers of two",
+                   "caps": "explicit cap vector for mode=run",
+                   "seed": "draw caps from this seed for mode=run", "trace": None}, {}),
+    "tests": ("test-object conversions", {"convert": "convert_sweep"},
+              dict.fromkeys(["direction", "seed", "count", "levels", "bound", "horizon"]),
+              {"count": 10}),
+    "w2r": ("layered coding into a seeded class", {"encode": "w2r", "hit": "w2r_hitting"},
+            {"seed": None, "payloads": "comma-separated payloads (encode)",
+             "positions": "dense-open offsets (hit)", "patterns": "dense-open patterns (hit)",
+             "depth": None, "horizon": None}, {}),
+    "minpair": ("selector analysis over functional pairs", {"analyze": "minpair_sweep"},
+                dict.fromkeys(["seed", "count", "nat_max", "horizon"]), {"count": 5}),
+}
+
+# A key's kind -> how its option reads.
+_OPTION_KINDS = {
+    "int": {"type": int}, "nat": {"type": int}, "positive": {"type": int},
+    "ints": {"type": _csv_ints}, "nats": {"type": _csv_ints}, "bit_list": {"type": _csv_strs},
+    "direction": {"choices": ["d2u", "u2d"]}, "bool": {"action": "store_true"},
 }
 
 
 def _cmd_experiment(args) -> int:
-    """The experiment given each key of the subcommand's kinds that the user
-    gave as an option; the reader holds the defaults and refuses the rest."""
-    kind = _EXPERIMENT_KINDS[args.command, args.mode]
+    """The experiment the mode names, given each key of the subcommand's
+    kinds that the user gave as an option; the reader holds the defaults
+    and refuses the rest."""
+    kinds = _EXPERIMENTS[args.command][1]
     given = dict(vars(args))
     objects = {}
     if args.command == "fireworks":
@@ -103,17 +127,15 @@ def _cmd_experiment(args) -> int:
                      cap_bounds=args.cap_bounds or None)
         if given["caps"]:
             given["seed"] = None
-        elif args.mode == "run" and args.seed is None:
-            raise ScenarioError("fireworks run needs --caps or --seed")
-    keys = {key for (command, _), read in _EXPERIMENT_KINDS.items() if command == args.command
-            for key, *_ in EXPERIMENT_KEYS[read]}
+    keys = {key for kind in kinds.values() for key, *_ in EXPERIMENT_KEYS[kind]}
     params = {key: given[key] for key in sorted(keys) if given.get(key) is not None}
-    return _run_inline("cli", objects, [Experiment(args.mode, kind, params)], args.out)
+    return _run_inline("cli", objects, [Experiment(args.mode, kinds[args.mode], params)], args.out)
 
 
 def _cmd_kg(args) -> int:
-    rng = random.Random(args.seed)
-    tree = random_pi01_tree(rng, depth=args.depth, horizon=args.horizon)
+    # A depth or horizon left out takes the generator's default.
+    sizes = {k: v for k, v in vars(args).items() if k in ("depth", "horizon") and v is not None}
+    tree = random_pi01_tree(random.Random(args.seed), **sizes)
     if args.mode == "encode":
         code = kg_encode(args.payload, args.stem, tree)
         sys.stdout.write(f"codeword {code}\n")
@@ -133,75 +155,53 @@ def _run_options(p: argparse.ArgumentParser) -> None:
     p.set_defaults(func=_cmd_run)
 
 
-def _fireworks_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("mode", choices=["run", "sweep", "trichotomy", "extract"])
-    p.add_argument("--adversary", action="append", required=True,
-                   metavar="SPEC", help="events as STRINGS@STAGE;... e.g. 0@1;00@2")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--target-length", type=int, required=True)
-    p.add_argument("--stage-budget", type=int, required=True)
-    p.add_argument("--cap-bounds", type=_csv_ints, help="comma-separated powers of two")
-    p.add_argument("--caps", type=_csv_ints, help="explicit cap vector for mode=run")
-    p.add_argument("--seed", type=int, help="draw caps from this seed for mode=run")
-    p.add_argument("--trace", action="store_true", default=None)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_experiment)
-
-
-def _tests_options(p: argparse.ArgumentParser) -> None:
-    t_sub = p.add_subparsers(dest="tests_command", required=True)
-    p_conv = t_sub.add_parser("convert", help="seeded conversion sweep")
-    p_conv.add_argument("--direction", choices=["d2u", "u2d"], required=True)
-    p_conv.add_argument("--seed", type=int, required=True)
-    p_conv.add_argument("--count", type=int, default=10)
-    p_conv.add_argument("--levels", type=int)
-    p_conv.add_argument("--bound", type=int)
-    p_conv.add_argument("--horizon", type=int)
-    p_conv.add_argument("--out")
-    p_conv.set_defaults(func=_cmd_experiment, mode="convert")
-
-
 def _kg_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("mode", choices=["encode", "decode"])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--payload", type=BitString, help="bits to encode (mode=encode)")
     p.add_argument("--codeword", type=BitString, help="bits to decode (mode=decode)")
     p.add_argument("--stem", type=BitString, default="^")
-    p.add_argument("--depth", type=int, default=24)
-    p.add_argument("--horizon", type=int, default=8)
+    p.add_argument("--depth", type=int)
+    p.add_argument("--horizon", type=int)
     p.set_defaults(func=_cmd_kg)
 
 
-def _w2r_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("mode", choices=["encode", "hit"])
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--payloads", type=_csv_strs, help="comma-separated payloads (encode)")
-    p.add_argument("--positions", type=_csv_ints, help="dense-open offsets (hit)")
-    p.add_argument("--patterns", type=_csv_strs, help="dense-open patterns (hit)")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_experiment)
+def _experiment(command: str):
+    """The help line of an experiment subcommand and what adds its options:
+    one per offered key, read as its kind reads, and required when every
+    kind of the subcommand requires the key."""
+    help_line, kinds, offered, defaults = _EXPERIMENTS[command]
 
-
-def _minpair_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("mode", choices=["analyze"])
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument("--nat-max", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_experiment)
+    def add_options(p: argparse.ArgumentParser) -> None:
+        if command == "tests":  # its one mode is a subcommand of its own
+            p = p.add_subparsers(dest="tests_command", required=True).add_parser(
+                "convert", help="seeded conversion sweep")
+            p.set_defaults(mode="convert")
+        else:
+            p.add_argument("mode", choices=list(kinds))
+        if command == "fireworks":
+            p.add_argument("--adversary", action="append", required=True,
+                           metavar="SPEC", help="events as STRINGS@STAGE;... e.g. 0@1;00@2")
+        tables = [{entry[0]: entry for entry in EXPERIMENT_KEYS[kind]} for kind in kinds.values()]
+        for key, help_text in offered.items():
+            kind = next(table[key][1] for table in tables if key in table)
+            default = defaults.get(key)
+            required = default is None and all(len(table.get(key, ())) == 2 for table in tables)
+            p.add_argument("--" + key.replace("_", "-"), help=help_text, default=default,
+                           required=required, **_OPTION_KINDS[kind])
+        p.add_argument("--out")
+        p.set_defaults(func=_cmd_experiment)
+    return help_line, add_options
 
 
 # Each subcommand, in help order: its help line and what adds its options.
 SUBCOMMANDS = {
     "run": ("run a scenario file", _run_options),
-    "fireworks": ("guess-with-cap construction", _fireworks_options),
-    "tests": ("test-object conversions", _tests_options),
+    "fireworks": _experiment("fireworks"),
+    "tests": _experiment("tests"),
     "kg": ("codeword embedding into a seeded class", _kg_options),
-    "w2r": ("layered coding into a seeded class", _w2r_options),
-    "minpair": ("selector analysis over functional pairs", _minpair_options),
+    "w2r": _experiment("w2r"),
+    "minpair": _experiment("minpair"),
 }
 
 
@@ -229,13 +229,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(argv)
     args = parser.parse_args(argv)
-    if getattr(args, "mode", None) == "hit":
-        if not (args.positions and args.patterns):
-            parser.error("w2r hit needs --positions and --patterns")
-    if getattr(args, "mode", None) == "encode" and args.command == "w2r":
-        if not args.payloads:
-            parser.error("w2r encode needs --payloads")
-    if args.command == "kg":
+    if args.command == "kg":  # the one command the reader does not check
         if args.mode == "encode" and args.payload is None:
             parser.error("kg encode needs --payload")
         if args.mode == "decode" and args.codeword is None:

@@ -286,6 +286,9 @@ class Context:
     def write(self, exp: Experiment, suffix: str, text: str) -> str:
         fname = f"{self.scenario.name}_{exp.name}{suffix}"
         path = self.out_dir / fname
+        # Experiment `sw` with suffix "_failures.csv" and `sw_failures` with ".csv" name one file.
+        if any(p == path for p, _ in self.result.written):
+            raise _err(exp.name, f"report {fname} is already written by this run")
         try:
             path.write_text(text)
         except OSError as e:

@@ -214,6 +214,24 @@ def test_a_report_that_cannot_be_written_names_its_path(tmp_path):
         run_scenario(Scenario("s", {}, (Experiment("mix", "interaction", {}),)), tmp_path)
 
 
+def test_two_experiments_naming_one_report_file_exit_2_before_it_is_overwritten(tmp_path,
+                                                                              capsys):
+    # `sw` writes S_sw.csv and S_sw_failures.csv; the convert sweep `sw_failures`
+    # would write S_sw_failures.csv again.
+    doc = {"name": "S", "objects": {"enumerators": {"a": {"events": [[1, ["1"]]], "horizon": 1}}},
+           "experiments": [
+               {"name": "sw", "kind": "fireworks_sweep", "adversaries": ["a"], "k": 1,
+                "target_length": 4, "stage_budget": 12, "cap_bounds": [4]},
+               {"name": "sw_failures", "kind": "convert_sweep", "direction": "d2u",
+                "count": 1, "seed": 1}]}
+    out = tmp_path / "out"
+    assert main(["run", str(write_doc(tmp_path, doc)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: sw_failures: report S_sw_failures.csv is "
+                                       "already written by this run\n")
+    assert sorted(p.name for p in out.iterdir()) == ["S_sw.csv", "S_sw_failures.csv"]
+    assert (out / "S_sw_failures.csv").read_text().startswith("caps,outcomes,x_prefix\n")
+
+
 @pytest.mark.parametrize("name, out, message", [
     ("../escaped", "out", "scenario name '../escaped' has a '/'"),
     ("nosuchdir/x", "out", "scenario name 'nosuchdir/x' has a '/'"),
@@ -254,10 +272,11 @@ def test_cli_fireworks_sweep_inline(capsys):
 
 
 def test_cli_fireworks_run_needs_caps_or_seed(capsys):
+    # The handler refuses, as it refuses a scenario experiment with neither key.
     code = main(["fireworks", "run", "--adversary", "1@1", "--k", "1",
                  "--target-length", "4", "--stage-budget", "12"])
     assert code == 2
-    assert "needs --caps or --seed" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "error: run: need either caps or seed\n")
 
 
 def test_cli_kg_round_trip(capsys):
@@ -288,9 +307,10 @@ def test_cli_kg_without_its_bits_exits_2(capsys, mode, option):
     assert f"kg {mode} needs {option}" in capsys.readouterr().err
 
 
-def test_cli_hit_requires_position_arguments():
-    with pytest.raises(SystemExit):
-        main(["w2r", "hit", "--seed", "1"])
+def test_cli_hit_requires_position_arguments(capsys):
+    # The reader refuses a missing key of the mode's kind, as in a scenario file.
+    assert main(["w2r", "hit", "--seed", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: hit: missing required key 'positions'\n")
 
 
 def test_cli_version_runs():
@@ -568,6 +588,7 @@ MALFORMED_ARGUMENTS = [
                           ("run", ["--seed", "1"]))),
     (["fireworks", "sweep", "--adversary", "1@1", "--cap-bounds", "36893488147419103232",
       *FIREWORKS_ARGS], "sweep: cap bound 2^65 exceeds 2^64"),
+    (["w2r", "encode", "--seed", "1"], "encode: missing required key 'payloads'"),
 ]
 
 
@@ -620,6 +641,22 @@ def test_cli_output_matches_the_full_parser(monkeypatch, capsys, argv):
     got = _outcome(argv, capsys)
     monkeypatch.setattr(cli, "build_parser", _full_parser)
     assert got == _outcome(argv, capsys)
+
+
+HELP_SCREENS = Path(__file__).parent / "help_screens"
+
+
+@pytest.mark.parametrize("argv", [[], ["run"], ["fireworks"], ["tests"], ["tests", "convert"],
+                                  ["kg"], ["w2r"], ["minpair"]])
+def test_help_screens_keep_their_bytes(monkeypatch, capsys, argv):
+    # Each screen as the CLI printed it when its options were written out
+    # one add_argument call each; argparse wraps at COLUMNS - 2.
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main([*argv, "--help"])
+    assert stop.value.code == 0
+    name = "_".join(argv) or "randlab"
+    assert capsys.readouterr() == ((HELP_SCREENS / f"{name}.txt").read_text(), "")
 
 
 def test_the_parser_without_a_command_is_the_full_one():
