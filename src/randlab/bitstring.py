@@ -61,8 +61,8 @@ class BitString:
         return _valid(self._bits + ("1" if bit else "0"))
 
     def prefix(self, n: int) -> "BitString":
-        if n > len(self._bits):
-            raise ValueError(f"prefix length {n} exceeds |{self}|")
+        if not 0 <= n <= len(self._bits):
+            raise ValueError(f"prefix length {n} outside 0..|{self}|")
         return _valid(self._bits[:n])
 
     def is_prefix_of(self, other: "BitString") -> bool:

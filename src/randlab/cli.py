@@ -27,7 +27,7 @@ from .bitstring import BitString
 from .errors import RandlabError, ScenarioError
 from .coding import kg_decode, kg_encode
 from .generators import random_pi01_tree
-from .scenario import EXPERIMENT_KEYS, Experiment, Scenario, load_scenario, run_scenario
+from .scenario import _CONVERSIONS, EXPERIMENT_KEYS, Experiment, Scenario, load_scenario, run_scenario
 
 
 def _parse_adversary(spec: str) -> Dict[str, object]:
@@ -108,7 +108,7 @@ _EXPERIMENTS = {
 _OPTION_KINDS = {
     "int": {"type": int}, "nat": {"type": int}, "positive": {"type": int},
     "ints": {"type": _csv_ints}, "nats": {"type": _csv_ints}, "bit_list": {"type": _csv_strs},
-    "direction": {"choices": ["d2u", "u2d"]}, "bool": {"action": "store_true"},
+    "direction": {"choices": list(_CONVERSIONS)}, "bool": {"action": "store_true"},
 }
 
 

@@ -9,7 +9,7 @@ which keeps every test threshold exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 Rational = Union["Dyadic", int, Fraction]
 
@@ -72,8 +72,9 @@ class Dyadic:
     def __neg__(self) -> "Dyadic":
         return Dyadic(-self.num, self.exp)
 
-    def _cmp_key(self, other) -> tuple:
-        """Cross-multiplied pair (self_scaled, other_scaled) for exact compare."""
+    def _cmp_key(self, other) -> Optional[tuple]:
+        """Cross-multiplied pair (self_scaled, other_scaled) for exact compare,
+        or None when `other` is not a rational this class compares with."""
         if isinstance(other, Dyadic):
             e = max(self.exp, other.exp)
             return (self.num << (e - self.exp), other.num << (e - other.exp))
@@ -81,7 +82,7 @@ class Dyadic:
             return (self.num, other << self.exp)
         if isinstance(other, Fraction):
             return (self.num * other.denominator, other.numerator << self.exp)
-        return NotImplemented, None
+        return None
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (Dyadic, int, Fraction)):
@@ -90,20 +91,20 @@ class Dyadic:
         return NotImplemented
 
     def __lt__(self, other: Rational) -> bool:
-        a, b = self._cmp_key(other)
-        return a < b
+        key = self._cmp_key(other)
+        return key[0] < key[1] if key else NotImplemented
 
     def __le__(self, other: Rational) -> bool:
-        a, b = self._cmp_key(other)
-        return a <= b
+        key = self._cmp_key(other)
+        return key[0] <= key[1] if key else NotImplemented
 
     def __gt__(self, other: Rational) -> bool:
-        a, b = self._cmp_key(other)
-        return a > b
+        key = self._cmp_key(other)
+        return key[0] > key[1] if key else NotImplemented
 
     def __ge__(self, other: Rational) -> bool:
-        a, b = self._cmp_key(other)
-        return a >= b
+        key = self._cmp_key(other)
+        return key[0] >= key[1] if key else NotImplemented
 
     def __hash__(self) -> int:
         return hash(self.as_fraction())

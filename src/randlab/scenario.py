@@ -109,7 +109,7 @@ _KINDS: Dict[str, Tuple[Callable[[object], bool], str]] = {
     "payloads": (lambda v: _list_of(_is_bits)(v) or isinstance(v, dict) and list(v) == ["all_up_to"]
                  and _is_int(v["all_up_to"]) and v["all_up_to"] >= 0,
                  'a list of bit strings or {"all_up_to": n} with n >= 0'),
-    "direction": (lambda v: v in ("d2u", "u2d"), "'d2u' or 'u2d'"),
+    "direction": (lambda v: _is_str(v) and v in _CONVERSIONS, "'d2u' or 'u2d'"),
     "events": (_list_of(_pair_of(_is_int, _list_of(_is_bits))),
                "a list of [stage, [bit strings]] events"),
     "axiom_events": (_list_of(_pair_of(_is_int, _list_of(_pair_of(_is_bits, _is_bits)))),

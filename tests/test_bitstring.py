@@ -109,8 +109,10 @@ def test_indexing_and_slices():
     assert s[3] == 0
     assert s[1:3] == BitString("01")
     assert s.prefix(2) == BitString("10")
-    with pytest.raises(ValueError):
-        s.prefix(5)
+    assert s.prefix(0) == EMPTY and s.prefix(4) == s
+    for n in (5, -1, -4):
+        with pytest.raises(ValueError, match=f"prefix length {n} outside"):
+            s.prefix(n)
 
 
 def test_append_and_iter():

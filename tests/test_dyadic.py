@@ -4,6 +4,7 @@ Every operation must agree with fractions.Fraction exactly; there is no
 tolerance anywhere in this file.
 """
 
+import operator
 from fractions import Fraction
 
 from hypothesis import given
@@ -100,6 +101,16 @@ def test_hash_consistent_with_eq(a, b):
 def test_coercion_rejects_float():
     with pytest.raises(TypeError):
         Dyadic(1, 1) + 0.5
+
+
+@pytest.mark.parametrize("compare", [operator.lt, operator.le, operator.gt, operator.ge])
+def test_ordering_against_a_non_rational_names_both_types(compare):
+    with pytest.raises(TypeError, match="'Dyadic' and 'float'"):
+        compare(Dyadic(1), 0.5)
+    with pytest.raises(TypeError, match="'str' and 'Dyadic'"):
+        compare("1", Dyadic(1))
+    # `==` still answers False rather than raising.
+    assert not Dyadic(1, 1) == 0.5 and Dyadic(1, 1) != 0.5
 
 
 def loop_normalized(num, exp):

@@ -145,7 +145,7 @@ def _value(kind: str, key: str):
         "bit_list": st.lists(BITS, min_size=1, max_size=3),
         "payloads": st.one_of(st.lists(BITS, min_size=1, max_size=3),
                               st.builds(lambda n: {"all_up_to": n}, st.integers(0, SIZES["all_up_to"]))),
-        "direction": st.sampled_from(["d2u", "u2d"]),
+        "direction": st.sampled_from(list(scenario._CONVERSIONS)),
         "events": events,
         "axiom_events": st.lists(st.tuples(st.integers(-1, hi), st.lists(
             st.tuples(BITS, BITS).map(list), max_size=2)).map(list), max_size=3),
@@ -162,6 +162,11 @@ def _value(kind: str, key: str):
 def test_the_fuzzer_draws_valid_values_of_every_value_kind(drawn):
     kind, value = drawn
     assert scenario._KINDS[kind][0](value), drawn
+
+
+def test_the_direction_kind_names_the_conversions():
+    # The check and the CLI's choices read `_CONVERSIONS`; the message states its keys.
+    assert scenario._KINDS["direction"][1] == " or ".join(map(repr, scenario._CONVERSIONS))
 
 
 MUTATIONS = ("none", "drop", "swap", "stray")

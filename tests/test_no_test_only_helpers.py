@@ -1,13 +1,13 @@
-"""Every public function and public method in the package is read by name
-somewhere in the package outside `__init__`: no helper lives on for tests
-alone.  A name kept on purpose goes in `KEPT` with its reason."""
+"""Every public function and public method in the package is read somewhere
+in the package outside `__init__`: no helper lives on for tests alone.  A
+name kept on purpose goes in `KEPT` with its reason.
 
-import ast
-import pathlib
+A function is read by its bare name or by an attribute of that name.  A
+method is read by an attribute of its name that is called, whose receiver
+resolves to its class, or that no package class holds as data; a property,
+by any attribute of its name."""
 
-import randlab
-
-PACKAGE = pathlib.Path(randlab.__file__).resolve().parent
+from source_index import PACKAGE, index
 
 KEPT = {
     "check_requirement": "states the paper's requirement a report could print",
@@ -23,43 +23,47 @@ KEPT = {
 }
 
 
-def _defined(tree: ast.Module):
-    """(qualified name, line) of each public module function and public method."""
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            yield node.name, node.lineno
-        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item.lineno
+def _unread(modules):
+    """qualified name -> place of each public function and method no module but `__init__` reads."""
+    reads = [r for m in modules if m.name != "__init__.py" for r in m.reads]
+    names = {name for m in modules if m.name != "__init__.py" for name in m.names}
+    data = {name for m in modules for name in m.data}
+    attrs, called = {r.attr for r in reads}, {r.attr for r in reads if r.called}
+    resolved = {(r.receiver, r.attr) for r in reads}
+
+    def is_read(qualname, kind):
+        cls, _, name = qualname.rpartition(".")
+        if kind == "function":
+            return name in names or name in attrs
+        return (name in called or (cls, name) in resolved
+                or name in attrs and (kind == "property" or name not in data))
+
+    # module functions and methods of module-level classes, with no private part in the name
+    return {qualname: f"{m.name}:{line}" for m in modules for qualname, (line, kind) in m.defs.items()
+            if kind != "class" and qualname.count(".") == (kind != "function")
+            and "_" not in {part[0] for part in qualname.split(".")} and not is_read(qualname, kind)}
 
 
-def _read(tree: ast.Module):
-    """Names read as a bare name or as an attribute."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr
-
-
-TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
-READ = {name for file, tree in TREES.items() if file != "__init__.py" for name in _read(tree)}
-
-
-def _is_read(qualname: str) -> bool:
-    return qualname.rsplit(".", 1)[-1] in READ
+UNREAD = _unread(list(PACKAGE.values()))
 
 
 def test_every_public_callable_is_read_in_the_package():
-    unread = [f"{file}:{line} {qualname}" for file, tree in TREES.items()
-              for qualname, line in _defined(tree)
-              if not _is_read(qualname) and qualname not in KEPT]
+    unread = [f"{place} {qualname}" for qualname, place in UNREAD.items() if qualname not in KEPT]
     assert not unread, f"public callables only tests read: {unread}"
 
 
 def test_every_kept_name_is_still_defined_and_unread():
     # An entry whose name is gone, or is now read in the package, is stale.
-    defined = {qualname for tree in TREES.values() for qualname, _ in _defined(tree)}
-    assert sorted(set(KEPT) - defined) == []
-    assert sorted(filter(_is_read, KEPT)) == []
+    assert sorted(set(KEPT) - set(UNREAD)) == []
+
+
+def test_the_guard_sees_a_method_named_like_a_data_attribute():
+    # `node.one` reads the slot and the local `one` is no method, so `Dyadic.one` is
+    # unread; `zero` is read through its class, `hash` through a local bound to a `Dyadic`.
+    src = ("class _Node:\n    __slots__ = ('zero', 'one', 'hash')\n"
+           "class Dyadic:\n    def one(self):\n        return Dyadic(1)\n"
+           "    def zero(self):\n        return Dyadic(0)\n"
+           "    def hash(self):\n        return 0\n"
+           "def _size(node):\n    one = node.one\n    d = Dyadic(2)\n"
+           "    return one, node.zero, node.hash, Dyadic.zero, d.hash\n")
+    assert list(_unread([index(src)])) == ["Dyadic.one"]
