@@ -2,7 +2,10 @@
 
 The single-step scheme walks a co-enumerated tree: at each step it finds the
 least level where at least two fully intact extensions of the current stem
-remain, then takes the leftmost for a 0 and the rightmost for a 1.  Raw bits
+remain, then takes the leftmost for a 0 and the rightmost for a 1.  That
+step is the fork of the removed set below the stem, which the trie node
+keeps (`CylinderSet.fork`); the walk holds that set as its cursor and
+shifts it by each step, so a step descends only its own bits.  Raw bits
 are wrapped in a self-delimiting codec first, which makes the codeword set
 prefix-free over each (stem, class) pair and lets a replay decoder know when
 to stop.  Decoding replays the same walk; replaying against an earlier stage
@@ -34,52 +37,35 @@ from .errors import DensityError, DepthExhausted, SchemeError
 from .staged import Pi01Tree, StagedOpenSet, _check_int
 
 
-def _exhausted(sigma: BitString, tree: Pi01Tree) -> DepthExhausted:
-    return DepthExhausted(f"no branching level above {sigma} within depth {tree.depth}")
-
-
-def kucera_depth(sigma: BitString, tree: Pi01Tree, stage: int) -> int:
-    """Least length with two or more fully intact extensions of `sigma`."""
-    sigma = BitString(sigma)
-    span = tree.removed_open(stage).branching_span(sigma)
-    if span is not None and len(sigma) + span <= tree.depth:
-        return len(sigma) + span
-    raise _exhausted(sigma, tree)
-
-
-def _extreme(cur: BitString, tree: Pi01Tree, stage: int, rightmost: int) -> Tuple[int, BitString]:
-    """The walk step above `cur` toward one side: the branching length and
-    the leftmost (rightmost when `rightmost` is 1) intact extension there.
-
-    The tree's step table for the stage keeps, per stem, the length, or None
-    where the depth runs out, and each side once a walk has taken it, so
-    every later walk through `cur` reads them.
-    """
-    table = tree.step_table(stage)
-    key = cur.bits
-    if key not in table:
-        try:
-            length = kucera_depth(cur, tree, stage)
-        except DepthExhausted:
-            table[key] = None
-            raise
-        table[key] = [length, None, None]
-    step = table[key]
-    if step is None:
-        raise _exhausted(cur, tree)
-    end = step[1 + rightmost]
-    if end is None:
-        extend = tree.rightmost_intact if rightmost else tree.leftmost_intact
-        end = step[1 + rightmost] = extend(cur, step[0], stage)
-    return step[0], end
+def _step(below: CylinderSet, done: int, tree: Pi01Tree) -> Optional[Tuple[BitString, BitString]]:
+    """The walk's step above a stem `done` bits long with the removed set
+    `below` it: the set's fork, None where the tree's depth runs out first."""
+    fork = below.fork()
+    return fork if fork is not None and done + len(fork[0]) <= tree.depth else None
 
 
 def encode_bits(bits: BitString, sigma: BitString, tree: Pi01Tree, stage: int) -> BitString:
-    """Walk the raw bits into the tree, one branching level per bit."""
-    cur = BitString(sigma)
+    """Walk the raw bits into the tree, one branching level per bit; the
+    codeword is joined once from the steps."""
+    parts = [BitString(sigma).bits]
+    done = len(parts[0])
+    below = tree.removed_open(stage).shift(sigma)
     for b in bits:
-        _, cur = _extreme(cur, tree, stage, b)
-    return cur
+        step = _step(below, done, tree)
+        if step is None:
+            stem = BitString("".join(parts))
+            raise DepthExhausted(f"no branching level above {stem} within depth {tree.depth}")
+        side = step[b]
+        parts.append(side.bits)
+        done += len(side)
+        below = below.shift(side)
+    return BitString("".join(parts))
+
+
+def kucera_depth(sigma: BitString, tree: Pi01Tree, stage: int) -> int:
+    """Least length with two or more fully intact extensions of `sigma`: the
+    length of a one-step walk above it."""
+    return len(encode_bits(BitString("0"), sigma, tree, stage))
 
 
 def kg_encode(payload: BitString, sigma: BitString, tree: Pi01Tree, stage: Optional[int] = None) -> BitString:
@@ -95,31 +81,28 @@ def kg_decode_prefix(x: BitString, sigma: BitString, tree: Pi01Tree, stage: Opti
     consumed; None when `x` strays off the leftmost/rightmost survivors, is
     too short, or the tree runs out of branching.
     """
-    s = tree.horizon if stage is None else stage
-    cur = BitString(sigma)
-    if not x.extends(cur):
+    sigma = BitString(sigma)
+    if not x.extends(sigma):
         return None
+    bits, done = x.bits, len(sigma)
+    below = tree.removed_open(tree.horizon if stage is None else stage).shift(sigma)
     # The codec block read so far: n ones, a 0, then n bits.  It closes at
     # 2n + 1 bits, n being the index of its first 0; it is parsed once, then.
     block: List[str] = []
     n: Optional[int] = None
     while n is None or len(block) <= 2 * n:
-        try:
-            length, left = _extreme(cur, tree, s, 0)
-        except DepthExhausted:
+        step = _step(below, done, tree)
+        if step is None:
             return None
-        if length > len(x):
+        bit = 0 if bits.startswith(step[0].bits, done) else 1 if bits.startswith(step[1].bits, done) else None
+        if bit is None:  # off both sides, or past the end of `x`
             return None
-        step = x.prefix(length)
-        if step == left:
-            n = len(block) if n is None else n
-            block.append("0")
-        elif step == _extreme(cur, tree, s, 1)[1]:
-            block.append("1")
-        else:
-            return None
-        cur = step
-    return read_self_delimited(BitString("".join(block)))[0], cur
+        if n is None and not bit:
+            n = len(block)
+        block.append("01"[bit])
+        done += len(step[bit])
+        below = below.shift(step[bit])
+    return read_self_delimited(BitString("".join(block)))[0], x.prefix(done)
 
 
 def kg_decode(codeword: BitString, sigma: BitString, tree: Pi01Tree, stage: Optional[int] = None) -> Optional[BitString]:

@@ -16,17 +16,21 @@ nodes, linear in the distinct pairs they meet; complement and shifting are
 walks over distinct nodes.  Exact measure is computed once per node: a
 node keeps its measure for its life (Bryant's computed results, shared
 like the nodes), so measuring a set walks only the nodes no earlier
-measure reached.  Every walk keeps an explicit stack, so trie depth is
-bounded by memory, not by the recursion limit, and no operation ever
-enumerates points.  The canonical antichain (no generator a prefix of
-another, no sibling pair s0/s1 left unmerged) is read off the trie on
-demand.
+measure reached.  So it keeps its fork, the lex-least and lex-greatest
+strings whose cylinders miss the set at the least length with two: the
+step of a coding walk.  One breadth-first level walk gives the fork, the
+extreme disjoint extensions at a length and the least generator.  Every
+walk keeps an explicit stack or level, so trie depth is bounded by memory,
+not by the recursion limit, and no operation ever enumerates points.  The
+canonical antichain (no generator a prefix of another, no sibling pair
+s0/s1 left unmerged) is read off the trie on demand.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import weakref
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -37,10 +41,11 @@ from .dyadic import Dyadic
 class _Node:
     """An interior trie node.  Build only through `_pair`.
 
-    Its children never change, so neither does its measure: `_measure`
-    stores it in `measure` the first time it is asked, for the node's life."""
+    Its children never change, so neither do its measure and its fork:
+    `_measure` stores the one in `measure` and `CylinderSet.fork` the other
+    in `fork` the first time each is asked, for the node's life."""
 
-    __slots__ = ("zero", "one", "hash", "measure", "__weakref__")
+    __slots__ = ("zero", "one", "hash", "measure", "fork", "__weakref__")
 
     def __init__(self, zero: "Node", one: "Node") -> None:
         self.zero = zero
@@ -49,6 +54,7 @@ class _Node:
         self.hash = hash((zero if zero is True or zero is False else zero.hash,
                           one if one is True or one is False else one.hash))
         self.measure: Optional[Tuple[int, int]] = None  # kept by `_measure` once it is asked
+        self.fork: Optional[Tuple[BitString, BitString]] = None  # kept by `CylinderSet.fork`
 
 
 # Trie node: True (full), False (empty), or an interior _Node.
@@ -247,6 +253,51 @@ def _descend(node: Node, bits: str) -> Node:
     return node
 
 
+def _levels(root: Node, prune: bool) -> Iterator[Dict[Node, List]]:
+    """The levels below `root`, depth 0 first: each node reached at a depth
+    -> [its leftmost path, its rightmost path, the paths into it up to two].
+    An empty subtree splits into two empty halves; a full one ends.
+
+    With `prune`, a node met two or more levels after its first is not
+    expanded again: each leaf below it lies at least two levels deeper
+    there than below its first meeting, so the first level that reaches a
+    leaf of a kind, and the next, read as in the full walk (all `_fork` and
+    `least_generator` read)."""
+    level: Dict[Node, List] = {root: ["", "", 1]}
+    first: Dict[Node, int] = {}  # node -> the depth it was first met
+    depth = 0
+    while level:
+        yield level
+        below: Dict[Node, List] = {}
+        for node, (left, right, paths) in level.items():
+            if node is True or prune and first.setdefault(node, depth) < depth - 1:
+                continue
+            halves = (False, False) if node is False else (node.zero, node.one)
+            for child, bit in zip(halves, "01"):
+                seen = below.get(child)
+                if seen is None:
+                    below[child] = [left + bit, right + bit, paths]
+                else:
+                    # Paths on one level have one length: `min` is lex order.
+                    seen[0] = min(seen[0], left + bit)
+                    seen[1] = max(seen[1], right + bit)
+                    seen[2] = min(2, seen[2] + paths)
+        level = below
+        depth += 1
+
+
+def _fork(root: Node) -> Tuple[BitString, BitString]:
+    """The leftmost and rightmost paths into empty subtrees on the first
+    level with two: below any node but a full one there is such a level."""
+    for level in _levels(root, True):
+        left, right, paths = level.get(False, ("", "", 0))
+        if paths > 1:
+            return BitString(left), BitString(right)
+
+
+_EMPTY_FORK = _fork(False)  # both halves of the root
+
+
 class CylinderSet:
     """A clopen set, canonically presented.  Instances are immutable."""
 
@@ -324,92 +375,36 @@ class CylinderSet:
         return CylinderSet(_descend(self._tree, BitString(eta).bits))
 
     def least_generator(self) -> Optional[BitString]:
-        """The length-lex least generator, None for the empty set: the first
-        full subtree met breadth-first, 0 before 1.  A node met again, deeper
-        or further right, leads only to longer or lex-greater strings, so no
-        node is expanded twice and the antichain (2^k strings for a k-fold
-        shared trie) is never read."""
-        seen: Set[_Node] = set()
-        level: List[Tuple[Node, str]] = [(self._tree, "")]
-        while level:
-            below: List[Tuple[Node, str]] = []
-            for node, path in level:
-                if node is True:
-                    return BitString(path)
-                if node is not False and node not in seen:
-                    seen.add(node)
-                    below += [(node.zero, path + "0"), (node.one, path + "1")]
-            level = below
+        """The length-lex least generator, None for the empty set: the
+        leftmost path on the first level that reaches a full subtree.  The
+        pruned level walk expands no node more than twice, so the antichain
+        (2^k strings for a k-fold shared trie) is never read."""
+        if self._tree is not False:
+            for level in _levels(self._tree, True):
+                if True in level:
+                    return BitString(level[True][0])
         return None
 
-    def branching_span(self, sigma: BitString) -> Optional[int]:
-        """Least span s such that two or more extensions of sigma of length
-        |sigma| + s have cylinders missing the set; None when the set
-        covers [sigma].
-
-        Breadth-first below sigma, counting (up to two) the paths into each
-        node of a level: the first level that reaches an empty subtree
-        answers, with one bit more when a single path reaches it.  A node
-        met on an earlier level meets every empty subtree below it sooner
-        there, so it is expanded once.
-        """
-        level: Dict[Node, int] = {_descend(self._tree, sigma.bits): 1}
-        seen: Set[_Node] = set()
-        span = 0
-        while level:
-            clear = level.get(False, 0)
-            if clear:
-                return span if clear > 1 else span + 1
-            below: Dict[Node, int] = {}
-            for node, paths in level.items():
-                if node is not True and node not in seen:
-                    seen.add(node)
-                    for child in (node.zero, node.one):
-                        below[child] = min(2, below.get(child, 0) + paths)
-            level = below
-            span += 1
-        return None
+    def fork(self) -> Optional[Tuple[BitString, BitString]]:
+        """The lex-least and lex-greatest strings whose cylinders miss the
+        set, at the least length that has two; None for the full set.  The
+        root keeps it for its life, shared by every set that reaches it."""
+        tree = self._tree
+        if tree is True or tree is False:
+            return None if tree else _EMPTY_FORK
+        if tree.fork is None:
+            tree.fork = _fork(tree)
+        return tree.fork
 
     def disjoint_extension(self, sigma: BitString, length: int, rightmost: bool = False) -> Optional[BitString]:
         """Lex-least (or, with `rightmost`, lex-greatest) extension of sigma
         at `length` whose cylinder misses the set; None when there is none."""
-        # A generator on or above sigma covers everything; none at all below
-        # sigma leaves the whole cylinder clear.
-        node = _descend(self._tree, sigma.bits)
-        if node is True:
-            return None
-        fill = "1" if rightmost else "0"
         span = length - len(sigma)
-        if node is False:
-            return sigma + BitString(fill * span)
-        order = ("1", "0") if rightmost else ("0", "1")
-        # Depth-first in the wanted order; the first empty subtree found is
-        # the answer.  `dead` holds (node, remaining) pairs already searched
-        # in vain, so shared subtrees are searched once.
-        dead = set()
-        path: List[str] = []
-        frames = [[node, span, 0]]
-        while frames:
-            frame = frames[-1]
-            nd, remaining, tried = frame
-            if tried == 2 or remaining == 0:
-                # remaining == 0 with generators strictly below: not clear.
-                dead.add((nd, remaining))
-                frames.pop()
-                if frames:
-                    path.pop()
-                continue
-            frame[2] = tried + 1
-            bit = order[tried]
-            child = nd.one if bit == "1" else nd.zero
-            if child is False:
-                path.append(bit)
-                return sigma + BitString("".join(path) + fill * (remaining - 1))
-            if child is True or (child, remaining - 1) in dead:
-                continue
-            path.append(bit)
-            frames.append([child, remaining - 1, 0])
-        return None
+        if span < 0:
+            raise ValueError(f"extension length {length} is shorter than {sigma}")
+        level = next(itertools.islice(_levels(_descend(self._tree, sigma.bits), False), span, None), {})
+        clear = level.get(False)
+        return None if clear is None else sigma + BitString(clear[1 if rightmost else 0])
 
     def __eq__(self, other: object) -> bool:
         # Interned tries: equal sets have the very same root.

@@ -2,16 +2,18 @@
 
 Canonical form keeps the numerator odd (or zero with exponent zero), so
 equality is structural.  Measures of clopen sets always land in this class;
-comparisons against non-dyadic rationals go through `fractions.Fraction`,
-which keeps every test threshold exact.
+a `Dyadic` compares exactly with any rational through its `numerator` and
+`denominator` (an `int`, a `fractions.Fraction`), and hashes as Python
+hashes the rational it is, without importing `fractions`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from typing import Optional, Union
 
-Rational = Union["Dyadic", int, Fraction]
+# Arithmetic takes a Dyadic or an int; comparison any rational.
+Rational = Union["Dyadic", int]
 
 
 class Dyadic:
@@ -37,9 +39,6 @@ class Dyadic:
         if k < 0:
             raise ValueError("half_pow wants a nonnegative power")
         return Dyadic(1, k)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.exp)
 
     def _coerce(self, other: Rational) -> "Dyadic":
         if isinstance(other, Dyadic):
@@ -78,17 +77,15 @@ class Dyadic:
         if isinstance(other, Dyadic):
             e = max(self.exp, other.exp)
             return (self.num << (e - self.exp), other.num << (e - other.exp))
-        if isinstance(other, int):
-            return (self.num, other << self.exp)
-        if isinstance(other, Fraction):
-            return (self.num * other.denominator, other.numerator << self.exp)
-        return None
+        try:
+            num, den = other.numerator, other.denominator
+        except AttributeError:
+            return None
+        return (self.num * den, num << self.exp)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (Dyadic, int, Fraction)):
-            a, b = self._cmp_key(other)
-            return a == b
-        return NotImplemented
+        key = self._cmp_key(other)
+        return key[0] == key[1] if key else NotImplemented
 
     def __lt__(self, other: Rational) -> bool:
         key = self._cmp_key(other)
@@ -107,7 +104,10 @@ class Dyadic:
         return key[0] >= key[1] if key else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.as_fraction())
+        # Python's hash of the rational num / 2^exp, as `Fraction` computes it.
+        h = hash(hash(abs(self.num)) * pow(2, -self.exp, sys.hash_info.modulus))
+        h = h if self.num >= 0 else -h
+        return -2 if h == -1 else h
 
     def __str__(self) -> str:
         return f"{self.num}/2^{self.exp}"

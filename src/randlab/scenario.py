@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -368,8 +367,10 @@ def _run_fireworks_sweep(ctx: Context, exp: Experiment, **config) -> RunFact:
     cfg = _fireworks_config(ctx, exp, **config)
     sw = ctx.swept(cfg)
     rows = _failing_vectors(sw)
-    residue_bound = sum(Fraction(1, n) for n in cfg.cap_bounds)
-    within = sw.probability.as_fraction() <= residue_bound
+    # Sum of 1/n_e: each cap bound n_e is 2^(its block length).
+    bound = sum((Dyadic(1, b) for b in cfg.block_lengths), Dyadic(0))
+    within = sw.probability <= bound
+    residue_bound = f"{bound.num}/{1 << bound.exp}" if bound.exp else str(bound.num)
     summary = ctx.report(
         exp, ".csv", ["adversaries", "k", "cap_bounds", "total_vectors", "failing_vectors",
                       "failure_probability", "residue_bound", "within_bound"],
@@ -481,7 +482,16 @@ def _run_convert_sweep(ctx: Context, exp: Experiment, direction: str, count: int
     return _fact(exp, ctx.report(exp, ".csv", ["instance", "seed", "ok"], rows, ok=True))
 
 
+# A payload list spells out every string up to its length, 2^(n+1) - 1 of
+# them up to length n; a longer list is refused before it is made.
+PAYLOAD_GUARD = 1 << 16
+
+
 def _strings_up_to(length: int) -> List[BitString]:
+    # 2^(length+1) - 1 <= PAYLOAD_GUARD, without making the power.
+    if length + 1 >= PAYLOAD_GUARD.bit_length():
+        raise GuardExceeded(f"payload list of all 2^{length + 1} - 1 strings up to length {length} "
+                            f"refused (limit {PAYLOAD_GUARD})")
     return [s for n in range(length + 1) for s in BitString.all_strings(n)]
 
 

@@ -13,9 +13,10 @@ tree is the staged open set of its removals with a depth bound.  A
 instead: its snapshots are deferred values, each computed the first time a
 stage that reads it is asked, so a set read only at its horizon computes
 one value.  What a query derives from a snapshot is built once per
-snapshot (`_per_snapshot`).  Monotonicity in the stage index is therefore
-structural, and the only invariants left to check are functional
-consistency and depth bounds on tree removals.
+snapshot (`_per_snapshot`); a tree's intact extensions are read off its
+removed open set, whose trie keeps what they need.  Monotonicity in the
+stage index is therefore structural, and the only invariants left to
+check are functional consistency and depth bounds on tree removals.
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ class ValuedOpenSet(_Schedule):
 def _check_consistent(axioms: Iterable[Tuple[BitString, BitString]]) -> None:
     """Refuse two axioms whose stems are comparable and whose outputs are not.
 
-    One preorder walk: sorted by stem bits, a stem comes before its
+    One preorder pass: sorted by stem bits, a stem comes before its
     extensions and they follow it contiguously, so after popping the stems
     that are not prefixes of the one at hand, the stack holds exactly its
     ancestors (and equal stems).  Their outputs form a chain, checked as they
@@ -293,7 +294,7 @@ class TuringFunctional(_Schedule):
 
     Reading an axiom (sigma, tau) as "every oracle extending sigma computes
     at least tau", consistency demands that comparable oracles never receive
-    incomparable outputs.  The check is one preorder walk over the final
+    incomparable outputs.  The check is one preorder pass over the final
     axiom set at construction (`_check_consistent`), which covers every
     stage because schedules only grow.  Each snapshot is the tuple of the
     axioms granted so far in length-lex order of (sigma, tau), cut from one
@@ -365,25 +366,13 @@ def _check_depth(schedule: Enumerator, depth: int, what: str) -> None:
         raise RandlabError(f"{what} {deep} deeper than depth {depth}")
 
 
-# A walk step above a stem: [the least length with two fully intact
-# extensions, the leftmost of them, the rightmost], each extension None
-# until a walk asks for it; None where the tree's depth runs out first.
-WalkStep = Optional[List]
-
-
-def _no_steps(removals: frozenset) -> Dict[str, WalkStep]:
-    return {}
-
-
 class Pi01Tree(StagedOpenSet):
     """A co-enumerated class: all of Cantor space minus staged cylinder removals.
 
     The tree is the staged open set of its removals: its events and
     snapshots are the removed strings, `open_at` the removed open set.
     Removing a string kills every extension.  `depth` bounds both removal
-    lengths and the leaf level at which survivor counts are measured.  The
-    walks into the class keep their steps in one table per removal snapshot
-    (`step_table`), which dies with the tree.
+    lengths and the leaf level at which survivor counts are measured.
     """
 
     __slots__ = ("depth",)
@@ -413,14 +402,6 @@ class Pi01Tree(StagedOpenSet):
 
     def rightmost_intact(self, sigma: StrLike, length: int, stage: int) -> Optional[BitString]:
         return self.removed_open(stage).disjoint_extension(BitString(sigma), length, rightmost=True)
-
-    def step_table(self, stage: int) -> Dict[str, WalkStep]:
-        """The walk steps known for the snapshot `stage` reads, by stem bits.
-
-        The coding walks fill it, one step per stem the first time they pass
-        it; every stage between two removal events shares it.
-        """
-        return self._per_snapshot(_no_steps, stage)
 
     def restrict(self, extra: StagedOpenSet) -> "Pi01Tree":
         """The class cut down by the complement of a staged open set: the

@@ -8,6 +8,7 @@ here, never from one another.  pytest does not rewrite asserts here, and
 import itertools
 import random
 import re
+from fractions import Fraction
 from functools import partial, reduce
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -15,16 +16,21 @@ from hypothesis import strategies as st
 
 from randlab import coding
 from randlab.bitstring import EMPTY, BitString, from_nat, read_self_delimited, to_nat
-from randlab.coding import _extreme, kg_decode, kg_encode
+from randlab.coding import kg_decode, kg_encode
 from randlab.cylinders import EMPTY_SET, FULL_SET, CylinderSet, intervals_set, uniform_suffix_set
 from randlab.demuth import DemuthTest, verify_demuth
 from randlab.dyadic import Dyadic
-from randlab.errors import DepthExhausted, RandlabError
+from randlab.errors import RandlabError
 from randlab.fireworks import FailureSets, FireworksConfig, Leaf, run_fireworks, sweep
 from randlab.generators import _MAX_REMOVED, _REMOVAL_LEN_MAX, _REMOVAL_TRIES, hitting_run
 from randlab.minpair import FApprox, PairFamily, induced_demuth_level
 from randlab.scenario import _cap_space
 from randlab.staged import Enumerator, Pi01Tree, ValuedOpenSet, by_stage, first_seen
+
+
+def as_fraction(d: Dyadic) -> Fraction:
+    """The `Fraction` a dyadic stands for: the oracle of `Dyadic`'s arithmetic."""
+    return Fraction(d.num, 1 << d.exp)
 
 
 # Schedules for hypothesis: (events, horizon) pairs over bit strings or
@@ -354,8 +360,24 @@ def old_output_tree(phi, stem, horizon):
     return Enumerator(first_seen((s, closure(s)) for s in range(horizon + 1)), horizon)
 
 
+# The branching length as a per-length loop over the extreme intact
+# extensions, before `kucera_depth` walked the removed trie once
+# (tests/test_coding.py since 4204744): None where the depth runs out.
+
+def kucera_depth_reference(sigma: BitString, tree: Pi01Tree, stage: int) -> Optional[int]:
+    for length in range(len(sigma) + 1, tree.depth + 1):
+        left = tree.leftmost_intact(sigma, length, stage)
+        if left is None:
+            continue
+        right = tree.rightmost_intact(sigma, length, stage)
+        if right != left:
+            return length
+    return None
+
+
 # The KG decoder of src/randlab/coding.py at 4204744: it re-parsed the
 # codec block from bit 0 after every bit, and `append` copied the block.
+# Each step asks the per-length loop and the extreme extensions afresh.
 
 def reparsing_kg_decode_prefix(x: BitString, sigma: BitString, tree: Pi01Tree,
                                stage: Optional[int] = None) -> Optional[Tuple[BitString, BitString]]:
@@ -365,16 +387,13 @@ def reparsing_kg_decode_prefix(x: BitString, sigma: BitString, tree: Pi01Tree,
         return None
     block = EMPTY  # the codec block read so far
     while (parsed := read_self_delimited(block)) is None:
-        try:
-            length, left = _extreme(cur, tree, s, 0)
-        except DepthExhausted:
-            return None
-        if length > len(x):
+        length = kucera_depth_reference(cur, tree, s)
+        if length is None or length > len(x):
             return None
         step = x.prefix(length)
-        if step == left:
+        if step == tree.leftmost_intact(cur, length, s):
             block = block.append(0)
-        elif step == _extreme(cur, tree, s, 1)[1]:
+        elif step == tree.rightmost_intact(cur, length, s):
             block = block.append(1)
         else:
             return None

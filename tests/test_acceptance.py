@@ -54,7 +54,7 @@ def test_criterion_01_failure_bound():
         cfg = FireworksConfig.build(advs, 2, p["target_length"], p["stage_budget"])
         prob = sweep(cfg).probability
         residue = sum(Fraction(1, n) for n in cfg.cap_bounds)
-        bound_ok = bound_ok and prob.as_fraction() <= residue < Fraction(1, 4)
+        bound_ok = bound_ok and prob <= residue < Fraction(1, 4)
         sizes.append(len(advs))
     elapsed = time.perf_counter() - start
     ok = bound_ok and 3 in sizes and elapsed < 10.0

@@ -11,8 +11,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import counting, kg_tree_ok, reparsing_kg_decode_prefix
+from oracles import counting, kg_tree_ok, kucera_depth_reference, reparsing_kg_decode_prefix
 
+from randlab import cylinders
 from randlab.bitstring import EMPTY, BitString, self_delimit
 from randlab.cylinders import CylinderSet, EMPTY_SET, uniform_suffix_set
 from randlab.coding import (OpenFamily, W2RScheme, _density_witness, encode_bits,
@@ -40,18 +41,6 @@ def test_kucera_depth_crossbar():
     cramped = Pi01Tree(2, [(0, ["00", "10"])])
     with pytest.raises(DepthExhausted):
         kucera_depth(BitString("01"), cramped, 0)
-
-
-def kucera_depth_reference(sigma, tree, stage):
-    # The per-length loop kucera_depth replaced, kept as an oracle.
-    for length in range(len(sigma) + 1, tree.depth + 1):
-        left = tree.leftmost_intact(sigma, length, stage)
-        if left is None:
-            continue
-        right = tree.rightmost_intact(sigma, length, stage)
-        if right != left:
-            return length
-    return None
 
 
 bit_strings = st.text(alphabet="01", max_size=7).map(BitString)
@@ -117,14 +106,17 @@ def test_kg_round_trip_seeded_trees():
         assert kg_tree_ok(tree, [BitString("^"), BitString("0"), BitString("101")], EMPTY, tree.horizon)
 
 
-# The walks as they were before the step tables: every step asks
-# kucera_depth and both extreme extensions afresh.  They are the oracles
-# for the table-backed walks.
+# The walks as they were before the walk read each step off the fork of the
+# removed set below its stem: every step asks the per-length loop and both
+# extreme extensions afresh, from the root.  They are the oracles for the
+# walks, and share no fork with them.
 
 def encode_bits_reference(bits, sigma, tree, stage):
     cur = BitString(sigma)
     for b in bits:
-        length = kucera_depth(cur, tree, stage)
+        length = kucera_depth_reference(cur, tree, stage)
+        if length is None:
+            raise DepthExhausted(f"no branching level above {cur} within depth {tree.depth}")
         cur = (tree.rightmost_intact if b else tree.leftmost_intact)(cur, length, stage)
     return cur
 
@@ -135,11 +127,8 @@ def kg_decode_prefix_reference(x, sigma, tree, stage):
         return None
     count, seen_zero, payload = 0, False, []
     while not (seen_zero and len(payload) == count):
-        try:
-            length = kucera_depth(cur, tree, stage)
-        except DepthExhausted:
-            return None
-        if length > len(x):
+        length = kucera_depth_reference(cur, tree, stage)
+        if length is None or length > len(x):
             return None
         step = x.prefix(length)
         if step == tree.leftmost_intact(cur, length, stage):
@@ -172,10 +161,10 @@ def walk_outcome(walk, *args):
                                 st.integers(-1, 9), st.integers(0, 3)),
                       min_size=1, max_size=12))
 def test_kg_walks_match_the_unmemoized_walks(seed, depth, calls):
-    # One tree serves every call, so later walks read steps earlier walks
-    # stored, across stages; shallow trees run out of depth (DepthExhausted
-    # from encode_bits, None from the decoder), and mangled or truncated
-    # words stray off the survivors.
+    # One tree serves every call, so later walks read forks that earlier
+    # walks left on the trie's nodes, across stages; shallow trees run out
+    # of depth (DepthExhausted from encode_bits, None from the decoder), and
+    # mangled or truncated words stray off the survivors.
     rng = random.Random(seed)
     removal_len = min(8, depth - 1)
     kept = [(rng.randrange(9), BitString(format(rng.getrandbits(n), f"0{n}b")))
@@ -243,25 +232,38 @@ def test_kg_decode_prefix_parses_its_block_once(monkeypatch):
 def test_kg_walks_hit_every_outcome():
     # The differential test above reaches each kind of result.
     tree = Pi01Tree(3, [(0, ["00"])], horizon=1)
-    with pytest.raises(DepthExhausted):
-        encode_bits(BitString("111"), EMPTY, tree, 0)
-    assert kg_decode_prefix(BitString("111"), EMPTY, tree, 0) is None
-    # A second walk through the exhausted stem reads the stored verdict.
     with pytest.raises(DepthExhausted, match="above 111 within depth 3"):
         encode_bits(BitString("111"), EMPTY, tree, 0)
-    assert tree.step_table(0)["111"] is None
+    assert kg_decode_prefix(BitString("111"), EMPTY, tree, 0) is None
 
 
-def test_kg_sweep_asks_kucera_depth_once_per_stem(monkeypatch):
+def test_kg_sweep_computes_each_fork_once(monkeypatch):
     # A work-count gate on one kg_sweep instance: 31 payloads encoded and
-    # decoded over one tree walk the same codec stems again and again.
-    calls = counting(monkeypatch, "kucera_depth")
+    # decoded over one tree walk the same codec stems again and again, and
+    # each node the walks reach keeps its fork.
+    forks = counting(monkeypatch, "_fork", cylinders)
     tree = random_pi01_tree(random.Random("0:0"), depth=24, horizon=8)
     for n in range(5):
         for payload in BitString.all_strings(n):
             word = kg_encode(payload, EMPTY, tree)
             assert kg_decode(word, EMPTY, tree, tree.horizon) == payload
-    assert calls and len(calls) == len(set(calls))
+    assert forks and len(forks) == len(set(forks))
+
+
+def test_a_kg_walk_descends_only_its_new_bits(monkeypatch):
+    # A work-count gate: the walk shifts the removed set below its stem by
+    # each step, so over one encode and one decode the trie is descended
+    # along each codeword bit about once, not from the root at every step.
+    tree = crossbar(depth=200)
+    payload = BitString("0110" * 16)
+    descents = counting(monkeypatch, "_descend", cylinders)
+    word = kg_encode(payload, EMPTY, tree)
+    encoded = sum(len(bits) for _, bits in descents)
+    descents.clear()
+    assert kg_decode(word, EMPTY, tree) == payload
+    decoded = sum(len(bits) for _, bits in descents)
+    assert len(word) == 130
+    assert encoded <= 2 * len(word) and decoded <= 2 * len(word), (encoded, decoded)
 
 
 def test_stage_replay_garbles_honestly():

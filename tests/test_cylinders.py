@@ -254,16 +254,37 @@ def test_least_generator_of_a_shifted_core_reads_no_antichain(monkeypatch):
     assert time.perf_counter() - start < 0.5
 
 
-def test_branching_span_walks_a_shared_trie_once():
+def test_fork_walks_a_shared_trie_once():
     # 2^40 clear extensions of length 41, reached through one node per level.
     far = uniform_suffix_set("1", 40)
     start = time.perf_counter()
-    assert far.branching_span(BitString("")) == 41
+    assert far.fork() == (BitString("0" * 41), BitString("1" * 40 + "0"))
     assert time.perf_counter() - start < 0.5
     # Below 0^40 only [0] is clear, so its two extensions split one bit later.
-    assert far.branching_span(BitString("0" * 40)) == 2
-    assert far.branching_span(BitString("0" * 40 + "1")) is None
-    assert EMPTY_SET.branching_span(BitString("01")) == 1
+    assert far.shift("0" * 40).fork() == (BitString("00"), BitString("01"))
+    assert far.shift("0" * 40 + "1").fork() is None
+    assert EMPTY_SET.shift("01").fork() == (BitString("0"), BitString("1"))
+
+
+def brute_fork(gens, stem, longest):
+    """The fork below `stem` by enumeration: the least length L, up to
+    `longest`, with two extensions of `stem` whose cylinders miss the set,
+    and the least and greatest of them."""
+    s = CylinderSet.normalize(gens)
+    for length in range(1, longest + 1):
+        clear = [t for t in BitString.all_strings(length) if not s.meets_cylinder(BitString(stem) + t)]
+        if len(clear) > 1:
+            return min(clear, key=lambda t: t.bits), max(clear, key=lambda t: t.bits)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(gen_strings, st.text(alphabet="01", max_size=4))
+def test_fork_matches_brute_force(gens, stem):
+    # Generators are at most 6 bits: below any stem, a length of 7 has two
+    # clear extensions unless the set covers the stem's cylinder.
+    below = CylinderSet.normalize(gens).shift(stem)
+    assert below.fork() == brute_fork(gens, stem, 7)
 
 
 def test_measure_of_shared_trie_is_exact():
@@ -410,7 +431,7 @@ def test_deep_tries_need_no_recursion():
     tree = Pi01Tree(DEEP + 1, [(0, ["0" * DEEP, "0" * (DEEP - 1) + "1"])])
     assert tree.leftmost_intact("^", DEEP, 0) == BitString("0" * (DEEP - 2) + "10")
     assert tree.rightmost_intact("^", DEEP, 0) == BitString("1" * DEEP)
-    assert dense.branching_span(BitString("")) == DEEP + 1
+    assert dense.fork() == (BitString("0" * (DEEP + 1)), BitString("1" * DEEP + "0"))
 
 
 def test_unique_table_shrinks_when_sets_are_dropped():

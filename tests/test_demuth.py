@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import schedules
+from oracles import as_fraction, schedules
 
 from randlab import demuth
 from randlab.bitstring import BitString
@@ -180,7 +180,7 @@ def test_membership_profile():
 # `_multiples_exceeded`.
 
 def fraction_multiples_exceeded(measure, quantum):
-    t = measure.as_fraction() / quantum
+    t = as_fraction(measure) / quantum
     if t <= 0:
         return 0
     return (t.numerator - 1) // t.denominator

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pytest
+from oracles import as_fraction
 
 from randlab.dyadic import Dyadic
 
@@ -30,22 +31,22 @@ def test_canonical_form(d):
 
 @given(dyadics, dyadics)
 def test_add_matches_fraction(a, b):
-    assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()
+    assert as_fraction(a + b) == as_fraction(a) + as_fraction(b)
 
 
 @given(dyadics, dyadics)
 def test_sub_matches_fraction(a, b):
-    assert (a - b).as_fraction() == a.as_fraction() - b.as_fraction()
+    assert as_fraction(a - b) == as_fraction(a) - as_fraction(b)
 
 
 @given(dyadics, dyadics)
 def test_mul_matches_fraction(a, b):
-    assert (a * b).as_fraction() == a.as_fraction() * b.as_fraction()
+    assert as_fraction(a * b) == as_fraction(a) * as_fraction(b)
 
 
 @given(dyadics, dyadics)
 def test_comparisons_match_fraction(a, b):
-    fa, fb = a.as_fraction(), b.as_fraction()
+    fa, fb = as_fraction(a), as_fraction(b)
     assert (a == b) == (fa == fb)
     assert (a < b) == (fa < fb)
     assert (a <= b) == (fa <= fb)
@@ -54,17 +55,25 @@ def test_comparisons_match_fraction(a, b):
 
 @given(dyadics)
 def test_negation_and_int_mixing(d):
-    assert (-d).as_fraction() == -d.as_fraction()
-    assert (d + 1).as_fraction() == d.as_fraction() + 1
-    assert (1 - d).as_fraction() == 1 - d.as_fraction()
-    assert (2 * d).as_fraction() == 2 * d.as_fraction()
+    assert as_fraction(-d) == -as_fraction(d)
+    assert as_fraction(d + 1) == as_fraction(d) + 1
+    assert as_fraction(1 - d) == 1 - as_fraction(d)
+    assert as_fraction(2 * d) == 2 * as_fraction(d)
 
 
 @given(dyadics)
 def test_fraction_comparison_is_exact(d):
     third = Fraction(1, 3)
-    assert (d < third) == (d.as_fraction() < third)
+    assert (d < third) == (as_fraction(d) < third)
     assert (d == third) is False  # no dyadic equals 1/3
+
+
+@given(st.builds(Dyadic, st.integers(), st.integers(min_value=0, max_value=200)))
+def test_hash_is_the_rational_hash(d):
+    # Equal rationals hash alike, so a Dyadic and the Fraction or int it
+    # equals are one key; the hash is computed from num and exp alone.
+    assert hash(d) == hash(Fraction(d.num, 1 << d.exp))
+    assert {d: 1}.get(Fraction(d.num, 1 << d.exp)) == 1
 
 
 def test_negative_exponent_normalizes():

@@ -20,6 +20,9 @@ KEPT = {
     "bundled_scenarios": "lists the shipped scenario files for library users",
     "CylinderSet.intersects": "set algebra: nonempty intersection, beside is_subset",
     "CylinderSet.meets_cylinder": "set algebra: nonempty intersection with one cylinder",
+    "kucera_depth": "the paper's branching length, exported; the walks read it off the fork",
+    "Pi01Tree.leftmost_intact": "a stage query the benchmark's tracer names (STAGED_QUERIES)",
+    "Pi01Tree.rightmost_intact": "a stage query the benchmark's tracer names (STAGED_QUERIES)",
 }
 
 

@@ -182,7 +182,8 @@ classes = [f"{mod.__name__}.{name}" for mod in list(sys.modules.values())
            for name, cls in vars(mod).items()
            if isinstance(cls, type) and hasattr(cls, "__dataclass_fields__")]
 print(json.dumps({"dataclasses": "dataclasses" in sys.modules,
-                  "inspect": "inspect" in sys.modules, "dataclass_classes": classes}))
+                  "inspect": "inspect" in sys.modules, "dataclass_classes": classes,
+                  "fractions": "fractions" in sys.modules, "decimal": "decimal" in sys.modules}))
 """
 
 
@@ -191,4 +192,6 @@ def test_import_loads_no_dataclass_machinery():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", GATE], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert json.loads(out) == {"dataclasses": False, "inspect": False, "dataclass_classes": []}
+    # Nor the rational machinery: a Dyadic compares and hashes without `fractions`.
+    assert json.loads(out) == {"dataclasses": False, "inspect": False, "dataclass_classes": [],
+                               "fractions": False, "decimal": False}

@@ -333,6 +333,24 @@ def test_cli_trichotomy_over_the_guard_exits_2_at_once():
     assert "cap sweep over 33554432 vectors refused" in proc.stderr
 
 
+@pytest.mark.parametrize("experiment", [
+    {"kind": "kg_roundtrip", "tree": "crossbar", "payloads": {"all_up_to": 40}},
+    {"kind": "kg_sweep", "count": 1, "seed": 0, "payload_len": 40},
+])
+def test_cli_payload_list_over_the_guard_exits_2_at_once(tmp_path, experiment):
+    # A fresh interpreter, so a list made before the refusal would show as a timeout.
+    tree = {"depth": 6, "events": [[0, ["00", "10"]]], "horizon": 2}
+    scenario = {"name": "g", "objects": {"trees": {"crossbar": tree}},
+                "experiments": [{"name": "big", **experiment}]}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(scenario))
+    env = dict(os.environ, PYTHONPATH=str(Path(randlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "randlab.cli", "run", str(path), "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 2
+    assert "big: payload list of all 2^41 - 1 strings up to length 40 refused (limit 65536)" in proc.stderr
+
+
 def test_trichotomy_handler_refuses_a_sweep_over_the_guard(tmp_path):
     objects = {"enumerators": {"a": {"events": [[1, ["1"]]], "horizon": 3}}}
     exp = Experiment("tri", "fireworks_trichotomy",

@@ -84,8 +84,6 @@ def test_each_snapshot_builds_what_its_queries_derive_once():
     # Stages 1 and 2 read one snapshot, stage 3 the next.
     o = StagedOpenSet([(1, ["0"]), (3, ["11"])], horizon=5)
     assert o.open_at(1) is o.open_at(2) is not o.open_at(3)
-    t = Pi01Tree(4, [(1, ["0"]), (3, ["11"])], horizon=5)
-    assert t.step_table(1) is t.step_table(2) is not t.step_table(3)
     phi = TuringFunctional([(1, [("0", "0"), ("1", "1")]), (3, [("00", "01")])], horizon=5)
     assert phi.preimage("0", 1) is phi.preimage("0", 2) is not phi.preimage("0", 3)
     assert phi.preimage("0", 2) == CylinderSet.cylinder("0")
@@ -187,6 +185,15 @@ def test_extreme_intact_walks():
     assert t.leftmost_intact("00", 4, 0) is None
     # Intactness is strict: at length 1 every node has a removal below it.
     assert t.leftmost_intact("^", 1, 0) is None
+
+
+def test_an_intact_extension_is_no_shorter_than_its_stem():
+    t = Pi01Tree(4, [(0, ["00"])])
+    for extreme in (t.leftmost_intact, t.rightmost_intact):
+        with pytest.raises(ValueError, match="extension length 1 is shorter than 01"):
+            extreme("01", 1, 0)
+    with pytest.raises(ValueError, match="extension length 0 is shorter than 0"):
+        CylinderSet.normalize(["00"]).disjoint_extension(BitString("0"), 0)
 
 
 @given(st.lists(st.text(alphabet="01", min_size=1, max_size=6), max_size=6),

@@ -59,7 +59,7 @@ def _config(objects, p):
 
 def _sweep_ok(objects, p):
     cfg = _config(objects, p)
-    return sweep(cfg).probability.as_fraction() <= sum(Fraction(1, n) for n in cfg.cap_bounds)
+    return sweep(cfg).probability <= sum(Fraction(1, n) for n in cfg.cap_bounds)
 
 
 def _trichotomy_ok(objects, p):
