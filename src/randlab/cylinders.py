@@ -16,12 +16,15 @@ nodes, linear in the distinct pairs they meet; complement and shifting are
 walks over distinct nodes.  Exact measure is computed once per node: a
 node keeps its measure for its life (Bryant's computed results, shared
 like the nodes), so measuring a set walks only the nodes no earlier
-measure reached.  So it keeps its fork, the lex-least and lex-greatest
-strings whose cylinders miss the set at the least length with two: the
-step of a coding walk.  One breadth-first level walk gives the fork, the
-extreme disjoint extensions at a length and the least generator.  Every
-walk keeps an explicit stack or level, so trie depth is bounded by memory,
-not by the recursion limit, and no operation ever enumerates points.  The
+measure reached.  With its measure a node keeps its reach: how deep its
+nearest empty and its nearest full subtree lie.  So one greedy descent,
+which keeps to a side while a subtree of the wanted kind lies within the
+bits left, reads the fork (the lex-least and lex-greatest strings whose
+cylinders miss the set at the least length with two: the step of a coding
+walk, which a node also keeps), the extreme disjoint extensions at a
+length and the least generator.  Every walk keeps an explicit stack or
+loop, so trie depth is bounded by memory, not by the recursion limit, and
+no operation ever enumerates points.  The
 canonical antichain (no generator a prefix of another, no sibling pair
 s0/s1 left unmerged) is read off the trie on demand.
 """
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import weakref
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -41,9 +43,9 @@ from .dyadic import Dyadic
 class _Node:
     """An interior trie node.  Build only through `_pair`.
 
-    Its children never change, so neither do its measure and its fork:
-    `_measure` stores the one in `measure` and `CylinderSet.fork` the other
-    in `fork` the first time each is asked, for the node's life."""
+    Its children never change, so neither do its measure, its reach and its
+    fork: `_measure` stores the first two in `measure` and `CylinderSet.fork`
+    the last in `fork` the first time each is asked, for the node's life."""
 
     __slots__ = ("zero", "one", "hash", "measure", "fork", "__weakref__")
 
@@ -53,7 +55,7 @@ class _Node:
         # Leaves hash as the bools they are: 1 and 0.
         self.hash = hash((zero if zero is True or zero is False else zero.hash,
                           one if one is True or one is False else one.hash))
-        self.measure: Optional[Tuple[int, int]] = None  # kept by `_measure` once it is asked
+        self.measure: Optional[Tuple[int, int, int, int]] = None  # kept by `_measure` once it is asked
         self.fork: Optional[Tuple[BitString, BitString]] = None  # kept by `CylinderSet.fork`
 
 
@@ -208,16 +210,19 @@ def _collect(root: Node) -> List[str]:
     return out
 
 
-_FULL_MEASURE = Dyadic(1)
-_EMPTY_MEASURE = Dyadic(0)
+_NEVER = 1 << 63  # deeper than any trie: a leaf's reach toward the kind it is not
+_FULL_FACTS = (1, 0, _NEVER, 0)
+_EMPTY_FACTS = (0, 0, 0, _NEVER)
 
 
-def _measure(root: _Node) -> Tuple[int, int]:
-    """The measure below `root` as (num, exp), num / 2^exp in lowest terms.
+def _measure(root: _Node) -> Tuple[int, int, int, int]:
+    """What `root` keeps: its measure as (num, exp), num / 2^exp in lowest
+    terms, then its reach, the depths of its nearest empty and its nearest
+    full subtree (an interior node has both, at depth 1 or more).
 
-    Each node keeps its measure once computed, so a walk visits only the
-    nodes no earlier walk measured.  Nodes keep integers, not a `Dyadic`, so
-    a measure makes one `Dyadic` however many nodes earlier sets measured.
+    Each node keeps these once computed, so a walk visits only the nodes no
+    earlier walk measured.  Nodes keep integers, not a `Dyadic`, so a
+    measure makes one `Dyadic` however many nodes earlier sets measured.
     """
     stack = [root]
     while stack:
@@ -226,8 +231,8 @@ def _measure(root: _Node) -> Tuple[int, int]:
             stack.pop()
             continue
         zero, one = node.zero, node.one
-        m0 = (1, 0) if zero is True else (0, 0) if zero is False else zero.measure
-        m1 = (1, 0) if one is True else (0, 0) if one is False else one.measure
+        m0 = _FULL_FACTS if zero is True else _EMPTY_FACTS if zero is False else zero.measure
+        m1 = _FULL_FACTS if one is True else _EMPTY_FACTS if one is False else one.measure
         if m0 is None or m1 is None:
             if m0 is None:
                 stack.append(zero)
@@ -236,12 +241,18 @@ def _measure(root: _Node) -> Tuple[int, int]:
             continue
         stack.pop()
         # (m0 + m1) / 2 in lowest terms; below an interior node it is positive.
-        (n0, e0), (n1, e1) = m0, m1
+        (n0, e0, v0, f0), (n1, e1, v1, f1) = m0, m1
         e = e0 if e0 > e1 else e1
         num = (n0 << (e - e0)) + (n1 << (e - e1))
         shift = min((num & -num).bit_length() - 1, e + 1)
-        node.measure = (num >> shift, e + 1 - shift)
+        node.measure = (num >> shift, e + 1 - shift, min(v0, v1) + 1, min(f0, f1) + 1)
     return root.measure
+
+
+def _facts(node: Node) -> Tuple[int, int, int, int]:
+    """What any node keeps, leaves included; an interior one is measured
+    first if no walk has measured it yet."""
+    return _FULL_FACTS if node is True else _EMPTY_FACTS if node is False else node.measure or _measure(node)
 
 
 def _descend(node: Node, bits: str) -> Node:
@@ -253,45 +264,29 @@ def _descend(node: Node, bits: str) -> Node:
     return node
 
 
-def _levels(root: Node, prune: bool) -> Iterator[Dict[Node, List]]:
-    """The levels below `root`, depth 0 first: each node reached at a depth
-    -> [its leftmost path, its rightmost path, the paths into it up to two].
-    An empty subtree splits into two empty halves; a full one ends.
-
-    With `prune`, a node met two or more levels after its first is not
-    expanded again: each leaf below it lies at least two levels deeper
-    there than below its first meeting, so the first level that reaches a
-    leaf of a kind, and the next, read as in the full walk (all `_fork` and
-    `least_generator` read)."""
-    level: Dict[Node, List] = {root: ["", "", 1]}
-    first: Dict[Node, int] = {}  # node -> the depth it was first met
-    depth = 0
-    while level:
-        yield level
-        below: Dict[Node, List] = {}
-        for node, (left, right, paths) in level.items():
-            if node is True or prune and first.setdefault(node, depth) < depth - 1:
-                continue
-            halves = (False, False) if node is False else (node.zero, node.one)
-            for child, bit in zip(halves, "01"):
-                seen = below.get(child)
-                if seen is None:
-                    below[child] = [left + bit, right + bit, paths]
-                else:
-                    # Paths on one level have one length: `min` is lex order.
-                    seen[0] = min(seen[0], left + bit)
-                    seen[1] = max(seen[1], right + bit)
-                    seen[2] = min(2, seen[2] + paths)
-        level = below
-        depth += 1
+def _extreme(node: Node, length: int, side: int, kind: bool) -> str:
+    """The leftmost (`side` 0) or rightmost (1) path of `length` bits below
+    `node` into a subtree of `kind` (True full, False empty), run on along
+    that side past it.  `node` must reach that kind within `length` bits:
+    each step takes `side` while the child there still does."""
+    at = 3 if kind else 2
+    path: List[str] = []
+    while node is not kind:
+        halves = (node.zero, node.one)
+        bit = side if _facts(halves[side])[at] < length - len(path) else 1 - side
+        path.append("01"[bit])
+        node = halves[bit]
+    return "".join(path) + "01"[side] * (length - len(path))
 
 
 def _fork(root: Node) -> Tuple[BitString, BitString]:
-    """The leftmost and rightmost paths into empty subtrees on the first
-    level with two: below any node but a full one there is such a level."""
-    for level in _levels(root, True):
-        left, right, paths = level.get(False, ("", "", 0))
-        if paths > 1:
+    """The leftmost and rightmost paths into empty subtrees at the least
+    length with two: the nearest empty depth, or one past it, where its one
+    empty subtree splits in two.  Any node but a full one has that length."""
+    depth = _facts(root)[2]
+    for length in (depth, depth + 1):
+        left, right = _extreme(root, length, 0, False), _extreme(root, length, 1, False)
+        if left != right:
             return BitString(left), BitString(right)
 
 
@@ -335,10 +330,7 @@ class CylinderSet:
         return self._tree is True
 
     def measure(self) -> Dyadic:
-        tree = self._tree
-        if tree is True or tree is False:
-            return _FULL_MEASURE if tree else _EMPTY_MEASURE
-        return Dyadic(*_measure(tree))
+        return Dyadic(*_facts(self._tree)[:2])
 
     def __or__(self, other: "CylinderSet") -> "CylinderSet":
         return CylinderSet(_apply(_union_leaf, self._tree, other._tree))
@@ -376,14 +368,11 @@ class CylinderSet:
 
     def least_generator(self) -> Optional[BitString]:
         """The length-lex least generator, None for the empty set: the
-        leftmost path on the first level that reaches a full subtree.  The
-        pruned level walk expands no node more than twice, so the antichain
-        (2^k strings for a k-fold shared trie) is never read."""
-        if self._tree is not False:
-            for level in _levels(self._tree, True):
-                if True in level:
-                    return BitString(level[True][0])
-        return None
+        leftmost path to a nearest full subtree, one descent by the kept
+        reach, so the antichain (2^k strings for a k-fold shared trie) is
+        never read."""
+        tree = self._tree
+        return None if tree is False else BitString(_extreme(tree, _facts(tree)[3], 0, True))
 
     def fork(self) -> Optional[Tuple[BitString, BitString]]:
         """The lex-least and lex-greatest strings whose cylinders miss the
@@ -402,9 +391,10 @@ class CylinderSet:
         span = length - len(sigma)
         if span < 0:
             raise ValueError(f"extension length {length} is shorter than {sigma}")
-        level = next(itertools.islice(_levels(_descend(self._tree, sigma.bits), False), span, None), {})
-        clear = level.get(False)
-        return None if clear is None else sigma + BitString(clear[1 if rightmost else 0])
+        node = _descend(self._tree, sigma.bits)
+        if _facts(node)[2] > span:
+            return None
+        return sigma + BitString(_extreme(node, span, int(rightmost), False))
 
     def __eq__(self, other: object) -> bool:
         # Interned tries: equal sets have the very same root.

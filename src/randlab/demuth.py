@@ -56,6 +56,22 @@ class VersionedOpenSet(_Schedule):
         live = self.live_at(stage)
         return EMPTY_SET if live is None else live.open_at(stage)
 
+    def change_stages(self, upto: int) -> List[int]:
+        """Stage 0, each declaration and each change of a version while it
+        is live, up to `upto`, ascending: from one of these to the next,
+        `open_at` answers alike."""
+        if upto < 0:
+            return []
+        out = {0}
+        ends = [stage - 1 for stage, _ in self.versions[1:]] + [upto]
+        for (start, version), end in zip(self.versions, ends):
+            out.update(t for t in (start, *version.change_stages(min(end, upto))) if start <= t <= upto)
+        return sorted(out)
+
+    def next_change(self, stage: int, limit: int) -> int:
+        """The first change stage past `stage`, or `limit` if none comes before it."""
+        return next((t for t in self.change_stages(limit) if t > stage), limit)
+
     def __repr__(self) -> str:
         return f"VersionedOpenSet({self.version_count()} versions)"
 

@@ -20,6 +20,10 @@ class Dyadic:
     __slots__ = ("num", "exp")
 
     def __init__(self, num: int, exp: int = 0) -> None:
+        # Exactness is the invariant: a float, a bool or a str is refused.
+        if type(num) is not int or type(exp) is not int:
+            bad = exp if type(num) is int else num
+            raise TypeError(f"Dyadic wants int num and exp, got {bad!r}")
         if exp < 0:
             num <<= -exp
             exp = 0

@@ -601,15 +601,22 @@ def _run_w2r_hitting(ctx: Context, exp: Experiment, seed: int, positions: List[i
                      patterns: List[str], depth: int, horizon: int) -> RunFact:
     if len(positions) != len(patterns):
         raise _err(exp.name, "positions and patterns must pair up")
+    pats = [BitString(p) for p in patterns]
+    for pos, pat in zip(positions, pats):
+        # The decoded stream must reach past the pattern, each decoded bit
+        # costs a codeword bit, and a codeword is at most `depth` bits: such
+        # a row never succeeds, so it is refused before its open is built.
+        if pat and pos + len(pat) > depth:
+            raise _err(exp.name, f"position {pos} with pattern {pat} needs {pos + len(pat)} "
+                                 f"decoded bits, more than the depth {depth} allows")
     # Shared-subtree tries; materializing these opens as string lists would
     # cost 2^position generators each.
-    opens = [uniform_suffix_set(BitString(p), pos)
-             for pos, p in zip(positions, patterns)]
+    opens = [uniform_suffix_set(pat, pos) for pos, pat in zip(positions, pats)]
     scheme, payloads, steps, enc = hitting_run(seed, opens, depth, horizon)
     stream = BitString("".join(p.bits for p in payloads))
     decoded = _gamma(scheme, enc, stream).output_prefix()
-    rows = [(i, pos, BitString(pat), *steps[i], payloads[i], opens[i].contains_prefix_of(decoded))
-            for i, (pos, pat) in enumerate(zip(positions, patterns))]
+    rows = [(i, pos, pat, *steps[i], payloads[i], opens[i].contains_prefix_of(decoded))
+            for i, (pos, pat) in enumerate(zip(positions, pats))]
     return _fact(exp, ctx.report(exp, ".csv", ["step", "position", "pattern", "n", "steering",
                                                "payload", "decoded_inside"], rows,
                                  decoded_inside=True),

@@ -12,6 +12,7 @@ node-lives test.
 
 import ast
 import gc
+import itertools
 import os
 import pathlib
 import subprocess
@@ -26,7 +27,7 @@ from oracles import brute_measure
 
 import randlab
 from randlab import cylinders
-from randlab.bitstring import BitString
+from randlab.bitstring import EMPTY, BitString
 from randlab.coding import shifted_core
 from randlab.cylinders import CylinderSet, EMPTY_SET, FULL_SET, intervals_set, uniform_suffix_set
 from randlab.dyadic import Dyadic
@@ -264,6 +265,35 @@ def test_fork_walks_a_shared_trie_once():
     assert far.shift("0" * 40).fork() == (BitString("00"), BitString("01"))
     assert far.shift("0" * 40 + "1").fork() is None
     assert EMPTY_SET.shift("01").fork() == (BitString("0"), BitString("1"))
+
+
+def _best_of_three(query, position, patterns):
+    """The least time `query(set, pattern, position)` takes on three fresh tries
+    `uniform_suffix_set(pattern, position)`, a new pattern each, so no node
+    facts kept by one call carry over to the next."""
+    times = []
+    for _ in range(3):
+        pattern = next(patterns)
+        s = uniform_suffix_set(pattern, position)
+        start = time.perf_counter()
+        query(s, pattern, position)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def test_trie_queries_grow_at_most_linearly_with_depth():
+    # A ratio, not a time (Goldsmith, Aiken and Wilkerson, FSE 2007): on an
+    # 8-fold deeper trie each query may take at most 16 times as long.  A
+    # walk that copies its path at every level grows about 36-fold.
+    queries = {"fork": lambda s, p, at: s.fork(),
+               "least_generator": lambda s, p, at: s.least_generator(),
+               "disjoint_extension": lambda s, p, at: s.disjoint_extension(EMPTY, at + len(p))}
+    patterns = (format(i, "b") for i in itertools.count(2))
+    growth = {}
+    for name, query in queries.items():
+        small = _best_of_three(query, 1 << 14, patterns)
+        growth[name] = _best_of_three(query, 1 << 17, patterns) / small
+    assert all(g <= 16 for g in growth.values()), growth
 
 
 def brute_fork(gens, stem, longest):

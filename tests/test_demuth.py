@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from randlab.errors import GuardExceeded, RandlabError
 from randlab.scenario import _convert_u2d_rows
 from randlab.generators import (random_demuth_test, random_diffunion_test,
                                 random_open_set, thinned_delayed)
-from randlab.staged import StagedOpenSet, first_seen
+from randlab.staged import StagedOpenSet, ValuedOpenSet, first_seen
 
 
 def staged(events, horizon=4):
@@ -41,6 +42,47 @@ def test_versioned_set_empty_and_ordering():
     assert VersionedOpenSet([]).open_at(9) == EMPTY_SET
     with pytest.raises(RandlabError):
         VersionedOpenSet([(1, staged([])), (1, staged([]))])
+
+
+def test_versioned_set_changes_where_its_live_version_does():
+    # The one version changes at 5 on its own: a reader that follows only
+    # the declaration stages would keep reading {00}.
+    grown = StagedOpenSet([(0, ["00"]), (5, ["010"])], 8)
+    level = VersionedOpenSet([(0, grown)])
+    assert level.change_stages(8) == [0, 5]
+    assert (level.next_change(0, 8), level.next_change(5, 8)) == (5, 8)
+    test = DiffUnionTest(((), (DiffPair(level, StagedOpenSet([], 8)),)), (0, 1), 8)
+    assert str(test.level_final(1)) == "{00,010}"
+    assert str(diffunion_to_demuth(test).level_final(0)) == "{00,010}"
+    # A version's changes after it is superseded are not the set's.
+    late = VersionedOpenSet([(0, grown), (3, StagedOpenSet([(1, ["1"])], 8))])
+    assert late.change_stages(8) == [0, 3]
+    assert late.change_stages(2) == [0] and late.change_stages(-1) == []
+
+
+def _version(events, horizon, valued):
+    """A version from a drawn schedule: enumerated, or stated by value at
+    its event stages."""
+    enumerated = StagedOpenSet(events, horizon)
+    if not valued:
+        return enumerated
+    return ValuedOpenSet([(s, partial(enumerated.open_at, s)) for s, _ in events], horizon)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(schedules(st.text(alphabet="01", max_size=4)), st.booleans()), max_size=4),
+       st.lists(st.integers(min_value=0, max_value=4), min_size=4, max_size=4),
+       st.integers(min_value=0, max_value=20))
+def test_versioned_set_answers_alike_between_its_change_stages(drawn, gaps, upto):
+    starts = [sum(gaps[:i + 1]) + i for i in range(len(drawn))]
+    level = VersionedOpenSet([(start, _version(*sched, valued))
+                              for start, (sched, valued) in zip(starts, drawn)])
+    changes = level.change_stages(upto)
+    assert changes[0] == 0 and changes == sorted(set(changes)) and changes[-1] <= upto
+    for stage in range(upto + 1):
+        last = max(t for t in changes if t <= stage)
+        assert level.open_at(stage) == level.open_at(last)
+        assert level.next_change(stage, upto + 1) == min([t for t in changes if t > stage] + [upto + 1])
 
 
 def test_verify_demuth_checks_both_bounds():

@@ -5,6 +5,7 @@ tolerance anywhere in this file.
 """
 
 import operator
+import re
 from fractions import Fraction
 
 from hypothesis import given
@@ -110,6 +111,15 @@ def test_hash_consistent_with_eq(a, b):
 def test_coercion_rejects_float():
     with pytest.raises(TypeError):
         Dyadic(1, 1) + 0.5
+
+
+@pytest.mark.parametrize("num, exp, bad", [(0.5, 0, "0.5"), (1, 1.0, "1.0"), (True, 0, "True"),
+                                            (1, False, "False"), ("1", 0, "'1'")])
+def test_constructor_refuses_an_inexact_part(num, exp, bad):
+    # A float would compare and then fail in arithmetic; a bool would print
+    # as `Dyadic(True, 0)`.  The error names the value.
+    with pytest.raises(TypeError, match=re.escape(bad)):
+        Dyadic(num, exp)
 
 
 @pytest.mark.parametrize("compare", [operator.lt, operator.le, operator.gt, operator.ge])

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import randlab
-from randlab import cli
+from randlab import cli, scenario
 from randlab.cli import main
 from randlab.errors import ScenarioError
 from randlab.fireworks import Outcome
@@ -752,6 +752,38 @@ def test_cli_w2r_hit_at_horizon_2_to_the_70_exits_0():
     summary = proc.stdout.split("== cli_hit_summary.csv ==\n")[1].splitlines()
     assert summary[:2] == ["codeword_length,decoded,stream_match", "41,00000000100001,yes"]
     assert took < 5
+
+
+def test_cli_w2r_hit_past_the_depth_exits_2_at_once():
+    # The open at 20,000,000 was once built first, and died in a MemoryError.
+    proc, took = run_fresh(["w2r", "hit", "--seed", "1", "--positions", "8,20000000",
+                            "--patterns", "1,1"], timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("error: hit: position 20000000 with pattern 1 needs 20000001 "
+                           "decoded bits, more than the depth 220 allows\n")
+    assert proc.stdout == "" and took < 5
+
+
+class Steered(Exception):
+    """Raised by a stand-in for `hitting_run`: the row got past its checks."""
+
+
+def steered(*args):
+    raise Steered
+
+
+@pytest.mark.parametrize("position, pattern, refused", [
+    (219, "1", False), (219, "11", True), (400, "1", True), (400, "^", False)])
+def test_w2r_hitting_refuses_a_row_past_the_depth_before_any_report(tmp_path, monkeypatch, position, pattern,
+                                                                    refused):
+    # Each decoded bit costs a codeword bit, and a codeword holds at most
+    # `depth` (220 by default) bits: a row needing more never succeeds.  An
+    # empty pattern's open is the whole space, and stays allowed.
+    monkeypatch.setattr(scenario, "hitting_run", steered)
+    exp = Experiment("hit", "w2r_hitting", {"seed": 1, "positions": [8, position], "patterns": ["1", pattern]})
+    with pytest.raises(ScenarioError if refused else Steered):
+        run_scenario(Scenario("x", {}, (exp,)), tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 FIREWORKS_2_TO_THE_70 = ["--adversary", "1@1", "--k", "0", "--target-length", "3",
